@@ -599,9 +599,10 @@ fn main() {
         &rows,
     );
 
-    // Key-popularity skew: zipfian runs across shard counts, with the
-    // event-driven scheduler's steal counters. The `steal=off` control
-    // shows what the work-stealing drivers add on top of ready queues.
+    // Key-popularity skew: zipfian runs across shard counts, with how
+    // many key runs the submitters did themselves (`inline`) and how many
+    // queued keys crossed shards. The `steal=off` control shows what
+    // stealing adds for the keys that do reach the ready queues.
     let zipf_clients = client_counts[0];
     let zipf = KeyedScenario::uniform(zipf_clients, ops_per_client, keys, 0.5, value_len, seed + 1)
         .with_zipf(0.99);
@@ -618,6 +619,7 @@ fn main() {
             format!("{:.1}", cell.kops()),
             format!("{:.0}", cell.p99_us),
             cell.keys.to_string(),
+            totals.inline_runs.to_string(),
             totals.steals.to_string(),
             totals.stolen.to_string(),
         ]);
@@ -655,7 +657,8 @@ fn main() {
     print_table(
         "key-distribution effect (adaptive; ready-queue scheduling + work-stealing)",
         &[
-            "dist", "shards", "clients", "ops", "kops/s", "p99_us", "keys", "steals", "stolen",
+            "dist", "shards", "clients", "ops", "kops/s", "p99_us", "keys", "inline", "steals",
+            "stolen",
         ],
         &zipf_rows,
     );

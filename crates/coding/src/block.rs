@@ -20,18 +20,42 @@ pub type BlockIndex = u32;
 /// assert_eq!(b.index(), 3);
 /// assert_eq!(b.size_bits(), 128);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Block {
     index: BlockIndex,
-    data: Bytes,
+    /// The payload is `buf[start..end]`: all of a buffer of the block's
+    /// own, or — for a systematic block, which *is* a stretch of the value
+    /// — a window onto the value's buffer. The window lives here rather
+    /// than in [`Bytes`] because blocks are few and [`Value`]s (which never
+    /// need one) are many: every history record holds a couple.
+    ///
+    /// [`Value`]: crate::Value
+    buf: Bytes,
+    start: usize,
+    end: usize,
 }
 
 impl Block {
     /// Creates a block with the given index and payload.
     pub fn new(index: BlockIndex, data: impl Into<Bytes>) -> Self {
+        let buf = data.into();
+        let end = buf.len();
+        Block::window(index, buf, 0..end)
+    }
+
+    /// Creates a block whose payload is `buf[range]`, sharing `buf`: no
+    /// allocation, no copy — and the whole of `buf` lives for as long as
+    /// the block does.
+    pub(crate) fn window(index: BlockIndex, buf: Bytes, range: std::ops::Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "block window out of bounds"
+        );
         Block {
             index,
-            data: data.into(),
+            buf,
+            start: range.start,
+            end: range.end,
         }
     }
 
@@ -42,33 +66,49 @@ impl Block {
 
     /// The coded payload.
     pub fn data(&self) -> &[u8] {
-        &self.data
+        &self.buf[self.start..self.end]
     }
 
     /// The paper's `|e|`: payload size in bits.
     pub fn size_bits(&self) -> u64 {
-        8 * self.data.len() as u64
+        8 * self.len() as u64
     }
 
     /// Payload size in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.end - self.start
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.start == self.end
+    }
+}
+
+// A block is its index and payload bytes, whichever buffer they sit in.
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index && self.data() == other.data()
+    }
+}
+
+impl Eq for Block {}
+
+impl std::hash::Hash for Block {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.index.hash(state);
+        self.data().hash(state);
     }
 }
 
 impl std::fmt::Debug for Block {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let prefix: Vec<u8> = self.data.iter().take(4).copied().collect();
+        let prefix: Vec<u8> = self.data().iter().take(4).copied().collect();
         write!(
             f,
             "Block(#{}, {} B, {:02x?}…)",
             self.index,
-            self.data.len(),
+            self.len(),
             prefix
         )
     }
@@ -93,6 +133,29 @@ mod tests {
         let b = Block::new(1, vec![1]);
         assert_ne!(a, b);
         assert_eq!(a, Block::new(0, vec![1]));
+    }
+
+    #[test]
+    fn a_window_equals_and_hashes_like_its_copy() {
+        use std::hash::{Hash, Hasher};
+        let buf = Bytes::from(vec![9u8, 1, 2, 3, 9]);
+        let window = Block::window(4, buf.clone(), 1..4);
+        let copy = Block::new(4, vec![1u8, 2, 3]);
+        assert_eq!(window.data(), &[1, 2, 3]);
+        assert_eq!(
+            window.data().as_ptr(),
+            buf[1..].as_ptr(),
+            "shares the buffer"
+        );
+        assert_eq!((window.len(), window.size_bits()), (3, 24));
+        assert_eq!(window, copy);
+        let digest = |b: &Block| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(&window), digest(&copy));
+        assert!(Block::window(0, buf, 2..2).is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::matrix::Matrix;
 use crate::scheme::{shard_slice, validate_params};
 use crate::{gf256, Block, BlockIndex, Code, CodeKind, CodingError, Value};
+use bytes::BytesMut;
 
 /// A systematic `k`-of-`n` Reed–Solomon code for values of a fixed length.
 ///
@@ -116,6 +117,23 @@ impl ReedSolomon {
         }
     }
 
+    /// Block `i` of `value` (already length-checked). A systematic block
+    /// that lies wholly inside the value *is* a stretch of the value, so it
+    /// is a window onto the value's own buffer: no allocation, no copy —
+    /// and the value's buffer lives for as long as the block does. Parity
+    /// rows and a zero-padded tail shard are computed straight into their
+    /// final shared buffer: one allocation, no staging copy.
+    fn block(&self, value: &Value, i: usize) -> Block {
+        let start = i * self.shard_len;
+        if i < self.k && start + self.shard_len <= self.value_len {
+            let window = start..start + self.shard_len;
+            return Block::window(i as BlockIndex, value.buffer().clone(), window);
+        }
+        let mut out = BytesMut::zeroed(self.shard_len);
+        self.encode_row_into(value.as_bytes(), i, &mut out);
+        Block::new(i as BlockIndex, out.freeze())
+    }
+
     /// Encodes all `n` blocks into one contiguous caller-provided buffer —
     /// block `i` occupies `out[i*shard_len .. (i+1)*shard_len]` — as a
     /// column-major matrix–buffer product: each source shard is read once
@@ -201,25 +219,14 @@ impl Code for ReedSolomon {
         }
         // No re-sharding: the row product reads shard views of the value in
         // place, so a caller looping over every index pays O(D) per parity
-        // block and O(D/k) per systematic block — not O(k·D) copies.
-        let mut out = vec![0u8; self.shard_len];
-        self.encode_row_into(value.as_bytes(), index as usize, &mut out);
-        Ok(Block::new(index, out))
+        // block and nothing per whole systematic block — not O(k·D) copies.
+        Ok(self.block(value, index as usize))
     }
 
     fn encode(&self, value: &Value) -> Vec<Block> {
         self.check_value(value)
             .expect("value length must match the code");
-        let bytes = value.as_bytes();
-        // Each block is produced directly into its own final payload buffer
-        // from shard views of the value: zero intermediate allocations.
-        (0..self.n)
-            .map(|i| {
-                let mut out = vec![0u8; self.shard_len];
-                self.encode_row_into(bytes, i, &mut out);
-                Block::new(i as BlockIndex, out)
-            })
-            .collect()
+        (0..self.n).map(|i| self.block(value, i)).collect()
     }
 
     fn decode(&self, blocks: &[Block]) -> Result<Value, CodingError> {
@@ -252,15 +259,18 @@ impl Code for ReedSolomon {
                 got: chosen.len(),
             });
         }
-        // One contiguous k·shard_len buffer holds all decoded shards;
-        // truncating to value_len yields the value without reassembly.
-        let mut data = vec![0u8; self.k * self.shard_len];
+        // The value's own final buffer holds the decoded shards end to
+        // end; a tail shard is cut short (possibly to nothing) where the
+        // value ends — its padding is never produced — so nothing is
+        // reassembled or copied.
+        let mut data = BytesMut::zeroed(self.value_len);
         if chosen.iter().all(|b| (b.index() as usize) < self.k) {
             // All-systematic fast path: k distinct indices < k are exactly
             // {0..k}, so the shards are the raw payloads — no inversion.
             for b in &chosen {
-                let start = b.index() as usize * self.shard_len;
-                data[start..start + self.shard_len].copy_from_slice(b.data());
+                let start = (b.index() as usize * self.shard_len).min(self.value_len);
+                let end = (start + self.shard_len).min(self.value_len);
+                data[start..end].copy_from_slice(&b.data()[..end - start]);
             }
         } else {
             let indices: Vec<usize> = chosen.iter().map(|b| b.index() as usize).collect();
@@ -269,14 +279,13 @@ impl Code for ReedSolomon {
                 .inverse()
                 .expect("any k rows of an MDS encoding matrix are invertible");
             // shard[s] = Σ_j inv[s][j] * block[j]
-            for (s, out) in data.chunks_exact_mut(self.shard_len).enumerate() {
+            for (s, out) in data.chunks_mut(self.shard_len).enumerate() {
                 for (j, b) in chosen.iter().enumerate() {
-                    gf256::mul_acc(out, b.data(), sub_inv.get(s, j));
+                    gf256::mul_acc(out, &b.data()[..out.len()], sub_inv.get(s, j));
                 }
             }
         }
-        data.truncate(self.value_len);
-        Ok(Value::from_bytes(data))
+        Ok(Value::from_bytes(data.freeze()))
     }
 }
 
@@ -353,6 +362,29 @@ mod tests {
         for i in 0..4 {
             assert_eq!(blocks[i].data(), &shards[i][..], "block {i} not systematic");
         }
+    }
+
+    #[test]
+    fn whole_systematic_blocks_are_windows_onto_the_value() {
+        let code = ReedSolomon::new(4, 7, 64).unwrap();
+        let v = Value::seeded(11, 64);
+        let blocks = code.encode(&v);
+        for (i, b) in blocks.iter().enumerate().take(4) {
+            assert_eq!(
+                b.data().as_ptr(),
+                v.as_bytes()[i * 16..].as_ptr(),
+                "systematic block {i} should share the value's buffer"
+            );
+        }
+        for (i, b) in blocks.iter().enumerate() {
+            assert_eq!(&code.encode_block(&v, i as BlockIndex).unwrap(), b);
+        }
+        // A padded tail shard is not a stretch of the value: own buffer.
+        let code = ReedSolomon::new(3, 5, 10).unwrap(); // shards of 4: 4 + 4 + 2
+        let v = Value::seeded(12, 10);
+        let tail = &code.encode(&v)[2];
+        assert_eq!(tail.data(), &[v.as_bytes()[8], v.as_bytes()[9], 0, 0]);
+        assert_ne!(tail.data().as_ptr(), v.as_bytes()[8..].as_ptr());
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl Value {
         Value(Bytes::from(out))
     }
 
+    /// The value's shared buffer (cloning it is O(1)).
+    pub(crate) fn buffer(&self) -> &Bytes {
+        &self.0
+    }
+
     /// The raw bytes of the value.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0

@@ -110,7 +110,8 @@ fn recorder_wraparound_skips_but_never_mixes() {
 }
 
 // ---------------------------------------------------------------------------
-// ReadyQueue: pop / pop_half stealing and the dirty-requeue protocol.
+// ReadyQueue: claim / pop / pop_half ownership and the dirty-requeue
+// protocol.
 // ---------------------------------------------------------------------------
 
 /// A home driver drains with `pop` while a thief grabs `pop_half`: at
@@ -218,4 +219,86 @@ fn ready_queue_dirty_requeue_never_loses_a_wakeup() {
         // model run completes; the DPOR harness serializes the rest.
         twice.load(Ordering::Relaxed)
     );
+}
+
+/// Run-to-completion submitters against the pool: two submitters each
+/// add work to both slots and `claim` them (running a slot they get,
+/// dirtying one that is owned — the enqueue-while-running transition),
+/// while a home driver `pop`s and a thief `pop_half`s whatever the
+/// finishing owners re-queued. On every interleaving a slot is never run
+/// by two threads at once, and no work is stranded: each submission is
+/// followed by a run of its slot — by its submitter, or out of the queue
+/// its owner's `finish` put it back on (which is why that `finish` must
+/// wake a driver; the late pass below stands in for the woken one).
+#[test]
+fn ready_queue_claim_never_strands_work_or_shares_a_slot() {
+    /// One key's bookkeeping, touched only between the queue's (modelled)
+    /// lock operations — the only scheduling points.
+    #[derive(Default)]
+    struct Tally {
+        pending: u32,
+        done: u32,
+        running: bool,
+    }
+    type Keys = Vec<(usize, StdMutex<Tally>)>;
+    fn run(q: &ReadyQueue, keys: &Keys, slot: usize) {
+        let mut t = keys[slot].1.lock().unwrap();
+        assert!(!t.running, "slot {slot} owned twice");
+        t.running = true;
+        t.done += std::mem::take(&mut t.pending);
+        t.running = false;
+        drop(t);
+        q.finish(slot, false);
+    }
+    let report = sched::model(&quick(2), || {
+        let q = Arc::new(ReadyQueue::new());
+        let keys: Arc<Keys> = Arc::new(
+            (0..2)
+                .map(|_| (q.register_slot(), StdMutex::default()))
+                .collect(),
+        );
+        let submitters: Vec<_> = (0..2usize)
+            .map(|t| {
+                let (q, keys) = (Arc::clone(&q), Arc::clone(&keys));
+                vthread::spawn(move || {
+                    for k in 0..2 {
+                        let (slot, tally) = &keys[(k + t) % 2];
+                        tally.lock().unwrap().pending += 1;
+                        if q.claim(*slot) {
+                            run(&q, &keys, *slot);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let pool = {
+            let (q, keys) = (Arc::clone(&q), Arc::clone(&keys));
+            vthread::spawn(move || {
+                // A thief's batch, then a home driver's drain.
+                for s in q.pop_half() {
+                    run(&q, &keys, s);
+                }
+                while let Some(s) = q.pop() {
+                    run(&q, &keys, s);
+                }
+            })
+        };
+        for h in submitters {
+            h.join().unwrap();
+        }
+        pool.join().unwrap();
+        // Slots re-queued after the drivers looked: a late driver pass.
+        while let Some(s) = q.pop() {
+            run(&q, &keys, s);
+        }
+        for (slot, tally) in keys.iter() {
+            assert_eq!(tally.lock().unwrap().done, 2, "stranded work");
+            assert!(q.claim(*slot), "slot {slot} left owned");
+            assert!(!q.finish(*slot, false));
+        }
+        assert!(q.is_empty());
+    })
+    .expect("claim/finish must conserve work on every interleaving");
+    assert!(report.complete, "schedule space must be exhausted");
+    assert!(report.schedules > 100, "got {}", report.schedules);
 }

@@ -9,12 +9,13 @@
 //! * [`DriverCore`] — the lock + condvar + stop-flag cell a *network
 //!   driver* thread and its clients rendezvous on;
 //! * [`CompletionSlot`] — a per-operation completion cell a client can
-//!   either block on (condvar) or poll as a future (waker), filled by the
-//!   driver when the operation returns inside the simulation;
+//!   either block on (condvar) or poll as a future (waker), filled by
+//!   whoever steps the operation to its return inside the simulation;
 //! * [`ReadyQueue`] — the event-driven scheduling companion of
-//!   [`DriverCore`] for *multi-key* drivers: a queue of key slots with
-//!   enabled simulator events, so a driver batch does O(enabled) work
-//!   instead of rescanning every materialized key;
+//!   [`DriverCore`] for *multi-key* drivers: per-key slot ownership (a
+//!   submitter claims an idle key and runs it itself) plus a queue of
+//!   the key slots that found their key busy, so a driver batch does
+//!   O(enabled) work instead of rescanning every materialized key;
 //! * [`WorkGroup`] — the rendezvous for a *pool* of driver threads
 //!   sharing ready queues (the sharded store's work-stealing drivers):
 //!   lost-wakeup-free parking, and a stop request every parked driver
@@ -152,21 +153,25 @@ enum SlotState {
     Idle,
     /// In the queue, waiting for a driver.
     Queued,
-    /// Popped by a driver; the driver owns the slot until it finishes.
+    /// Popped by a driver or claimed by a submitter, who owns the slot
+    /// until it finishes.
     Running,
-    /// Popped by a driver, and new work arrived meanwhile — the finishing
-    /// driver must re-enqueue.
+    /// Owned, and new work arrived meanwhile — the finishing owner must
+    /// re-enqueue.
     RunningDirty,
 }
 
 /// A queue of key-slot tokens with enabled simulator events.
 ///
-/// Slots are small integers registered once per key; drivers [`pop`] a
-/// slot, step its simulation while *owning* it (a popped slot cannot be
+/// Slots are small integers registered once per key; a submitter
+/// [`claim`]s an idle slot (or a driver [`pop`]s a queued one), steps its
+/// simulation while *owning* it (an owned slot cannot be claimed or
 /// popped again until [`finish`]ed, which preserves per-key
-/// serialization even across stealing drivers), and re-enqueue it when
-/// more events remain or new work arrived during the run.
+/// serialization across submitters and stealing drivers alike), and
+/// re-enqueues it when more events remain or new work arrived during
+/// the run.
 ///
+/// [`claim`]: ReadyQueue::claim
 /// [`pop`]: ReadyQueue::pop
 /// [`finish`]: ReadyQueue::finish
 #[derive(Debug, Default)]
@@ -212,6 +217,29 @@ impl ReadyQueue {
         }
     }
 
+    /// Marks a slot as having enabled work and, when nobody else owns or
+    /// is about to own it, hands it straight to the caller: an idle slot
+    /// goes `Running` without ever entering the queue and `true` is
+    /// returned — the caller runs the slot itself and must
+    /// [`ReadyQueue::finish`] it. Otherwise this is [`ReadyQueue::enqueue`]
+    /// on a non-idle slot and returns `false`: a running slot goes dirty
+    /// (its owner's `finish` re-enqueues it), a queued one is already
+    /// some driver's to pop.
+    pub fn claim(&self, slot: usize) -> bool {
+        let mut inner = tracked_lock(ranks::READY_QUEUE, "ready_queue", || self.ready.lock());
+        match inner.states[slot] {
+            SlotState::Idle => {
+                inner.states[slot] = SlotState::Running;
+                true
+            }
+            SlotState::Running => {
+                inner.states[slot] = SlotState::RunningDirty;
+                false
+            }
+            SlotState::Queued | SlotState::RunningDirty => false,
+        }
+    }
+
     /// Pops the next ready slot, transferring ownership to the caller
     /// until [`ReadyQueue::finish`].
     pub fn pop(&self) -> Option<usize> {
@@ -242,9 +270,12 @@ impl ReadyQueue {
         slots
     }
 
-    /// Releases a popped slot. `more` reports whether the slot still has
-    /// enabled events; the slot is re-enqueued when `more` holds or work
-    /// arrived while it ran. Returns `true` if it was re-enqueued.
+    /// Releases an owned (popped or claimed) slot. `more` reports whether
+    /// the slot still has enabled events; the slot is re-enqueued when
+    /// `more` holds or work arrived while it ran. Returns `true` if it was
+    /// re-enqueued — the caller must then wake a driver: a finishing
+    /// submitter goes back to its own caller, and nobody else knows the
+    /// queue just became non-empty.
     pub fn finish(&self, slot: usize, more: bool) -> bool {
         let mut inner = tracked_lock(ranks::READY_QUEUE, "ready_queue", || self.ready.lock());
         let requeue = more || inner.states[slot] == SlotState::RunningDirty;
@@ -312,20 +343,23 @@ impl WorkGroup {
         }
     }
 
-    /// Wakes a parked driver (after enqueueing work) — one driver, or
-    /// all of them for a [`WorkGroup::new_broadcast`] group.
+    /// Wakes a parked driver (after re-queueing a key, or when a
+    /// governor pass falls due) — one driver, or all of them for a
+    /// [`WorkGroup::new_broadcast`] group.
     ///
     /// Fast path: when no driver has announced intent to park, this is a
     /// single atomic load. The SeqCst pairing with
     /// [`WorkGroup::park_unless`] makes the skip sound: a parker
-    /// announces itself (SeqCst RMW) *before* re-checking for work, so
-    /// either this load observes the sleeper (and notifies), or the
-    /// parker's work check observes the enqueue that preceded this call.
+    /// announces itself (SeqCst RMW, then a fence) *before* re-checking
+    /// for work, so either this load observes the sleeper (and
+    /// notifies), or the parker's work check observes the state change
+    /// that preceded this call.
     pub fn notify(&self) {
-        // The fence orders the caller's enqueue (a release under the
-        // queue lock) before the sleepers load — without it, StoreLoad
-        // reordering could let both the notifier miss the sleeper and
-        // the parker miss the enqueue.
+        // The fence orders the caller's state change (a re-queue under
+        // the queue lock, or the relaxed stores a due-check reads) before
+        // the sleepers load — without it, StoreLoad reordering could let
+        // both the notifier miss the sleeper and the parker miss the
+        // change.
         // audit:allow(atomics-seqcst) — the eventcount protocol needs the
         // StoreLoad barrier this fence provides (see the comment above);
         // acquire/release cannot order a prior store against a later load.
@@ -350,24 +384,7 @@ impl WorkGroup {
     /// again under the group lock (so a notify issued between the check
     /// and the wait cannot be missed).
     pub fn park_unless(&self, has_work: impl Fn() -> bool) {
-        // audit:allow(atomics-seqcst) — the park announcement must be
-        // totally ordered against the notifier's fast-path load, or a
-        // sleeper and an enqueue could both go unobserved (lost wakeup);
-        // see `WorkGroup::notify`.
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = tracked_lock(ranks::WORKGROUP, "workgroup", || self.mu.lock());
-        if self.is_stopped() || has_work() {
-            drop(guard);
-            // audit:allow(atomics-seqcst) — symmetric with the announcement
-            // above; keeps the sleeper count in the same total order.
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        self.cv.wait(guard.raw_mut());
-        drop(guard);
-        // audit:allow(atomics-seqcst) — symmetric with the announcement
-        // above; keeps the sleeper count in the same total order.
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        self.park(None, has_work);
     }
 
     /// Like [`WorkGroup::park_unless`], but wakes after `timeout` even
@@ -376,20 +393,30 @@ impl WorkGroup {
     /// will ever notify them. Same lost-wakeup-free protocol; the timeout
     /// only adds an upper bound on how long the park lasts.
     pub fn park_timeout_unless(&self, timeout: std::time::Duration, has_work: impl Fn() -> bool) {
+        self.park(Some(timeout), has_work);
+    }
+
+    fn park(&self, timeout: Option<std::time::Duration>, has_work: impl Fn() -> bool) {
         // audit:allow(atomics-seqcst) — the park announcement must be
         // totally ordered against the notifier's fast-path load, or a
         // sleeper and an enqueue could both go unobserved (lost wakeup);
         // see `WorkGroup::notify`.
         self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // audit:allow(atomics-seqcst) — the twin of the fence in
+        // `WorkGroup::notify`: `has_work` may read plain relaxed atomics
+        // (the governance due-check), and only fence-to-fence ordering
+        // guarantees that a notifier who missed the announcement above
+        // had its state change seen by the check below.
+        std::sync::atomic::fence(Ordering::SeqCst);
         let mut guard = tracked_lock(ranks::WORKGROUP, "workgroup", || self.mu.lock());
-        if self.is_stopped() || has_work() {
-            drop(guard);
-            // audit:allow(atomics-seqcst) — symmetric with the announcement
-            // above; keeps the sleeper count in the same total order.
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
+        if !(self.is_stopped() || has_work()) {
+            match timeout {
+                Some(timeout) => {
+                    let _ = self.cv.wait_for(guard.raw_mut(), timeout);
+                }
+                None => self.cv.wait(guard.raw_mut()),
+            }
         }
-        let _ = self.cv.wait_for(guard.raw_mut(), timeout);
         drop(guard);
         // audit:allow(atomics-seqcst) — symmetric with the announcement
         // above; keeps the sleeper count in the same total order.
@@ -868,6 +895,24 @@ mod tests {
         // Empty queue → empty batch.
         while q.pop().is_some() {}
         assert!(q.pop_half().is_empty());
+    }
+
+    #[test]
+    fn claim_owns_an_idle_slot_and_dirties_a_running_one() {
+        let q = ReadyQueue::new();
+        let slot = q.register_slot();
+        assert!(q.claim(slot), "idle slot goes to the claimer");
+        assert!(q.is_empty(), "a claimed slot never enters the queue");
+        // A second claimer (or enqueuer) finds it running: dirty, not owned.
+        assert!(!q.claim(slot));
+        assert!(!q.enqueue(slot));
+        assert!(q.finish(slot, false), "dirty slot re-enqueues on finish");
+        // Queued now: a driver's to pop, not a submitter's to claim.
+        assert!(!q.claim(slot));
+        assert_eq!(q.pop(), Some(slot));
+        assert!(!q.finish(slot, false));
+        assert!(q.claim(slot), "idle again");
+        assert!(!q.finish(slot, false));
     }
 
     #[test]

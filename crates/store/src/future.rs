@@ -2,8 +2,10 @@
 //!
 //! [`ReadFuture`] / [`WriteFuture`] wrap the [`OpTicket`] a
 //! [`Transport`](crate::Transport) returned for the submission —
-//! a driver-filled [`CompletionSlot`](rsb_registers::CompletionSlot) on
-//! the loopback path, a TCP-reader-filled cell on the wire. They
+//! a [`CompletionSlot`](rsb_registers::CompletionSlot) on the loopback
+//! path (filled by the thread that ran the key, usually the submitter
+//! itself before the future is returned), a TCP-reader-filled cell on
+//! the wire. They
 //! implement [`Future`] so any executor can await them, and each also
 //! offers a blocking `wait()` that parks on the underlying condvar — the
 //! tree is offline-vendored, so no tokio (or any runtime) is required
@@ -108,8 +110,8 @@ impl Future for OpFuture {
     }
 }
 
-/// A write ack delivered to a read is unreachable on loopback (drivers
-/// fill the slot the read registered) but *possible* over a buggy or
+/// A write ack delivered to a read is unreachable on loopback (a run
+/// fills the slot the read registered) but *possible* over a buggy or
 /// hostile wire — so it is an error, never a panic, on the client path.
 fn into_read(result: OpResult) -> Result<Value, StoreError> {
     match result {

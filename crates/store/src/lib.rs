@@ -6,11 +6,14 @@
 //! independent shards, each shard hosting one register per key (all built
 //! from one [`RegisterProtocol`](rsb_registers::RegisterProtocol)
 //! emulation — ABD, safe, coded, or adaptive). Execution is
-//! *event-driven*: each shard keeps a ready queue of keys with enabled
-//! simulator events, keys live behind per-key locks, and a pool of
-//! *network-driver* threads (one per shard) runs ready keys — home shard
-//! first, then stealing from loaded neighbors, so hot-key skew spreads
-//! across the pool instead of serializing one driver. Per-key history can
+//! *run-to-completion*: keys live behind per-key locks, and the thread
+//! that submits an operation steps the key's simulation until the
+//! operation returns, so the future it gets back is normally already
+//! resolved. A pool of *network-driver* threads (one per shard) is the
+//! overflow executor: a submission that finds its key being run elsewhere
+//! leaves it on the shard's ready queue, and the drivers run those keys —
+//! home shard first, then stealing from loaded neighbors — besides
+//! sweeping for the eviction governor. Per-key history can
 //! be bounded with a [`HistoryPolicy`], and quiescent keys can be evicted
 //! to snapshots ([`Store::evict_quiescent`]) and transparently
 //! rematerialized.
@@ -22,8 +25,9 @@
 //! [`TcpTransport`] (a versioned length-prefixed binary protocol over a
 //! std `TcpStream`, served by [`Store::serve`] / [`StoreServer`]).
 //! [`StoreClient::read`] / [`StoreClient::write`] return lightweight
-//! futures backed by transport completion cells (driver-filled condvar
-//! slots on loopback, reader-thread-filled cells over TCP) — no external
+//! futures backed by transport completion cells (condvar slots filled
+//! by whoever ran the key on loopback, reader-thread-filled cells over
+//! TCP) — no external
 //! async runtime is needed anywhere:
 //!
 //! * **async** — the futures implement [`std::future::Future`] and can be

@@ -1,7 +1,7 @@
 //! Per-shard and aggregate service metrics.
 //!
-//! Operation/byte counters are lock-free atomics bumped by the submit
-//! path and the driver threads; storage occupancy is read from the
+//! Operation/byte counters are lock-free atomics bumped by whichever
+//! thread submits or runs an operation; storage occupancy is read from the
 //! shards' storage-cost-accounted simulations, so the paper's space
 //! bounds are observable on the live service.
 
@@ -222,7 +222,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Lock-free counters one shard's submit path and driver bump.
+/// Lock-free counters one shard's submitters and drivers bump.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicCounters {
     reads_submitted: AtomicU64,
@@ -235,6 +235,7 @@ pub(crate) struct AtomicCounters {
     steals: AtomicU64,
     stolen: AtomicU64,
     stolen_batches: AtomicU64,
+    inline_runs: AtomicU64,
     truncated_records: AtomicU64,
     rematerialized: AtomicU64,
     evicted_manual: AtomicU64,
@@ -289,6 +290,12 @@ impl AtomicCounters {
         bump(&self.stolen_batches, 1);
     }
 
+    /// Records one key run performed by the submitting thread itself
+    /// (the slot was idle, so the submission claimed it).
+    pub(crate) fn note_inline_run(&self) {
+        bump(&self.inline_runs, 1);
+    }
+
     pub(crate) fn note_truncated(&self, records: u64) {
         if records > 0 {
             bump(&self.truncated_records, records);
@@ -323,8 +330,8 @@ impl AtomicCounters {
         self.write_ns.record(ns);
     }
 
-    /// Records one completed op's phase split: time spent waiting for a
-    /// driver (submit → execute-start) and time inside the simulator
+    /// Records one completed op's phase split: time spent waiting for
+    /// its key's run to start (submit → execute-start) and time inside the simulator
     /// batch that delivered it (execute-start → completion). Every
     /// completion records exactly one sample in each, so the phase
     /// histogram counts must agree with the end-to-end ones.
@@ -375,6 +382,7 @@ impl AtomicCounters {
             steals: peek(&self.steals),
             stolen: peek(&self.stolen),
             stolen_batches: peek(&self.stolen_batches),
+            inline_runs: peek(&self.inline_runs),
             truncated_records: peek(&self.truncated_records),
             rematerialized: peek(&self.rematerialized),
             evicted_manual: peek(&self.evicted_manual),
@@ -410,6 +418,10 @@ pub struct OpCounters {
     /// represents one `pop_half` pass by a thief; the per-key `stolen`
     /// counter still counts every key those passes carried).
     pub stolen_batches: u64,
+    /// Key runs performed by a submitting thread on its own submission
+    /// (the key was idle, so no driver was involved). Runs not counted
+    /// here went through the ready queue to a pool driver.
+    pub inline_runs: u64,
     /// Operation records dropped by history compaction.
     pub truncated_records: u64,
     /// Evicted keys brought back by a later operation.
@@ -451,6 +463,7 @@ impl OpCounters {
         self.steals += other.steals;
         self.stolen += other.stolen;
         self.stolen_batches += other.stolen_batches;
+        self.inline_runs += other.inline_runs;
         self.truncated_records += other.truncated_records;
         self.rematerialized += other.rematerialized;
         self.evicted_manual += other.evicted_manual;
@@ -506,8 +519,10 @@ pub struct ShardMetrics {
     pub read_remat_latency: LatencyHistogram,
     /// End-to-end latency of completed writes.
     pub write_latency: LatencyHistogram,
-    /// Per-op time from submit to execute-start (waiting for a driver);
-    /// one sample per completed op of either kind.
+    /// Per-op time from submit to execute-start: next to nothing for an
+    /// op run inline by its submitter (its position in the batch, for a
+    /// batched one), a driver hand-off for one that found its key busy.
+    /// One sample per completed op of either kind.
     pub queue_wait: LatencyHistogram,
     /// Per-op time inside the simulator batch that delivered the result
     /// (execute-start to completion); one sample per completed op.
@@ -643,7 +658,7 @@ impl StoreMetrics {
         use std::fmt::Write as _;
         let mut out = String::new();
         let t = self.totals();
-        let counters: [(&str, &str, u64); 15] = [
+        let counters: [(&str, &str, u64); 16] = [
             (
                 "reads_submitted",
                 "Reads accepted by the submit path",
@@ -710,6 +725,11 @@ impl StoreMetrics {
                 "stolen_batches",
                 "Multi-key batch steals drained from a shard's queue",
                 t.stolen_batches,
+            ),
+            (
+                "inline_runs",
+                "Key runs performed by the submitting thread",
+                t.inline_runs,
             ),
         ];
         for (name, help, value) in counters {

@@ -31,7 +31,7 @@
 //! the store.
 //!
 //! A `StatsResp` shard body is `shard: u64`, `protocol: str16`,
-//! `keys: u64`, the 15 operation counters as `u64`s, the 4 storage-cost
+//! `keys: u64`, the 16 operation counters as `u64`s, the 4 storage-cost
 //! components, 6 `u64` occupancy gauges, then 6 latency histograms, each
 //! a `u16` entry count followed by `(lo_ns: u64, hi_ns: u64, count:
 //! u64)` triples — bucket bounds travel explicitly, so a scraper needs
@@ -52,7 +52,7 @@ use std::io::{Read, Write};
 /// Wire-protocol version carried in the hello handshake. Bump on any
 /// incompatible frame change; the server rejects mismatches with
 /// [`StoreError::ProtocolVersion`].
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Magic prefix of the client hello, so a peer speaking a different
 /// protocol is rejected at the first frame.
@@ -336,6 +336,7 @@ fn put_counters(out: &mut Vec<u8>, t: &OpCounters) {
         t.steals,
         t.stolen,
         t.stolen_batches,
+        t.inline_runs,
         t.truncated_records,
         t.rematerialized,
         t.evicted_manual,
@@ -475,6 +476,7 @@ impl<'a> Cursor<'a> {
             steals: self.u64()?,
             stolen: self.u64()?,
             stolen_batches: self.u64()?,
+            inline_runs: self.u64()?,
             truncated_records: self.u64()?,
             rematerialized: self.u64()?,
             evicted_manual: self.u64()?,

@@ -4,10 +4,10 @@
 //! Two implementations ship:
 //!
 //! * [`Loopback`] — the in-process path: submissions go straight onto
-//!   the store's shard engines and complete through the driver-filled
-//!   condvar slots of `rsb_registers::threaded`. Zero copies beyond the
-//!   operation itself, fully deterministic and hermetic — what tier-1
-//!   tests and benches run against.
+//!   the store's shard engines, which run each operation to completion
+//!   on the submitting thread and hand back an already-filled condvar
+//!   slot of `rsb_registers::threaded`. Zero copies beyond the operation
+//!   itself, hermetic — what tier-1 tests and benches run against.
 //! * [`TcpTransport`] — the real wire: a versioned length-prefixed
 //!   binary protocol (see [`frame`]) over a std `TcpStream`, served by
 //!   [`StoreServer`]. No async runtime anywhere: one reader thread per
@@ -94,7 +94,7 @@ pub trait Transport: Send + Sync + 'static {
 }
 
 /// A one-shot completion cell filled by a transport's delivery thread
-/// (the TCP reader) rather than a shard driver. Mirrors
+/// (the TCP reader) rather than by a key's run. Mirrors
 /// [`CompletionSlot`]: blocking wait on a condvar, or future-style poll
 /// through a stored waker.
 #[derive(Debug)]
@@ -182,7 +182,7 @@ pub(crate) type OpCell = NetCell<Result<OpResult, StoreError>>;
 /// [`Transport::submit`] and wrapped by the client's
 /// [`ReadFuture`](crate::ReadFuture) / [`WriteFuture`](crate::WriteFuture).
 ///
-/// Transports construct tickets through [`OpTicket::from_slot`] (driver
+/// Transports construct tickets through [`OpTicket::from_slot`] (shard
 /// completion slots, the loopback path), [`OpTicket::failed`]
 /// (submission-time errors), or the crate-internal network variant.
 #[derive(Debug)]
@@ -192,7 +192,7 @@ pub struct OpTicket {
 
 #[derive(Debug)]
 pub(crate) enum TicketInner {
-    /// A driver-filled completion slot (loopback).
+    /// A shard completion slot (loopback).
     Slot(Arc<CompletionSlot>),
     /// A transport-filled completion cell (TCP reader thread), with an
     /// optional blocking-wait timeout.
@@ -205,7 +205,7 @@ pub(crate) enum TicketInner {
 }
 
 impl OpTicket {
-    /// A ticket backed by a driver completion slot.
+    /// A ticket backed by a shard completion slot.
     pub fn from_slot(slot: Arc<CompletionSlot>) -> Self {
         OpTicket {
             inner: TicketInner::Slot(slot),
@@ -258,8 +258,11 @@ impl OpTicket {
 }
 
 /// The in-process transport: submissions go straight to the store's
-/// shard engines, completions come from the driver pool — exactly the
-/// pre-transport `StoreClient` path, unchanged in cost and semantics.
+/// shard engines and run there, on the calling thread — a ticket comes
+/// back resolved unless its key was being run by someone else at that
+/// moment, in which case a pool driver resolves it shortly. Submitting
+/// therefore costs the operation itself (a 64 KiB coded write encodes on
+/// the caller), and waiting on the ticket costs next to nothing.
 ///
 /// Obtained from [`Store::client`](crate::Store::client) (or
 /// [`Store::loopback`](crate::Store::loopback)); clones share the store.
@@ -296,8 +299,8 @@ impl Transport for Loopback {
     /// The grouped fast path: operations are bucketed by shard, then
     /// each shard takes the whole bucket in one engine `submit_batch`
     /// call — one placement-map lock hold for the bucket, one key-lock
-    /// hold per distinct key, one driver wakeup — instead of paying all
-    /// three per operation.
+    /// hold and one run per distinct key — instead of paying all three
+    /// per operation.
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<OpTicket> {
         let n = ops.len();
         let mut tickets: Vec<Option<OpTicket>> = (0..n).map(|_| None).collect();

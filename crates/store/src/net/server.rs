@@ -5,15 +5,19 @@
 //! Per connection, two threads:
 //!
 //! * a **reader** that decodes request frames and submits them through
-//!   the in-process [`Loopback`](super::Loopback) transport, forwarding
-//!   each returned [`OpTicket`](super::OpTicket) to the pump;
-//! * a **pump** that polls every in-flight ticket with a thread-unpark
-//!   waker and writes response frames as results land — out of order,
-//!   so a slow key never blocks a fast one's response.
+//!   the in-process [`Loopback`](super::Loopback) transport — which runs
+//!   each operation to completion right there, on the reader — and
+//!   forwards the returned [`OpTicket`](super::OpTicket), normally
+//!   already resolved, to the pump;
+//! * a **pump** that writes a response frame for every ticket as its
+//!   result lands. Most have landed on arrival; the ones whose key was
+//!   being run by another connection at submission are polled with a
+//!   thread-unpark waker and answered out of order, so a contended key
+//!   never blocks another's response.
 //!
 //! Shutdown stops the accept loop (a self-connect unblocks it), shuts
 //! down every live connection socket (unblocking the readers), and
-//! halts the store — driver slots then fail with `ShutDown`, the pumps
+//! halts the store — pending slots then fail with `ShutDown`, the pumps
 //! flush those as error frames, and every thread joins.
 
 use super::frame::{read_frame, write_frame, Frame, WireOp, WireOpResult, WIRE_VERSION};
@@ -32,6 +36,9 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Pause between `accept` attempts while the listener reports errors.
+const ACCEPT_ERROR_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// Where one TCP op's wire time is attributed: the key's home shard,
 /// stamped when the request frame finished decoding. The pump closes the
@@ -179,7 +186,7 @@ impl StoreServer {
         {
             let _ = h.join();
         }
-        // Halting the store fails every in-flight driver slot with
+        // Halting the store fails every still-pending slot with
         // ShutDown; the pumps flush those results as error frames.
         self.store.halt();
         // Sever live sockets so readers blocked mid-read return.
@@ -213,16 +220,22 @@ fn accept_loop(
 ) {
     let next_conn = AtomicU64::new(0);
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            continue;
-        };
+        let accepted = listener.accept();
         // Acquire pairs with the stopper's release swap: once the
         // stopper's throwaway connection lands here, this load observes
         // the flag (the accept syscall round-trip long outlasts store
         // visibility) and the loop exits before spawning more handlers.
+        // Checked on errors too: when `accept` keeps failing (EMFILE),
+        // the throwaway connection never arrives.
         if shared.stopping.load(Ordering::Acquire) {
             return;
         }
+        let Ok((stream, _)) = accepted else {
+            // A persistent failure returns at once every time; retrying
+            // flat out would spin a core until descriptors free up.
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
         // `backlog` bounds live connections: over it, answer the
         // client's pending hello with a rejection and close.
         if tracked_lock(ranks::CONN_TABLE, "conn_table", || shared.conns.lock()).len()
@@ -485,8 +498,8 @@ fn pump_loop(stream: &TcpStream, rx: &Receiver<ConnMsg>, loopback: &Loopback) {
                 Poll::Ready(result) => {
                     let (id, _, stamp) = in_flight.swap_remove(i);
                     if write_frame(&mut w, &result_frame(id, result)).is_err() {
-                        // Client gone: drop remaining tickets (drivers
-                        // fill their slots; nobody listens) and exit.
+                        // Client gone: drop remaining tickets (their
+                        // slots still get filled; nobody listens) and exit.
                         return;
                     }
                     loopback.inner.shards[stamp.shard]

@@ -1,15 +1,20 @@
-//! One shard: a map of per-key register simulations behind an
-//! event-driven ready queue.
+//! One shard: a map of per-key register simulations, each run to
+//! completion by the thread that submits to it.
 //!
-//! The PR-2 shard driver rescanned every materialized key per batch —
-//! O(keys) work even when one key was hot. A shard now keeps a
-//! [`ReadyQueue`] of key slots with enabled simulator events: a key is
-//! enqueued when a client operation arrives or a step leaves follow-on
-//! events enabled, so a driver batch does O(enabled) work. Keys live
-//! behind *per-key* locks (the shard map lock covers only placement and
-//! lifecycle), and a popped slot is owned by exactly one driver until it
-//! finishes — which is what lets an idle driver of another shard *steal*
-//! a ready key and step it without breaking per-key serialization.
+//! Keys live behind *per-key* locks (the shard map lock covers only
+//! placement and lifecycle), and a [`ReadyQueue`] tracks who owns each
+//! key's slot. A submission invokes its operation under the key lock,
+//! then — every lock released — *claims* the slot and drains the key's
+//! simulator events on the calling thread ([`ShardCore::run_token`]), so
+//! the completion slot it returns is already filled: no queue, no driver
+//! wake-up, no second wake-up back to the caller. Only when the slot is
+//! owned by someone else (another submitter or a driver is stepping the
+//! key right now) is it marked dirty instead; its owner re-queues it on
+//! finishing and wakes a pool driver, which pops it and runs the
+//! operations that arrived meanwhile. An owned slot has exactly one
+//! owner until it finishes — what keeps per-key serialization across
+//! submitters, home drivers and the idle drivers of other shards that
+//! *steal* queued keys.
 //!
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
@@ -17,12 +22,14 @@
 //! to a [`SimSnapshot`] and rematerialized on its next operation.
 //!
 //! Eviction is *governed*: an [`EvictionPolicy`] makes the driver pool
-//! itself run the reclamation — idle drivers sweep their shard for keys
-//! quiescent past the idle threshold, and an occupancy trigger (one
-//! atomic comparison against an incrementally-maintained per-shard
-//! live-bits counter) evicts coldest-first down to a low watermark — so
-//! bounded space holds under sustained traffic with zero dedicated
-//! threads and without ever blocking a ready key.
+//! run the reclamation — drivers sweep a shard for keys quiescent past
+//! the idle threshold, and an occupancy trigger (one atomic comparison
+//! against an incrementally-maintained per-shard live-bits counter)
+//! evicts coldest-first down to a low watermark. Submitters never sweep;
+//! each pays one O(1) due-check after its run
+//! ([`ShardEngine::wants_governing`]) and wakes a driver only when a
+//! pass is due — so bounded space holds under sustained traffic with
+//! zero dedicated threads and without a sweep on any operation's path.
 
 use crate::config::ShardSpec;
 use crate::config::{EvictionPolicy, HistoryPolicy, ProtocolSpec};
@@ -64,9 +71,10 @@ const GOVERN_FUTILE_BACKOFF_TICKS: u64 = 64;
 struct InflightOp {
     op: OpId,
     started: Instant,
-    /// First driver step batch that picked the key up after this op was
-    /// submitted — the queue-wait → execute boundary. Phase attribution
-    /// is batch-granular: every op in flight on a key shares the batch's
+    /// First step batch (the submitter's own inline run, or a driver's)
+    /// that picked the key up after this op was submitted — the
+    /// queue-wait → execute boundary. Phase attribution is
+    /// batch-granular: every op in flight on a key shares the batch's
     /// execute-start stamp.
     exec_start: Option<Instant>,
     rematerialized: bool,
@@ -171,15 +179,17 @@ impl<P: RegisterProtocol + 'static> KeySlot<P> {
 /// The object-safe surface the store (and its work-stealing driver pool)
 /// drives a shard through.
 pub(crate) trait ShardEngine: Send + Sync {
-    /// Submits one operation on a key, returning its completion slot.
+    /// Submits one operation on a key and, unless the key is being run
+    /// elsewhere, runs it to completion on the calling thread. Returns
+    /// the operation's completion slot — already filled in the common
+    /// case.
     fn submit(&self, key: &str, req: OpRequest) -> Result<Arc<CompletionSlot>, StoreError>;
 
     /// Submits a whole batch of operations in one pass: placement for
-    /// every key under a single map-lock hold, one key-lock acquisition
-    /// per distinct key (however many ops land on it), and one driver
-    /// wakeup for the entire batch. Returns one completion slot (or
-    /// error) per op, in submission order — per-op failures never poison
-    /// their batchmates.
+    /// every key under a single map-lock hold, then per distinct key one
+    /// key-lock acquisition (however many ops land on it) and one inline
+    /// run. Returns one completion slot (or error) per op, in submission
+    /// order — per-op failures never poison their batchmates.
     fn submit_batch(
         &self,
         ops: Vec<(String, OpRequest)>,
@@ -208,16 +218,21 @@ pub(crate) trait ShardEngine: Send + Sync {
     /// Counts a steal performed *by* this shard's driver.
     fn note_steal(&self);
 
-    /// Flushes completed results and fails what remains. Call only after
-    /// every driver has stopped.
+    /// Flushes completed results and fails what remains. Call after the
+    /// stop flag is set and every driver has joined. Submitters may still
+    /// be inside an inline run then; the key lock carries the rest of the
+    /// precondition: a run and this sweep exclude each other per key, and
+    /// a submission that takes the key lock after the sweep sees the stop
+    /// flag there and fails its own operations.
     fn fail_all_pending(&self);
 
     /// Evicts every quiescent key to a snapshot; returns how many.
     fn evict_quiescent(&self) -> usize;
 
-    /// Cheap (single atomic comparison) check: does the occupancy
-    /// trigger want a governor pass right now? Drivers call this every
-    /// loop iteration, so it must stay O(1).
+    /// Cheap (a few atomic loads) check: is a governor pass due right
+    /// now — the occupancy trigger armed, or the shard clock far enough
+    /// past the last idle sweep? Submitters call it after every run and
+    /// drivers every loop iteration, so it must stay O(1).
     fn wants_governing(&self) -> bool;
 
     /// Runs one governor pass under the configured [`EvictionPolicy`].
@@ -299,6 +314,9 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
     /// Tick before which the occupancy trigger stays disarmed after a
     /// futile pass (see [`GOVERN_FUTILE_BACKOFF_TICKS`]).
     govern_backoff: AtomicU64,
+    /// Tick of the most recent idle sweep — what the `IdleAfter`
+    /// due-check measures the shard clock against.
+    last_idle_sweep: AtomicU64,
 }
 
 impl<P: RegisterProtocol + Send + Sync + 'static> ShardCore<P>
@@ -328,6 +346,15 @@ where
         // audit:allow(atomics-relaxed) — the tick clock is advisory (idle-age
         // comparisons); it orders nothing and skew only shifts eviction timing.
         self.ticks.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The shard clock's current tick.
+    fn now(&self) -> u64 {
+        // audit:allow(atomics-relaxed) — advisory, as in `tick`: a stale
+        // read delays (or briefly duplicates) one governor pass or shifts
+        // which sweep reclaims a key; what is safe to reclaim is decided
+        // under the key lock.
+        self.ticks.load(Ordering::Relaxed)
     }
 
     /// Re-measures one key's live-simulation bits into the shard
@@ -529,14 +556,15 @@ where
         }
     }
 
-    /// One ready key's turn, with the slot already popped (owned by the
-    /// caller): drain *every* enabled simulator event for the key under
-    /// a single lock hold — coalesced stepping. PR 7 stamped phases and
-    /// ticked once per `batch`-sized pop; draining the whole key costs
-    /// one exec-start stamp, one completion flush, one history pass, and
-    /// one tick however many batch-loads the backlog needed. No new
-    /// events can appear while the key lock is held, so the drain
-    /// terminates (the backlog is bounded by in-flight ops).
+    /// One key's turn, with the slot already claimed or popped (owned by
+    /// the caller, who holds no lock): drain *every* enabled simulator
+    /// event for the key under a single lock hold — coalesced stepping.
+    /// Draining the whole key costs one exec-start stamp, one completion
+    /// flush, one history pass, and one tick however many batch-loads
+    /// the backlog needed. No new events can appear while the key lock
+    /// is held, so the drain terminates (the backlog is bounded by
+    /// in-flight ops). A re-queue on finishing wakes a driver: the
+    /// finisher may be a submitter on its way back to its caller.
     fn run_token(&self, token: usize) {
         let key_slot =
             Arc::clone(&tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token]);
@@ -573,9 +601,27 @@ where
                 self.account_occupancy(&key_slot, &state);
             }
         }
-        // Re-enqueueing without a notify is safe: the finishing driver is
-        // awake, and a parking driver re-checks every queue first.
-        self.ready.finish(token, more);
+        if self.ready.finish(token, more) {
+            self.group.notify();
+        }
+    }
+
+    /// Runs the key on the calling thread if nobody else owns its slot.
+    /// Otherwise the slot is dirty now and its owner re-queues it for a
+    /// driver. Call with no lock held.
+    fn run_inline(&self, token: usize) {
+        if self.ready.claim(token) {
+            self.counters.note_inline_run();
+            self.run_token(token);
+        }
+    }
+
+    /// The submitter's share of governance: one due-check, and a driver
+    /// wake-up when a pass is due (drivers do the sweeping).
+    fn nudge_governor(&self) {
+        if self.wants_governing() {
+            self.group.notify();
+        }
     }
 }
 
@@ -621,12 +667,11 @@ where
             self.account_occupancy(&key_slot, &state);
             slot
         };
-        // Out of every lock: publish the key to the ready queue and wake
-        // a driver. (A racing stop at this point is harmless: the sweep
-        // above already failed the slot, and the queue is dead.)
-        if self.ready.enqueue(token) {
-            self.group.notify();
-        }
+        // Out of every lock: run the key here, so `slot` goes back
+        // filled. (A racing stop at this point is harmless: the sweep
+        // already failed the slot, and the run completes nothing.)
+        self.run_inline(token);
+        self.nudge_governor();
         Ok(slot)
     }
 
@@ -651,12 +696,13 @@ where
                 reqs.push(Some(req));
             }
         }
-        // Submit key group by key group: every op sharing a key runs
-        // under one key-lock hold with one activity stamp and one
-        // occupancy re-measure for the lot.
+        // Submit key group by key group: every op sharing a key is
+        // invoked under one key-lock hold with one activity stamp and
+        // one occupancy re-measure for the lot, then the key is run
+        // before the next group starts — an op's queue wait is its
+        // group's position in the batch.
         let mut results: Vec<Option<Result<Arc<CompletionSlot>, StoreError>>> =
             (0..n).map(|_| None).collect();
-        let mut wake = false;
         for i in 0..n {
             if results[i].is_some() {
                 continue;
@@ -691,14 +737,9 @@ where
             self.touch(&key_slot);
             self.account_occupancy(&key_slot, &state);
             drop(state);
-            wake |= self.ready.enqueue(token);
+            self.run_inline(token);
         }
-        // One wakeup for the whole batch: a single driver drains the
-        // enqueued keys (or neighbors steal them), instead of N notify
-        // round-trips.
-        if wake {
-            self.group.notify();
-        }
+        self.nudge_governor();
         results
             .into_iter()
             .map(|r| r.expect("every op visited"))
@@ -784,11 +825,17 @@ where
                 // delays (or briefly duplicates) one governor pass, never corrupts.
                 self.live_bits.load(Ordering::Relaxed) > bits
                     // audit:allow(atomics-relaxed) — same trigger; see above.
-                    && self.ticks.load(Ordering::Relaxed)
-                        // audit:allow(atomics-relaxed) — same trigger; see above.
-                        >= self.govern_backoff.load(Ordering::Relaxed)
+                    && self.now() >= self.govern_backoff.load(Ordering::Relaxed)
             }
-            EvictionPolicy::Manual | EvictionPolicy::IdleAfter(_) => false,
+            // A key crosses the idle threshold `threshold` ticks after
+            // its last activity; sweeping every half-threshold bounds how
+            // long past that it stays live under continuing traffic.
+            EvictionPolicy::IdleAfter(threshold) => {
+                // audit:allow(atomics-relaxed) — advisory trigger, as above.
+                let swept = self.last_idle_sweep.load(Ordering::Relaxed);
+                self.now().saturating_sub(swept) >= (threshold / 2).max(1)
+            }
+            EvictionPolicy::Manual => false,
         }
     }
 
@@ -806,10 +853,10 @@ where
                 if !idle {
                     return 0;
                 }
-                // audit:allow(atomics-relaxed) — aging snapshot; skew shifts which
-                // sweep reclaims a key, not whether it is safe to reclaim (the
-                // authoritative quiescence check runs under the key lock).
-                let now = self.ticks.load(Ordering::Relaxed);
+                let now = self.now();
+                // audit:allow(atomics-relaxed) — disarms the advisory due-check
+                // (`wants_governing`) until the clock has moved on.
+                self.last_idle_sweep.store(now, Ordering::Relaxed);
                 // Wall-clock aging (when configured): a key is also
                 // sweep-eligible once untouched for the configured
                 // duration, so a store with a frozen tick clock (no
@@ -889,10 +936,9 @@ where
                     // Armed but stuck (everything cold enough to matter
                     // is busy): back off so the still-armed trigger does
                     // not re-pay this scan on every driver iteration.
+                    let until = self.now() + GOVERN_FUTILE_BACKOFF_TICKS;
                     // audit:allow(atomics-relaxed) — backoff arming is
                     // advisory; see `wants_governing`.
-                    let until = self.ticks.load(Ordering::Relaxed) + GOVERN_FUTILE_BACKOFF_TICKS;
-                    // audit:allow(atomics-relaxed) — see above.
                     self.govern_backoff.store(until, Ordering::Relaxed);
                 }
                 evicted
@@ -1021,29 +1067,115 @@ fn engine<P: RegisterProtocol + Send + Sync + 'static>(
 where
     P::Object: Clone,
 {
-    let name = proto.name();
-    let value_len = proto.config().value_len;
-    let initial = proto.config().initial_value();
-    Arc::new(ShardCore {
-        proto,
-        map: parking_lot::Mutex::new(HashMap::new()),
-        slots: parking_lot::RwLock::new(Vec::new()),
-        ready: ReadyQueue::new(),
-        group: parts.group,
-        counters: Arc::new(AtomicCounters::default()),
-        shard: parts.shard,
-        recorder: parts.recorder,
-        policy: parts.policy,
-        eviction: parts.eviction,
-        batch: parts.batch,
-        idle_wall_clock: parts.idle_wall_clock,
-        epoch: Instant::now(),
-        name,
-        value_len,
-        initial,
-        ticks: AtomicU64::new(0),
-        live_bits: AtomicU64::new(0),
-        govern_lock: parking_lot::Mutex::new(()),
-        govern_backoff: AtomicU64::new(0),
-    })
+    Arc::new(ShardCore::new(proto, parts))
+}
+
+impl<P: RegisterProtocol + Send + Sync + 'static> ShardCore<P> {
+    fn new(proto: P, parts: EngineParts) -> Self {
+        let name = proto.name();
+        let value_len = proto.config().value_len;
+        let initial = proto.config().initial_value();
+        ShardCore {
+            proto,
+            map: parking_lot::Mutex::new(HashMap::new()),
+            slots: parking_lot::RwLock::new(Vec::new()),
+            ready: ReadyQueue::new(),
+            group: parts.group,
+            counters: Arc::new(AtomicCounters::default()),
+            shard: parts.shard,
+            recorder: parts.recorder,
+            policy: parts.policy,
+            eviction: parts.eviction,
+            batch: parts.batch,
+            idle_wall_clock: parts.idle_wall_clock,
+            epoch: Instant::now(),
+            name,
+            value_len,
+            initial,
+            ticks: AtomicU64::new(0),
+            live_bits: AtomicU64::new(0),
+            govern_lock: parking_lot::Mutex::new(()),
+            govern_backoff: AtomicU64::new(0),
+            last_idle_sweep: AtomicU64::new(0),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsb_registers::RegisterConfig;
+
+    /// A pool-less shard 0: nothing runs a queued key but the test.
+    fn lone_shard() -> ShardCore<Abd> {
+        ShardCore::new(
+            Abd::new(RegisterConfig::paper(1, 2, 16).unwrap()),
+            EngineParts {
+                batch: 8,
+                policy: HistoryPolicy::Unbounded,
+                eviction: EvictionPolicy::Manual,
+                idle_wall_clock: None,
+                group: Arc::new(WorkGroup::new()),
+                shard: 0,
+                recorder: Arc::new(FlightRecorder::new(1024)),
+            },
+        )
+    }
+
+    #[test]
+    fn thieves_steal_half_a_hot_queue_in_one_batch() {
+        // A submitter runs an idle key itself, so a backlog exists only
+        // where submissions found their keys owned. Build one
+        // deterministically: own each key's slot the way a running
+        // submitter or driver would, submit to it (the slot goes dirty,
+        // the op stays pending), and finish the slot (re-queued).
+        let shard = lone_shard();
+        let mut pending = Vec::new();
+        for token in 0..6 {
+            let key = format!("k{token}");
+            // First touch places the key (tokens count up from 0) and
+            // runs inline.
+            let write = shard
+                .submit(&key, OpRequest::Write(Value::seeded(token as u64 + 1, 16)))
+                .unwrap();
+            assert_eq!(write.try_outcome(), Some(Ok(OpResult::Write)));
+            assert!(shard.ready.claim(token), "key {token} is idle");
+            let read = shard.submit(&key, OpRequest::Read).unwrap();
+            assert_eq!(read.try_outcome(), None, "an owned key is not run");
+            assert!(shard.ready.finish(token, false), "dirty slot re-queues");
+            pending.push(read);
+        }
+        assert_eq!(shard.metrics().ops.inline_runs, 6);
+        assert_eq!(shard.metrics().ready_keys, 6);
+
+        // A thief drains half the backlog in one pass, with all
+        // victim-side accounting stamped before any stolen key runs.
+        let stolen = shard.steal_batch();
+        assert_eq!(stolen, vec![0, 1, 2]);
+        let ops = shard.metrics().ops;
+        assert_eq!((ops.stolen, ops.stolen_batches), (3, 1));
+        let events = shard.recorder.dump();
+        let batch_steal = events
+            .iter()
+            .find(|e| e.kind == FlightEventKind::StealBatch)
+            .expect("a StealBatch event in the flight ring");
+        assert_eq!(batch_steal.shard, Some(0), "the hot shard is the victim");
+        assert_eq!(batch_steal.detail, 3, "carries the batch size");
+        assert!(pending.iter().all(|slot| slot.try_outcome().is_none()));
+
+        shard.run_tokens(stolen);
+        for (token, slot) in pending.iter().enumerate() {
+            let expect =
+                (token < 3).then(|| Ok(OpResult::Read(Value::seeded(token as u64 + 1, 16))));
+            assert_eq!(slot.try_outcome(), expect, "key {token}");
+        }
+        // The home driver's path drains what the thief left.
+        while shard.run_ready() {}
+        assert!(pending.iter().all(|slot| slot.try_outcome().is_some()));
+        let m = shard.metrics();
+        assert_eq!(
+            (m.ready_keys, m.ops.completed(), m.ops.inline_runs),
+            (0, 12, 6)
+        );
+    }
 }

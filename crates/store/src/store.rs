@@ -1,5 +1,13 @@
-//! The store: shard fan-out, the work-stealing driver pool, client
-//! handles, lifecycle.
+//! The store: shard fan-out, the driver pool, client handles,
+//! lifecycle.
+//!
+//! An operation runs to completion on the thread that submits it (see
+//! [`crate::shard`]): a client thread over [`Loopback`], the
+//! connection's reader thread over TCP. The pool — one driver per shard
+//! — is the overflow executor for what a submitter cannot do itself:
+//! keys re-queued because a submission found them running elsewhere
+//! (popped at home or stolen by an idle neighbor), the eviction
+//! governor's sweeps, and the shutdown sweep's precondition.
 
 use crate::config::{StoreConfig, StoreConfigError};
 use crate::future::{OpFuture, ReadFuture, WriteFuture};
@@ -188,19 +196,22 @@ impl std::fmt::Debug for Store {
 /// scans the other shards for ready keys to steal — draining *half* the
 /// first loaded victim's queue in one batched pass
 /// ([`ShardEngine::steal_batch`]) — and parks on the group,
-/// re-checking every queue under the group lock, when the whole store is
-/// idle. Wakeups come from submissions ([`WorkGroup::notify`]) and
-/// shutdown ([`WorkGroup::request_stop`]), and the lock-ordered re-check
-/// makes both race-free. The park is untimed unless wall-clock idle
-/// aging is configured, in which case it is bounded by the configured
-/// age so a silent store still runs its eviction sweep.
+/// re-checking every queue and governance trigger under the group lock,
+/// when the whole store is idle. Wakeups come from a finishing run that
+/// re-queued its key, from a submitter whose due-check found a governor
+/// pass due (both [`WorkGroup::notify`]) and from shutdown
+/// ([`WorkGroup::request_stop`]), and the lock-ordered re-check makes
+/// all three race-free. The park is untimed unless wall-clock idle aging
+/// is configured, in which case it is bounded by the configured age so a
+/// silent store still runs its eviction sweep.
 ///
-/// The driver is also the home shard's *eviction governor*: a cheap
-/// occupancy check runs every iteration (so an `OccupancyAbove` policy
-/// reclaims even under sustained traffic, one bounded pass between
-/// batches), and the idle-time sweep runs when the home queue drains —
-/// reclamation costs zero dedicated threads and never blocks a ready
-/// key.
+/// The driver is also the *eviction governor*: a cheap due-check runs
+/// every iteration (so an `OccupancyAbove` policy reclaims even under a
+/// sustained backlog, one bounded pass between keys), and the idle-time
+/// sweep runs when the home queue is empty — reclamation costs zero
+/// dedicated threads and no operation ever pays for a sweep. A nudge
+/// wakes *a* driver, not the due shard's own, so with stealing enabled
+/// the woken driver also sweeps whichever neighbor is due.
 fn spawn_pool_driver(
     home: usize,
     shards: Vec<Arc<dyn ShardEngine>>,
@@ -212,12 +223,19 @@ fn spawn_pool_driver(
         .name(format!("store-driver-{home}"))
         .spawn(move || {
             let n = shards.len();
-            while !group.is_stopped() {
+            loop {
                 // Occupancy trigger first (one atomic load when idle or
                 // disarmed): a bounded coldest-first pass, then ready
-                // keys run again.
+                // keys run again. Checked before the stop flag, so a
+                // pass a submitter asked for is made even when this
+                // driver is first scheduled after a stop request — no
+                // operation waits on a driver any more, so nothing else
+                // guarantees it ran.
                 if shards[home].wants_governing() {
                     shards[home].govern(false);
+                }
+                if group.is_stopped() {
+                    break;
                 }
                 // Home shard next: drain one ready key per iteration so
                 // the stop flag is observed between batches.
@@ -225,12 +243,15 @@ fn spawn_pool_driver(
                     continue;
                 }
                 // Idle at home: run the idle-time eviction sweep, then
-                // steal a batch of ready keys from a neighbor.
-                let evicted = shards[home].govern(true);
+                // sweep for and steal from the neighbors.
+                let mut evicted = shards[home].govern(true);
                 let mut stole = false;
                 if work_stealing {
                     for offset in 1..n {
                         let victim = (home + offset) % n;
+                        if shards[victim].wants_governing() {
+                            evicted += shards[victim].govern(true);
+                        }
                         let tokens = shards[victim].steal_batch();
                         if !tokens.is_empty() {
                             // Thief-side accounting also lands before the
@@ -249,14 +270,16 @@ fn spawn_pool_driver(
                     // home queue; re-check before parking.
                     continue;
                 }
-                // The park predicate matches what this driver will run:
-                // any queue when stealing, only home otherwise (a
-                // foreign-queue wakeup would spin it fruitlessly).
+                // The park predicate matches what this driver will do:
+                // any shard's queue or due sweep when stealing, only
+                // home's otherwise (a foreign wakeup would spin it
+                // fruitlessly).
+                let due = |s: &Arc<dyn ShardEngine>| s.has_ready() || s.wants_governing();
                 let has_work = || {
                     if work_stealing {
-                        shards.iter().any(|s| s.has_ready())
+                        shards.iter().any(due)
                     } else {
-                        shards[home].has_ready()
+                        due(&shards[home])
                     }
                 };
                 match idle_park {
@@ -273,8 +296,9 @@ fn spawn_pool_driver(
 
 impl Store {
     /// Starts the service: builds every shard and spawns the driver pool
-    /// (one driver thread per shard; idle drivers steal ready keys from
-    /// loaded neighbors when work-stealing is enabled).
+    /// (one driver thread per shard — the overflow executor behind the
+    /// submitters; idle drivers steal queued keys from loaded neighbors
+    /// when work-stealing is enabled).
     ///
     /// # Errors
     ///
@@ -295,9 +319,10 @@ impl Store {
             recorder_capacity,
         } = config;
         let recorder = Arc::new(FlightRecorder::new(recorder_capacity));
-        // With stealing, any single driver can run any ready key, so a
-        // submission wakes one driver; without it, queues are disjoint
-        // and the wakeup must broadcast to reach the right driver.
+        // With stealing, any single driver can run any queued key (and
+        // sweep any shard), so a notify wakes one driver; without it,
+        // duties are disjoint and the wakeup must broadcast to reach the
+        // right driver.
         let group = Arc::new(if work_stealing {
             WorkGroup::new()
         } else {
@@ -449,12 +474,15 @@ impl Store {
         for h in handles {
             let _ = h.join();
         }
-        // The *first* stopper joined every driver above, so its sweep
-        // runs unraced. A concurrent second stopper may sweep while
-        // drivers are still winding down — harmless: the sweep flushes
-        // results that are ready and fails the rest, drivers only ever
-        // fill slots (first outcome wins), and the first stopper's final
-        // sweep is the authoritative one that leaves nothing pending.
+        // The stop flag is set and the *first* stopper joined every
+        // driver above; what can still race its sweep is a submitter in
+        // the middle of an inline run, and a second stopper sweeping
+        // while drivers wind down. Both are harmless: sweep and run
+        // exclude each other under the key lock, either one flushes the
+        // results that are ready, slots are only ever filled (first
+        // outcome wins), and any submission that locks a key after the
+        // sweep passed sees the stop flag there and fails its own
+        // operations — so nothing stays pending behind the last sweep.
         for s in &self.inner.shards {
             s.fail_all_pending();
         }

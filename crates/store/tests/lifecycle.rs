@@ -82,6 +82,58 @@ fn shutdown_with_ops_in_flight_resolves_every_future() {
 }
 
 #[test]
+fn halt_racing_inline_submitters_leaves_no_ticket_unresolved() {
+    // Submitters run their own operations, so the teardown's sweep can
+    // land between a submission and its inline run, or while a key sits
+    // re-queued for a driver that has already exited. Whatever the
+    // interleaving, every ticket handed out resolves: an ack, or
+    // `ShutDown` — from the sweep, or from the submitter's own check
+    // under the key lock once the sweep has passed.
+    use std::sync::atomic::{AtomicU64, Ordering};
+    for round in 0..8u64 {
+        let s = store(2, ProtocolSpec::Abd);
+        let acked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let client = s.client();
+                let acked = &acked;
+                scope.spawn(move || {
+                    // Waves of async writes on two keys shared by all four
+                    // threads: most run inline, the collisions go through
+                    // the dirty re-queue and stay pending meanwhile.
+                    for wave in 0u64.. {
+                        let writes: Vec<_> = (0..8u64)
+                            .map(|i| {
+                                let v = Value::seeded((wave * 8 + i) * 4 + t + 1, 16);
+                                client.write(&format!("shared-{}", i % 2), v)
+                            })
+                            .collect();
+                        for out in join_all(writes) {
+                            match out {
+                                Ok(()) => {
+                                    acked.fetch_add(1, Ordering::Release);
+                                }
+                                Err(StoreError::ShutDown) => return,
+                                Err(other) => panic!("unexpected error: {other}"),
+                            }
+                        }
+                    }
+                });
+            }
+            // Halt mid-traffic — later each round, never before the
+            // submitters are demonstrably running.
+            while acked.load(Ordering::Acquire) < 64 * (round + 1) {
+                std::thread::yield_now();
+            }
+            s.halt();
+            // The scope joins the submitters: each returns only after
+            // every ticket of its last wave resolved.
+        });
+        s.shutdown();
+    }
+}
+
+#[test]
 fn client_outliving_the_store_gets_errors_not_hangs() {
     let s = store(2, ProtocolSpec::Safe);
     let client = s.client();
