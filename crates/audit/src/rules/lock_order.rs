@@ -77,7 +77,7 @@ fn is_punct(toks: &[Tok], i: usize, c: char) -> bool {
 
 /// The rank constant named in a `tracked_lock`/`tracked_try` call: the
 /// last identifier before the first top-level comma of the argument
-/// list (`ranks::READY_QUEUE` → `READY_QUEUE`).
+/// list (`ranks::KEY_STATE` → `KEY_STATE`).
 fn rank_const_name(toks: &[Tok], start: usize, close: usize) -> Option<String> {
     let mut last_ident = None;
     let mut paren = 0i64;

@@ -1,7 +1,7 @@
 //! The panic-path and index-path rules.
 //!
 //! In modules tagged `no_panic` in `audit.toml` (the wire decode path,
-//! the flight recorder, the driver loop, the coding kernels), every
+//! the flight recorder, the coding kernels), every
 //! panicking construct is a finding: `.unwrap()`, `.expect(…)`,
 //! `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and — on the
 //! stricter `index_paths` subset — bare slice/array indexing `x[i]`.

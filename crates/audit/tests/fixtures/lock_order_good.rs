@@ -20,7 +20,7 @@ fn ordered_tracked(&self) {
 }
 
 fn annotated_inversion(&self) {
-    let q = self.ready.lock();
+    let q = self.due.lock();
     // audit:allow(lock-order) — fixture: a documented, deliberate
     // inversion (the guard is release-before-reacquire in real code).
     let st = self.state.lock();

@@ -1,5 +1,5 @@
 //! B4 — store microbenchmarks: end-to-end operation cost through the
-//! sharded service (submit → ready queue → driver step → completion),
+//! sharded service (submit → key lock → drain → result),
 //! uniform and hot-key shapes, plus the transport layer — the wire-frame
 //! codec and a full TCP round-trip — so the bench-regression gate covers
 //! the store execution path and the networked client surface alongside
@@ -73,9 +73,9 @@ fn bench_hot_key_pipelined(c: &mut Criterion) {
 
 /// Grouped submission through the loopback transport: one
 /// `submit_batch` call carries `batch` write ops (one shard-map lock
-/// hold per key group, one driver wakeup), and the client blocks on the
-/// whole group. The size sweep shows where the per-op condvar
-/// round-trips stop dominating.
+/// hold per shard bucket, one key-lock hold per key group), and the
+/// client joins the whole group. The size sweep shows where the per-op
+/// submission overhead stops dominating.
 fn bench_batched_submission(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_batched_submission");
     group.sample_size(20);
@@ -106,7 +106,7 @@ fn bench_batched_submission(c: &mut Criterion) {
 }
 
 /// The governed-eviction sweep path under constant churn: a tight
-/// occupancy watermark keeps the driver-pool governor evicting
+/// occupancy watermark keeps the governor thread evicting
 /// coldest-first while the workload cycles writes over a rotating window
 /// and reads back an old (usually evicted) key — so the bench-regression
 /// gate covers the cold-scan, snapshot, and rematerialize costs, not

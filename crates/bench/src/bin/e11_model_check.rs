@@ -7,9 +7,8 @@
 //! checks the paper's consistency conditions on every maximal schedule;
 //! dynamic partial-order reduction (sleep sets + backtrack sets) prunes
 //! schedules that only permute independent events. The *interleaving
-//! harness* runs the `FlightRecorder` seqlock and `ReadyQueue` stealing
-//! protocol on virtual threads, exhausting every schedule within a
-//! preemption bound.
+//! harness* runs the `FlightRecorder` seqlock on virtual threads,
+//! exhausting every schedule within a preemption bound.
 //!
 //! `--quick` bounds each explorer scenario (still ≥10⁴ distinct
 //! schedules per protocol) for the per-commit CI job; the default run
@@ -20,7 +19,7 @@ use rsb_consistency::Condition;
 use rsb_fpsm::OpRequest;
 use rsb_mc::explore::{explore, write_op, ExploreConfig, ExploreReport};
 use rsb_mc::{sched, thread as vthread};
-use rsb_registers::{Abd, AbdAtomic, ReadyQueue, RegisterConfig, RegisterProtocol, Safe};
+use rsb_registers::{Abd, AbdAtomic, RegisterConfig, RegisterProtocol, Safe};
 use rsb_store::{FlightEventKind, FlightRecorder};
 use std::sync::{Arc, Mutex};
 
@@ -152,7 +151,7 @@ fn recorder_wrap_scenario() -> Result<sched::Report, sched::ModelError> {
                 vthread::spawn(move || {
                     for k in 0..2u64 {
                         let detail = 10 * (w + 1) + k;
-                        let seq = rec.record(FlightEventKind::Steal, Some(w as usize), detail);
+                        let seq = rec.record(FlightEventKind::Compaction, Some(w as usize), detail);
                         log.lock().unwrap().push((seq, detail));
                     }
                 })
@@ -170,64 +169,6 @@ fn recorder_wrap_scenario() -> Result<sched::Report, sched::ModelError> {
                 e.detail
             );
         }
-    })
-}
-
-fn steal_half_scenario() -> Result<sched::Report, sched::ModelError> {
-    sched::model(&harness_cfg(3), || {
-        let q = Arc::new(ReadyQueue::new());
-        for _ in 0..4 {
-            let s = q.register_slot();
-            q.enqueue(s);
-        }
-        let qa = Arc::clone(&q);
-        let ran = Arc::new(Mutex::new(Vec::new()));
-        let ra = Arc::clone(&ran);
-        let home = vthread::spawn(move || {
-            while let Some(s) = qa.pop() {
-                ra.lock().unwrap().push(s);
-                qa.finish(s, false);
-            }
-        });
-        let qb = Arc::clone(&q);
-        let rb = Arc::clone(&ran);
-        let thief = vthread::spawn(move || {
-            for s in qb.pop_half() {
-                rb.lock().unwrap().push(s);
-                qb.finish(s, false);
-            }
-        });
-        home.join().unwrap();
-        thief.join().unwrap();
-        let mut all = ran.lock().unwrap().clone();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3], "each slot runs exactly once");
-    })
-}
-
-fn dirty_requeue_scenario() -> Result<sched::Report, sched::ModelError> {
-    sched::model(&harness_cfg(3), || {
-        let q = Arc::new(ReadyQueue::new());
-        let slot = q.register_slot();
-        q.enqueue(slot);
-        let qw = Arc::clone(&q);
-        let runs = Arc::new(Mutex::new(0u32));
-        let rw = Arc::clone(&runs);
-        let worker = vthread::spawn(move || {
-            while let Some(s) = qw.pop() {
-                *rw.lock().unwrap() += 1;
-                qw.finish(s, false);
-            }
-        });
-        q.enqueue(slot);
-        worker.join().unwrap();
-        while let Some(s) = q.pop() {
-            *runs.lock().unwrap() += 1;
-            q.finish(s, false);
-        }
-        let runs = *runs.lock().unwrap();
-        assert!(runs == 1 || runs == 2, "wakeup lost or duplicated: {runs}");
-        assert!(q.is_empty());
     })
 }
 
@@ -329,8 +270,6 @@ fn main() {
     let scenarios: Vec<(&str, Result<sched::Report, sched::ModelError>)> = vec![
         ("recorder claim/write/publish", recorder_tear_scenario()),
         ("recorder ring wrap-around", recorder_wrap_scenario()),
-        ("ready-queue steal-half", steal_half_scenario()),
-        ("ready-queue dirty requeue", dirty_requeue_scenario()),
     ];
     let header = vec!["scenario", "schedules", "points", "complete", "verdict"];
     let mut table = Vec::new();

@@ -4,9 +4,7 @@
 //! reports throughput, latency, and live storage occupancy — the paper's
 //! space bounds (ABD's `(2f+1)·D` replication vs the adaptive coder's
 //! `(2f+k)·D/k` quiescent cost) observed on a running service rather
-//! than inside the deterministic simulator. A single-lock
-//! [`ThreadedRegister`] baseline runs the same operation stream to show
-//! what per-shard drivers buy over the one-simulation-one-lock runtime.
+//! than inside the deterministic simulator.
 //!
 //! ```sh
 //! cargo run --release -p rsb-bench --bin e9_store_load            # full sweep
@@ -121,48 +119,6 @@ fn run_config_cell(config: StoreConfig, scenario: &KeyedScenario) -> (Cell, Stor
     (cell, store)
 }
 
-/// The same operation stream against one register behind one lock: every
-/// operation, whatever its key, goes through the single simulation of a
-/// [`ThreadedRegister`] — the pre-sharding runtime.
-fn run_single_lock<P: RegisterProtocol + Send + 'static>(
-    proto: P,
-    scenario: &KeyedScenario,
-) -> Cell {
-    let reg = ThreadedRegister::start(proto);
-    let start = Instant::now();
-    let handles: Vec<_> = (0..scenario.clients)
-        .map(|c| {
-            let handle = reg.client();
-            let stream = scenario.client_ops(c);
-            std::thread::spawn(move || {
-                let mut lat = Vec::new();
-                for op in stream {
-                    let t = Instant::now();
-                    match op.action {
-                        KeyedAction::Read => {
-                            handle.read().expect("register is live");
-                        }
-                        KeyedAction::Write(v) => {
-                            handle.write(v).expect("register is live");
-                        }
-                    }
-                    lat.push(t.elapsed().as_nanos() as u64);
-                }
-                lat
-            })
-        })
-        .collect();
-    let mut lat_ns = Vec::with_capacity(scenario.total_ops());
-    for h in handles {
-        lat_ns.extend(h.join().expect("client thread"));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let occupancy = reg.storage_cost().total();
-    let cell = summarize(scenario.total_ops() as u64, secs, lat_ns, occupancy, 1);
-    reg.shutdown();
-    cell
-}
-
 fn cell_row(proto: ProtocolSpec, shards: usize, clients: usize, cell: &Cell) -> Vec<String> {
     vec![
         proto.to_string(),
@@ -226,8 +182,7 @@ fn batched_submission_section(quick: bool, value_len: usize) {
         // A fresh store per cell keeps the phase histograms attributable
         // to this batch size alone. ABD keeps the execute step lean, so
         // the sweep isolates what batching actually amortizes — the
-        // per-op submission overhead (map lock, driver wakeup, client
-        // condvar round-trip).
+        // per-op submission overhead (map lock, key lock, ticket).
         let store = Store::start(StoreConfig::uniform(shards, ProtocolSpec::Abd, reg))
             .expect("valid config");
         let spec = LoadSpec {
@@ -453,9 +408,8 @@ fn memory_governance_section(quick: bool, value_len: usize) {
             )
             .with_zipf(0.99);
             drive_wave(&store, &scenario);
-            // Give the driver-pool governor a beat to finish its sweep
-            // after the last completion (it runs between batches and on
-            // the idle transition — no dedicated threads to join).
+            // Give the governor thread a beat to finish the sweep the
+            // last completions asked for.
             std::thread::sleep(std::time::Duration::from_millis(30));
             let m = store.metrics();
             let totals = m.totals();
@@ -569,19 +523,12 @@ fn main() {
         "keys",
     ];
     let mut rows = Vec::new();
-    let mut best_sharded_kops = 0.0f64;
     let mut showcase: Option<Store> = None;
     for &clients in client_counts {
         let scenario = KeyedScenario::uniform(clients, ops_per_client, keys, 0.5, value_len, seed);
         for &proto in &protocols {
             for &shards in shard_counts {
                 let (cell, store) = run_store_cell(proto, shards, &scenario);
-                // The headline comparison must be like-for-like: only
-                // cells running the exact scenario the single-lock
-                // baseline will run (same client count, same op stream).
-                if shards > 1 && clients == client_counts[0] {
-                    best_sharded_kops = best_sharded_kops.max(cell.kops());
-                }
                 rows.push(cell_row(proto, shards, clients, &cell));
                 // Keep the 8-shard adaptive store for the per-shard table
                 // and the consistency spot-check.
@@ -599,10 +546,8 @@ fn main() {
         &rows,
     );
 
-    // Key-popularity skew: zipfian runs across shard counts, with how
-    // many key runs the submitters did themselves (`inline`) and how many
-    // queued keys crossed shards. The `steal=off` control shows what
-    // stealing adds for the keys that do reach the ready queues.
+    // Key-popularity skew: zipfian runs across shard counts (same-key
+    // submitters serialize on the key's lock), then a hot-spot run.
     let zipf_clients = client_counts[0];
     let zipf = KeyedScenario::uniform(zipf_clients, ops_per_client, keys, 0.5, value_len, seed + 1)
         .with_zipf(0.99);
@@ -610,7 +555,6 @@ fn main() {
     let mut zipf_rows = Vec::new();
     let mut zipf_run = |label: &str, config: StoreConfig, scenario: &KeyedScenario| {
         let (cell, store) = run_config_cell(config, scenario);
-        let totals = store.metrics().totals();
         zipf_rows.push(vec![
             label.to_string(),
             store.shard_count().to_string(),
@@ -619,9 +563,6 @@ fn main() {
             format!("{:.1}", cell.kops()),
             format!("{:.0}", cell.p99_us),
             cell.keys.to_string(),
-            totals.inline_runs.to_string(),
-            totals.steals.to_string(),
-            totals.stolen.to_string(),
         ]);
         store.shutdown();
     };
@@ -633,16 +574,6 @@ fn main() {
             &zipf,
         );
     }
-    zipf_run(
-        "zipf steal=off",
-        StoreConfig::uniform(
-            *zipf_shards.last().unwrap(),
-            ProtocolSpec::Adaptive,
-            zipf_reg,
-        )
-        .with_work_stealing(false),
-        &zipf,
-    );
     let hot = KeyedScenario::uniform(zipf_clients, ops_per_client, keys, 0.5, value_len, seed + 2)
         .with_hot_spot(2, 0.8);
     zipf_run(
@@ -655,10 +586,9 @@ fn main() {
         &hot,
     );
     print_table(
-        "key-distribution effect (adaptive; ready-queue scheduling + work-stealing)",
+        "key-distribution effect (adaptive)",
         &[
-            "dist", "shards", "clients", "ops", "kops/s", "p99_us", "keys", "inline", "steals",
-            "stolen",
+            "dist", "shards", "clients", "ops", "kops/s", "p99_us", "keys",
         ],
         &zipf_rows,
     );
@@ -674,7 +604,7 @@ fn main() {
         let metrics = store.metrics();
         let shard_header = vec![
             "shard", "proto", "keys", "reads", "writes", "rd_KiB", "wr_KiB", "occ_KiB", "peak_KiB",
-            "steals", "stolen", "recs",
+            "recs",
         ];
         let shard_rows: Vec<Vec<String>> = metrics
             .shards
@@ -690,8 +620,6 @@ fn main() {
                     (s.ops.bytes_written / 1024).to_string(),
                     (s.occupancy.total() / 8 / 1024).to_string(),
                     (s.peak_register_bits / 8 / 1024).to_string(),
-                    s.ops.steals.to_string(),
-                    s.ops.stolen.to_string(),
                     s.live_records.to_string(),
                 ]
             })
@@ -705,32 +633,6 @@ fn main() {
         store.shutdown();
     }
 
-    // The single-lock baseline: same stream, one register, one lock.
-    let base_scenario =
-        KeyedScenario::uniform(client_counts[0], ops_per_client, keys, 0.5, value_len, seed);
-    let reg = RegisterConfig::paper(1, 2, value_len).expect("valid parameters");
-    let mut base_rows = Vec::new();
-    let mut base_best_kops = 0.0f64;
-    for &proto in &protocols {
-        let cell = match proto {
-            ProtocolSpec::Abd => run_single_lock(Abd::new(reg), &base_scenario),
-            ProtocolSpec::Adaptive => run_single_lock(Adaptive::new(reg), &base_scenario),
-            _ => unreachable!("sweep uses abd/adaptive"),
-        };
-        base_best_kops = base_best_kops.max(cell.kops());
-        base_rows.push(cell_row(proto, 1, client_counts[0], &cell));
-    }
-    print_table(
-        "single-lock ThreadedRegister baseline (same op stream, one register)",
-        &header,
-        &base_rows,
-    );
-    println!(
-        "best multi-shard store: {best_sharded_kops:.1} kops/s vs best single-lock register: \
-         {base_best_kops:.1} kops/s  (×{:.1}, same workload: {} clients × {ops_per_client} ops)",
-        best_sharded_kops / base_best_kops.max(1e-9),
-        client_counts[0],
-    );
     println!(
         "paper mapping: occ_KiB per key tracks the space bounds — ABD stores (2f+1)·D per \
          register, the adaptive coder (2f+k)·D/k when quiescent."

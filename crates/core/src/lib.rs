@@ -77,9 +77,7 @@ pub mod prelude {
         RandomScheduler, Simulation, StorageCost,
     };
     pub use rsb_lowerbound::{run_blowup, AdOutcome, AdversaryAd, AdversaryParams, Snapshot};
-    pub use rsb_registers::{
-        threaded::ThreadedRegister, Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol, Safe,
-    };
+    pub use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol, Safe};
     pub use rsb_store::{
         block_on, frame, join_all, EvictionPolicy, FlightEvent, FlightEventKind, FlightRecorder,
         HistoryPolicy, KeyMeta, LatencyHistogram, ListenSpec, Loopback, OpTicket, ProtocolSpec,

@@ -12,8 +12,8 @@
 //! **Store internals layer** (re-exported from [`rsb_mcsync`] as
 //! [`sched`]/[`sync`]/[`thread`]): a loom-style bounded-preemption
 //! virtual-thread checker that the store's `FlightRecorder` seqlock and
-//! the `ReadyQueue` steal-half protocol run under via their `mc` cargo
-//! feature. See `crates/mc/tests/` for both harnesses.
+//! `GovernorSignal` rendezvous run under via its `mc` cargo feature. See
+//! `crates/mc/tests/` for both harnesses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,12 @@
 //! Interleaving-harness tests: exhaustive (bounded-preemption)
-//! exploration of the store's lock-free hot structures, running on the
+//! exploration of the store's hand-rolled concurrency — the flight
+//! recorder's seqlock and the governor rendezvous — running on the
 //! `rsb-mcsync` virtual-thread shim (the `mc` cargo feature swaps the
-//! real atomics/locks inside `rsb-store`/`rsb-registers` for modelled
-//! ones).
+//! real atomics/locks inside `rsb-store` for modelled ones).
 
+use rsb_mc::sync::{Condvar, Mutex};
 use rsb_mc::{sched, thread as vthread};
-use rsb_registers::ReadyQueue;
-use rsb_store::{FlightEventKind, FlightRecorder};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rsb_store::{FlightEventKind, FlightRecorder, GovernorSignal};
 use std::sync::{Arc, Mutex as StdMutex};
 
 fn quick(preemption_bound: usize) -> sched::Config {
@@ -81,7 +80,7 @@ fn recorder_wraparound_skips_but_never_mixes() {
                 vthread::spawn(move || {
                     for k in 0..2u64 {
                         let detail = 10 * (w + 1) + k;
-                        let seq = rec.record(FlightEventKind::Steal, Some(w as usize), detail);
+                        let seq = rec.record(FlightEventKind::Compaction, Some(w as usize), detail);
                         log.lock().unwrap().push((seq, detail));
                     }
                 })
@@ -110,195 +109,124 @@ fn recorder_wraparound_skips_but_never_mixes() {
 }
 
 // ---------------------------------------------------------------------------
-// ReadyQueue: claim / pop / pop_half ownership and the dirty-requeue
-// protocol.
+// GovernorSignal: submitter nudge × governor park × halt.
 // ---------------------------------------------------------------------------
 
-/// A home driver drains with `pop` while a thief grabs `pop_half`: at
-/// quiescence every slot ran exactly once — nothing lost, nothing run
-/// twice, no slot owned by two drivers.
+/// What the model's governor pass does: publish how much of the
+/// submitters' work it has seen, and wake whoever waits for that.
+struct Sweeps {
+    due: Mutex<u64>,
+    swept: Mutex<u64>,
+    progress: Condvar,
+}
+
+impl Sweeps {
+    fn new() -> Arc<Self> {
+        Arc::new(Sweeps {
+            due: Mutex::new(0),
+            swept: Mutex::new(0),
+            progress: Condvar::new(),
+        })
+    }
+
+    /// A submitter's due-check falling due, then its nudge.
+    fn submit(&self, signal: &GovernorSignal) {
+        *self.due.lock() += 1;
+        signal.nudge();
+    }
+
+    fn pass(&self) {
+        let due = *self.due.lock();
+        *self.swept.lock() = due;
+        self.progress.notify_all();
+    }
+
+    fn swept(&self) -> u64 {
+        *self.swept.lock()
+    }
+}
+
+fn spawn_governor(signal: &Arc<GovernorSignal>, sweeps: &Arc<Sweeps>) -> vthread::JoinHandle<()> {
+    let (signal, sweeps) = (Arc::clone(signal), Arc::clone(sweeps));
+    vthread::spawn(move || signal.run(None, || sweeps.pass()))
+}
+
+/// A pass that fell due is never lost: with no stop in sight, a nudge —
+/// whether it lands before the governor first parks, while it is parked,
+/// or while it is mid-pass — is followed by a pass that sees the
+/// submitter's work. A lost nudge leaves the governor parked and the
+/// root waiting on it: a deadlock, which the model reports.
 #[test]
-fn ready_queue_steal_half_conserves_work() {
+fn governor_nudge_is_never_lost() {
     let report = sched::model(&quick(3), || {
-        let q = Arc::new(ReadyQueue::new());
-        for _ in 0..4 {
-            let s = q.register_slot();
-            q.enqueue(s);
-        }
-        let qa = Arc::clone(&q);
-        let ran_a = Arc::new(StdMutex::new(Vec::new()));
-        let ra = Arc::clone(&ran_a);
-        let home = vthread::spawn(move || {
-            while let Some(s) = qa.pop() {
-                ra.lock().unwrap().push(s);
-                qa.finish(s, false);
-            }
-        });
-        let qb = Arc::clone(&q);
-        let ran_b = Arc::new(StdMutex::new(Vec::new()));
-        let rb = Arc::clone(&ran_b);
-        let thief = vthread::spawn(move || {
-            let batch = qb.pop_half();
-            assert!(batch.len() <= 2, "a thief takes at most half");
-            for &s in &batch {
-                rb.lock().unwrap().push(s);
-                qb.finish(s, false);
-            }
-        });
-        home.join().unwrap();
-        thief.join().unwrap();
-        let mut all: Vec<usize> = ran_a.lock().unwrap().clone();
-        all.extend(ran_b.lock().unwrap().iter().copied());
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3], "each slot runs exactly once");
-        assert!(q.is_empty());
-    })
-    .expect("work conservation must hold on every interleaving");
-    assert!(report.complete);
-    assert!(report.schedules > 10);
-}
-
-/// An enqueue racing a running slot must never be lost: `Running` flips
-/// to `RunningDirty` and `finish` re-enqueues. Across the explored
-/// schedules both resolutions of the race (enqueue lands before the pop,
-/// or during the run) must actually occur.
-#[test]
-fn ready_queue_dirty_requeue_never_loses_a_wakeup() {
-    let once = Arc::new(AtomicU64::new(0));
-    let twice = Arc::new(AtomicU64::new(0));
-    let once_in = Arc::clone(&once);
-    let twice_in = Arc::clone(&twice);
-    let report = sched::model(&quick(3), move || {
-        let q = Arc::new(ReadyQueue::new());
-        let slot = q.register_slot();
-        q.enqueue(slot);
-        let qw = Arc::clone(&q);
-        let runs = Arc::new(StdMutex::new(0u32));
-        let runs_w = Arc::clone(&runs);
-        let worker = vthread::spawn(move || {
-            while let Some(s) = qw.pop() {
-                *runs_w.lock().unwrap() += 1;
-                qw.finish(s, false);
-            }
-        });
-        // Races the worker's pop/run/finish window.
-        q.enqueue(slot);
-        worker.join().unwrap();
-        // The slot may still be queued if the re-enqueue landed after the
-        // worker saw an empty queue; a late driver pass must drain it.
-        while let Some(s) = q.pop() {
-            *runs.lock().unwrap() += 1;
-            q.finish(s, false);
-        }
-        let runs = *runs.lock().unwrap();
-        assert!(
-            runs == 1 || runs == 2,
-            "slot must run once (coalesced) or twice (dirty), ran {runs}"
-        );
-        assert!(q.is_empty());
-        match runs {
-            // audit:allow(atomics-relaxed) — outcome tally read after the
-            // model run completes; the DPOR harness serializes the rest.
-            1 => once_in.fetch_add(1, Ordering::Relaxed),
-            // audit:allow(atomics-relaxed) — outcome tally read after the
-            // model run completes; the DPOR harness serializes the rest.
-            _ => twice_in.fetch_add(1, Ordering::Relaxed),
-        };
-    })
-    .expect("wakeups must never be lost");
-    assert!(report.complete);
-    assert!(
-        // audit:allow(atomics-relaxed) — outcome tally read after the
-        // model run completes; the DPOR harness serializes the rest.
-        once.load(Ordering::Relaxed) > 0 && twice.load(Ordering::Relaxed) > 0,
-        "both race resolutions must be exercised (coalesced {}, dirty {})",
-        // audit:allow(atomics-relaxed) — outcome tally read after the
-        // model run completes; the DPOR harness serializes the rest.
-        once.load(Ordering::Relaxed),
-        // audit:allow(atomics-relaxed) — outcome tally read after the
-        // model run completes; the DPOR harness serializes the rest.
-        twice.load(Ordering::Relaxed)
-    );
-}
-
-/// Run-to-completion submitters against the pool: two submitters each
-/// add work to both slots and `claim` them (running a slot they get,
-/// dirtying one that is owned — the enqueue-while-running transition),
-/// while a home driver `pop`s and a thief `pop_half`s whatever the
-/// finishing owners re-queued. On every interleaving a slot is never run
-/// by two threads at once, and no work is stranded: each submission is
-/// followed by a run of its slot — by its submitter, or out of the queue
-/// its owner's `finish` put it back on (which is why that `finish` must
-/// wake a driver; the late pass below stands in for the woken one).
-#[test]
-fn ready_queue_claim_never_strands_work_or_shares_a_slot() {
-    /// One key's bookkeeping, touched only between the queue's (modelled)
-    /// lock operations — the only scheduling points.
-    #[derive(Default)]
-    struct Tally {
-        pending: u32,
-        done: u32,
-        running: bool,
-    }
-    type Keys = Vec<(usize, StdMutex<Tally>)>;
-    fn run(q: &ReadyQueue, keys: &Keys, slot: usize) {
-        let mut t = keys[slot].1.lock().unwrap();
-        assert!(!t.running, "slot {slot} owned twice");
-        t.running = true;
-        t.done += std::mem::take(&mut t.pending);
-        t.running = false;
-        drop(t);
-        q.finish(slot, false);
-    }
-    let report = sched::model(&quick(2), || {
-        let q = Arc::new(ReadyQueue::new());
-        let keys: Arc<Keys> = Arc::new(
-            (0..2)
-                .map(|_| (q.register_slot(), StdMutex::default()))
-                .collect(),
-        );
-        let submitters: Vec<_> = (0..2usize)
-            .map(|t| {
-                let (q, keys) = (Arc::clone(&q), Arc::clone(&keys));
-                vthread::spawn(move || {
-                    for k in 0..2 {
-                        let (slot, tally) = &keys[(k + t) % 2];
-                        tally.lock().unwrap().pending += 1;
-                        if q.claim(*slot) {
-                            run(&q, &keys, *slot);
-                        }
-                    }
-                })
-            })
-            .collect();
-        let pool = {
-            let (q, keys) = (Arc::clone(&q), Arc::clone(&keys));
+        let signal = Arc::new(GovernorSignal::default());
+        let sweeps = Sweeps::new();
+        let governor = spawn_governor(&signal, &sweeps);
+        let submitter = {
+            let (signal, sweeps) = (Arc::clone(&signal), Arc::clone(&sweeps));
             vthread::spawn(move || {
-                // A thief's batch, then a home driver's drain.
-                for s in q.pop_half() {
-                    run(&q, &keys, s);
-                }
-                while let Some(s) = q.pop() {
-                    run(&q, &keys, s);
-                }
+                sweeps.submit(&signal);
+                sweeps.submit(&signal);
             })
         };
-        for h in submitters {
-            h.join().unwrap();
+        {
+            let mut swept = sweeps.swept.lock();
+            while *swept < 2 {
+                sweeps.progress.wait(&mut swept);
+            }
         }
-        pool.join().unwrap();
-        // Slots re-queued after the drivers looked: a late driver pass.
-        while let Some(s) = q.pop() {
-            run(&q, &keys, s);
-        }
-        for (slot, tally) in keys.iter() {
-            assert_eq!(tally.lock().unwrap().done, 2, "stranded work");
-            assert!(q.claim(*slot), "slot {slot} left owned");
-            assert!(!q.finish(*slot, false));
-        }
-        assert!(q.is_empty());
+        submitter.join().unwrap();
+        signal.request_stop();
+        governor.join().unwrap();
     })
-    .expect("claim/finish must conserve work on every interleaving");
+    .expect("every requested pass must run without a stop to force it");
     assert!(report.complete, "schedule space must be exhausted");
-    assert!(report.schedules > 100, "got {}", report.schedules);
+    assert!(report.schedules > 10, "got {}", report.schedules);
+}
+
+/// A pass due at stop time still runs before the governor exits, and the
+/// stop is always observed: the submitter's nudge races the governor's
+/// start-up and park, `halt` follows it, and on every interleaving the
+/// governor terminates having swept what was due — even when it is first
+/// scheduled after the stop request.
+#[test]
+fn governor_pass_due_at_stop_time_still_runs() {
+    let report = sched::model(&quick(3), || {
+        let signal = Arc::new(GovernorSignal::default());
+        let sweeps = Sweeps::new();
+        let governor = spawn_governor(&signal, &sweeps);
+        let submitter = {
+            let (signal, sweeps) = (Arc::clone(&signal), Arc::clone(&sweeps));
+            vthread::spawn(move || sweeps.submit(&signal))
+        };
+        submitter.join().unwrap();
+        signal.request_stop();
+        governor.join().unwrap();
+        assert_eq!(sweeps.swept(), 1, "the pass due at stop time was skipped");
+        assert!(signal.is_stopped());
+    })
+    .expect("stop must always be observed");
+    assert!(report.complete, "schedule space must be exhausted");
+    assert!(report.schedules > 10, "got {}", report.schedules);
+}
+
+/// The same with the stop racing the submitter: whatever the order, the
+/// governor exits (a missed stop would deadlock the join), and its last
+/// pass starts after the stop flag is up.
+#[test]
+fn governor_observes_a_stop_racing_a_nudge() {
+    let report = sched::model(&quick(3), || {
+        let signal = Arc::new(GovernorSignal::default());
+        let sweeps = Sweeps::new();
+        let governor = spawn_governor(&signal, &sweeps);
+        let submitter = {
+            let (signal, sweeps) = (Arc::clone(&signal), Arc::clone(&sweeps));
+            vthread::spawn(move || sweeps.submit(&signal))
+        };
+        signal.request_stop();
+        governor.join().unwrap();
+        submitter.join().unwrap();
+    })
+    .expect("stop must always be observed");
+    assert!(report.complete, "schedule space must be exhausted");
 }

@@ -377,6 +377,10 @@ impl Condvar {
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         if let Some(ctx) = sched::ctx() {
             assert!(guard.modelled, "mc condvar: guard from a passthrough lock");
+            // Entering the wait is an interleaving point of its own: a
+            // predicate the caller read from atomics (not under this
+            // lock) can go stale between that read and the park.
+            ctx.yield_point();
             let notified = Arc::new(RawBool::new(false));
             self.model
                 .waiters

@@ -1,5 +1,5 @@
 //! ABD-style full-replication register — the paper's `O(fD)` baseline
-//! (its citation [4], Attiya–Bar-Noy–Dolev, adapted to multi-writer).
+//! (its citation \[4\], Attiya–Bar-Noy–Dolev, adapted to multi-writer).
 //!
 //! Every base object stores one timestamped full replica; a write reads
 //! timestamps from a quorum, then stores the value with a higher timestamp

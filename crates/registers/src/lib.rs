@@ -9,9 +9,9 @@
 //! |---|---|---|---|---|
 //! | [`Adaptive`] | Section 5, Algorithms 1–3 | strongly regular | FW-terminating | `min((c+1)(2f+k)D/k, (2f+k)²D)` |
 //! | [`Safe`] | Appendix E, Algorithms 4–5 | strongly safe | wait-free | `(2f+k)·D/k` (constant) |
-//! | [`Abd`] | baseline [4] | strongly regular | wait-free | `(2f+1)·D` (constant, `O(fD)`) |
+//! | [`Abd`] | baseline \[4\] | strongly regular | wait-free | `(2f+1)·D` (constant, `O(fD)`) |
 //! | [`AbdAtomic`] | extension (write-back) | atomic | wait-free* | `(2f+1)·D` |
-//! | [`Coded`] | baselines [5, 6, 8, 9] | strongly regular | FW-terminating | `O(c·D)` under concurrency |
+//! | [`Coded`] | baselines \[5, 6, 8, 9\] | strongly regular | FW-terminating | `O(c·D)` under concurrency |
 //!
 //! # Example
 //!
@@ -47,7 +47,6 @@ pub mod common;
 pub mod lockorder;
 pub mod protocol;
 pub mod safe;
-pub mod threaded;
 
 pub use abd::{Abd, AbdAtomic};
 pub use adaptive::Adaptive;
@@ -58,7 +57,3 @@ pub use common::{
 };
 pub use protocol::RegisterProtocol;
 pub use safe::Safe;
-pub use threaded::{
-    spawn_driver, ClientHandle, CompletionSlot, DriverCore, OpOutcome, ReadyQueue, RegisterCell,
-    ThreadedError, ThreadedRegister, WorkGroup,
-};

@@ -25,10 +25,6 @@ use std::ops::{Deref, DerefMut};
 pub mod ranks {
     /// `Shard.map`: key-name placement map.
     pub const SHARD_MAP: i64 = 0;
-    /// `Shard.govern_lock`: governor sweep serialization.
-    pub const GOVERN: i64 = 10;
-    /// `DriverCore.core_state`: a driver's guarded state.
-    pub const DRIVER_CORE: i64 = 15;
     /// `Shard.slots`: the append-only slot table.
     pub const SLOT_TABLE: i64 = 20;
     /// `KeySlot.state`: per-key simulation state.
@@ -39,14 +35,13 @@ pub mod ranks {
     pub const NET_PENDING: i64 = 34;
     /// tcp client: write half of the socket.
     pub const NET_WRITER: i64 = 36;
-    /// `CompletionSlot.inner` / `NetCell.inner`: one-shot completions.
+    /// `NetCell.inner`: one-shot completions filled by the tcp client's
+    /// reader.
     pub const COMPLETION: i64 = 40;
-    /// `WorkGroup.mu`: park/notify mutex.
-    pub const WORKGROUP: i64 = 50;
-    /// `ReadyQueue.ready`: the scheduling queue.
-    pub const READY_QUEUE: i64 = 60;
-    /// `Store.drivers`: driver join handles.
-    pub const DRIVER_POOL: i64 = 70;
+    /// `GovernorSignal.due`: the governor's pass-requested bit.
+    pub const GOVERNOR: i64 = 50;
+    /// `Store.governor`: the governor thread's join handle.
+    pub const GOVERNOR_HANDLE: i64 = 70;
     /// net server: live connection map.
     pub const CONN_TABLE: i64 = 72;
     /// net server: per-connection join handles.
@@ -63,17 +58,14 @@ pub mod ranks {
 pub fn rank_table() -> &'static [(i64, &'static str)] {
     &[
         (ranks::SHARD_MAP, "shard_map"),
-        (ranks::GOVERN, "govern"),
-        (ranks::DRIVER_CORE, "driver_core"),
         (ranks::SLOT_TABLE, "slot_table"),
         (ranks::KEY_STATE, "key_state"),
         (ranks::NET_DEAD, "net_dead"),
         (ranks::NET_PENDING, "net_pending"),
         (ranks::NET_WRITER, "net_writer"),
         (ranks::COMPLETION, "completion"),
-        (ranks::WORKGROUP, "workgroup"),
-        (ranks::READY_QUEUE, "ready_queue"),
-        (ranks::DRIVER_POOL, "driver_pool"),
+        (ranks::GOVERNOR, "governor"),
+        (ranks::GOVERNOR_HANDLE, "governor_handle"),
         (ranks::CONN_TABLE, "conn_table"),
         (ranks::CONN_HANDLES, "conn_handles"),
         (ranks::ACCEPT_HANDLE, "accept_handle"),
@@ -251,21 +243,21 @@ mod tests {
 
     #[test]
     fn tracked_lock_derefs_and_releases() {
-        let mu = parking_lot::Mutex::new(7u32);
+        let mu = std::sync::Mutex::new(7u32);
         {
-            let mut g = tracked_lock(ranks::KEY_STATE, "key_state", || mu.lock());
+            let mut g = tracked_lock(ranks::KEY_STATE, "key_state", || mu.lock().unwrap());
             *g += 1;
             assert_eq!(*g, 8);
         }
         let _map = HeldLock::acquire(ranks::SHARD_MAP, "shard_map");
-        assert_eq!(*mu.lock(), 8);
+        assert_eq!(*mu.lock().unwrap(), 8);
     }
 
     #[test]
     fn tracked_try_releases_on_miss() {
-        let mu = parking_lot::Mutex::new(());
-        let outer = mu.lock();
-        assert!(tracked_try(ranks::KEY_STATE, "key_state", || mu.try_lock()).is_none());
+        let mu = std::sync::Mutex::new(());
+        let outer = mu.lock().unwrap();
+        assert!(tracked_try(ranks::KEY_STATE, "key_state", || mu.try_lock().ok()).is_none());
         drop(outer);
         // The failed try left nothing in the held set.
         let _map = HeldLock::acquire(ranks::SHARD_MAP, "shard_map");

@@ -80,25 +80,26 @@ pub enum HistoryPolicy {
 /// How (and whether) the store reclaims memory from cold keys on its own.
 ///
 /// [`Store::evict_quiescent`](crate::Store::evict_quiescent) always
-/// works; a non-manual policy additionally makes the *driver pool* run
-/// the eviction machinery between batches — idle drivers sweep their
-/// shard, and an occupancy trigger fires on a single atomic comparison —
-/// so the paper's "bounded space" becomes a property the system
-/// maintains, at zero dedicated threads and without ever blocking a
-/// ready key.
+/// works; a non-manual policy additionally starts the store's one
+/// *governor* thread, which runs the eviction machinery whenever a
+/// submitter's O(1) due-check asks for a pass — an idle-age sweep, or an
+/// occupancy trigger that fires on a single atomic comparison — so the
+/// paper's "bounded space" becomes a property the system maintains,
+/// without a sweep on any operation's path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Reclamation happens only when the caller asks for it (default —
     /// the pre-governor behaviour).
     Manual,
-    /// An idle driver evicts keys that have been quiescent for at least
-    /// this many shard *ticks* (a tick is one submission or one driver
-    /// step batch on the shard — logical time, so tests and benches stay
-    /// deterministic-ish and wall-clock-free).
+    /// The governor evicts keys that have been quiescent for at least
+    /// this many shard *ticks* (each key-lock hold of a submission on
+    /// the shard — one operation, or one batch's operations on one key —
+    /// counts two: its invocation and its drain. Logical time, so tests
+    /// and benches stay deterministic-ish and wall-clock-free).
     IdleAfter(u64),
-    /// When a shard's live occupancy exceeds `bits`, idle-or-between-
-    /// batches drivers evict quiescent keys coldest-first until the
-    /// shard is at or below `low_watermark` bits. Both bounds are
+    /// When a shard's live occupancy exceeds `bits`, the governor
+    /// evicts quiescent keys coldest-first until the shard is at or
+    /// below `low_watermark` bits. Both bounds are
     /// per-shard (divide a store-wide budget by the shard count).
     OccupancyAbove {
         /// High watermark: live bits above this arm the trigger.
@@ -153,8 +154,6 @@ impl ListenSpec {
 pub enum StoreConfigError {
     /// The shard list is empty.
     NoShards,
-    /// The driver batch size is zero.
-    ZeroBatch,
     /// A truncate-after-N history bound of zero records.
     ZeroHistoryBound,
     /// An idle-after eviction threshold of zero ticks.
@@ -182,7 +181,6 @@ impl std::fmt::Display for StoreConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreConfigError::NoShards => write!(f, "a store needs at least one shard"),
-            StoreConfigError::ZeroBatch => write!(f, "driver batch size must be at least 1"),
             StoreConfigError::ZeroHistoryBound => {
                 write!(f, "truncate-after-N needs a bound of at least 1 record")
             }
@@ -240,16 +238,10 @@ impl std::error::Error for StoreConfigError {}
 pub struct StoreConfig {
     /// Per-shard specifications; the keyspace is hashed over their count.
     pub shards: Vec<ShardSpec>,
-    /// Maximum simulator events a driver executes per key per ready-queue
-    /// pop. Larger batches amortize queue traffic; smaller batches reduce
-    /// completion latency jitter.
-    pub batch: usize,
     /// Per-key operation-history bound.
     pub history: HistoryPolicy,
-    /// Whether an idle shard driver steals ready keys from loaded
-    /// neighbors (flattens zipfian skew; on by default).
-    pub work_stealing: bool,
-    /// How the driver pool reclaims memory from cold keys.
+    /// How (and whether) the store reclaims memory from cold keys on
+    /// its own.
     pub eviction: EvictionPolicy,
     /// The TCP service surface, if any. `None` (the default) means
     /// in-process only; [`Store::serve`](crate::Store::serve) requires
@@ -262,15 +254,12 @@ pub struct StoreConfig {
     /// untouched for this long is eligible for the idle sweep even when
     /// the shard's logical tick counter has not advanced (ticks only move
     /// with traffic, so a fully idle store never ages keys by ticks
-    /// alone). Off by default; drivers park with a bounded timeout while
-    /// this is set so the sweep runs on an otherwise silent store.
+    /// alone). Off by default; the governor parks with a bounded timeout
+    /// while this is set so the sweep runs on an otherwise silent store.
     pub idle_wall_clock: Option<std::time::Duration>,
 }
 
 impl StoreConfig {
-    /// Default driver batch size.
-    pub const DEFAULT_BATCH: usize = 64;
-
     /// Default flight-recorder window.
     pub const DEFAULT_RECORDER_CAPACITY: usize = 1024;
 
@@ -279,20 +268,12 @@ impl StoreConfig {
     pub fn uniform(shard_count: usize, protocol: ProtocolSpec, register: RegisterConfig) -> Self {
         StoreConfig {
             shards: vec![ShardSpec { protocol, register }; shard_count],
-            batch: Self::DEFAULT_BATCH,
             history: HistoryPolicy::Unbounded,
-            work_stealing: true,
             eviction: EvictionPolicy::Manual,
             listen: None,
             recorder_capacity: Self::DEFAULT_RECORDER_CAPACITY,
             idle_wall_clock: None,
         }
-    }
-
-    /// Overrides the driver batch size.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Overrides the per-key history policy.
@@ -301,13 +282,7 @@ impl StoreConfig {
         self
     }
 
-    /// Enables or disables work-stealing across shard drivers.
-    pub fn with_work_stealing(mut self, work_stealing: bool) -> Self {
-        self.work_stealing = work_stealing;
-        self
-    }
-
-    /// Overrides the eviction policy the driver pool governs memory by.
+    /// Overrides the eviction policy the store governs memory by.
     pub fn with_eviction(mut self, eviction: EvictionPolicy) -> Self {
         self.eviction = eviction;
         self
@@ -341,17 +316,13 @@ impl StoreConfig {
     ///
     /// # Errors
     ///
-    /// Rejects an empty shard list, a zero batch size, a zero
-    /// truncate-after-N bound, a zero idle-eviction threshold, an
+    /// Rejects an empty shard list, a zero truncate-after-N bound, a zero idle-eviction threshold, an
     /// occupancy policy whose low watermark exceeds its high watermark,
     /// a listen section with a zero backlog or an unparseable address,
     /// and a zero-capacity flight recorder.
     pub fn validate(&self) -> Result<(), StoreConfigError> {
         if self.shards.is_empty() {
             return Err(StoreConfigError::NoShards);
-        }
-        if self.batch == 0 {
-            return Err(StoreConfigError::ZeroBatch);
         }
         if self.history == HistoryPolicy::TruncateAfter(0) {
             return Err(StoreConfigError::ZeroHistoryBound);
@@ -401,10 +372,6 @@ mod tests {
         empty.shards.clear();
         assert_eq!(empty.validate(), Err(StoreConfigError::NoShards));
         assert_eq!(
-            cfg.clone().with_batch(0).validate(),
-            Err(StoreConfigError::ZeroBatch)
-        );
-        assert_eq!(
             cfg.clone()
                 .with_history(HistoryPolicy::TruncateAfter(0))
                 .validate(),
@@ -416,7 +383,6 @@ mod tests {
         );
         assert!(cfg
             .with_history(HistoryPolicy::TruncateOnQuiescence)
-            .with_work_stealing(false)
             .validate()
             .is_ok());
     }

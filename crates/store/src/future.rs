@@ -1,16 +1,14 @@
 //! Hand-rolled, executor-agnostic operation futures.
 //!
 //! [`ReadFuture`] / [`WriteFuture`] wrap the [`OpTicket`] a
-//! [`Transport`](crate::Transport) returned for the submission —
-//! a [`CompletionSlot`](rsb_registers::CompletionSlot) on the loopback
-//! path (filled by the thread that ran the key, usually the submitter
-//! itself before the future is returned), a TCP-reader-filled cell on
-//! the wire. They
-//! implement [`Future`] so any executor can await them, and each also
-//! offers a blocking `wait()` that parks on the underlying condvar — the
-//! tree is offline-vendored, so no tokio (or any runtime) is required
-//! anywhere. [`block_on`] is a minimal thread-parking executor for
-//! contexts with no runtime at all.
+//! [`Transport`](crate::Transport) returned for the submission: on the
+//! loopback path the result itself (the operation ran on the submitting
+//! thread, so the first poll is `Ready`), a TCP-reader-filled cell on
+//! the wire. They implement [`Future`] so any executor can await them,
+//! and each also offers a blocking `wait()` that parks on the cell's
+//! condvar — the tree is offline-vendored, so no tokio (or any runtime)
+//! is required anywhere. [`block_on`] is a minimal thread-parking
+//! executor for contexts with no runtime at all.
 
 use crate::net::OpTicket;
 use crate::store::StoreError;
@@ -110,9 +108,9 @@ impl Future for OpFuture {
     }
 }
 
-/// A write ack delivered to a read is unreachable on loopback (a run
-/// fills the slot the read registered) but *possible* over a buggy or
-/// hostile wire — so it is an error, never a panic, on the client path.
+/// A write ack delivered to a read is unreachable on loopback (the
+/// result is read off the read's own record) but *possible* over a buggy
+/// or hostile wire — so it is an error, never a panic, on the client path.
 fn into_read(result: OpResult) -> Result<Value, StoreError> {
     match result {
         OpResult::Read(v) => Ok(v),
@@ -134,7 +132,7 @@ impl Wake for ThreadUnparker {
 ///
 /// Spurious unparks are handled by re-polling; [`Future::poll`] contract
 /// (`wake` called when progress is possible) guarantees termination for
-/// the store's slot-backed futures.
+/// the store's ticket-backed futures.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     let mut fut = Box::pin(fut);
     let waker = Waker::from(Arc::new(ThreadUnparker(std::thread::current())));

@@ -7,16 +7,13 @@
 //! from one [`RegisterProtocol`](rsb_registers::RegisterProtocol)
 //! emulation — ABD, safe, coded, or adaptive). Execution is
 //! *run-to-completion*: keys live behind per-key locks, and the thread
-//! that submits an operation steps the key's simulation until the
-//! operation returns, so the future it gets back is normally already
-//! resolved. A pool of *network-driver* threads (one per shard) is the
-//! overflow executor: a submission that finds its key being run elsewhere
-//! leaves it on the shard's ready queue, and the drivers run those keys —
-//! home shard first, then stealing from loaded neighbors — besides
-//! sweeping for the eviction governor. Per-key history can
-//! be bounded with a [`HistoryPolicy`], and quiescent keys can be evicted
-//! to snapshots ([`Store::evict_quiescent`]) and transparently
-//! rematerialized.
+//! that submits an operation takes its key's lock once and steps the
+//! key's simulation until the operation returns, so the future it gets
+//! back is already resolved. The store runs no thread of its own, except
+//! one governor thread when an [`EvictionPolicy`] asks for eviction
+//! sweeps. Per-key history can be bounded with a [`HistoryPolicy`], and
+//! quiescent keys can be evicted to snapshots
+//! ([`Store::evict_quiescent`]) and transparently rematerialized.
 //!
 //! # Client surface
 //!
@@ -25,17 +22,16 @@
 //! [`TcpTransport`] (a versioned length-prefixed binary protocol over a
 //! std `TcpStream`, served by [`Store::serve`] / [`StoreServer`]).
 //! [`StoreClient::read`] / [`StoreClient::write`] return lightweight
-//! futures backed by transport completion cells (condvar slots filled
-//! by whoever ran the key on loopback, reader-thread-filled cells over
-//! TCP) — no external
-//! async runtime is needed anywhere:
+//! futures backed by transport tickets (the result itself on loopback,
+//! reader-thread-filled cells over TCP) — no external async runtime is
+//! needed anywhere:
 //!
 //! * **async** — the futures implement [`std::future::Future`] and can be
 //!   awaited from any executor, or from the bundled executor-less
 //!   [`block_on`];
 //! * **blocking** — [`ReadFuture::wait`] / [`WriteFuture::wait`] (and the
 //!   `*_blocking` shorthands) park the calling thread on the cell's
-//!   condvar.
+//!   condvar (over loopback there is nothing to wait for).
 //!
 //! The [`load`] module offers closed- and open-loop
 //! (coordinated-omission-free) load generation over any transport.
@@ -77,6 +73,7 @@
 
 mod config;
 mod future;
+mod governor;
 pub mod load;
 mod mcsync;
 mod metrics;
@@ -90,6 +87,7 @@ pub use config::{
     StoreConfigError,
 };
 pub use future::{block_on, join_all, OpFuture, ReadFuture, WriteFuture};
+pub use governor::GovernorSignal;
 pub use metrics::{EvictionCause, LatencyHistogram, OpCounters, ShardMetrics, StoreMetrics};
 pub use net::{frame, KeyMeta, Loopback, OpTicket, StoreServer, TcpTransport, Transport};
 pub use recorder::{FlightEvent, FlightEventKind, FlightRecorder};

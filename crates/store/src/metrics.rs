@@ -222,7 +222,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Lock-free counters one shard's submitters and drivers bump.
+/// Lock-free counters one shard's submitters and the governor bump.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicCounters {
     reads_submitted: AtomicU64,
@@ -232,10 +232,6 @@ pub(crate) struct AtomicCounters {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     rejected: AtomicU64,
-    steals: AtomicU64,
-    stolen: AtomicU64,
-    stolen_batches: AtomicU64,
-    inline_runs: AtomicU64,
     truncated_records: AtomicU64,
     rematerialized: AtomicU64,
     evicted_manual: AtomicU64,
@@ -273,27 +269,6 @@ impl AtomicCounters {
                 bump(&self.writes_completed, 1);
             }
         }
-    }
-
-    pub(crate) fn note_steal(&self) {
-        bump(&self.steals, 1);
-    }
-
-    pub(crate) fn note_stolen(&self) {
-        bump(&self.stolen, 1);
-    }
-
-    /// Records one batch steal against the *victim* shard: a thief
-    /// drained multiple ready keys from its queue in one pass. Per-key
-    /// steal/stolen counters are bumped separately as each key runs.
-    pub(crate) fn note_stolen_batch(&self) {
-        bump(&self.stolen_batches, 1);
-    }
-
-    /// Records one key run performed by the submitting thread itself
-    /// (the slot was idle, so the submission claimed it).
-    pub(crate) fn note_inline_run(&self) {
-        bump(&self.inline_runs, 1);
     }
 
     pub(crate) fn note_truncated(&self, records: u64) {
@@ -379,10 +354,6 @@ impl AtomicCounters {
             bytes_read: peek(&self.bytes_read),
             bytes_written: peek(&self.bytes_written),
             rejected: peek(&self.rejected),
-            steals: peek(&self.steals),
-            stolen: peek(&self.stolen),
-            stolen_batches: peek(&self.stolen_batches),
-            inline_runs: peek(&self.inline_runs),
             truncated_records: peek(&self.truncated_records),
             rematerialized: peek(&self.rematerialized),
             evicted_manual: peek(&self.evicted_manual),
@@ -409,19 +380,6 @@ pub struct OpCounters {
     pub bytes_written: u64,
     /// Submissions the underlying simulation rejected.
     pub rejected: u64,
-    /// Ready keys this shard's driver executed from *other* shards'
-    /// queues (work-stealing, attributed to the thief's home shard).
-    pub steals: u64,
-    /// Ready keys of this shard executed by *other* shards' drivers.
-    pub stolen: u64,
-    /// Multi-key batch steals drained from this shard's queue (each
-    /// represents one `pop_half` pass by a thief; the per-key `stolen`
-    /// counter still counts every key those passes carried).
-    pub stolen_batches: u64,
-    /// Key runs performed by a submitting thread on its own submission
-    /// (the key was idle, so no driver was involved). Runs not counted
-    /// here went through the ready queue to a pool driver.
-    pub inline_runs: u64,
     /// Operation records dropped by history compaction.
     pub truncated_records: u64,
     /// Evicted keys brought back by a later operation.
@@ -460,10 +418,6 @@ impl OpCounters {
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
         self.rejected += other.rejected;
-        self.steals += other.steals;
-        self.stolen += other.stolen;
-        self.stolen_batches += other.stolen_batches;
-        self.inline_runs += other.inline_runs;
         self.truncated_records += other.truncated_records;
         self.rematerialized += other.rematerialized;
         self.evicted_manual += other.evicted_manual;
@@ -503,7 +457,10 @@ pub struct ShardMetrics {
     /// Bits held by evicted keys' snapshots (not part of `occupancy`,
     /// which covers live simulations only).
     pub snapshot_bits: u64,
-    /// Keys waiting in the shard's ready queue right now.
+    /// Live keys whose simulation still has an enabled event, counted
+    /// under each key's lock. A submission drains its key before it
+    /// releases that lock, so this reads 0 — a non-zero value means a
+    /// key was left mid-run.
     pub ready_keys: usize,
     /// The shard's incrementally-maintained live-occupancy counter — the
     /// cheap value the eviction governor's occupancy trigger fires on.
@@ -519,12 +476,12 @@ pub struct ShardMetrics {
     pub read_remat_latency: LatencyHistogram,
     /// End-to-end latency of completed writes.
     pub write_latency: LatencyHistogram,
-    /// Per-op time from submit to execute-start: next to nothing for an
-    /// op run inline by its submitter (its position in the batch, for a
-    /// batched one), a driver hand-off for one that found its key busy.
+    /// Per-op time from submit to execute-start: placement, the wait
+    /// for the key's lock (behind same-key submitters; behind the
+    /// earlier key groups too, for a batched op) and the invocation.
     /// One sample per completed op of either kind.
     pub queue_wait: LatencyHistogram,
-    /// Per-op time inside the simulator batch that delivered the result
+    /// Per-op time inside the drain that delivered the result
     /// (execute-start to completion); one sample per completed op.
     pub execute: LatencyHistogram,
     /// Server-side wire time per TCP op (frame decode to response
@@ -658,7 +615,7 @@ impl StoreMetrics {
         use std::fmt::Write as _;
         let mut out = String::new();
         let t = self.totals();
-        let counters: [(&str, &str, u64); 16] = [
+        let counters: [(&str, &str, u64); 12] = [
             (
                 "reads_submitted",
                 "Reads accepted by the submit path",
@@ -695,11 +652,6 @@ impl StoreMetrics {
                 t.rejected,
             ),
             (
-                "steals",
-                "Ready keys executed by non-home drivers",
-                t.steals,
-            ),
-            (
                 "truncated_records",
                 "Records dropped by history compaction",
                 t.truncated_records,
@@ -715,21 +667,6 @@ impl StoreMetrics {
                 "evicted_occupancy",
                 "Occupancy-trigger evictions",
                 t.evicted_occupancy,
-            ),
-            (
-                "stolen",
-                "Ready keys of a shard run by other drivers",
-                t.stolen,
-            ),
-            (
-                "stolen_batches",
-                "Multi-key batch steals drained from a shard's queue",
-                t.stolen_batches,
-            ),
-            (
-                "inline_runs",
-                "Key runs performed by the submitting thread",
-                t.inline_runs,
             ),
         ];
         for (name, help, value) in counters {
@@ -776,7 +713,7 @@ impl StoreMetrics {
         }
         let _ = writeln!(
             out,
-            "# HELP rsb_store_shard_ready_keys Keys waiting in a shard's ready queue"
+            "# HELP rsb_store_shard_ready_keys Live keys left with an enabled simulator event"
         );
         let _ = writeln!(out, "# TYPE rsb_store_shard_ready_keys gauge");
         for s in &self.shards {

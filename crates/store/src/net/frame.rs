@@ -52,7 +52,7 @@ use std::io::{Read, Write};
 /// Wire-protocol version carried in the hello handshake. Bump on any
 /// incompatible frame change; the server rejects mismatches with
 /// [`StoreError::ProtocolVersion`].
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Magic prefix of the client hello, so a peer speaking a different
 /// protocol is rejected at the first frame.
@@ -192,8 +192,8 @@ pub enum Frame {
     StatsResp {
         /// The request id this responds to.
         id: u64,
-        /// The snapshot, identical to what [`Store::metrics`]
-        /// (`crate::Store::metrics`) returns in-process.
+        /// The snapshot, identical to what
+        /// [`Store::metrics`](crate::Store::metrics) returns in-process.
         metrics: StoreMetrics,
     },
     /// A batch of operations submitted in one transport round. The
@@ -333,10 +333,6 @@ fn put_counters(out: &mut Vec<u8>, t: &OpCounters) {
         t.bytes_read,
         t.bytes_written,
         t.rejected,
-        t.steals,
-        t.stolen,
-        t.stolen_batches,
-        t.inline_runs,
         t.truncated_records,
         t.rematerialized,
         t.evicted_manual,
@@ -473,10 +469,6 @@ impl<'a> Cursor<'a> {
             bytes_read: self.u64()?,
             bytes_written: self.u64()?,
             rejected: self.u64()?,
-            steals: self.u64()?,
-            stolen: self.u64()?,
-            stolen_batches: self.u64()?,
-            inline_runs: self.u64()?,
             truncated_records: self.u64()?,
             rematerialized: self.u64()?,
             evicted_manual: self.u64()?,

@@ -1,18 +1,17 @@
 //! The transport-generic client surface and its two wires.
 //!
-//! A [`Transport`] turns `submit(key, op)` into an eventual completion.
+//! A [`Transport`] turns `submit(key, op)` into a completion ticket.
 //! Two implementations ship:
 //!
 //! * [`Loopback`] — the in-process path: submissions go straight onto
 //!   the store's shard engines, which run each operation to completion
-//!   on the submitting thread and hand back an already-filled condvar
-//!   slot of `rsb_registers::threaded`. Zero copies beyond the operation
-//!   itself, hermetic — what tier-1 tests and benches run against.
+//!   on the submitting thread, so the ticket comes back holding the
+//!   result. Zero copies beyond the operation itself, hermetic — what
+//!   tier-1 tests and benches run against.
 //! * [`TcpTransport`] — the real wire: a versioned length-prefixed
 //!   binary protocol (see [`frame`]) over a std `TcpStream`, served by
-//!   [`StoreServer`]. No async runtime anywhere: one reader thread per
-//!   connection fills the same kind of completion cells the futures
-//!   already poll.
+//!   [`StoreServer`]. No async runtime anywhere: the client's one reader
+//!   thread per connection fills the completion cells the futures poll.
 //!
 //! [`StoreClient`](crate::StoreClient) is generic over the transport
 //! (defaulting to [`Loopback`]), so the whole async + blocking client
@@ -31,7 +30,6 @@ use crate::store::{BatchOp, StoreError, StoreInner};
 use rsb_coding::Value;
 use rsb_fpsm::{OpRequest, OpResult};
 use rsb_registers::lockorder::{ranks, tracked_lock};
-use rsb_registers::CompletionSlot;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
@@ -49,9 +47,11 @@ pub struct KeyMeta {
 /// ticket out.
 ///
 /// Implementations must be cheap to share (`&self` submission from many
-/// threads) and must *eventually* resolve every returned ticket — with
-/// the operation's result, or with a [`StoreError`] when the store shut
-/// down or the wire broke. Tickets must never hang forever.
+/// threads) and must resolve every returned ticket — with the
+/// operation's result, or with a [`StoreError`] when the store shut down
+/// or the wire broke. [`Loopback`] tickets are resolved when `submit`
+/// returns; a remote wire's resolve *eventually*, and must never hang
+/// forever.
 pub trait Transport: Send + Sync + 'static {
     /// Submits one operation on a key.
     fn submit(&self, key: &str, req: OpRequest) -> OpTicket;
@@ -94,9 +94,8 @@ pub trait Transport: Send + Sync + 'static {
 }
 
 /// A one-shot completion cell filled by a transport's delivery thread
-/// (the TCP reader) rather than by a key's run. Mirrors
-/// [`CompletionSlot`]: blocking wait on a condvar, or future-style poll
-/// through a stored waker.
+/// (the TCP client's reader): blocking wait on a condvar, or
+/// future-style poll through a stored waker.
 #[derive(Debug)]
 pub(crate) struct NetCell<T> {
     inner: parking_lot::Mutex<NetCellInner<T>>,
@@ -178,13 +177,13 @@ impl<T: Clone> NetCell<T> {
 /// The completion cell TCP operations resolve through.
 pub(crate) type OpCell = NetCell<Result<OpResult, StoreError>>;
 
-/// A pending operation's completion handle, returned by
+/// An operation's completion handle, returned by
 /// [`Transport::submit`] and wrapped by the client's
 /// [`ReadFuture`](crate::ReadFuture) / [`WriteFuture`](crate::WriteFuture).
 ///
-/// Transports construct tickets through [`OpTicket::from_slot`] (shard
-/// completion slots, the loopback path), [`OpTicket::failed`]
-/// (submission-time errors), or the crate-internal network variant.
+/// Transports construct tickets through [`OpTicket::ready`] (the
+/// loopback path, and submission-time errors on any wire) or the
+/// crate-internal network variant.
 #[derive(Debug)]
 pub struct OpTicket {
     pub(crate) inner: TicketInner,
@@ -192,30 +191,21 @@ pub struct OpTicket {
 
 #[derive(Debug)]
 pub(crate) enum TicketInner {
-    /// A shard completion slot (loopback).
-    Slot(Arc<CompletionSlot>),
+    /// Resolved at submission; `None` after the outcome has been taken.
+    Ready(Option<Result<OpResult, StoreError>>),
     /// A transport-filled completion cell (TCP reader thread), with an
     /// optional blocking-wait timeout.
     Net {
         cell: Arc<OpCell>,
         timeout: Option<Duration>,
     },
-    /// Failed at submission; `None` after the error has been taken.
-    Failed(Option<StoreError>),
 }
 
 impl OpTicket {
-    /// A ticket backed by a shard completion slot.
-    pub fn from_slot(slot: Arc<CompletionSlot>) -> Self {
+    /// A ticket whose outcome is already known.
+    pub fn ready(outcome: Result<OpResult, StoreError>) -> Self {
         OpTicket {
-            inner: TicketInner::Slot(slot),
-        }
-    }
-
-    /// A ticket that already failed at submission time.
-    pub fn failed(err: StoreError) -> Self {
-        OpTicket {
-            inner: TicketInner::Failed(Some(err)),
+            inner: TicketInner::Ready(Some(outcome)),
         }
     }
 
@@ -230,14 +220,15 @@ impl OpTicket {
         cx: &mut Context<'_>,
     ) -> Poll<Result<OpResult, StoreError>> {
         match &mut self.inner {
-            TicketInner::Slot(slot) => slot.poll_outcome(cx).map_err(StoreError::from),
+            TicketInner::Ready(outcome) => Poll::Ready(
+                outcome
+                    .take()
+                    // audit:allow(panic-path) — standard future contract: the outcome
+                    // is taken exactly once when `Ready` is returned; polling again
+                    // after completion is a caller bug.
+                    .expect("operation future polled after completion"),
+            ),
             TicketInner::Net { cell, .. } => cell.poll(cx),
-            TicketInner::Failed(err) => Poll::Ready(Err(err
-                .take()
-                // audit:allow(panic-path) — standard future contract: the error is
-                // taken exactly once when `Ready` is returned; polling again after
-                // completion is a caller bug.
-                .expect("operation future polled after completion"))),
         }
     }
 
@@ -246,23 +237,24 @@ impl OpTicket {
     /// resolves whenever the transport delivers.
     pub(crate) fn wait(self) -> Result<OpResult, StoreError> {
         match self.inner {
-            TicketInner::Slot(slot) => slot.wait().map_err(StoreError::from),
+            TicketInner::Ready(outcome) => {
+                // audit:allow(panic-path) — `Ready` tickets are built with
+                // `Some(outcome)` and consumed by value here; only a poll
+                // that already returned `Ready` could have emptied it.
+                outcome.expect("operation future waited after completion")
+            }
             TicketInner::Net { cell, timeout } => {
                 cell.wait(timeout).unwrap_or(Err(StoreError::Timeout))
             }
-            // audit:allow(panic-path) — `Failed` tickets are built with
-            // `Some(err)` and consumed by value here, so the error is present.
-            TicketInner::Failed(mut err) => Err(err.take().expect("freshly constructed")),
         }
     }
 }
 
 /// The in-process transport: submissions go straight to the store's
-/// shard engines and run there, on the calling thread — a ticket comes
-/// back resolved unless its key was being run by someone else at that
-/// moment, in which case a pool driver resolves it shortly. Submitting
-/// therefore costs the operation itself (a 64 KiB coded write encodes on
-/// the caller), and waiting on the ticket costs next to nothing.
+/// shard engines and run there, on the calling thread, so every ticket
+/// comes back resolved. Submitting therefore costs the operation itself
+/// (a 64 KiB coded write encodes on the caller), and waiting on the
+/// ticket costs nothing.
 ///
 /// Obtained from [`Store::client`](crate::Store::client) (or
 /// [`Store::loopback`](crate::Store::loopback)); clones share the store.
@@ -284,22 +276,19 @@ impl Transport for Loopback {
             // The write-length precheck stays client-side on loopback —
             // same immediate rejection as before the transport split.
             if value.len() != shard.value_len() {
-                return OpTicket::failed(StoreError::BadValueLength {
+                return OpTicket::ready(Err(StoreError::BadValueLength {
                     got: value.len(),
                     want: shard.value_len(),
-                });
+                }));
             }
         }
-        match shard.submit(key, req) {
-            Ok(slot) => OpTicket::from_slot(slot),
-            Err(e) => OpTicket::failed(e),
-        }
+        OpTicket::ready(shard.submit(key, req))
     }
 
     /// The grouped fast path: operations are bucketed by shard, then
     /// each shard takes the whole bucket in one engine `submit_batch`
     /// call — one placement-map lock hold for the bucket, one key-lock
-    /// hold and one run per distinct key — instead of paying all three
+    /// hold and one drain per distinct key — instead of paying all three
     /// per operation.
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<OpTicket> {
         let n = ops.len();
@@ -314,10 +303,10 @@ impl Transport for Loopback {
                 // path: reject immediately, fail only this operation.
                 let want = self.inner.shards[shard_idx].value_len();
                 if value.len() != want {
-                    tickets[i] = Some(OpTicket::failed(StoreError::BadValueLength {
+                    tickets[i] = Some(OpTicket::ready(Err(StoreError::BadValueLength {
                         got: value.len(),
                         want,
-                    }));
+                    })));
                     continue;
                 }
             }
@@ -335,10 +324,7 @@ impl Transport for Loopback {
             }
             let results = self.inner.shards[shard_idx].submit_batch(batch);
             for (i, result) in indices.into_iter().zip(results) {
-                tickets[i] = Some(match result {
-                    Ok(slot) => OpTicket::from_slot(slot),
-                    Err(e) => OpTicket::failed(e),
-                });
+                tickets[i] = Some(OpTicket::ready(result));
             }
         }
         tickets

@@ -1,27 +1,23 @@
 //! The TCP service surface: [`StoreServer`] accepts connections and
-//! bridges their frames onto the store's existing async completion
-//! machinery — no async runtime, no per-operation threads.
+//! runs their requests on the store — no async runtime, no
+//! per-operation threads.
 //!
-//! Per connection, two threads:
+//! Per connection, one thread: it decodes a request frame, submits it
+//! through the in-process [`Loopback`](super::Loopback) transport —
+//! which runs the operation to completion right there, so the result is
+//! known when the call returns — encodes the response and writes it,
+//! then reads the next request. Responses therefore leave in request
+//! order, and a client that pipelines without reading is throttled by
+//! the socket's send buffer (the thread blocks in `write` and stops
+//! reading) instead of queueing responses in memory.
 //!
-//! * a **reader** that decodes request frames and submits them through
-//!   the in-process [`Loopback`](super::Loopback) transport — which runs
-//!   each operation to completion right there, on the reader — and
-//!   forwards the returned [`OpTicket`](super::OpTicket), normally
-//!   already resolved, to the pump;
-//! * a **pump** that writes a response frame for every ticket as its
-//!   result lands. Most have landed on arrival; the ones whose key was
-//!   being run by another connection at submission are polled with a
-//!   thread-unpark waker and answered out of order, so a contended key
-//!   never blocks another's response.
-//!
-//! Shutdown stops the accept loop (a self-connect unblocks it), shuts
-//! down every live connection socket (unblocking the readers), and
-//! halts the store — pending slots then fail with `ShutDown`, the pumps
-//! flush those as error frames, and every thread joins.
+//! Shutdown stops the accept loop (a self-connect unblocks it), halts
+//! the store — requests still arriving are answered with `ShutDown`
+//! error frames — shuts down every live connection socket (unblocking
+//! the threads parked in `read`), and joins every thread.
 
 use super::frame::{read_frame, write_frame, Frame, WireOp, WireOpResult, WIRE_VERSION};
-use super::{result_frame, value_from_wire, Loopback, OpTicket, Transport};
+use super::{result_frame, value_from_wire, Loopback, Transport};
 use crate::config::ListenSpec;
 use crate::recorder::FlightEventKind;
 use crate::store::{BatchOp, Store, StoreError};
@@ -31,45 +27,12 @@ use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Pause between `accept` attempts while the listener reports errors.
 const ACCEPT_ERROR_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
-
-/// Where one TCP op's wire time is attributed: the key's home shard,
-/// stamped when the request frame finished decoding. The pump closes the
-/// interval after flushing the response, so `wire` covers queueing
-/// behind the store *plus* response serialization — everything
-/// server-side that loopback clients never pay.
-struct WireStamp {
-    shard: usize,
-    decoded: Instant,
-}
-
-/// What a connection's reader hands its pump.
-enum ConnMsg {
-    /// An operation in flight: respond with `id` when the ticket lands,
-    /// then record its wire latency on the stamped shard.
-    Ticket(u64, OpTicket, WireStamp),
-    /// A whole client batch in flight: one `BatchResp` goes out when
-    /// *every* ticket has landed, then each operation's wire latency is
-    /// recorded on its own shard.
-    Batch(u64, Vec<(OpTicket, WireStamp)>),
-    /// A response that is already complete (meta, stats, protocol
-    /// errors).
-    Ready(Frame),
-}
-
-/// A batch the pump is still collecting results for: each slot holds
-/// the ticket, the op's wire stamp, and the result once it lands.
-struct BatchInFlight {
-    id: u64,
-    slots: Vec<(OpTicket, WireStamp, Option<WireOpResult>)>,
-}
 
 /// Converts a resolved server-side submission into its on-the-wire
 /// batch-entry form.
@@ -81,24 +44,14 @@ fn wire_result(result: Result<OpResult, StoreError>) -> WireOpResult {
     }
 }
 
-/// Wakes the pump thread so it re-polls its in-flight tickets.
-struct PumpUnparker(std::thread::Thread);
-
-impl Wake for PumpUnparker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
 /// Book-keeping shared by the accept loop and the server handle.
 struct ServerShared {
     stopping: AtomicBool,
     /// Live connection sockets by connection id, so shutdown can
-    /// unblock every reader stuck in a blocking read.
+    /// unblock every connection thread stuck in a blocking read.
     conns: parking_lot::Mutex<HashMap<u64, TcpStream>>,
-    /// Reader-thread handles (each reader joins its own pump). Finished
-    /// threads linger here until shutdown joins them — cheap, bounded
-    /// by the connection cap.
+    /// Connection-thread handles. Finished threads linger here until
+    /// shutdown joins them — cheap, bounded by the connection cap.
     handles: parking_lot::Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -162,10 +115,11 @@ impl StoreServer {
         &self.store
     }
 
-    /// Stops accepting, severs live connections, and halts the store.
-    /// In-flight operations fail with [`StoreError::ShutDown`] delivered
-    /// as error frames before the sockets close. Idempotent; also runs
-    /// on drop.
+    /// Stops accepting, halts the store, and severs live connections.
+    /// An operation already running finishes and is answered; a request
+    /// decoded after the halt is answered with a
+    /// [`StoreError::ShutDown`] error frame, until the socket closes.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(self) {
         self.stop();
     }
@@ -186,10 +140,9 @@ impl StoreServer {
         {
             let _ = h.join();
         }
-        // Halting the store fails every still-pending slot with
-        // ShutDown; the pumps flush those results as error frames.
         self.store.halt();
-        // Sever live sockets so readers blocked mid-read return.
+        // Sever live sockets so connection threads blocked in a read (or
+        // in a write to a client that stopped reading) return.
         for (_, conn) in
             tracked_lock(ranks::CONN_TABLE, "conn_table", || self.shared.conns.lock()).drain()
         {
@@ -292,10 +245,9 @@ fn accept_loop(
     }
 }
 
-/// One connection, start to finish: handshake, then decode-and-submit
-/// until the stream ends, with a pump thread writing the responses.
+/// One connection, start to finish: handshake, then decode, run and
+/// answer one request at a time until the stream ends.
 fn connection(stream: &TcpStream, loopback: &Loopback) {
-    // Handshake first, single-threaded on the socket.
     let mut io = stream;
     match read_frame(&mut io) {
         Ok(Some(Frame::Hello { version })) if version == WIRE_VERSION => {
@@ -325,66 +277,52 @@ fn connection(stream: &TcpStream, loopback: &Loopback) {
         }
         Ok(Some(_) | None) | Err(_) => return,
     }
-    let recorder = Arc::clone(&loopback.inner.recorder);
+    let recorder = &loopback.inner.recorder;
     recorder.record(FlightEventKind::ConnOpen, None, 0);
-
-    let Ok(write_stream) = stream.try_clone() else {
-        recorder.record(FlightEventKind::ConnClose, None, 0);
-        return;
-    };
-    let (tx, rx) = std::sync::mpsc::channel::<ConnMsg>();
-    let pump_loopback = loopback.clone();
-    let Ok(pump) = std::thread::Builder::new()
-        .name("store-conn-pump".into())
-        .spawn(move || pump_loop(&write_stream, &rx, &pump_loopback))
-    else {
-        recorder.record(FlightEventKind::ConnClose, None, 0);
-        return;
-    };
-    let pump_thread = pump.thread().clone();
-
-    read_requests(stream, loopback, &tx, &pump_thread);
-
-    // Dropping the sender tells the pump to exit once its in-flight
-    // tickets have drained (each resolves eventually — completion or
-    // ShutDown — per the Transport contract).
-    drop(tx);
-    pump_thread.unpark();
-    let _ = pump.join();
+    serve_requests(stream, loopback);
     recorder.record(FlightEventKind::ConnClose, None, 0);
 }
 
-/// The reader half: decodes request frames and forwards work to the
-/// pump until EOF, a decode error, or a protocol violation.
-fn read_requests(
-    stream: &TcpStream,
+/// Runs one single-op request and writes its response, then records
+/// the op's server-side wire time on the key's home shard: request
+/// frame decoded → response written, so `wire` covers the operation
+/// itself *plus* response serialization — everything server-side that
+/// loopback clients never pay.
+fn answer_op(
+    mut w: &TcpStream,
     loopback: &Loopback,
-    tx: &Sender<ConnMsg>,
-    pump: &std::thread::Thread,
-) {
+    id: u64,
+    key: &str,
+    req: OpRequest,
+    decoded: Instant,
+) -> Result<(), StoreError> {
+    let result = loopback.submit(key, req).wait();
+    let written = write_frame(&mut w, &result_frame(id, result));
+    loopback
+        .inner
+        .shard_for(key)
+        .note_wire_latency(decoded.elapsed().as_nanos() as u64);
+    written
+}
+
+/// The request loop: each decoded request is run and its response
+/// written before the next is read. Returns on EOF, a write error (the
+/// client is gone), a decode error or a protocol violation.
+fn serve_requests(stream: &TcpStream, loopback: &Loopback) {
     let mut r = BufReader::new(stream);
+    let mut w = stream;
     loop {
-        let msg = match read_frame(&mut r) {
+        let request = read_frame(&mut r);
+        let decoded = Instant::now();
+        let written = match request {
             Ok(Some(Frame::ReadReq { id, key })) => {
-                let stamp = WireStamp {
-                    shard: loopback.inner.index_for(&key),
-                    decoded: Instant::now(),
-                };
-                ConnMsg::Ticket(id, loopback.submit(&key, OpRequest::Read), stamp)
+                answer_op(w, loopback, id, &key, OpRequest::Read, decoded)
             }
             Ok(Some(Frame::WriteReq { id, key, value })) => {
-                let stamp = WireStamp {
-                    shard: loopback.inner.index_for(&key),
-                    decoded: Instant::now(),
-                };
-                ConnMsg::Ticket(
-                    id,
-                    loopback.submit(&key, OpRequest::Write(value_from_wire(value))),
-                    stamp,
-                )
+                let req = OpRequest::Write(value_from_wire(value));
+                answer_op(w, loopback, id, &key, req, decoded)
             }
             Ok(Some(Frame::BatchReq { id, ops })) => {
-                let decoded = Instant::now();
                 let batch: Vec<BatchOp> = ops
                     .into_iter()
                     .map(|op| match op {
@@ -392,165 +330,72 @@ fn read_requests(
                         WireOp::Write(key, value) => BatchOp::Write(key, value_from_wire(value)),
                     })
                     .collect();
-                let stamps: Vec<WireStamp> = batch
+                let shards: Vec<usize> = batch
                     .iter()
-                    .map(|op| WireStamp {
-                        shard: loopback.inner.index_for(op.key()),
-                        decoded,
-                    })
+                    .map(|op| loopback.inner.index_for(op.key()))
                     .collect();
                 // The loopback batch path does the grouped submission;
                 // per-op failures come back as failed tickets and turn
-                // into error entries of the batch response.
-                let tickets = loopback.submit_batch(batch);
-                ConnMsg::Batch(id, tickets.into_iter().zip(stamps).collect())
+                // into error entries of the one batch response.
+                let results = loopback
+                    .submit_batch(batch)
+                    .into_iter()
+                    .map(|ticket| wire_result(ticket.wait()))
+                    .collect();
+                let written = write_frame(&mut w, &Frame::BatchResp { id, results });
+                let wire_ns = decoded.elapsed().as_nanos() as u64;
+                for shard in shards {
+                    loopback.inner.shards[shard].note_wire_latency(wire_ns);
+                }
+                written
             }
-            Ok(Some(Frame::StatsReq { id })) => ConnMsg::Ready(Frame::StatsResp {
-                id,
-                metrics: loopback.inner.metrics(),
-            }),
-            Ok(Some(Frame::MetaReq { id, key })) => match loopback.key_meta(&key) {
-                Ok(meta) => ConnMsg::Ready(Frame::MetaResp {
+            Ok(Some(Frame::StatsReq { id })) => write_frame(
+                &mut w,
+                &Frame::StatsResp {
                     id,
-                    value_len: u32::try_from(meta.value_len).unwrap_or(u32::MAX),
-                    protocol: meta.protocol,
-                }),
-                Err(error) => ConnMsg::Ready(Frame::ErrorResp { id, error }),
-            },
-            Ok(Some(other)) => {
-                // A hello or response frame mid-session is a protocol
-                // violation: answer once, then drop the connection.
-                loopback
-                    .inner
-                    .recorder
-                    .record(FlightEventKind::DecodeError, None, 0);
-                let frame = Frame::ErrorResp {
-                    id: 0,
-                    error: StoreError::Decode(format!(
-                        "unexpected {} frame from client",
-                        other.kind()
-                    )),
+                    metrics: loopback.inner.metrics(),
+                },
+            ),
+            Ok(Some(Frame::MetaReq { id, key })) => {
+                let frame = match loopback.key_meta(&key) {
+                    Ok(meta) => Frame::MetaResp {
+                        id,
+                        value_len: u32::try_from(meta.value_len).unwrap_or(u32::MAX),
+                        protocol: meta.protocol,
+                    },
+                    Err(error) => Frame::ErrorResp { id, error },
                 };
-                let _ = tx.send(ConnMsg::Ready(frame));
-                pump.unpark();
-                return;
+                write_frame(&mut w, &frame)
             }
             Ok(None) => return,
+            // A hello or response frame mid-session is a protocol
+            // violation; truncated/oversized/garbled input is a decode
+            // error. Either way: answer once (id 0 = not tied to a
+            // request), then drop the connection — resynchronizing a
+            // corrupt length-prefixed stream is not possible.
+            Ok(Some(other)) => {
+                let error =
+                    StoreError::Decode(format!("unexpected {} frame from client", other.kind()));
+                close_with(stream, loopback, error);
+                return;
+            }
             Err(error) => {
-                // Truncated/oversized/garbled input: answer with the
-                // decode error (id 0 = not tied to a request), then close
-                // — resynchronizing a corrupt length-prefixed stream is
-                // not possible.
-                loopback
-                    .inner
-                    .recorder
-                    .record(FlightEventKind::DecodeError, None, 0);
-                let _ = tx.send(ConnMsg::Ready(Frame::ErrorResp { id: 0, error }));
-                pump.unpark();
+                close_with(stream, loopback, error);
                 return;
             }
         };
-        if tx.send(msg).is_err() {
+        if written.is_err() {
             return;
         }
-        pump.unpark();
     }
 }
 
-/// The writer half: polls in-flight tickets with an unpark waker and
-/// writes each response frame the moment its result lands, closing each
-/// op's wire-time interval afterwards.
-fn pump_loop(stream: &TcpStream, rx: &Receiver<ConnMsg>, loopback: &Loopback) {
-    let waker = Waker::from(Arc::new(PumpUnparker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut in_flight: Vec<(u64, OpTicket, WireStamp)> = Vec::new();
-    let mut batches: Vec<BatchInFlight> = Vec::new();
-    let mut reader_gone = false;
-    let mut w = stream;
-    loop {
-        // Drain new work from the reader.
-        loop {
-            match rx.try_recv() {
-                Ok(ConnMsg::Ticket(id, ticket, stamp)) => in_flight.push((id, ticket, stamp)),
-                Ok(ConnMsg::Batch(id, ops)) => batches.push(BatchInFlight {
-                    id,
-                    slots: ops
-                        .into_iter()
-                        .map(|(ticket, stamp)| (ticket, stamp, None))
-                        .collect(),
-                }),
-                Ok(ConnMsg::Ready(frame)) => {
-                    if write_frame(&mut w, &frame).is_err() {
-                        return;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    reader_gone = true;
-                    break;
-                }
-            }
-        }
-        // Poll every in-flight ticket; write results as they land.
-        let mut i = 0;
-        while i < in_flight.len() {
-            match in_flight[i].1.poll_result(&mut cx) {
-                Poll::Ready(result) => {
-                    let (id, _, stamp) = in_flight.swap_remove(i);
-                    if write_frame(&mut w, &result_frame(id, result)).is_err() {
-                        // Client gone: drop remaining tickets (their
-                        // slots still get filled; nobody listens) and exit.
-                        return;
-                    }
-                    loopback.inner.shards[stamp.shard]
-                        .note_wire_latency(stamp.decoded.elapsed().as_nanos() as u64);
-                }
-                Poll::Pending => i += 1,
-            }
-        }
-        // Poll batches; a batch responds only once *all* its tickets
-        // have landed, as one vectored frame.
-        let mut b = 0;
-        while b < batches.len() {
-            let batch = &mut batches[b];
-            let mut done = true;
-            for (ticket, _, result) in &mut batch.slots {
-                if result.is_none() {
-                    match ticket.poll_result(&mut cx) {
-                        Poll::Ready(r) => *result = Some(wire_result(r)),
-                        Poll::Pending => done = false,
-                    }
-                }
-            }
-            if done {
-                let BatchInFlight { id, slots } = batches.swap_remove(b);
-                let mut results = Vec::with_capacity(slots.len());
-                let mut stamps = Vec::with_capacity(slots.len());
-                for (_, stamp, result) in slots {
-                    // audit:allow(panic-path) — `done` stays `true` only when every
-                    // slot polled `Ready` this pass (pending slots clear it), so each
-                    // `result` was filled before the batch is drained.
-                    results.push(result.expect("all batch slots resolved"));
-                    stamps.push(stamp);
-                }
-                if write_frame(&mut w, &Frame::BatchResp { id, results }).is_err() {
-                    return;
-                }
-                for stamp in stamps {
-                    loopback.inner.shards[stamp.shard]
-                        .note_wire_latency(stamp.decoded.elapsed().as_nanos() as u64);
-                }
-            } else {
-                b += 1;
-            }
-        }
-        if reader_gone && in_flight.is_empty() && batches.is_empty() {
-            return;
-        }
-        // Park until a waker fires or the reader unparks us with new
-        // work; both re-enter the drain-and-poll loop above. A token
-        // stored by an unpark that raced this check makes park return
-        // immediately, so no wakeup is lost.
-        std::thread::park();
-    }
+/// Records a decode error and answers it with the connection's last
+/// frame.
+fn close_with(mut stream: &TcpStream, loopback: &Loopback, error: StoreError) {
+    loopback
+        .inner
+        .recorder
+        .record(FlightEventKind::DecodeError, None, 0);
+    let _ = write_frame(&mut stream, &Frame::ErrorResp { id: 0, error });
 }

@@ -5,9 +5,9 @@
 //! assign a connection-unique request id, register a completion cell,
 //! and write the request frame under a short writer lock; a single
 //! reader thread demultiplexes response frames back into the cells by
-//! id. Completions therefore arrive out of order — a slow key never
-//! head-of-line-blocks a fast one — and the same futures the loopback
-//! path returns work unchanged.
+//! id (the server answers a connection's requests in order, but nothing
+//! here depends on it), and the same futures the loopback path returns
+//! work unchanged.
 //!
 //! When the connection dies (server gone, decode failure, socket error)
 //! every in-flight operation fails with the connection's terminal
@@ -217,11 +217,11 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn submit(&self, key: &str, req: OpRequest) -> OpTicket {
         if key.len() > super::frame::MAX_KEY_LEN {
-            return OpTicket::failed(StoreError::Rejected(format!(
+            return OpTicket::ready(Err(StoreError::Rejected(format!(
                 "key length {} exceeds the wire bound {}",
                 key.len(),
                 super::frame::MAX_KEY_LEN
-            )));
+            ))));
         }
         let id = self.next_id();
         let cell: Arc<OpCell> = Arc::new(NetCell::new());
@@ -238,7 +238,7 @@ impl Transport for TcpTransport {
         };
         match self.send(id, Pending::Op(Arc::clone(&cell)), &frame) {
             Ok(()) => OpTicket::net(cell, self.timeout),
-            Err(e) => OpTicket::failed(e),
+            Err(e) => OpTicket::ready(Err(e)),
         }
     }
 
@@ -254,11 +254,11 @@ impl Transport for TcpTransport {
         let mut sendable: Vec<(usize, WireOp)> = Vec::with_capacity(ops.len());
         for (i, op) in ops.into_iter().enumerate() {
             if op.key().len() > super::frame::MAX_KEY_LEN {
-                tickets[i] = Some(OpTicket::failed(StoreError::Rejected(format!(
+                tickets[i] = Some(OpTicket::ready(Err(StoreError::Rejected(format!(
                     "key length {} exceeds the wire bound {}",
                     op.key().len(),
                     super::frame::MAX_KEY_LEN
-                ))));
+                )))));
                 continue;
             }
             let wire = match op {
@@ -283,7 +283,7 @@ impl Transport for TcpTransport {
                 // cells via `fail_all`; tickets for *later* chunks are
                 // assigned below as failed-at-submission.
                 for (i, _) in chunk.iter() {
-                    tickets[*i] = Some(OpTicket::failed(e.clone()));
+                    tickets[*i] = Some(OpTicket::ready(Err(e.clone())));
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Flight recorder: a lock-free, fixed-capacity ring of structured
 //! events, cheap enough to leave on in production.
 //!
-//! Every noteworthy store event (submit, steal, evict, rematerialize,
+//! Every noteworthy store event (submit, evict, rematerialize,
 //! compaction, wire decode error, connection open/close, rejection) is
 //! stamped with a monotonically-increasing sequence number and packed
 //! into one atomic word; when the ring wraps, the oldest events are
@@ -31,9 +31,6 @@ pub enum FlightEventKind {
     /// A write was accepted by the submit path; detail is the payload
     /// length in bytes.
     SubmitWrite,
-    /// A foreign driver executed one of this shard's ready keys; the
-    /// event's shard is the victim whose key was stolen.
-    Steal,
     /// A key was evicted by an explicit
     /// [`Store::evict_quiescent`](crate::Store::evict_quiescent) call;
     /// detail is the snapshot size in bits.
@@ -58,10 +55,6 @@ pub enum FlightEventKind {
     /// A submission was rejected (simulation refusal or server at
     /// connection capacity).
     Rejected,
-    /// A foreign driver drained several of this shard's ready keys in
-    /// one `pop_half` pass; the event's shard is the victim and detail
-    /// is how many keys the batch carried.
-    StealBatch,
 }
 
 impl FlightEventKind {
@@ -69,17 +62,15 @@ impl FlightEventKind {
         Some(match code {
             0 => FlightEventKind::SubmitRead,
             1 => FlightEventKind::SubmitWrite,
-            2 => FlightEventKind::Steal,
-            3 => FlightEventKind::EvictManual,
-            4 => FlightEventKind::EvictIdle,
-            5 => FlightEventKind::EvictOccupancy,
-            6 => FlightEventKind::Rematerialize,
-            7 => FlightEventKind::Compaction,
-            8 => FlightEventKind::DecodeError,
-            9 => FlightEventKind::ConnOpen,
-            10 => FlightEventKind::ConnClose,
-            11 => FlightEventKind::Rejected,
-            12 => FlightEventKind::StealBatch,
+            2 => FlightEventKind::EvictManual,
+            3 => FlightEventKind::EvictIdle,
+            4 => FlightEventKind::EvictOccupancy,
+            5 => FlightEventKind::Rematerialize,
+            6 => FlightEventKind::Compaction,
+            7 => FlightEventKind::DecodeError,
+            8 => FlightEventKind::ConnOpen,
+            9 => FlightEventKind::ConnClose,
+            10 => FlightEventKind::Rejected,
             _ => return None,
         })
     }
@@ -88,17 +79,15 @@ impl FlightEventKind {
         match self {
             FlightEventKind::SubmitRead => 0,
             FlightEventKind::SubmitWrite => 1,
-            FlightEventKind::Steal => 2,
-            FlightEventKind::EvictManual => 3,
-            FlightEventKind::EvictIdle => 4,
-            FlightEventKind::EvictOccupancy => 5,
-            FlightEventKind::Rematerialize => 6,
-            FlightEventKind::Compaction => 7,
-            FlightEventKind::DecodeError => 8,
-            FlightEventKind::ConnOpen => 9,
-            FlightEventKind::ConnClose => 10,
-            FlightEventKind::Rejected => 11,
-            FlightEventKind::StealBatch => 12,
+            FlightEventKind::EvictManual => 2,
+            FlightEventKind::EvictIdle => 3,
+            FlightEventKind::EvictOccupancy => 4,
+            FlightEventKind::Rematerialize => 5,
+            FlightEventKind::Compaction => 6,
+            FlightEventKind::DecodeError => 7,
+            FlightEventKind::ConnOpen => 8,
+            FlightEventKind::ConnClose => 9,
+            FlightEventKind::Rejected => 10,
         }
     }
 
@@ -107,7 +96,6 @@ impl FlightEventKind {
         match self {
             FlightEventKind::SubmitRead => "submit-read",
             FlightEventKind::SubmitWrite => "submit-write",
-            FlightEventKind::Steal => "steal",
             FlightEventKind::EvictManual => "evict-manual",
             FlightEventKind::EvictIdle => "evict-idle",
             FlightEventKind::EvictOccupancy => "evict-occupancy",
@@ -117,7 +105,6 @@ impl FlightEventKind {
             FlightEventKind::ConnOpen => "conn-open",
             FlightEventKind::ConnClose => "conn-close",
             FlightEventKind::Rejected => "rejected",
-            FlightEventKind::StealBatch => "steal-batch",
         }
     }
 }
@@ -144,7 +131,7 @@ pub struct FlightEvent {
 /// Recording is one relaxed fetch-add, one acquire/release swap, and
 /// two release stores — no locks, no allocation — so it stays on in
 /// production and inside benches. A slot is claimed (sequence word
-/// swapped to [`CLAIMED`]), its payload written, then published
+/// swapped to the `CLAIMED` sentinel), its payload written, then published
 /// (sequence word set); [`Self::dump`] re-reads the sequence word
 /// around the payload and drops entries it caught mid-write, so a torn
 /// or misattributed pair is never returned. A writer whose swap finds
@@ -308,12 +295,12 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for code in 0..=12u8 {
+        for code in 0..=10u8 {
             let kind = FlightEventKind::from_code(code).expect("known code");
             assert_eq!(kind.code(), code);
             assert!(!kind.label().is_empty());
         }
-        assert_eq!(FlightEventKind::from_code(13), None);
+        assert_eq!(FlightEventKind::from_code(11), None);
     }
 
     #[test]
@@ -324,12 +311,12 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 scope.spawn(move || {
                     for i in 0..2000u64 {
-                        r.record(FlightEventKind::Steal, Some(t), i);
+                        r.record(FlightEventKind::Compaction, Some(t), i);
                         if i % 64 == 0 {
                             // Dumps interleave with writers; every entry
                             // returned must be internally consistent.
                             for e in r.dump() {
-                                assert_eq!(e.kind, FlightEventKind::Steal);
+                                assert_eq!(e.kind, FlightEventKind::Compaction);
                                 assert!(e.shard.is_some_and(|s| s < 4));
                                 assert!(e.detail < 2000);
                             }

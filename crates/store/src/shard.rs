@@ -1,38 +1,33 @@
-//! One shard: a map of per-key register simulations, each run to
-//! completion by the thread that submits to it.
+//! One shard: a map of per-key register simulations, each operation run
+//! to completion by the thread that submits it, under one hold of its
+//! key's lock.
 //!
-//! Keys live behind *per-key* locks (the shard map lock covers only
-//! placement and lifecycle), and a [`ReadyQueue`] tracks who owns each
-//! key's slot. A submission invokes its operation under the key lock,
-//! then — every lock released — *claims* the slot and drains the key's
-//! simulator events on the calling thread ([`ShardCore::run_token`]), so
-//! the completion slot it returns is already filled: no queue, no driver
-//! wake-up, no second wake-up back to the caller. Only when the slot is
-//! owned by someone else (another submitter or a driver is stepping the
-//! key right now) is it marked dirty instead; its owner re-queues it on
-//! finishing and wakes a pool driver, which pops it and runs the
-//! operations that arrived meanwhile. An owned slot has exactly one
-//! owner until it finishes — what keeps per-key serialization across
-//! submitters, home drivers and the idle drivers of other shards that
-//! *steal* queued keys.
+//! Keys live behind *per-key* locks; the shard map lock covers only
+//! placement. A submission takes the key lock once and, inside that
+//! hold, invokes its operation, drains every enabled simulator event,
+//! reads the result off the operation's record, and settles the key
+//! (completion accounting, history policy, activity stamp, occupancy).
+//! Nothing is ever pending between two lock holds, so there is no queue,
+//! no slot ownership and no completion cell: `submit` returns the
+//! result. The key lock is what serializes same-key submitters.
 //!
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
 //! the consistency checkers need), and a quiescent key can be *evicted*
 //! to a [`SimSnapshot`] and rematerialized on its next operation.
 //!
-//! Eviction is *governed*: an [`EvictionPolicy`] makes the driver pool
-//! run the reclamation — drivers sweep a shard for keys quiescent past
+//! Eviction is *governed*: under a non-`Manual` [`EvictionPolicy`] the
+//! store's one governor thread sweeps a shard for keys quiescent past
 //! the idle threshold, and an occupancy trigger (one atomic comparison
 //! against an incrementally-maintained per-shard live-bits counter)
 //! evicts coldest-first down to a low watermark. Submitters never sweep;
-//! each pays one O(1) due-check after its run
-//! ([`ShardEngine::wants_governing`]) and wakes a driver only when a
-//! pass is due — so bounded space holds under sustained traffic with
-//! zero dedicated threads and without a sweep on any operation's path.
+//! each pays one O(1) due-check after its hold and nudges the governor
+//! only when a pass is due — so bounded space holds under sustained
+//! traffic without a sweep on any operation's path.
 
 use crate::config::ShardSpec;
 use crate::config::{EvictionPolicy, HistoryPolicy, ProtocolSpec};
+use crate::governor::GovernorSignal;
 use crate::mcsync::{AtomicU64, Ordering};
 use crate::metrics::{AtomicCounters, EvictionCause, ShardMetrics};
 use crate::recorder::{FlightEventKind, FlightRecorder};
@@ -41,99 +36,61 @@ use rsb_coding::Value;
 use rsb_fpsm::{
     ClientId, OpId, OpRecord, OpRequest, OpResult, SimSnapshot, Simulation, StorageCost,
 };
-use rsb_registers::lockorder::{ranks, tracked_lock, tracked_try};
-use rsb_registers::{
-    Abd, AbdAtomic, Adaptive, Coded, CompletionSlot, ReadyQueue, RegisterCell, RegisterProtocol,
-    Safe, ThreadedError, WorkGroup,
-};
+use rsb_registers::lockorder::{ranks, tracked_lock};
+use rsb_registers::{Abd, AbdAtomic, Adaptive, Coded, RegisterProtocol, Safe};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cap on eviction *attempts* (key locks taken) per occupancy-governor
-/// pass, so a sweeping driver returns to ready keys quickly; the
-/// trigger stays armed and the next pass continues where this one left
-/// off.
-const GOVERN_ATTEMPTS_PER_PASS: usize = 32;
-
-/// After a futile occupancy pass (armed, but nothing was quiescent
-/// enough to evict), the trigger stays disarmed for this many shard
-/// ticks. Quiescent keys can only appear through traffic — which is
-/// exactly what advances ticks — so the backoff self-clears the moment
-/// eviction could plausibly succeed again, and an armed-but-stuck
-/// governor stops paying a full cold-scan on every driver iteration.
+/// After a futile occupancy pass (armed, but nothing could be evicted),
+/// the trigger stays disarmed for this many shard ticks. Evictable keys
+/// can only appear through traffic — which is exactly what advances
+/// ticks — so the backoff self-clears the moment eviction could
+/// plausibly succeed again, and an armed-but-stuck trigger stops every
+/// submitter from requesting a full cold-scan.
 const GOVERN_FUTILE_BACKOFF_TICKS: u64 = 64;
 
-/// Submission-time bookkeeping for one in-flight operation, matched up
-/// at completion to record end-to-end latency split by whether the
-/// submission had to rematerialize an evicted key, plus the phase split
-/// (queue wait vs execution).
-struct InflightOp {
-    op: OpId,
-    started: Instant,
-    /// First step batch (the submitter's own inline run, or a driver's)
-    /// that picked the key up after this op was submitted — the
-    /// queue-wait → execute boundary. Phase attribution is
-    /// batch-granular: every op in flight on a key shares the batch's
-    /// execute-start stamp.
-    exec_start: Option<Instant>,
-    rematerialized: bool,
-}
-
-/// One key's live register: its simulation cell plus the sim-level
-/// clients allocated for it so far (reused across operations when idle).
+/// One key's live register: its simulation plus the sim-level clients
+/// allocated for it so far (reused across operations when idle).
 struct KeyCell<P: RegisterProtocol + 'static> {
-    cell: RegisterCell<P>,
+    sim: Simulation<P::Object, P::Client>,
     clients: Vec<ClientId>,
-    inflight: Vec<InflightOp>,
 }
 
 impl<P: RegisterProtocol + 'static> KeyCell<P> {
     fn new(sim: Simulation<P::Object, P::Client>) -> Self {
         KeyCell {
-            cell: RegisterCell::new(sim),
+            sim,
             clients: Vec::new(),
-            inflight: Vec::new(),
+        }
+    }
+
+    /// Executes enabled events until none is left. No new events can
+    /// appear while the key lock is held, so the drain terminates (the
+    /// backlog is bounded by in-flight RMWs).
+    fn drain(&mut self) {
+        while let Some(ev) = self.sim.first_enabled_event() {
+            // `ev` came from `first_enabled_event` one line up with no
+            // intervening mutation, so `step` accepting it is an invariant
+            // of the simulator, not a runtime condition.
+            self.sim.step(ev).expect("enabled event applies");
         }
     }
 }
 
-/// Visits one completed operation: bumps the op/byte counters, records
-/// end-to-end latency (reads into the hit/rematerialize histograms,
-/// writes into theirs), and splits the op's lifetime into queue-wait
-/// (submit → first executing batch) and execute (batch → completion)
-/// phase samples. `done` is the completion stamp, taken once per flush
-/// so a large batch pays one clock read.
-fn note_completed(
-    counters: &AtomicCounters,
-    inflight: &mut Vec<InflightOp>,
-    op: OpId,
-    result: &OpResult,
-    done: Instant,
-) {
-    counters.note_completion(result);
-    if let Some(i) = inflight.iter().position(|e| e.op == op) {
-        let entry = inflight.swap_remove(i);
-        let total_ns = done.saturating_duration_since(entry.started).as_nanos() as u64;
-        let exec_start = entry.exec_start.unwrap_or(done);
-        counters.note_phases(
-            exec_start
-                .saturating_duration_since(entry.started)
-                .as_nanos() as u64,
-            done.saturating_duration_since(exec_start).as_nanos() as u64,
-        );
-        match result {
-            OpResult::Read(_) => counters.note_read_latency(total_ns, entry.rematerialized),
-            OpResult::Write => counters.note_write_latency(total_ns),
-        }
-    }
+/// The phase split one key-lock hold shares among its operations:
+/// submission (before placement) → the end of the invocations is their
+/// queue wait, the drain that follows their execute time.
+struct HoldTimes {
+    queue_ns: u64,
+    execute_ns: u64,
 }
 
 /// A key is either materialized (live simulation) or evicted to a
 /// quiescent snapshot. `Vacant` is a transient placeholder used to move
 /// a snapshot out during rematerialization — it never outlives the key
-/// lock's critical section in `submit`, so no other code path observes
-/// it.
+/// lock's critical section in `materialize`, so no other code path
+/// observes it.
 // `Live` dwarfs the other variants, but it is also the variant every hot
 // operation touches — boxing it to please `large_enum_variant` would buy
 // a smaller *evicted* footprint at the price of a pointer chase on every
@@ -147,13 +104,12 @@ enum KeyState<P: RegisterProtocol + 'static> {
 
 /// One key's slot: the per-key lock every simulation access goes
 /// through, plus governor-readable metadata kept *outside* the lock so
-/// cold-scans never contend with a running driver. The shard map lock is
-/// *not* needed to step a key.
+/// cold-scans never contend with a running operation.
 struct KeySlot<P: RegisterProtocol + 'static> {
     state: crate::mcsync::Mutex<KeyState<P>>,
-    /// Shard tick of the key's most recent activity (submission or step
-    /// batch) — what the idle sweep and the coldest-first order read.
-    /// Written under the key lock, read lock-free by the governor.
+    /// Shard tick of the key's most recent operation — what the idle
+    /// sweep and the coldest-first order read. Written under the key
+    /// lock, read lock-free by the governor.
     last_active: AtomicU64,
     /// Milliseconds since the shard's epoch at the key's most recent
     /// activity — the wall-clock twin of `last_active`, stamped only
@@ -176,70 +132,27 @@ impl<P: RegisterProtocol + 'static> KeySlot<P> {
     }
 }
 
-/// The object-safe surface the store (and its work-stealing driver pool)
-/// drives a shard through.
+/// The object-safe surface the store drives a shard through.
 pub(crate) trait ShardEngine: Send + Sync {
-    /// Submits one operation on a key and, unless the key is being run
-    /// elsewhere, runs it to completion on the calling thread. Returns
-    /// the operation's completion slot — already filled in the common
-    /// case.
-    fn submit(&self, key: &str, req: OpRequest) -> Result<Arc<CompletionSlot>, StoreError>;
+    /// Runs one operation on a key to completion on the calling thread,
+    /// under a single hold of the key's lock, and returns its result.
+    fn submit(&self, key: &str, req: OpRequest) -> Result<OpResult, StoreError>;
 
-    /// Submits a whole batch of operations in one pass: placement for
+    /// Runs a whole batch of operations in one pass: placement for
     /// every key under a single map-lock hold, then per distinct key one
-    /// key-lock acquisition (however many ops land on it) and one inline
-    /// run. Returns one completion slot (or error) per op, in submission
-    /// order — per-op failures never poison their batchmates.
-    fn submit_batch(
-        &self,
-        ops: Vec<(String, OpRequest)>,
-    ) -> Vec<Result<Arc<CompletionSlot>, StoreError>>;
-
-    /// Pops one ready key and drains its enabled events (the home
-    /// driver's path). Returns whether any key was run.
-    fn run_ready(&self) -> bool;
-
-    /// Steals up to half this shard's ready queue in one `pop_half`
-    /// pass, stamping all victim-side steal accounting (per-key `stolen`
-    /// counts, the batch counter and flight events) *at pop time* — so
-    /// metrics are stable the moment an operation's completion is
-    /// observable, not only after the whole stolen batch ran. The caller
-    /// owns the returned tokens and must hand them to
-    /// [`ShardEngine::run_tokens`].
-    fn steal_batch(&self) -> Vec<usize>;
-
-    /// Runs a set of tokens previously taken with
-    /// [`ShardEngine::steal_batch`].
-    fn run_tokens(&self, tokens: Vec<usize>);
-
-    /// Whether the shard's ready queue is non-empty.
-    fn has_ready(&self) -> bool;
-
-    /// Counts a steal performed *by* this shard's driver.
-    fn note_steal(&self);
-
-    /// Flushes completed results and fails what remains. Call after the
-    /// stop flag is set and every driver has joined. Submitters may still
-    /// be inside an inline run then; the key lock carries the rest of the
-    /// precondition: a run and this sweep exclude each other per key, and
-    /// a submission that takes the key lock after the sweep sees the stop
-    /// flag there and fails its own operations.
-    fn fail_all_pending(&self);
+    /// key-lock hold in which every operation on that key is invoked
+    /// before the drain (so they run concurrently inside the register).
+    /// Returns one result per op, in submission order — per-op failures
+    /// never poison their batchmates.
+    fn submit_batch(&self, ops: Vec<(String, OpRequest)>) -> Vec<Result<OpResult, StoreError>>;
 
     /// Evicts every quiescent key to a snapshot; returns how many.
     fn evict_quiescent(&self) -> usize;
 
-    /// Cheap (a few atomic loads) check: is a governor pass due right
-    /// now — the occupancy trigger armed, or the shard clock far enough
-    /// past the last idle sweep? Submitters call it after every run and
-    /// drivers every loop iteration, so it must stay O(1).
-    fn wants_governing(&self) -> bool;
-
-    /// Runs one governor pass under the configured [`EvictionPolicy`].
-    /// `idle` marks a driver with no ready work (the idle-time sweep
-    /// runs only then; the occupancy trigger fires either way). Returns
-    /// how many keys were evicted.
-    fn govern(&self, idle: bool) -> usize;
+    /// Runs one governor pass under the configured [`EvictionPolicy`]:
+    /// the idle sweep, or the occupancy trigger's coldest-first
+    /// reclamation if it is armed. Returns how many keys were evicted.
+    fn govern(&self) -> usize;
 
     /// Snapshot of the shard's metrics.
     fn metrics(&self) -> ShardMetrics;
@@ -270,25 +183,24 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
     /// The shard's protocol (immutable configuration; `new_sim` /
     /// `add_client` take `&self`).
     proto: P,
-    /// The placement map: key names to slot tokens. Guarded by its own
+    /// The placement map: key names to their slots. Guarded by its own
     /// lock, held only for the name lookup / first-touch insert — never
     /// across key locks or simulation work.
-    map: parking_lot::Mutex<HashMap<String, usize>>,
-    /// Append-only slot table, indexed by ready-queue token. Readers
-    /// (the per-pop hot path, metrics) take the shared lock; the only
-    /// writer is key materialization in `submit`, which already holds
-    /// the map lock (lock order: map → slots, never reversed).
+    map: parking_lot::Mutex<HashMap<String, Arc<KeySlot<P>>>>,
+    /// Every slot in first-touch order, for the sweeps and `metrics`
+    /// (which must not hold the placement lock across key locks). The
+    /// only writer is first-touch placement, which already holds the map
+    /// lock (lock order: map → slots, never reversed).
     slots: parking_lot::RwLock<Vec<Arc<KeySlot<P>>>>,
-    ready: ReadyQueue,
-    group: Arc<WorkGroup>,
-    counters: Arc<AtomicCounters>,
+    /// The store's stop flag and the governor's wake-up.
+    signal: Arc<GovernorSignal>,
+    counters: AtomicCounters,
     /// This shard's index within the store (stable event/metrics label).
     shard: usize,
     /// The store-wide flight recorder every shard stamps events into.
     recorder: Arc<FlightRecorder>,
     policy: HistoryPolicy,
     eviction: EvictionPolicy,
-    batch: usize,
     /// Optional wall-clock idle-aging bound: keys untouched this long
     /// are sweep-eligible even with a frozen tick clock (see
     /// [`StoreConfig::with_idle_wall_clock`](crate::StoreConfig::with_idle_wall_clock)).
@@ -299,8 +211,8 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
     name: &'static str,
     value_len: usize,
     initial: Value,
-    /// Logical shard clock: one tick per submission or driver step
-    /// batch. Key idle ages are measured against it, so governance is
+    /// Logical shard clock: two ticks per key-lock hold of a submission.
+    /// Key idle ages are measured against it, so governance is
     /// wall-clock-free (deterministic under test schedules).
     ticks: AtomicU64,
     /// Incrementally-maintained sum of every live key's simulation bits
@@ -308,9 +220,6 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
     /// watermark (ground-truth occupancy is still re-measured by
     /// `metrics`, and tests assert the two agree at quiescence).
     live_bits: AtomicU64,
-    /// Serializes governor sweeps: a second driver finding the lock held
-    /// skips its pass instead of duplicating the cold-scan.
-    govern_lock: parking_lot::Mutex<()>,
     /// Tick before which the occupancy trigger stays disarmed after a
     /// futile pass (see [`GOVERN_FUTILE_BACKOFF_TICKS`]).
     govern_backoff: AtomicU64,
@@ -323,29 +232,35 @@ impl<P: RegisterProtocol + Send + Sync + 'static> ShardCore<P>
 where
     P::Object: Clone,
 {
-    /// Applies the history policy to a key after completions have been
-    /// flushed (so no un-notified record can be compacted).
+    /// Compacts a key's history if the policy says so. Call after the
+    /// hold's results have been read off the records.
     fn apply_history_policy(&self, kc: &mut KeyCell<P>) {
         let compact = match self.policy {
             HistoryPolicy::Unbounded => false,
-            HistoryPolicy::TruncateAfter(n) => kc.cell.sim.live_records() > n,
-            HistoryPolicy::TruncateOnQuiescence => kc.cell.sim.is_quiescent(),
+            HistoryPolicy::TruncateAfter(n) => kc.sim.live_records() > n,
+            HistoryPolicy::TruncateOnQuiescence => kc.sim.is_quiescent(),
         };
         if compact {
-            let dropped = kc.cell.sim.compact_history();
-            self.counters.note_truncated(dropped);
-            if dropped > 0 {
-                self.recorder
-                    .record(FlightEventKind::Compaction, Some(self.shard), dropped);
-            }
+            self.compact(kc);
         }
     }
 
-    /// Advances the shard clock and returns the new tick.
+    fn compact(&self, kc: &mut KeyCell<P>) {
+        let dropped = kc.sim.compact_history();
+        self.counters.note_truncated(dropped);
+        if dropped > 0 {
+            self.recorder
+                .record(FlightEventKind::Compaction, Some(self.shard), dropped);
+        }
+    }
+
+    /// Advances the shard clock past one key-lock hold and returns the
+    /// new time: two ticks per hold, one for its invocations and one for
+    /// its drain — the unit `EvictionPolicy::IdleAfter` is documented in.
     fn tick(&self) -> u64 {
         // audit:allow(atomics-relaxed) — the tick clock is advisory (idle-age
         // comparisons); it orders nothing and skew only shifts eviction timing.
-        self.ticks.fetch_add(1, Ordering::Relaxed) + 1
+        self.ticks.fetch_add(2, Ordering::Relaxed) + 2
     }
 
     /// The shard clock's current tick.
@@ -359,11 +274,11 @@ where
 
     /// Re-measures one key's live-simulation bits into the shard
     /// aggregate. Call under the key lock whenever the key's state may
-    /// have changed size (submission, step batch, evict,
-    /// rematerialize); evicted/vacant keys account as zero.
+    /// have changed size (an operation, evict, rematerialize);
+    /// evicted/vacant keys account as zero.
     fn account_occupancy(&self, slot: &KeySlot<P>, state: &KeyState<P>) {
         let bits = match state {
-            KeyState::Live(kc) => kc.cell.sim.storage_cost().total(),
+            KeyState::Live(kc) => kc.sim.storage_cost().total(),
             KeyState::Evicted(_) | KeyState::Vacant => 0,
         };
         // audit:allow(atomics-relaxed) — written under the key lock (the lock
@@ -379,8 +294,7 @@ where
         }
     }
 
-    /// Tries to evict one key: under its lock, a live, fully-quiescent
-    /// key (no pending completions, no in-flight simulator work) is
+    /// Tries to evict one key: under its lock, a live, quiescent key is
     /// compacted (under a truncating history policy) and snapshotted.
     /// Returns whether the key was evicted.
     fn try_evict(&self, slot: &KeySlot<P>, cause: EvictionCause) -> bool {
@@ -388,21 +302,16 @@ where
         let KeyState::Live(kc) = &mut *state else {
             return false;
         };
-        if !kc.cell.pending.is_empty() || !kc.cell.sim.is_quiescent() {
+        if !kc.sim.is_quiescent() {
             return false;
         }
         // Compact before snapshotting — but only under a truncating
         // policy: `Unbounded` promises the full history, which the
         // snapshot then carries whole.
         if self.policy != HistoryPolicy::Unbounded {
-            let dropped = kc.cell.sim.compact_history();
-            self.counters.note_truncated(dropped);
-            if dropped > 0 {
-                self.recorder
-                    .record(FlightEventKind::Compaction, Some(self.shard), dropped);
-            }
+            self.compact(kc);
         }
-        let Some(snap) = kc.cell.sim.snapshot() else {
+        let Some(snap) = kc.sim.snapshot() else {
             return false;
         };
         let snap_bits = snap.storage_bits();
@@ -424,22 +333,24 @@ where
         tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read()).clone()
     }
 
-    /// Resolves a key to its slot token with the map lock already held,
+    /// Resolves a key to its slot with the map lock already held,
     /// materializing the placement on first touch (lock order: map →
     /// slots, never reversed).
-    fn place_locked(&self, index: &mut HashMap<String, usize>, key: &str) -> usize {
-        if let Some(&t) = index.get(key) {
-            return t;
+    fn place_locked(
+        &self,
+        index: &mut HashMap<String, Arc<KeySlot<P>>>,
+        key: &str,
+    ) -> Arc<KeySlot<P>> {
+        if let Some(slot) = index.get(key) {
+            return Arc::clone(slot);
         }
-        let token = self.ready.register_slot();
-        let mut slots = tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.write());
-        debug_assert_eq!(token, slots.len());
-        slots.push(Arc::new(KeySlot::new(KeyState::Live(KeyCell::new(
+        let slot = Arc::new(KeySlot::new(KeyState::Live(KeyCell::new(
             self.proto.new_sim(),
-        )))));
-        drop(slots);
-        index.insert(key.to_owned(), token);
-        token
+        ))));
+        tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.write())
+            .push(Arc::clone(&slot));
+        index.insert(key.to_owned(), Arc::clone(&slot));
+        slot
     }
 
     /// Rematerializes an evicted key in place (live keys are untouched);
@@ -460,23 +371,16 @@ where
         true
     }
 
-    /// The per-operation submit body shared by `submit` and
-    /// `submit_batch`, run under the key lock: client reuse/allocation,
-    /// counters and flight events, synchronous-completion accounting.
-    fn submit_on_cell(
-        &self,
-        kc: &mut KeyCell<P>,
-        rematerialized: bool,
-        req: OpRequest,
-        started: Instant,
-    ) -> Result<Arc<CompletionSlot>, StoreError> {
+    /// Invokes one operation on a live key (client reuse/allocation,
+    /// counters and flight events). Call under the key lock.
+    fn invoke(&self, kc: &mut KeyCell<P>, req: OpRequest) -> Result<OpId, StoreError> {
         let client = kc
             .clients
             .iter()
             .copied()
-            .find(|&c| kc.cell.sim.outstanding_op(c).is_none())
+            .find(|&c| kc.sim.outstanding_op(c).is_none())
             .unwrap_or_else(|| {
-                let c = self.proto.add_client(&mut kc.cell.sim);
+                let c = self.proto.add_client(&mut kc.sim);
                 kc.clients.push(c);
                 c
             });
@@ -484,8 +388,8 @@ where
             OpRequest::Write(v) => Some(v.len() as u64),
             OpRequest::Read => None,
         };
-        match kc.cell.submit(client, req) {
-            Ok((op, slot)) => {
+        match kc.sim.invoke(client, req) {
+            Ok(op) => {
                 if let Some(bytes) = write_bytes {
                     self.counters.note_write_submitted(bytes);
                     self.recorder
@@ -495,57 +399,54 @@ where
                     self.recorder
                         .record(FlightEventKind::SubmitRead, Some(self.shard), 0);
                 }
-                // A protocol could in principle complete synchronously
-                // (the slot is then filled with no pending entry, so no
-                // driver ever sees it); count it here, still under the
-                // key lock so a driver cannot race us. The op never
-                // waited for a driver, so its queue-wait phase is zero
-                // and its whole lifetime is execute.
-                if let Some(Ok(result)) = slot.try_outcome() {
-                    self.counters.note_completion(&result);
-                    let total_ns = started.elapsed().as_nanos() as u64;
-                    self.counters.note_phases(0, total_ns);
-                    match result {
-                        OpResult::Read(_) => {
-                            self.counters.note_read_latency(total_ns, rematerialized);
-                        }
-                        OpResult::Write => self.counters.note_write_latency(total_ns),
-                    }
-                } else {
-                    kc.inflight.push(InflightOp {
-                        op,
-                        started,
-                        exec_start: None,
-                        rematerialized,
-                    });
-                }
-                Ok(slot)
+                Ok(op)
             }
             Err(e) => {
                 self.counters.note_rejected();
                 self.recorder
                     .record(FlightEventKind::Rejected, Some(self.shard), 0);
-                Err(e.into())
+                Err(StoreError::Rejected(e.to_string()))
             }
         }
     }
 
-    /// Fails everything pending on one live key (the shutdown path),
-    /// flushing completed results first. Call under the key lock.
-    fn shut_down_key(&self, kc: &mut KeyCell<P>) {
-        let counters = &self.counters;
-        let inflight = &mut kc.inflight;
-        let done = Instant::now();
-        kc.cell
-            .complete_pending_with(|op, r| note_completed(counters, inflight, op, r, done));
-        kc.cell.fail_pending(&ThreadedError::ShutDown);
-        kc.inflight.clear();
+    /// Reads an invoked operation's result off its record after the
+    /// drain, recording the completion counters, its end-to-end latency
+    /// (reads split by whether the hold rematerialized the key) and its
+    /// queue-wait / execute phase split. An operation the drain left
+    /// without a result (its protocol could not terminate it) is an
+    /// error naming the key. Call under the key lock.
+    fn collect(
+        &self,
+        kc: &KeyCell<P>,
+        key: &str,
+        op: OpId,
+        times: &HoldTimes,
+        rematerialized: bool,
+    ) -> Result<OpResult, StoreError> {
+        let Some(result) = kc.sim.op_record(op).result.clone() else {
+            return Err(StoreError::Rejected(format!(
+                "operation on key {key:?} did not complete: no enabled event is left to run"
+            )));
+        };
+        self.counters.note_completion(&result);
+        self.counters.note_phases(times.queue_ns, times.execute_ns);
+        let total_ns = times.queue_ns + times.execute_ns;
+        match result {
+            OpResult::Read(_) => self.counters.note_read_latency(total_ns, rematerialized),
+            OpResult::Write => self.counters.note_write_latency(total_ns),
+        }
+        Ok(result)
     }
 
-    /// Stamps a key's activity clocks: the logical tick always, the
-    /// wall-clock twin only when aging is enabled (keeping the extra
-    /// clock read off the default hot path). Call under the key lock.
-    fn touch(&self, slot: &KeySlot<P>) {
+    /// Closes a key-lock hold that ran operations: history policy,
+    /// activity stamps (the logical tick always, the wall-clock twin
+    /// only when aging is enabled — keeping the extra clock read off the
+    /// default hot path), occupancy.
+    fn settle(&self, slot: &KeySlot<P>, state: &mut KeyState<P>) {
+        if let KeyState::Live(kc) = state {
+            self.apply_history_policy(kc);
+        }
         // audit:allow(atomics-relaxed) — activity stamps are read by the
         // governor for aging decisions only; a stale read delays one sweep.
         slot.last_active.store(self.tick(), Ordering::Relaxed);
@@ -554,270 +455,57 @@ where
                 // audit:allow(atomics-relaxed) — same as the tick stamp above.
                 .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
         }
+        self.account_occupancy(slot, state);
     }
 
-    /// One key's turn, with the slot already claimed or popped (owned by
-    /// the caller, who holds no lock): drain *every* enabled simulator
-    /// event for the key under a single lock hold — coalesced stepping.
-    /// Draining the whole key costs one exec-start stamp, one completion
-    /// flush, one history pass, and one tick however many batch-loads
-    /// the backlog needed. No new events can appear while the key lock
-    /// is held, so the drain terminates (the backlog is bounded by
-    /// in-flight ops). A re-queue on finishing wakes a driver: the
-    /// finisher may be a submitter on its way back to its caller.
-    fn run_token(&self, token: usize) {
-        let key_slot =
-            Arc::clone(&tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token]);
-        let mut more = false;
-        {
-            let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || key_slot.state.lock());
-            if let KeyState::Live(kc) = &mut *state {
-                // Everything in flight on this key leaves its queue-wait
-                // phase now (batch-granular execute-start stamp; the
-                // first batch wins for ops spanning several).
-                let exec_start = Instant::now();
-                for entry in &mut kc.inflight {
-                    entry.exec_start.get_or_insert(exec_start);
-                }
-                let mut stepped = 0;
-                loop {
-                    let ran = kc.cell.step_events(self.batch);
-                    stepped += ran;
-                    if ran < self.batch {
-                        break; // budget unspent ⇒ no enabled events left
-                    }
-                }
-                if stepped > 0 {
-                    let counters = &self.counters;
-                    let inflight = &mut kc.inflight;
-                    let done = Instant::now();
-                    kc.cell.complete_pending_with(|op, r| {
-                        note_completed(counters, inflight, op, r, done);
-                    });
-                    self.apply_history_policy(kc);
-                    self.touch(&key_slot);
-                }
-                more = kc.cell.has_enabled();
-                self.account_occupancy(&key_slot, &state);
-            }
-        }
-        if self.ready.finish(token, more) {
-            self.group.notify();
-        }
-    }
-
-    /// Runs the key on the calling thread if nobody else owns its slot.
-    /// Otherwise the slot is dirty now and its owner re-queues it for a
-    /// driver. Call with no lock held.
-    fn run_inline(&self, token: usize) {
-        if self.ready.claim(token) {
-            self.counters.note_inline_run();
-            self.run_token(token);
-        }
-    }
-
-    /// The submitter's share of governance: one due-check, and a driver
-    /// wake-up when a pass is due (drivers do the sweeping).
-    fn nudge_governor(&self) {
-        if self.wants_governing() {
-            self.group.notify();
-        }
-    }
-}
-
-impl<P: RegisterProtocol + Send + Sync + 'static> ShardEngine for ShardCore<P>
-where
-    P::Object: Clone,
-{
-    fn submit(&self, key: &str, req: OpRequest) -> Result<Arc<CompletionSlot>, StoreError> {
-        let started = Instant::now();
-        // Fast-path reject; the *authoritative* stop check happens under
-        // the key lock below, ordered against the shutdown sweep.
-        if self.group.is_stopped() {
-            return Err(StoreError::ShutDown);
-        }
-        // Placement: the map lock is held only for the name lookup (and
-        // first-touch slot creation) — never across simulation work, so
-        // a driver's step batch on one key cannot stall other keys'
-        // submissions behind this lock.
-        let token = self.place_locked(
-            &mut tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()),
-            key,
-        );
-        let key_slot =
-            Arc::clone(&tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token]);
-        let slot = {
-            let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || key_slot.state.lock());
-            let rematerialized = self.materialize(&mut state);
-            let KeyState::Live(kc) = &mut *state else {
-                unreachable!("rematerialized above");
-            };
-            let slot = self.submit_on_cell(kc, rematerialized, req, started)?;
-            // Authoritative stop check, under the key lock: the shutdown
-            // sweep (`fail_all_pending`, after every driver joined) takes
-            // this same lock, so either our pending op was inserted
-            // before the sweep (the sweep fails it), or the sweep ran
-            // first and the stop flag — set before it — is visible here,
-            // and we clean up this key ourselves. Never neither.
-            if self.group.is_stopped() {
-                self.shut_down_key(kc);
-                return Err(StoreError::ShutDown);
-            }
-            self.touch(&key_slot);
-            self.account_occupancy(&key_slot, &state);
-            slot
-        };
-        // Out of every lock: run the key here, so `slot` goes back
-        // filled. (A racing stop at this point is harmless: the sweep
-        // already failed the slot, and the run completes nothing.)
-        self.run_inline(token);
-        self.nudge_governor();
-        Ok(slot)
-    }
-
-    fn submit_batch(
+    /// One key-lock hold: every request in `reqs` is invoked, the key is
+    /// drained, and `deliver` receives each request's tag with its
+    /// result, in order; then the key is settled. The authoritative stop
+    /// check sits under the key lock, so an operation either ran whole
+    /// or fails with `ShutDown` — a stopped store never changes a key.
+    fn run_key<T>(
         &self,
-        ops: Vec<(String, OpRequest)>,
-    ) -> Vec<Result<Arc<CompletionSlot>, StoreError>> {
-        let started = Instant::now();
-        let n = ops.len();
-        // Fast-path reject; the authoritative stop check happens per key
-        // group below, same argument as `submit`.
-        if self.group.is_stopped() {
-            return ops.iter().map(|_| Err(StoreError::ShutDown)).collect();
+        key: &str,
+        slot: &KeySlot<P>,
+        started: Instant,
+        reqs: impl Iterator<Item = (T, OpRequest)>,
+        mut deliver: impl FnMut(T, Result<OpResult, StoreError>),
+    ) {
+        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
+        if self.signal.is_stopped() {
+            for (tag, _) in reqs {
+                deliver(tag, Err(StoreError::ShutDown));
+            }
+            return;
         }
-        // Placement for the whole batch under one map-lock hold.
-        let mut tokens = Vec::with_capacity(n);
-        let mut reqs: Vec<Option<OpRequest>> = Vec::with_capacity(n);
-        {
-            let mut index = tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock());
-            for (key, req) in ops {
-                tokens.push(self.place_locked(&mut index, &key));
-                reqs.push(Some(req));
-            }
-        }
-        // Submit key group by key group: every op sharing a key is
-        // invoked under one key-lock hold with one activity stamp and
-        // one occupancy re-measure for the lot, then the key is run
-        // before the next group starts — an op's queue wait is its
-        // group's position in the batch.
-        let mut results: Vec<Option<Result<Arc<CompletionSlot>, StoreError>>> =
-            (0..n).map(|_| None).collect();
-        for i in 0..n {
-            if results[i].is_some() {
-                continue;
-            }
-            let token = tokens[i];
-            let key_slot = Arc::clone(
-                &tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token],
-            );
-            let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || key_slot.state.lock());
-            let mut rematerialized = self.materialize(&mut state);
-            let KeyState::Live(kc) = &mut *state else {
-                unreachable!("rematerialized above");
-            };
-            for j in i..n {
-                if tokens[j] != token || results[j].is_some() {
-                    continue;
-                }
-                let req = reqs[j].take().expect("each op submitted once");
-                results[j] = Some(self.submit_on_cell(kc, rematerialized, req, started));
-                // Only the group's first op paid the rematerialization.
-                rematerialized = false;
-            }
-            if self.group.is_stopped() {
-                self.shut_down_key(kc);
-                for (j, r) in results.iter_mut().enumerate() {
-                    if tokens[j] == token {
-                        *r = Some(Err(StoreError::ShutDown));
-                    }
-                }
-                continue;
-            }
-            self.touch(&key_slot);
-            self.account_occupancy(&key_slot, &state);
-            drop(state);
-            self.run_inline(token);
-        }
-        self.nudge_governor();
-        results
-            .into_iter()
-            .map(|r| r.expect("every op visited"))
-            .collect()
-    }
-
-    fn run_ready(&self) -> bool {
-        let Some(token) = self.ready.pop() else {
-            return false;
+        let rematerialized = self.materialize(&mut state);
+        let KeyState::Live(kc) = &mut *state else {
+            unreachable!("rematerialized above");
         };
-        self.run_token(token);
-        true
-    }
-
-    fn steal_batch(&self) -> Vec<usize> {
-        let tokens = self.ready.pop_half();
-        // All victim-side accounting happens here, before any stolen key
-        // runs: once a client observes a completion, no steal counter
-        // for the batch that produced it moves afterwards (two
-        // back-to-back metrics snapshots at quiescence stay equal).
-        for _ in &tokens {
-            self.counters.note_stolen();
-            self.recorder
-                .record(FlightEventKind::Steal, Some(self.shard), 0);
-        }
-        if tokens.len() > 1 {
-            self.counters.note_stolen_batch();
-            self.recorder.record(
-                FlightEventKind::StealBatch,
-                Some(self.shard),
-                tokens.len() as u64,
+        // Only the hold's first operation paid the rematerialization.
+        let mut first = rematerialized;
+        let invoked: Vec<_> = reqs
+            .map(|(tag, req)| (tag, self.invoke(kc, req), std::mem::take(&mut first)))
+            .collect();
+        let exec_start = Instant::now();
+        kc.drain();
+        let times = HoldTimes {
+            queue_ns: exec_start.duration_since(started).as_nanos() as u64,
+            execute_ns: exec_start.elapsed().as_nanos() as u64,
+        };
+        for (tag, op, remat) in invoked {
+            deliver(
+                tag,
+                op.and_then(|op| self.collect(kc, key, op, &times, remat)),
             );
         }
-        tokens
+        self.settle(slot, &mut *state);
     }
 
-    fn run_tokens(&self, tokens: Vec<usize>) {
-        for token in tokens {
-            self.run_token(token);
-        }
-    }
-
-    fn has_ready(&self) -> bool {
-        !self.ready.is_empty()
-    }
-
-    fn note_steal(&self) {
-        self.counters.note_steal();
-    }
-
-    fn fail_all_pending(&self) {
-        // No placement lock needed: submissions re-check the stop flag
-        // under each key lock (see `submit`), so a pending op either
-        // landed before this sweep's key-lock acquisition (failed here)
-        // or its submitter observes the stop and cleans up itself.
-        let done = Instant::now();
-        for slot in tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read()).iter() {
-            let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
-            if let KeyState::Live(kc) = &mut *state {
-                // Flush results that are ready, then fail what remains so
-                // no client blocks on a dead shard.
-                let counters = &self.counters;
-                let inflight = &mut kc.inflight;
-                kc.cell
-                    .complete_pending_with(|op, r| note_completed(counters, inflight, op, r, done));
-                kc.cell.fail_pending(&ThreadedError::ShutDown);
-                kc.inflight.clear();
-            }
-        }
-    }
-
-    fn evict_quiescent(&self) -> usize {
-        self.slot_table()
-            .iter()
-            .filter(|slot| self.try_evict(slot, EvictionCause::Manual))
-            .count()
-    }
-
+    /// Cheap (a few atomic loads) check: is a governor pass due right
+    /// now — the occupancy trigger armed, or the shard clock far enough
+    /// past the last idle sweep? Submitters call it after every hold, so
+    /// it must stay O(1).
     fn wants_governing(&self) -> bool {
         match self.eviction {
             EvictionPolicy::OccupancyAbove { bits, .. } => {
@@ -839,20 +527,92 @@ where
         }
     }
 
-    fn govern(&self, idle: bool) -> usize {
-        // One sweeper per shard at a time: a second driver skips instead
-        // of duplicating the cold-scan (the trigger stays armed, so
-        // nothing is lost).
-        let Some(_sweep) = tracked_try(ranks::GOVERN, "govern", || self.govern_lock.try_lock())
-        else {
-            return 0;
+    /// The submitter's share of governance: one due-check, and a nudge
+    /// when a pass is due (the governor does the sweeping).
+    fn nudge_governor(&self) {
+        if self.wants_governing() {
+            self.signal.nudge();
+        }
+    }
+}
+
+impl<P: RegisterProtocol + Send + Sync + 'static> ShardEngine for ShardCore<P>
+where
+    P::Object: Clone,
+{
+    fn submit(&self, key: &str, req: OpRequest) -> Result<OpResult, StoreError> {
+        let started = Instant::now();
+        // Fast-path reject, before placement can materialize a key on a
+        // stopped store; `run_key` re-checks under the key lock.
+        if self.signal.is_stopped() {
+            return Err(StoreError::ShutDown);
+        }
+        // Placement: the map lock is held only for the name lookup (and
+        // first-touch slot creation) — never across simulation work, so
+        // one key's operation cannot stall other keys' submissions
+        // behind this lock.
+        let slot = self.place_locked(
+            &mut tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()),
+            key,
+        );
+        let mut result = None;
+        self.run_key(key, &slot, started, std::iter::once(((), req)), |(), r| {
+            result = Some(r);
+        });
+        self.nudge_governor();
+        result.expect("one request delivers one result")
+    }
+
+    fn submit_batch(&self, ops: Vec<(String, OpRequest)>) -> Vec<Result<OpResult, StoreError>> {
+        let started = Instant::now();
+        if self.signal.is_stopped() {
+            return ops.iter().map(|_| Err(StoreError::ShutDown)).collect();
+        }
+        // Placement for the whole batch under one map-lock hold.
+        let slots: Vec<Arc<KeySlot<P>>> = {
+            let mut index = tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock());
+            ops.iter()
+                .map(|(key, _)| self.place_locked(&mut index, key))
+                .collect()
         };
+        // Key group by key group, in order of each key's first op: every
+        // op sharing a key is invoked under one key-lock hold (one
+        // drain, one activity stamp and one occupancy re-measure for the
+        // lot) before the next group starts — an op's queue wait is its
+        // group's position in the batch.
+        let (keys, mut reqs): (Vec<String>, Vec<Option<OpRequest>>) =
+            ops.into_iter().map(|(key, req)| (key, Some(req))).unzip();
+        let mut results: Vec<Option<Result<OpResult, StoreError>>> =
+            keys.iter().map(|_| None).collect();
+        for i in 0..keys.len() {
+            if reqs[i].is_none() {
+                continue;
+            }
+            let group = (i..keys.len())
+                .filter(|&j| Arc::ptr_eq(&slots[j], &slots[i]))
+                .filter_map(|j| reqs[j].take().map(|req| (j, req)));
+            self.run_key(&keys[i], &slots[i], started, group, |j, r| {
+                results[j] = Some(r);
+            });
+        }
+        self.nudge_governor();
+        results
+            .into_iter()
+            .map(|r| r.expect("every op belongs to exactly one key group"))
+            .collect()
+    }
+
+    fn evict_quiescent(&self) -> usize {
+        self.slot_table()
+            .iter()
+            .filter(|slot| self.try_evict(slot, EvictionCause::Manual))
+            .count()
+    }
+
+    fn govern(&self) -> usize {
         match self.eviction {
             EvictionPolicy::Manual => 0,
             EvictionPolicy::IdleAfter(threshold) => {
-                if !idle {
-                    return 0;
-                }
                 let now = self.now();
                 // audit:allow(atomics-relaxed) — disarms the advisory due-check
                 // (`wants_governing`) until the clock has moved on.
@@ -903,11 +663,7 @@ where
                 }
                 // Coldest-first: order live keys by their last-activity
                 // tick and evict until the shard is back at (or below)
-                // the low watermark. The per-pass *attempt* cap bounds
-                // key-lock traffic even when nothing is evictable, so a
-                // governing driver is back serving ready keys quickly;
-                // the trigger re-fires on the next loop iteration if
-                // more reclamation is needed.
+                // the low watermark.
                 let table = self.slot_table();
                 let mut cold: Vec<(u64, usize)> = table
                     .iter()
@@ -919,23 +675,17 @@ where
                     .map(|(i, slot)| (slot.last_active.load(Ordering::Relaxed), i))
                     .collect();
                 cold.sort_unstable();
-                let mut evicted = 0;
-                for (attempts, (_, i)) in cold.into_iter().enumerate() {
+                let evicted = cold
+                    .into_iter()
                     // audit:allow(atomics-relaxed) — watermark check is advisory; an
                     // extra or missed attempt is corrected next pass.
-                    if self.live_bits.load(Ordering::Relaxed) <= low_watermark
-                        || attempts >= GOVERN_ATTEMPTS_PER_PASS
-                    {
-                        break;
-                    }
-                    if self.try_evict(&table[i], EvictionCause::Occupancy) {
-                        evicted += 1;
-                    }
-                }
+                    .take_while(|_| self.live_bits.load(Ordering::Relaxed) > low_watermark)
+                    .filter(|&(_, i)| self.try_evict(&table[i], EvictionCause::Occupancy))
+                    .count();
                 if evicted == 0 {
-                    // Armed but stuck (everything cold enough to matter
-                    // is busy): back off so the still-armed trigger does
-                    // not re-pay this scan on every driver iteration.
+                    // Armed but stuck: back off so the still-armed
+                    // trigger does not make every submitter request this
+                    // scan again.
                     let until = self.now() + GOVERN_FUTILE_BACKOFF_TICKS;
                     // audit:allow(atomics-relaxed) — backoff arming is
                     // advisory; see `wants_governing`.
@@ -947,23 +697,25 @@ where
     }
 
     fn metrics(&self) -> ShardMetrics {
-        let slots = tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read());
+        let slots = self.slot_table();
         let mut occupancy = StorageCost::default();
         let mut peak = 0u64;
         let mut live_records = 0u64;
         let mut evicted_keys = 0usize;
         let mut snapshot_bits = 0u64;
-        for slot in slots.iter() {
+        let mut ready_keys = 0usize;
+        for slot in &slots {
             let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
             match &*state {
                 KeyState::Live(kc) => {
-                    let cost = kc.cell.sim.storage_cost();
+                    let cost = kc.sim.storage_cost();
                     occupancy.object_bits += cost.object_bits;
                     occupancy.client_bits += cost.client_bits;
                     occupancy.inflight_param_bits += cost.inflight_param_bits;
                     occupancy.inflight_resp_bits += cost.inflight_resp_bits;
-                    peak += kc.cell.sim.peak_storage_bits();
-                    live_records += kc.cell.sim.live_records() as u64;
+                    peak += kc.sim.peak_storage_bits();
+                    live_records += kc.sim.live_records() as u64;
+                    ready_keys += usize::from(kc.sim.has_enabled_event());
                 }
                 KeyState::Evicted(snap) => {
                     evicted_keys += 1;
@@ -987,7 +739,7 @@ where
             live_records,
             evicted_keys,
             snapshot_bits,
-            ready_keys: self.ready.len(),
+            ready_keys,
             // audit:allow(atomics-relaxed) — metrics snapshot; racy by design.
             governed_bits: self.live_bits.load(Ordering::Relaxed),
             read_hit_latency: self.counters.read_hit_histogram(),
@@ -1012,12 +764,11 @@ where
     }
 
     fn key_records(&self, key: &str) -> Option<Vec<OpRecord>> {
-        let token = *tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()).get(key)?;
-        let key_slot =
-            Arc::clone(&tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token]);
-        let state = tracked_lock(ranks::KEY_STATE, "key_state", || key_slot.state.lock());
+        let slot =
+            Arc::clone(tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()).get(key)?);
+        let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
         Some(match &*state {
-            KeyState::Live(kc) => kc.cell.sim.full_history(),
+            KeyState::Live(kc) => kc.sim.full_history(),
             KeyState::Evicted(snap) => snap.records().to_vec(),
             KeyState::Vacant => unreachable!("Vacant never escapes the key lock"),
         })
@@ -1035,8 +786,7 @@ where
     }
 }
 
-/// Builds a shard engine from its spec. Driver threads are pooled at the
-/// store level (see `store.rs`), not per shard.
+/// Builds a shard engine from its spec.
 pub(crate) fn build(spec: &ShardSpec, parts: EngineParts) -> Arc<dyn ShardEngine> {
     match spec.protocol {
         ProtocolSpec::Abd => engine(Abd::new(spec.register), parts),
@@ -1049,13 +799,13 @@ pub(crate) fn build(spec: &ShardSpec, parts: EngineParts) -> Arc<dyn ShardEngine
 
 /// Protocol-independent construction parameters for one shard engine.
 /// `shard` is the shard's index within the store; `recorder` the
-/// store-wide flight recorder.
+/// store-wide flight recorder; `signal` the store's stop flag and
+/// governor wake-up.
 pub(crate) struct EngineParts {
-    pub(crate) batch: usize,
     pub(crate) policy: HistoryPolicy,
     pub(crate) eviction: EvictionPolicy,
     pub(crate) idle_wall_clock: Option<std::time::Duration>,
-    pub(crate) group: Arc<WorkGroup>,
+    pub(crate) signal: Arc<GovernorSignal>,
     pub(crate) shard: usize,
     pub(crate) recorder: Arc<FlightRecorder>,
 }
@@ -1067,115 +817,27 @@ fn engine<P: RegisterProtocol + Send + Sync + 'static>(
 where
     P::Object: Clone,
 {
-    Arc::new(ShardCore::new(proto, parts))
-}
-
-impl<P: RegisterProtocol + Send + Sync + 'static> ShardCore<P> {
-    fn new(proto: P, parts: EngineParts) -> Self {
-        let name = proto.name();
-        let value_len = proto.config().value_len;
-        let initial = proto.config().initial_value();
-        ShardCore {
-            proto,
-            map: parking_lot::Mutex::new(HashMap::new()),
-            slots: parking_lot::RwLock::new(Vec::new()),
-            ready: ReadyQueue::new(),
-            group: parts.group,
-            counters: Arc::new(AtomicCounters::default()),
-            shard: parts.shard,
-            recorder: parts.recorder,
-            policy: parts.policy,
-            eviction: parts.eviction,
-            batch: parts.batch,
-            idle_wall_clock: parts.idle_wall_clock,
-            epoch: Instant::now(),
-            name,
-            value_len,
-            initial,
-            ticks: AtomicU64::new(0),
-            live_bits: AtomicU64::new(0),
-            govern_lock: parking_lot::Mutex::new(()),
-            govern_backoff: AtomicU64::new(0),
-            last_idle_sweep: AtomicU64::new(0),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rsb_registers::RegisterConfig;
-
-    /// A pool-less shard 0: nothing runs a queued key but the test.
-    fn lone_shard() -> ShardCore<Abd> {
-        ShardCore::new(
-            Abd::new(RegisterConfig::paper(1, 2, 16).unwrap()),
-            EngineParts {
-                batch: 8,
-                policy: HistoryPolicy::Unbounded,
-                eviction: EvictionPolicy::Manual,
-                idle_wall_clock: None,
-                group: Arc::new(WorkGroup::new()),
-                shard: 0,
-                recorder: Arc::new(FlightRecorder::new(1024)),
-            },
-        )
-    }
-
-    #[test]
-    fn thieves_steal_half_a_hot_queue_in_one_batch() {
-        // A submitter runs an idle key itself, so a backlog exists only
-        // where submissions found their keys owned. Build one
-        // deterministically: own each key's slot the way a running
-        // submitter or driver would, submit to it (the slot goes dirty,
-        // the op stays pending), and finish the slot (re-queued).
-        let shard = lone_shard();
-        let mut pending = Vec::new();
-        for token in 0..6 {
-            let key = format!("k{token}");
-            // First touch places the key (tokens count up from 0) and
-            // runs inline.
-            let write = shard
-                .submit(&key, OpRequest::Write(Value::seeded(token as u64 + 1, 16)))
-                .unwrap();
-            assert_eq!(write.try_outcome(), Some(Ok(OpResult::Write)));
-            assert!(shard.ready.claim(token), "key {token} is idle");
-            let read = shard.submit(&key, OpRequest::Read).unwrap();
-            assert_eq!(read.try_outcome(), None, "an owned key is not run");
-            assert!(shard.ready.finish(token, false), "dirty slot re-queues");
-            pending.push(read);
-        }
-        assert_eq!(shard.metrics().ops.inline_runs, 6);
-        assert_eq!(shard.metrics().ready_keys, 6);
-
-        // A thief drains half the backlog in one pass, with all
-        // victim-side accounting stamped before any stolen key runs.
-        let stolen = shard.steal_batch();
-        assert_eq!(stolen, vec![0, 1, 2]);
-        let ops = shard.metrics().ops;
-        assert_eq!((ops.stolen, ops.stolen_batches), (3, 1));
-        let events = shard.recorder.dump();
-        let batch_steal = events
-            .iter()
-            .find(|e| e.kind == FlightEventKind::StealBatch)
-            .expect("a StealBatch event in the flight ring");
-        assert_eq!(batch_steal.shard, Some(0), "the hot shard is the victim");
-        assert_eq!(batch_steal.detail, 3, "carries the batch size");
-        assert!(pending.iter().all(|slot| slot.try_outcome().is_none()));
-
-        shard.run_tokens(stolen);
-        for (token, slot) in pending.iter().enumerate() {
-            let expect =
-                (token < 3).then(|| Ok(OpResult::Read(Value::seeded(token as u64 + 1, 16))));
-            assert_eq!(slot.try_outcome(), expect, "key {token}");
-        }
-        // The home driver's path drains what the thief left.
-        while shard.run_ready() {}
-        assert!(pending.iter().all(|slot| slot.try_outcome().is_some()));
-        let m = shard.metrics();
-        assert_eq!(
-            (m.ready_keys, m.ops.completed(), m.ops.inline_runs),
-            (0, 12, 6)
-        );
-    }
+    let name = proto.name();
+    let value_len = proto.config().value_len;
+    let initial = proto.config().initial_value();
+    Arc::new(ShardCore {
+        proto,
+        map: parking_lot::Mutex::new(HashMap::new()),
+        slots: parking_lot::RwLock::new(Vec::new()),
+        signal: parts.signal,
+        counters: AtomicCounters::default(),
+        shard: parts.shard,
+        recorder: parts.recorder,
+        policy: parts.policy,
+        eviction: parts.eviction,
+        idle_wall_clock: parts.idle_wall_clock,
+        epoch: Instant::now(),
+        name,
+        value_len,
+        initial,
+        ticks: AtomicU64::new(0),
+        live_bits: AtomicU64::new(0),
+        govern_backoff: AtomicU64::new(0),
+        last_idle_sweep: AtomicU64::new(0),
+    })
 }

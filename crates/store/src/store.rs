@@ -1,16 +1,16 @@
-//! The store: shard fan-out, the driver pool, client handles,
+//! The store: shard fan-out, the governor thread, client handles,
 //! lifecycle.
 //!
-//! An operation runs to completion on the thread that submits it (see
-//! [`crate::shard`]): a client thread over [`Loopback`], the
-//! connection's reader thread over TCP. The pool — one driver per shard
-//! — is the overflow executor for what a submitter cannot do itself:
-//! keys re-queued because a submission found them running elsewhere
-//! (popped at home or stolen by an idle neighbor), the eviction
-//! governor's sweeps, and the shutdown sweep's precondition.
+//! An operation runs to completion on the thread that submits it, under
+//! one hold of its key's lock (see [`crate::shard`]): a client thread
+//! over [`Loopback`], the connection's thread over TCP. The store itself
+//! runs no thread at all under [`EvictionPolicy::Manual`], and exactly
+//! one — the `store-governor`, which does the eviction sweeps submitters
+//! ask for — under any other policy.
 
-use crate::config::{StoreConfig, StoreConfigError};
+use crate::config::{EvictionPolicy, StoreConfig, StoreConfigError};
 use crate::future::{OpFuture, ReadFuture, WriteFuture};
+use crate::governor::GovernorSignal;
 use crate::metrics::StoreMetrics;
 use crate::net::{KeyMeta, Loopback, StoreServer, Transport};
 use crate::recorder::FlightRecorder;
@@ -18,7 +18,6 @@ use crate::shard::{self, ShardEngine};
 use rsb_coding::Value;
 use rsb_fpsm::{OpRecord, OpRequest};
 use rsb_registers::lockorder::{ranks, tracked_lock};
-use rsb_registers::{ThreadedError, WorkGroup};
 use std::sync::Arc;
 
 /// Errors from the store's client surface — one type across every
@@ -27,7 +26,9 @@ use std::sync::Arc;
 pub enum StoreError {
     /// The store (or the key's shard) has been shut down.
     ShutDown,
-    /// The underlying simulation rejected the submission.
+    /// The submission was refused (by the key's simulation, or by a
+    /// server at its connection limit), or the key's register could not
+    /// bring the operation to its return.
     Rejected(String),
     /// A written value did not match the shard's register value length.
     BadValueLength {
@@ -79,15 +80,6 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<ThreadedError> for StoreError {
-    fn from(e: ThreadedError) -> Self {
-        match e {
-            ThreadedError::ShutDown => StoreError::ShutDown,
-            ThreadedError::Rejected(msg) => StoreError::Rejected(msg),
-        }
-    }
-}
 
 impl From<StoreConfigError> for StoreError {
     fn from(e: StoreConfigError) -> Self {
@@ -168,149 +160,45 @@ pub struct KeyHistory {
 
 /// The sharded storage service.
 ///
-/// Owns the shard driver threads; [`Store::shutdown`] (or drop) stops and
-/// joins them, failing any in-flight operations with
-/// [`StoreError::ShutDown`]. Client handles may outlive the store — their
-/// submissions return errors instead of hanging.
+/// [`Store::shutdown`] (or drop) stops it: later submissions fail with
+/// [`StoreError::ShutDown`], and the governor thread, if the eviction
+/// policy needed one, is joined. Client handles may outlive the store —
+/// their submissions return errors instead of hanging.
 pub struct Store {
     inner: Arc<StoreInner>,
-    group: Arc<WorkGroup>,
+    signal: Arc<GovernorSignal>,
     /// Behind a mutex so teardown works from `&self` ([`Store::halt`]):
-    /// the first stopper drains and joins the handles; latecomers find
-    /// the list empty and only re-run the (idempotent) pending sweep.
-    drivers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// the first stopper takes and joins the handle; latecomers find
+    /// `None`.
+    governor: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
-            .field(
-                "drivers",
-                &tracked_lock(ranks::DRIVER_POOL, "driver_pool", || self.drivers.lock()).len(),
-            )
+            .field("shards", &self.inner.shards.len())
+            .field("stopped", &self.signal.is_stopped())
             .finish_non_exhaustive()
     }
 }
 
-/// Spawns one pool driver. Its loop gives the home shard priority, then
-/// scans the other shards for ready keys to steal — draining *half* the
-/// first loaded victim's queue in one batched pass
-/// ([`ShardEngine::steal_batch`]) — and parks on the group,
-/// re-checking every queue and governance trigger under the group lock,
-/// when the whole store is idle. Wakeups come from a finishing run that
-/// re-queued its key, from a submitter whose due-check found a governor
-/// pass due (both [`WorkGroup::notify`]) and from shutdown
-/// ([`WorkGroup::request_stop`]), and the lock-ordered re-check makes
-/// all three race-free. The park is untimed unless wall-clock idle aging
-/// is configured, in which case it is bounded by the configured age so a
-/// silent store still runs its eviction sweep.
-///
-/// The driver is also the *eviction governor*: a cheap due-check runs
-/// every iteration (so an `OccupancyAbove` policy reclaims even under a
-/// sustained backlog, one bounded pass between keys), and the idle-time
-/// sweep runs when the home queue is empty — reclamation costs zero
-/// dedicated threads and no operation ever pays for a sweep. A nudge
-/// wakes *a* driver, not the due shard's own, so with stealing enabled
-/// the woken driver also sweeps whichever neighbor is due.
-fn spawn_pool_driver(
-    home: usize,
-    shards: Vec<Arc<dyn ShardEngine>>,
-    group: Arc<WorkGroup>,
-    work_stealing: bool,
-    idle_park: Option<std::time::Duration>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("store-driver-{home}"))
-        .spawn(move || {
-            let n = shards.len();
-            loop {
-                // Occupancy trigger first (one atomic load when idle or
-                // disarmed): a bounded coldest-first pass, then ready
-                // keys run again. Checked before the stop flag, so a
-                // pass a submitter asked for is made even when this
-                // driver is first scheduled after a stop request — no
-                // operation waits on a driver any more, so nothing else
-                // guarantees it ran.
-                if shards[home].wants_governing() {
-                    shards[home].govern(false);
-                }
-                if group.is_stopped() {
-                    break;
-                }
-                // Home shard next: drain one ready key per iteration so
-                // the stop flag is observed between batches.
-                if shards[home].run_ready() {
-                    continue;
-                }
-                // Idle at home: run the idle-time eviction sweep, then
-                // sweep for and steal from the neighbors.
-                let mut evicted = shards[home].govern(true);
-                let mut stole = false;
-                if work_stealing {
-                    for offset in 1..n {
-                        let victim = (home + offset) % n;
-                        if shards[victim].wants_governing() {
-                            evicted += shards[victim].govern(true);
-                        }
-                        let tokens = shards[victim].steal_batch();
-                        if !tokens.is_empty() {
-                            // Thief-side accounting also lands before the
-                            // stolen keys run, mirroring the victim side.
-                            for _ in &tokens {
-                                shards[home].note_steal();
-                            }
-                            shards[victim].run_tokens(tokens);
-                            stole = true;
-                            break;
-                        }
-                    }
-                }
-                if stole || evicted > 0 {
-                    // A sweep may have overlapped new submissions on the
-                    // home queue; re-check before parking.
-                    continue;
-                }
-                // The park predicate matches what this driver will do:
-                // any shard's queue or due sweep when stealing, only
-                // home's otherwise (a foreign wakeup would spin it
-                // fruitlessly).
-                let due = |s: &Arc<dyn ShardEngine>| s.has_ready() || s.wants_governing();
-                let has_work = || {
-                    if work_stealing {
-                        shards.iter().any(due)
-                    } else {
-                        due(&shards[home])
-                    }
-                };
-                match idle_park {
-                    // Wall-clock idle aging: wake on a bounded timer even
-                    // with no traffic, so the sweep above still runs and
-                    // a silent store sheds its aged keys.
-                    Some(timeout) => group.park_timeout_unless(timeout, has_work),
-                    None => group.park_unless(has_work),
-                }
-            }
-        })
-        .expect("spawning a store driver thread")
-}
-
 impl Store {
-    /// Starts the service: builds every shard and spawns the driver pool
-    /// (one driver thread per shard — the overflow executor behind the
-    /// submitters; idle drivers steal queued keys from loaded neighbors
-    /// when work-stealing is enabled).
+    /// Starts the service: builds every shard and, for a non-`Manual`
+    /// [`EvictionPolicy`], spawns the `store-governor` thread. It parks
+    /// until a submitter's due-check requests a pass (or, with
+    /// wall-clock idle aging configured, for at most that age, so a
+    /// silent store still sheds its aged keys), sweeps every shard, and
+    /// parks again; see [`GovernorSignal::run`] for its exit.
     ///
     /// # Errors
     ///
-    /// Fails on an invalid configuration (no shards, zero batch, zero
-    /// history bound).
+    /// Fails on an invalid configuration (no shards, zero history
+    /// bound, …).
     pub fn start(config: StoreConfig) -> Result<Self, crate::config::StoreConfigError> {
         config.validate()?;
         let StoreConfig {
             shards: specs,
-            batch,
             history,
-            work_stealing,
             eviction,
             idle_wall_clock,
             // An in-process store ignores the listen section (validated
@@ -319,15 +207,7 @@ impl Store {
             recorder_capacity,
         } = config;
         let recorder = Arc::new(FlightRecorder::new(recorder_capacity));
-        // With stealing, any single driver can run any queued key (and
-        // sweep any shard), so a notify wakes one driver; without it,
-        // duties are disjoint and the wakeup must broadcast to reach the
-        // right driver.
-        let group = Arc::new(if work_stealing {
-            WorkGroup::new()
-        } else {
-            WorkGroup::new_broadcast()
-        });
+        let signal = Arc::new(GovernorSignal::default());
         let shards: Vec<Arc<dyn ShardEngine>> = specs
             .iter()
             .enumerate()
@@ -335,32 +215,33 @@ impl Store {
                 shard::build(
                     spec,
                     shard::EngineParts {
-                        batch,
                         policy: history,
                         eviction,
                         idle_wall_clock,
-                        group: Arc::clone(&group),
+                        signal: Arc::clone(&signal),
                         shard: i,
                         recorder: Arc::clone(&recorder),
                     },
                 )
             })
             .collect();
-        let drivers = (0..shards.len())
-            .map(|home| {
-                spawn_pool_driver(
-                    home,
-                    shards.clone(),
-                    Arc::clone(&group),
-                    work_stealing,
-                    idle_wall_clock,
-                )
-            })
-            .collect();
+        let governor = (eviction != EvictionPolicy::Manual).then(|| {
+            let (signal, shards) = (Arc::clone(&signal), shards.clone());
+            std::thread::Builder::new()
+                .name("store-governor".into())
+                .spawn(move || {
+                    signal.run(idle_wall_clock, || {
+                        for shard in &shards {
+                            shard.govern();
+                        }
+                    });
+                })
+                .expect("spawning the store governor thread")
+        });
         Ok(Store {
             inner: Arc::new(StoreInner { shards, recorder }),
-            group,
-            drivers: parking_lot::Mutex::new(drivers),
+            signal,
+            governor: parking_lot::Mutex::new(governor),
         })
     }
 
@@ -399,7 +280,7 @@ impl Store {
         }
     }
 
-    /// Number of shards (== driver threads).
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.inner.shards.len()
     }
@@ -447,51 +328,35 @@ impl Store {
         self.inner.shards.iter().map(|s| s.evict_quiescent()).sum()
     }
 
-    /// Stops every pool driver and joins them, then fails remaining
-    /// in-flight operations with [`StoreError::ShutDown`]. Idempotent;
-    /// also called on drop. Drivers parked on empty ready queues observe
-    /// the stop promptly (no timed waits anywhere).
+    /// Stops the store: every later submission fails with
+    /// [`StoreError::ShutDown`] (operations already inside their key's
+    /// lock hold finish normally — nothing is ever left half-run), and
+    /// the governor thread, if any, makes its last pass and is joined.
+    /// Idempotent; also called on drop.
     pub fn shutdown(self) {
-        self.stop_drivers();
+        self.halt();
     }
 
-    /// [`Store::shutdown`] from a shared reference: stops and joins the
-    /// driver pool and fails remaining in-flight operations, while other
-    /// threads may still hold `&Store` (a metrics poller, an eviction
-    /// loop racing the teardown, …). Idempotent, and safe to race with
-    /// [`Store::evict_quiescent`] — the stress tests exercise exactly
-    /// that interleaving.
+    /// [`Store::shutdown`] from a shared reference, while other threads
+    /// may still hold `&Store` (a metrics poller, an eviction loop
+    /// racing the teardown, …). Idempotent, and safe to race with
+    /// submissions and [`Store::evict_quiescent`] — the stress tests
+    /// exercise exactly those interleavings.
     pub fn halt(&self) {
-        self.stop_drivers();
-    }
-
-    fn stop_drivers(&self) {
-        self.group.request_stop();
-        let handles: Vec<_> =
-            tracked_lock(ranks::DRIVER_POOL, "driver_pool", || self.drivers.lock())
-                .drain(..)
-                .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // The stop flag is set and the *first* stopper joined every
-        // driver above; what can still race its sweep is a submitter in
-        // the middle of an inline run, and a second stopper sweeping
-        // while drivers wind down. Both are harmless: sweep and run
-        // exclude each other under the key lock, either one flushes the
-        // results that are ready, slots are only ever filled (first
-        // outcome wins), and any submission that locks a key after the
-        // sweep passed sees the stop flag there and fails its own
-        // operations — so nothing stays pending behind the last sweep.
-        for s in &self.inner.shards {
-            s.fail_all_pending();
+        self.signal.request_stop();
+        let handle = tracked_lock(ranks::GOVERNOR_HANDLE, "governor_handle", || {
+            self.governor.lock()
+        })
+        .take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
         }
     }
 }
 
 impl Drop for Store {
     fn drop(&mut self) {
-        self.stop_drivers();
+        self.halt();
     }
 }
 
@@ -564,7 +429,7 @@ impl<T: Transport> StoreClient<T> {
     /// one [`BatchReq`](crate::frame::Frame::BatchReq) frame over
     /// TCP, one grouped shard pass over [`Loopback`] (per shard, a
     /// single map-lock hold places every key and a single key-lock hold
-    /// submits every operation on that key). Returns one future per
+    /// runs every operation on that key). Returns one future per
     /// operation, in submission order — await them individually, or
     /// resolve the lot with [`join_all`](crate::join_all).
     ///

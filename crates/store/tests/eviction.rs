@@ -1,4 +1,4 @@
-//! The eviction governor: policy-driven reclamation by the driver pool,
+//! The eviction governor: policy-driven reclamation by the governor thread,
 //! counter consistency across evict→rematerialize→compact cycles, and
 //! the eviction-vs-shutdown races.
 
@@ -19,7 +19,7 @@ fn config(shards: usize, protocol: ProtocolSpec) -> StoreConfig {
 }
 
 /// Polls the metrics until `pred` holds or the deadline passes — the
-/// governor runs on driver threads, so tests wait for it instead of
+/// governor runs on its own thread, so tests wait for it instead of
 /// assuming scheduling.
 fn wait_for(store: &Store, pred: impl Fn(&StoreMetrics) -> bool) -> StoreMetrics {
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -87,7 +87,7 @@ fn idle_policy_evicts_cold_keys_and_rematerializes_on_touch() {
 fn wall_clock_aging_reclaims_keys_on_a_silent_store() {
     // Tick-based idle aging needs traffic to advance the clock: a store
     // that goes silent freezes its ticks and never sheds its cold keys.
-    // `with_idle_wall_clock` adds a wall-clock age (and a parked-driver
+    // `with_idle_wall_clock` adds a wall-clock age (and a parked-governor
     // wake timer), so the same sweep runs on a store receiving zero
     // submissions. The tick threshold here is set unreachably high —
     // any eviction observed is wall-clock aging alone.
@@ -103,7 +103,7 @@ fn wall_clock_aging_reclaims_keys_on_a_silent_store() {
             .write_blocking(&format!("aging-{i}"), Value::seeded(i + 1, VALUE_LEN))
             .unwrap();
     }
-    // No further traffic: only the drivers' timed wakeups can evict.
+    // No further traffic: only the governor's timed wakeups can evict.
     let m = wait_for(&store, |m| m.evicted_keys() >= 4);
     assert!(
         m.evicted_keys() >= 4,

@@ -83,12 +83,10 @@ fn shutdown_with_ops_in_flight_resolves_every_future() {
 
 #[test]
 fn halt_racing_inline_submitters_leaves_no_ticket_unresolved() {
-    // Submitters run their own operations, so the teardown's sweep can
-    // land between a submission and its inline run, or while a key sits
-    // re-queued for a driver that has already exited. Whatever the
-    // interleaving, every ticket handed out resolves: an ack, or
-    // `ShutDown` — from the sweep, or from the submitter's own check
-    // under the key lock once the sweep has passed.
+    // Submitters run their own operations, so a halt can land before,
+    // during or after any of them. Whatever the interleaving, every
+    // ticket handed out resolves: an ack, or `ShutDown` from the
+    // submitter's own check under the key lock.
     use std::sync::atomic::{AtomicU64, Ordering};
     for round in 0..8u64 {
         let s = store(2, ProtocolSpec::Abd);
@@ -99,8 +97,7 @@ fn halt_racing_inline_submitters_leaves_no_ticket_unresolved() {
                 let acked = &acked;
                 scope.spawn(move || {
                     // Waves of async writes on two keys shared by all four
-                    // threads: most run inline, the collisions go through
-                    // the dirty re-queue and stay pending meanwhile.
+                    // threads, colliding on the key locks.
                     for wave in 0u64.. {
                         let writes: Vec<_> = (0..8u64)
                             .map(|i| {
@@ -156,26 +153,31 @@ fn client_outliving_the_store_gets_errors_not_hangs() {
 }
 
 #[test]
-fn drivers_parked_on_empty_ready_queues_observe_shutdown_promptly() {
-    // All drivers end up parked on empty ready queues (untimed condvar
-    // waits — there is no polling fallback that would mask a lost stop
-    // signal). Shutdown must wake and join them promptly; a regression
-    // to a missed wakeup would hang far past the assertion bound.
-    let s = store(8, ProtocolSpec::Adaptive);
+fn a_parked_governor_observes_shutdown_promptly() {
+    // `IdleAfter` without a wall clock: the governor ends up in an
+    // untimed condvar wait (there is no polling fallback that would mask
+    // a lost stop signal). Shutdown must wake and join it promptly; a
+    // regression to a missed wakeup would hang far past the bound.
+    let reg = RegisterConfig::paper(1, 2, 16).unwrap();
+    let s = Store::start(
+        StoreConfig::uniform(8, ProtocolSpec::Adaptive, reg)
+            .with_eviction(rsb_store::EvictionPolicy::IdleAfter(u64::MAX)),
+    )
+    .unwrap();
     let client = s.client();
     for i in 0..8u64 {
         client
             .write_blocking(&format!("idle-{i}"), Value::seeded(i + 1, 16))
             .unwrap();
     }
-    // Give every driver time to drain its queue and park.
+    // Give the governor time to finish any pass and park.
     std::thread::sleep(std::time::Duration::from_millis(100));
     let start = std::time::Instant::now();
     s.shutdown();
     let took = start.elapsed();
     assert!(
         took < std::time::Duration::from_secs(2),
-        "shutdown of parked drivers took {took:?}"
+        "shutdown of a parked governor took {took:?}"
     );
 }
 
@@ -186,7 +188,7 @@ fn drop_is_a_clean_shutdown() {
         let c = s.client();
         c.write_blocking("k", Value::seeded(1, 16)).unwrap();
         c
-        // store dropped here: drivers stopped and joined
+        // store dropped here: stopped
     };
     assert_eq!(client.read_blocking("k").unwrap_err(), StoreError::ShutDown);
 }

@@ -123,7 +123,7 @@ fn recorder_overwrites_oldest_when_capacity_is_tiny() {
     }
     let rec = store.flight_recorder();
     assert_eq!(rec.capacity(), 4);
-    // At least the 25 submissions (plus steals/compactions) landed.
+    // At least the 25 submissions (plus compactions) landed.
     let total = rec.recorded();
     assert!(total >= 25, "recorded {total}");
     let events = rec.dump();

@@ -1,30 +1,18 @@
-//! Event-driven scheduling and history bounds: work-stealing under
-//! hot-key skew, truncation policies keeping checkable histories, and
+//! Run-to-completion execution and history bounds: contended and
+//! hot-spot keys staying strongly regular, every loopback ticket coming
+//! back resolved, truncation policies keeping checkable histories, and
 //! evict/rematerialize of quiescent keys.
 
 use rsb_consistency::{check_strong_regularity, History};
 use rsb_registers::RegisterConfig;
-use rsb_store::{join_all, HistoryPolicy, ProtocolSpec, Store, StoreConfig};
+use rsb_store::{BatchOp, HistoryPolicy, ProtocolSpec, Store, StoreConfig};
 use rsb_workloads::{KeyedAction, KeyedScenario};
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 
 fn reg() -> RegisterConfig {
     RegisterConfig::paper(1, 2, 16).unwrap()
-}
-
-/// Keys all placed on shard 0 of a `shards`-wide store, so one home
-/// driver owns every ready key and its neighbors can only make progress
-/// by stealing.
-fn keys_on_shard_zero(store: &Store, count: usize) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut i = 0u64;
-    while keys.len() < count {
-        let key = format!("pin-{i}");
-        if store.shard_of(&key) == 0 {
-            keys.push(key);
-        }
-        i += 1;
-    }
-    keys
 }
 
 fn check_key_histories(store: &Store) {
@@ -36,145 +24,109 @@ fn check_key_histories(store: &Store) {
     }
 }
 
-#[test]
-fn idle_drivers_steal_from_a_hot_shard() {
-    let store = Store::start(StoreConfig::uniform(4, ProtocolSpec::Abd, reg())).unwrap();
-    let keys = keys_on_shard_zero(&store, 4);
-    // A submitter runs an idle key itself, so shard 0's ready queue fills
-    // only through contention: a submission that finds its key running
-    // elsewhere leaves it dirty, the finishing owner re-queues it and
-    // wakes one pool driver — whichever is parked, so usually not shard
-    // 0's own. Shards 1–3 hold no keys: their drivers' only possible
-    // work is stolen from shard 0. Four threads write every key per
-    // round (each starting at a different one) until a steal shows.
-    const MAX_ROUNDS: u64 = 2_000;
-    let writes: u64 = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..4usize)
-            .map(|t| {
-                let client = store.client();
-                let (store, keys) = (&store, &keys);
-                s.spawn(move || {
-                    let mut round = 0u64;
-                    while round < MAX_ROUNDS && store.metrics().shards[0].ops.stolen == 0 {
-                        let writes: Vec<_> = (0..keys.len())
-                            .map(|k| {
-                                client.write(
-                                    &keys[(k + t) % keys.len()],
-                                    rsb_coding::Value::seeded(
-                                        (round * 100 + k as u64) * 10 + t as u64 + 1,
-                                        16,
-                                    ),
-                                )
-                            })
-                            .collect();
-                        for out in join_all(writes) {
-                            out.unwrap();
-                        }
-                        round += 1;
-                    }
-                    round * keys.len() as u64
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).sum()
-    });
-    // Every write has completed, but a neighbor may still be mid-steal
-    // on a key re-queued with nothing left to run; joining the drivers
-    // settles the counters.
-    store.halt();
-    let m = store.metrics();
-    assert_eq!(m.totals().writes_completed, writes);
-    let stolen_from_zero = m.shards[0].ops.stolen;
-    let steals_by_neighbors: u64 = m.shards[1..].iter().map(|s| s.ops.steals).sum();
-    assert_eq!(
-        stolen_from_zero, steals_by_neighbors,
-        "every steal is attributed to a thief and a victim"
-    );
-    assert!(
-        stolen_from_zero > 0,
-        "idle neighbors should have stolen re-queued keys from the hot shard \
-         ({writes} contended writes, {} key runs inline)",
-        m.totals().inline_runs
-    );
-    // Stolen-key histories are still per-key serialized and consistent.
-    check_key_histories(&store);
-    store.shutdown();
+/// Polls a future once with a waker that does nothing: a `Pending`
+/// here could never be woken, so only an already-resolved future passes.
+fn ready_at_once<F: Future + Unpin>(mut fut: F) -> F::Output {
+    match Pin::new(&mut fut).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!("a loopback ticket came back unresolved"),
+    }
 }
 
 #[test]
 fn one_contended_key_resolves_every_ticket_and_stays_strongly_regular() {
-    // Four blocking submitters on a single key: whoever finds it idle
-    // runs it, the others leave it dirty and wait for the pool. The
-    // owner that re-queues the key returns to its caller, so unless its
-    // `finish` wakes a driver the queued operations (and their blocked
-    // submitters) wait forever — with and without stealing, which pick
-    // different wake-up modes. (The history is kept short enough for the
+    // Four blocking submitters on a single key serialize on its lock;
+    // each runs its own operation inside its hold, so nobody waits on
+    // anybody's wake-up. (The history is kept short enough for the
     // quadratic checker; compaction retains the frontier it needs.)
-    for work_stealing in [true, false] {
-        let store = Store::start(
-            StoreConfig::uniform(2, ProtocolSpec::Abd, reg())
-                .with_work_stealing(work_stealing)
-                .with_history(HistoryPolicy::TruncateAfter(64)),
-        )
-        .unwrap();
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let client = store.client();
-                s.spawn(move || {
-                    for i in 0..5_000u64 {
-                        if i % 2 == 0 {
-                            let v = rsb_coding::Value::seeded(i * 10 + t + 1, 16);
-                            client.write_blocking("hot", v).unwrap();
-                        } else {
-                            client.read_blocking("hot").unwrap();
-                        }
+    let store = Store::start(
+        StoreConfig::uniform(2, ProtocolSpec::Abd, reg())
+            .with_history(HistoryPolicy::TruncateAfter(64)),
+    )
+    .unwrap();
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let client = store.client();
+            s.spawn(move || {
+                for i in 0..5_000u64 {
+                    if i % 2 == 0 {
+                        let v = rsb_coding::Value::seeded(i * 10 + t + 1, 16);
+                        client.write_blocking("hot", v).unwrap();
+                    } else {
+                        client.read_blocking("hot").unwrap();
                     }
-                });
-            }
-        });
-        let totals = store.metrics().totals();
-        assert_eq!(totals.completed(), 20_000);
-        assert!(
-            totals.inline_runs <= totals.submitted(),
-            "at most one inline run per submission"
-        );
-        check_key_histories(&store);
-        store.shutdown();
-    }
-}
-
-#[test]
-fn disabling_work_stealing_pins_keys_to_home_drivers() {
-    let store =
-        Store::start(StoreConfig::uniform(4, ProtocolSpec::Abd, reg()).with_work_stealing(false))
-            .unwrap();
-    let keys = keys_on_shard_zero(&store, 4);
-    let client = store.client();
-    for round in 0..10u64 {
-        let writes: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(k, key)| {
-                client.write(
-                    key,
-                    rsb_coding::Value::seeded(round * 100 + k as u64 + 1, 16),
-                )
-            })
-            .collect();
-        for out in join_all(writes) {
-            out.unwrap();
+                }
+            });
         }
-    }
-    let m = store.metrics();
-    assert_eq!(m.totals().writes_completed, 40);
-    assert_eq!(m.totals().steals, 0, "stealing disabled");
-    assert_eq!(m.totals().stolen, 0, "stealing disabled");
+    });
+    assert_eq!(store.metrics().totals().completed(), 20_000);
     check_key_histories(&store);
     store.shutdown();
 }
 
 #[test]
-fn hot_spot_workload_with_stealing_stays_strongly_regular() {
+fn every_loopback_ticket_is_ready_on_its_first_poll() {
+    let store = Store::start(
+        StoreConfig::uniform(2, ProtocolSpec::Adaptive, reg())
+            .with_history(HistoryPolicy::TruncateAfter(64)),
+    )
+    .unwrap();
+    // Four threads hammering one key, each future polled exactly once;
+    // a fifth samples the metrics mid-traffic: no key is ever observed
+    // between two lock holds with an event left to run.
+    std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..4u64)
+            .map(|t| {
+                let client = store.client();
+                s.spawn(move || {
+                    for i in 0..2_000u64 {
+                        let v = rsb_coding::Value::seeded(i * 10 + t + 1, 16);
+                        ready_at_once(client.write("hot", v)).unwrap();
+                        ready_at_once(client.read("hot")).unwrap();
+                    }
+                })
+            })
+            .collect();
+        while !submitters
+            .iter()
+            .all(std::thread::ScopedJoinHandle::is_finished)
+        {
+            for shard in store.metrics().shards {
+                assert_eq!(shard.ready_keys, 0, "shard {}", shard.shard);
+            }
+        }
+    });
+    // A mixed batch: several ops per key (invoked together under one
+    // hold, so they overlap inside the register), several keys per
+    // shard, and one op that fails at submission.
+    let client = store.client();
+    let mut batch: Vec<BatchOp> = (0..24u64)
+        .map(|i| {
+            let key = format!("k{}", i % 5);
+            if i % 3 == 0 {
+                BatchOp::Read(key)
+            } else {
+                BatchOp::Write(key, rsb_coding::Value::seeded(i + 1, 16))
+            }
+        })
+        .collect();
+    batch.push(BatchOp::Write("k0".into(), rsb_coding::Value::seeded(9, 5)));
+    let outcomes: Vec<_> = client
+        .submit_batch(batch)
+        .into_iter()
+        .map(ready_at_once)
+        .collect();
+    assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 24);
+    assert!(outcomes[24].is_err(), "bad value length fails its own op");
+    let m = store.metrics();
+    assert_eq!(m.totals().completed(), 16_000 + 24);
+    assert!(m.shards.iter().all(|s| s.ready_keys == 0));
+    check_key_histories(&store);
+    store.shutdown();
+}
+
+#[test]
+fn hot_spot_workload_stays_strongly_regular() {
     let store = Store::start(StoreConfig::uniform(4, ProtocolSpec::Adaptive, reg())).unwrap();
     let scenario = KeyedScenario::uniform(8, 30, 16, 0.5, 16, 4242).with_hot_spot(2, 0.8);
     let threads: Vec<_> = (0..scenario.clients)
@@ -221,9 +173,9 @@ fn truncate_after_n_bounds_live_records_under_sustained_traffic() {
         high_water = high_water.max(store.metrics().live_records());
     }
     let m = store.metrics();
-    // Bounded, not growing: the driver compacts as soon as a key exceeds
-    // the bound, so the high-water mark stays near it (a small slack
-    // covers records added between compaction points).
+    // Bounded, not growing: a submission compacts as soon as its key
+    // exceeds the bound, so the high-water mark stays near it (a small
+    // slack covers records added between compaction points).
     assert!(
         high_water <= (bound as u64) + 4,
         "live records {high_water} should stay near the bound {bound}"

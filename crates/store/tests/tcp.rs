@@ -118,6 +118,114 @@ fn garbage_after_handshake_gets_a_decode_error_and_a_close() {
     server.shutdown();
 }
 
+/// A raw socket past the `Hello`/`HelloAck` handshake.
+fn handshaken(server: &StoreServer) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    write_frame(
+        &mut &stream,
+        &Frame::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_frame(&mut &stream).unwrap(),
+        Some(Frame::HelloAck { .. })
+    ));
+    stream
+}
+
+#[test]
+fn a_hello_mid_session_gets_a_protocol_error_and_a_close() {
+    let server = serve(1, ProtocolSpec::Abd, 16);
+    let stream = handshaken(&server);
+    // A well-formed frame the client has no business sending now.
+    let hello = Frame::Hello {
+        version: WIRE_VERSION,
+    };
+    write_frame(&mut &stream, &hello).unwrap();
+    match read_frame(&mut &stream).unwrap() {
+        Some(Frame::ErrorResp {
+            id: 0,
+            error: StoreError::Decode(msg),
+        }) => assert!(msg.contains("unexpected"), "got: {msg}"),
+        other => panic!("expected a protocol-violation rejection, got {other:?}"),
+    }
+    assert!(matches!(read_frame(&mut &stream), Ok(None) | Err(_)));
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_requests_are_all_answered_in_request_order() {
+    // A client that pipelines 10 000 reads and reads nothing back. The
+    // responses (160 MB) dwarf what the loopback socket buffers hold,
+    // so the connection's one server thread must end up blocked in
+    // `write` — and, being the thread that also reads requests, stop
+    // executing them: the send buffer is the bound on the backlog, not
+    // a queue in memory. Once the client reads, every response arrives,
+    // in request order, ids matching.
+    const REQUESTS: u64 = 10_000;
+    const VALUE_LEN: usize = 16 * 1024;
+    let server = serve(2, ProtocolSpec::Abd, VALUE_LEN);
+    let stream = handshaken(&server);
+    // A stuck write or read fails the test instead of hanging it.
+    stream
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut requests = Vec::new();
+    for id in 1..=REQUESTS {
+        let key = format!("k{}", id % 7);
+        rsb_store::frame::encode_frame(&Frame::ReadReq { id, key }, &mut requests);
+    }
+    // The requests go out from a helper thread: should they not all fit
+    // in the buffers either, the client does not deadlock against a
+    // server that has stopped reading.
+    let writer = {
+        let stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            use std::io::Write;
+            (&stream).write_all(&requests).unwrap();
+        })
+    };
+    // Nothing is read until the server has stalled: its count of
+    // executed reads stops moving short of the total.
+    let served = || server.store().metrics().totals().reads_completed;
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let mut stalled_at = served();
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = served();
+        if now > 0 && now == stalled_at {
+            break;
+        }
+        stalled_at = now;
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the server neither stalled nor finished"
+        );
+    }
+    assert!(
+        stalled_at < REQUESTS,
+        "the server ran all {REQUESTS} requests with no one reading its responses"
+    );
+    let mut responses = std::io::BufReader::new(&stream);
+    for id in 1..=REQUESTS {
+        match read_frame(&mut responses).unwrap() {
+            Some(Frame::ReadResp { id: got, value }) => {
+                assert_eq!(got, id, "responses leave in request order");
+                assert_eq!(value, vec![0u8; VALUE_LEN]);
+            }
+            other => panic!("expected the response to request {id}, got {other:?}"),
+        }
+    }
+    writer.join().unwrap();
+    assert_eq!(served(), REQUESTS);
+    server.shutdown();
+}
+
 #[test]
 fn capacity_overflow_is_rejected_with_a_clean_error() {
     let reg = RegisterConfig::paper(1, 2, 16).unwrap();
@@ -309,7 +417,7 @@ fn stats_scrape_crosses_the_wire_and_matches_in_process_metrics() {
         client.write_blocking(&key, Value::seeded(i, 16)).unwrap();
         client.read_blocking(&key).unwrap();
     }
-    // The pump records wire time *after* writing each response, so the
+    // The server records wire time *after* writing each response, so the
     // scrape that observes our own completions may race the last wire
     // sample by a few microseconds — poll until it lands.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);

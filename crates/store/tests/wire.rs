@@ -70,10 +70,6 @@ fn random_counters(state: &mut u64) -> OpCounters {
         bytes_read: splitmix(state),
         bytes_written: splitmix(state),
         rejected: splitmix(state),
-        steals: splitmix(state),
-        stolen: splitmix(state),
-        stolen_batches: splitmix(state),
-        inline_runs: splitmix(state),
         truncated_records: splitmix(state),
         rematerialized: splitmix(state),
         evicted_manual: splitmix(state),
@@ -412,9 +408,10 @@ fn corrupted_stats_frames_never_panic() {
 
 #[test]
 fn stats_body_with_the_previous_counter_count_does_not_decode() {
-    // `inline_runs` made the counter block 16 words. A body laid out the
-    // old way (15) must fail to decode rather than shift every later
-    // field by one — which is why the addition bumped `WIRE_VERSION`.
+    // Dropping the four scheduling counters made the counter block 12
+    // words. A body laid out the old way (16) must fail to decode rather
+    // than shift every later field by four — which is why the removal
+    // bumped `WIRE_VERSION`.
     let mut state = 0x1A_u64;
     let mut shard = random_shard_metrics(&mut state, 0);
     shard.protocol = "abd".into();
@@ -431,7 +428,7 @@ fn stats_body_with_the_previous_counter_count_does_not_decode() {
     // tag, id, shard count, shard index, str16 "abd", keys — then counters.
     let counters_at = 1 + 8 + 4 + 8 + (2 + 3) + 8;
     let mut old_layout = payload.to_vec();
-    old_layout.drain(counters_at..counters_at + 8);
+    old_layout.splice(counters_at..counters_at, [0u8; 4 * 8]);
     assert!(matches!(
         decode_payload(&old_layout),
         Err(StoreError::Decode(_))

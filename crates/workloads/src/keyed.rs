@@ -27,8 +27,8 @@ pub enum KeyDist {
     },
     /// Adversarial hot-set skew: a fraction `hot_fraction` of operations
     /// lands uniformly on the first `hot` keys, the rest uniformly on
-    /// the remainder — the worst case for a sharded store, since a tiny
-    /// hot set can pin one shard's driver (what work-stealing flattens).
+    /// the remainder — the worst case for a sharded store, since every
+    /// submitter of a hot key serializes on that key's lock.
     HotSpot {
         /// Number of hot keys (ranks `0..hot`).
         hot: usize,

@@ -1,114 +1,80 @@
-//! A tiny fault-tolerant configuration store built on the public API,
-//! exercised by genuinely concurrent threads through the threaded
-//! runtime.
+//! A tiny configuration store built on the public API, exercised by
+//! genuinely concurrent threads.
 //!
-//! Each configuration key is one emulated register (the paper's object of
-//! study is a single register; a KV store is the natural composition).
-//! Several writer threads race on the same key; reader threads observe a
-//! regular view throughout.
+//! Each configuration key is one emulated register of a sharded
+//! [`Store`] (the paper's object of study is a single register; a KV
+//! store is the natural composition). Several writer threads race on the
+//! same keys; a reader thread observes a regular view throughout. Every
+//! operation runs on the thread that calls it, under its key's lock —
+//! the store adds no threads of its own.
 //!
 //! ```sh
 //! cargo run --example kv_store
 //! ```
 
 use reliable_storage::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
 
-/// A fixed-schema configuration store: one adaptive register per key.
-struct ConfigStore {
-    registers: HashMap<&'static str, Arc<ThreadedRegister<Adaptive>>>,
-    value_len: usize,
+const VALUE_LEN: usize = 64;
+
+/// Pads a payload to the registers' fixed value length.
+fn padded(payload: &[u8]) -> Value {
+    let mut bytes = payload.to_vec();
+    bytes.resize(VALUE_LEN, 0);
+    Value::from_bytes(bytes)
 }
 
-impl ConfigStore {
-    fn open(keys: &[&'static str], f: usize, k: usize, value_len: usize) -> Self {
-        let registers = keys
-            .iter()
-            .map(|&key| {
-                let cfg = RegisterConfig::paper(f, k, value_len).expect("valid parameters");
-                (key, Arc::new(ThreadedRegister::start(Adaptive::new(cfg))))
-            })
-            .collect();
-        ConfigStore {
-            registers,
-            value_len,
-        }
-    }
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Two shards of adaptive registers: tolerate one storage-node crash
+    // per key, 2-of-4 erasure coding.
+    let reg = RegisterConfig::paper(1, 2, VALUE_LEN)?;
+    let store = Store::start(StoreConfig::uniform(2, ProtocolSpec::Adaptive, reg))?;
 
-    fn put(&self, key: &str, payload: &[u8]) {
-        let mut bytes = payload.to_vec();
-        bytes.resize(self.value_len, 0);
-        let reg = &self.registers[key];
-        reg.client()
-            .write(Value::from_bytes(bytes))
-            .expect("store is live");
-    }
-
-    fn get(&self, key: &str) -> Vec<u8> {
-        let reg = &self.registers[key];
-        reg.client()
-            .read()
-            .expect("store is live")
-            .as_bytes()
-            .to_vec()
-    }
-}
-
-fn main() {
-    let store = Arc::new(ConfigStore::open(
-        &["feature-flags", "rate-limits", "routing"],
-        1, // tolerate one storage-node crash per key
-        2, // 2-of-4 erasure coding
-        64,
-    ));
-
-    // Four writer threads race updates to the same keys.
-    let handles: Vec<_> = (0..4u8)
-        .map(|id| {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || {
+    let observations = std::thread::scope(|s| {
+        // Four writer threads race updates to the same keys.
+        for id in 0..4u8 {
+            let client = store.client();
+            s.spawn(move || {
                 for round in 0..10u8 {
-                    store.put("feature-flags", &[id, round, 0xff]);
-                    store.put("rate-limits", &[round, id]);
+                    client
+                        .write_blocking("feature-flags", padded(&[id, round, 0xff]))
+                        .expect("store is live");
+                    client
+                        .write_blocking("rate-limits", padded(&[round, id]))
+                        .expect("store is live");
                 }
-            })
-        })
-        .collect();
-
-    // A reader thread polls concurrently.
-    let reader_store = Arc::clone(&store);
-    let reader = std::thread::spawn(move || {
-        let mut observations = 0u32;
-        for _ in 0..20 {
-            let flags = reader_store.get("feature-flags");
-            assert_eq!(flags.len(), 64);
-            observations += 1;
+            });
         }
-        observations
+        // A reader thread polls concurrently.
+        let client = store.client();
+        let reader = s.spawn(move || {
+            (0..20)
+                .map(|_| {
+                    client
+                        .read_blocking("feature-flags")
+                        .expect("store is live")
+                })
+                .filter(|flags| flags.len() == VALUE_LEN)
+                .count()
+        });
+        reader.join().expect("reader thread")
     });
 
-    for h in handles {
-        h.join().expect("writer thread");
-    }
-    let observations = reader.join().expect("reader thread");
+    let client = store.client();
+    client.write_blocking("routing", padded(b"primary=eu-west"))?;
+    let routing = client.read_blocking("routing")?;
+    assert!(routing.as_bytes().starts_with(b"primary=eu-west"));
 
-    // Inject a fault and keep serving.
-    let reg = &store.registers["routing"];
-    reg.crash_object(ObjectId(0));
-    store.put("routing", b"primary=eu-west");
-    let routing = store.get("routing");
-    assert!(routing.starts_with(b"primary=eu-west"));
-
+    let m = store.metrics();
     println!("kv-store demo complete:");
     println!(
         "  4 writers x 10 rounds raced on 2 keys; reader made {observations} consistent reads"
     );
     println!(
-        "  'routing' survived a storage-node crash: {:?}…",
-        &routing[..15]
+        "  {} keys, {} ops completed, occupancy {} bits",
+        m.keys(),
+        m.totals().completed(),
+        m.occupancy_bits()
     );
-    for (key, reg) in &store.registers {
-        println!("  {key:>14}: storage {}", reg.storage_cost());
-    }
+    store.shutdown();
+    Ok(())
 }

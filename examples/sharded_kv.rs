@@ -1,11 +1,11 @@
 //! The sharded store's async client surface, with no async runtime.
 //!
 //! `rsb-store` partitions a keyspace over shards of per-key register
-//! emulations, executed by a pool of work-stealing driver threads off
-//! per-shard ready queues. `StoreClient::read/write` return plain
-//! `std::future::Future`s backed by condvar completion slots, so they
-//! work from any executor — here the bundled `block_on` / `join_all` —
-//! and each future also has a blocking `.wait()`.
+//! emulations; each operation runs to completion on the thread that
+//! submits it, under its key's lock. `StoreClient::read/write` return
+//! plain `std::future::Future`s (already resolved on this in-process
+//! path), so they work from any executor — here the bundled `block_on`
+//! / `join_all` — and each future also has a blocking `.wait()`.
 //!
 //! ```sh
 //! cargo run --example sharded_kv
@@ -19,9 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reg = RegisterConfig::paper(1, 2, 64)?;
     let store = Store::start(
         // Bound each key's op-record history; quiescent keys keep only
-        // their frontier write between bursts. The eviction governor
-        // makes the driver pool itself snapshot keys idle past 256
-        // shard ticks — bounded memory with zero dedicated threads.
+        // their frontier write between bursts. The eviction policy
+        // starts the store's governor thread, which snapshots keys idle
+        // past 256 shard ticks — bounded memory without a sweep on any
+        // operation's path.
         StoreConfig::uniform(8, ProtocolSpec::Adaptive, reg)
             .with_history(HistoryPolicy::TruncateOnQuiescence)
             .with_eviction(EvictionPolicy::IdleAfter(256)),
@@ -31,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One async write, awaited by the bundled executor.
     block_on(client.write("user:alice", Value::seeded(1, 64)))?;
 
-    // A pipelined batch: 32 writes in flight at once on one thread —
-    // the shard drivers work them concurrently.
+    // 32 writes submitted back to back on one thread, then joined.
     let writes: Vec<_> = (0..32u64)
         .map(|i| client.write(&format!("user:{i:03}"), Value::seeded(i + 10, 64)))
         .collect();
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("user:{i:03} -> {:?}…", &v.as_bytes()[..4]);
     }
 
-    // The blocking facade is the same futures, parked on their slots.
+    // The blocking facade is the same futures, waited on.
     assert_eq!(
         client.read_blocking("user:alice")?,
         Value::seeded(1, 64),
@@ -57,16 +57,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Live storage occupancy — the paper's space bounds on a service —
-    // plus the scheduler's steal and history-compaction counters.
+    // plus the history-compaction counter.
     let m = store.metrics();
     println!(
         "{} keys over {} shards, {} ops completed, occupancy {} KiB, \
-         {} steals, {} records compacted",
+         {} records compacted",
         m.keys(),
         m.shards.len(),
         m.totals().completed(),
         m.occupancy_bits() / 8 / 1024,
-        m.totals().steals,
         m.totals().truncated_records,
     );
 
