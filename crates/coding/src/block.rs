@@ -1,5 +1,6 @@
 //! Code blocks — the paper's domain `E`.
 
+use crate::Value;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +58,35 @@ impl Block {
             start: range.start,
             end: range.end,
         }
+    }
+
+    /// The block whose payload is all of `value` — a full replica —
+    /// sharing the value's buffer: no allocation, no copy.
+    pub fn replica(index: BlockIndex, value: &Value) -> Self {
+        Block::new(index, value.buffer().clone())
+    }
+
+    /// The payload as a value: the block's buffer itself, shared, when the
+    /// payload is all of it (the inverse of [`Block::replica`]), a copy
+    /// otherwise.
+    pub fn to_value(&self) -> Value {
+        if self.len() == self.buf.len() {
+            Value::from_bytes(self.buf.clone())
+        } else {
+            Value::from_bytes(self.data())
+        }
+    }
+
+    /// The buffer the payload is a window onto.
+    pub(crate) fn buffer(&self) -> &Bytes {
+        &self.buf
+    }
+
+    /// Whether the payload is the window of `buf` that starts at `start`.
+    /// Two live buffers that begin at one address with one length are the
+    /// same bytes, so comparing those is comparing identity.
+    pub(crate) fn is_window_at(&self, buf: &Bytes, start: usize) -> bool {
+        self.start == start && self.buf.as_ptr() == buf.as_ptr() && self.buf.len() == buf.len()
     }
 
     /// The block number `i` passed to `E(v, i)`.
@@ -156,6 +186,28 @@ mod tests {
         };
         assert_eq!(digest(&window), digest(&copy));
         assert!(Block::window(0, buf, 2..2).is_empty());
+    }
+
+    #[test]
+    fn a_replica_and_its_value_share_one_buffer() {
+        let v = Value::seeded(3, 24);
+        let replica = Block::replica(2, &v);
+        assert_eq!(replica.index(), 2);
+        assert_eq!(replica.data().as_ptr(), v.as_bytes().as_ptr());
+        assert_eq!(
+            replica.to_value().as_bytes().as_ptr(),
+            v.as_bytes().as_ptr()
+        );
+        // A proper window is not the whole buffer: its value is a copy.
+        let window = Block::window(0, v.buffer().clone(), 8..16);
+        assert_eq!(window.to_value().as_bytes(), &v.as_bytes()[8..16]);
+        assert_ne!(
+            window.to_value().as_bytes().as_ptr(),
+            v.as_bytes()[8..].as_ptr()
+        );
+        assert!(window.is_window_at(v.buffer(), 8));
+        assert!(!window.is_window_at(v.buffer(), 0));
+        assert!(!window.is_window_at(Value::seeded(3, 24).buffer(), 8));
     }
 
     #[test]

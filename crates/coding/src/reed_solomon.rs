@@ -134,6 +134,22 @@ impl ReedSolomon {
         Block::new(i as BlockIndex, out.freeze())
     }
 
+    /// The value itself, when `chosen` (`k` blocks of distinct indices,
+    /// each `shard_len` long) are the systematic windows [`Self::block`]
+    /// cut from one live buffer: `k` in-place windows of a `value_len`
+    /// buffer cover it, so that buffer *is* the decoded value — no
+    /// allocation, no copy, and nothing to keep beyond what the blocks
+    /// already keep alive.
+    fn rejoin(&self, chosen: &[&Block]) -> Option<Value> {
+        let buf = chosen[0].buffer();
+        let in_place = buf.len() == self.value_len
+            && chosen.iter().all(|b| {
+                let i = b.index() as usize;
+                i < self.k && b.is_window_at(buf, i * self.shard_len)
+            });
+        in_place.then(|| Value::from_bytes(buf.clone()))
+    }
+
     /// Encodes all `n` blocks into one contiguous caller-provided buffer —
     /// block `i` occupies `out[i*shard_len .. (i+1)*shard_len]` — as a
     /// column-major matrix–buffer product: each source shard is read once
@@ -258,6 +274,9 @@ impl Code for ReedSolomon {
                 needed: self.k,
                 got: chosen.len(),
             });
+        }
+        if let Some(value) = self.rejoin(&chosen) {
+            return Ok(value);
         }
         // The value's own final buffer holds the decoded shards end to
         // end; a tail shard is cut short (possibly to nothing) where the
@@ -385,6 +404,72 @@ mod tests {
         let tail = &code.encode(&v)[2];
         assert_eq!(tail.data(), &[v.as_bytes()[8], v.as_bytes()[9], 0, 0]);
         assert_ne!(tail.data().as_ptr(), v.as_bytes()[8..].as_ptr());
+    }
+
+    #[test]
+    fn decode_rejoins_the_systematic_windows_of_one_buffer() {
+        let code = ReedSolomon::new(4, 7, 64).unwrap();
+        let v = Value::seeded(21, 64);
+        let blocks = code.encode(&v);
+        let shared = |decoded: &Value| decoded.as_bytes().as_ptr() == v.as_bytes().as_ptr();
+        let pick =
+            |order: &[usize]| -> Vec<Block> { order.iter().map(|&i| blocks[i].clone()).collect() };
+        // In any order, with duplicates, and with parity trailing: the
+        // first k distinct indices are the four windows of `v`'s buffer.
+        for order in [
+            &[0, 1, 2, 3][..],
+            &[3, 1, 0, 2],
+            &[2, 2, 0, 0, 3, 1, 1],
+            &[1, 0, 3, 2, 5, 6],
+        ] {
+            let decoded = code.decode(&pick(order)).unwrap();
+            assert_eq!(decoded, v, "{order:?}");
+            assert!(shared(&decoded), "{order:?} should rejoin");
+        }
+        // A parity block among the first k: decoded, not rejoined.
+        for order in [&[4, 0, 1, 2, 3][..], &[0, 1, 2, 6], &[3, 4, 5, 6]] {
+            let decoded = code.decode(&pick(order)).unwrap();
+            assert_eq!(decoded, v, "{order:?}");
+            assert!(!shared(&decoded), "{order:?} has no buffer to rejoin");
+        }
+        // An equal-content block in a buffer of its own (what the wire or
+        // a snapshot would hand back) is not a window of `v`'s buffer …
+        let mut mixed = pick(&[0, 1, 2, 3]);
+        mixed[2] = Block::new(2, blocks[2].data().to_vec());
+        assert_eq!(mixed[2], blocks[2]);
+        let decoded = code.decode(&mixed).unwrap();
+        assert_eq!(decoded, v);
+        assert!(!shared(&decoded));
+        // … and neither is a window of an equal value's other buffer.
+        let twin = Value::from_bytes(v.as_bytes().to_vec());
+        mixed[2] = code.encode_block(&twin, 2).unwrap();
+        let decoded = code.decode(&mixed).unwrap();
+        assert_eq!(decoded, v);
+        assert!(!shared(&decoded));
+        // The twin's own windows rejoin to the twin's buffer.
+        let decoded = code.decode(&code.encode(&twin)).unwrap();
+        assert_eq!(decoded.as_bytes().as_ptr(), twin.as_bytes().as_ptr());
+    }
+
+    #[test]
+    fn decode_never_rejoins_across_a_padded_tail_shard() {
+        // 10 bytes in shards of 4 + 4 + 2: block 2 is padded in a buffer
+        // of its own, so the three systematic blocks do not cover `v`'s.
+        let code = ReedSolomon::new(3, 5, 10).unwrap();
+        let v = Value::seeded(22, 10);
+        let blocks = code.encode(&v);
+        for order in [[0usize, 1, 2], [2, 0, 1]] {
+            let subset: Vec<Block> = order.iter().map(|&i| blocks[i].clone()).collect();
+            let decoded = code.decode(&subset).unwrap();
+            assert_eq!(decoded, v, "{order:?}");
+            assert_ne!(decoded.as_bytes().as_ptr(), v.as_bytes().as_ptr());
+        }
+        // k = 1: block 0 is the whole value, and decodes to its buffer.
+        let code = ReedSolomon::new(1, 3, 10).unwrap();
+        let decoded = code.decode(&code.encode(&v)[..1]).unwrap();
+        assert_eq!(decoded.as_bytes().as_ptr(), v.as_bytes().as_ptr());
+        let decoded = code.decode(&code.encode(&v)[1..]).unwrap();
+        assert_eq!(decoded, v);
     }
 
     #[test]

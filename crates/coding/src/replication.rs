@@ -81,7 +81,7 @@ impl Code for Replication {
         if index as usize >= self.n {
             return Err(CodingError::UnknownBlockIndex(index));
         }
-        Ok(Block::new(index, value.as_bytes().to_vec()))
+        Ok(Block::replica(index, value))
     }
 
     fn decode(&self, blocks: &[Block]) -> Result<Value, CodingError> {
@@ -98,7 +98,7 @@ impl Code for Replication {
                 actual: b.len(),
             });
         }
-        Ok(Value::from_bytes(b.data().to_vec()))
+        Ok(b.to_value())
     }
 }
 

@@ -67,10 +67,13 @@ pub struct Effects<S: ObjectState> {
 }
 
 impl<S: ObjectState> Effects<S> {
-    pub(crate) fn new(next_rmw: u64) -> Self {
+    /// `triggers` is an empty buffer: the simulation hands the same one to
+    /// every handler, so triggering allocates only while it still grows.
+    pub(crate) fn new(next_rmw: u64, triggers: Triggers<S>) -> Self {
+        debug_assert!(triggers.is_empty());
         Effects {
             next_rmw,
-            triggers: Vec::new(),
+            triggers,
             completion: None,
         }
     }
@@ -133,6 +136,13 @@ pub trait ClientLogic: std::fmt::Debug + Send + 'static {
     fn stored_blocks(&self) -> Vec<BlockInstance> {
         Vec::new()
     }
+
+    /// Total bits of [`ClientLogic::stored_blocks`]. The simulator calls
+    /// this around every handler, so a protocol whose clients hold blocks
+    /// overrides it to add the sizes up without building the list.
+    fn stored_bits(&self) -> u64 {
+        self.stored_blocks().iter().map(|b| b.bits).sum()
+    }
 }
 
 /// Runtime wrapper of one client inside the simulation.
@@ -178,7 +188,7 @@ mod tests {
 
     #[test]
     fn effects_assign_sequential_ids() {
-        let mut eff: Effects<Nop> = Effects::new(10);
+        let mut eff: Effects<Nop> = Effects::new(10, Vec::new());
         let a = eff.trigger(ObjectId(0), MetadataOnly);
         let b = eff.trigger(ObjectId(1), MetadataOnly);
         assert_eq!(a, RmwId(10));
@@ -191,7 +201,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "completed twice")]
     fn double_completion_panics() {
-        let mut eff: Effects<Nop> = Effects::new(0);
+        let mut eff: Effects<Nop> = Effects::new(0, Vec::new());
         eff.complete(OpResult::Write);
         eff.complete(OpResult::Write);
     }

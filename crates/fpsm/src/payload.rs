@@ -44,7 +44,10 @@ pub trait Payload: Clone + std::fmt::Debug + Send + 'static {
     /// All block instances contained in this component.
     fn blocks(&self) -> Vec<BlockInstance>;
 
-    /// Total block bits (the summand of Definition 2).
+    /// Total block bits (the summand of Definition 2): the sum of `bits`
+    /// over [`Payload::blocks`]. The simulator calls this several times
+    /// per event, so a type on a hot path overrides it to add the sizes up
+    /// without building the list.
     fn block_bits(&self) -> u64 {
         self.blocks().iter().map(|b| b.bits).sum()
     }
@@ -57,6 +60,10 @@ pub struct MetadataOnly;
 impl Payload for MetadataOnly {
     fn blocks(&self) -> Vec<BlockInstance> {
         Vec::new()
+    }
+
+    fn block_bits(&self) -> u64 {
+        0
     }
 }
 

@@ -35,7 +35,7 @@ impl FairScheduler {
 
 impl<S: ObjectState, L: ClientLogic<State = S>> Scheduler<S, L> for FairScheduler {
     fn next_event(&mut self, sim: &Simulation<S, L>) -> Option<SimEvent> {
-        sim.enabled_events().into_iter().next()
+        sim.first_enabled_event()
     }
 }
 

@@ -1,11 +1,11 @@
 //! The deterministic simulation of the asynchronous fault-prone
 //! shared-memory system.
 
-use crate::client::{ClientLogic, ClientRt, Effects, OpRequest, OpResult};
+use crate::client::{ClientLogic, ClientRt, Effects, OpRequest, OpResult, Triggers};
 use crate::ids::{ClientId, ObjectId, OpId, RmwId};
 use crate::object::{ObjectRt, ObjectState};
 use crate::payload::{BlockInstance, Component, Payload, StorageCost};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// An internal scheduler-controlled event.
 ///
@@ -49,23 +49,23 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Phase of an in-flight RMW.
+/// Phase of an in-flight RMW, holding what is in flight in that phase.
 #[derive(Debug, Clone)]
-enum RmwPhase<R> {
-    /// Triggered; has not yet taken effect.
-    Triggered,
-    /// Took effect; response not yet delivered.
-    Applied(R),
+enum RmwPhase<S: ObjectState> {
+    /// Triggered; the parameters have not yet taken effect.
+    Triggered(S::Rmw),
+    /// Took effect; the response is not yet delivered.
+    Applied(S::Resp),
 }
 
 /// Bookkeeping for one in-flight RMW.
 #[derive(Debug, Clone)]
 struct RmwRt<S: ObjectState> {
+    id: RmwId,
     client: ClientId,
     op: OpId,
     object: ObjectId,
-    rmw: S::Rmw,
-    phase: RmwPhase<S::Resp>,
+    phase: RmwPhase<S>,
     triggered_at: u64,
 }
 
@@ -120,7 +120,13 @@ impl OpRecord {
 pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
     objects: Vec<ObjectRt<S>>,
     clients: Vec<ClientRt<L>>,
-    rmws: BTreeMap<RmwId, RmwRt<S>>,
+    /// In-flight RMWs in trigger order. Ids are issued in increasing
+    /// order and entries only ever leave, so the table stays sorted by id:
+    /// a trigger is a push, a lookup a binary search, and the fair drain's
+    /// delivery — always of the oldest entry — a pop.
+    rmws: VecDeque<RmwRt<S>>,
+    /// The buffer every handler's [`Effects`] collects its triggers in.
+    trigger_buf: Triggers<S>,
     records: Vec<OpRecord>,
     /// Op id of `records[0]`: compaction drops a settled prefix and
     /// advances this base, so op ids stay stable identifiers forever.
@@ -199,7 +205,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         let mut sim = Simulation {
             objects,
             clients: Vec::new(),
-            rmws: BTreeMap::new(),
+            rmws: VecDeque::new(),
+            trigger_buf: Vec::new(),
             records: Vec::new(),
             records_base: 0,
             retained: Vec::new(),
@@ -240,7 +247,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
                 .map(|(state, crashed)| ObjectRt::restore(state, crashed))
                 .collect(),
             clients: Vec::new(),
-            rmws: BTreeMap::new(),
+            rmws: VecDeque::new(),
+            trigger_buf: Vec::new(),
             records: Vec::new(),
             records_base: next_op,
             retained: records,
@@ -265,8 +273,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// Adds a client running `logic`, returning its id.
     pub fn add_client(&mut self, logic: L) -> ClientId {
         let id = ClientId(self.clients.len());
+        self.cost.client_bits += logic.stored_bits();
         self.clients.push(ClientRt::new(logic));
-        self.cost.client_bits += self.client_block_bits(id);
         id
     }
 
@@ -313,13 +321,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             returned_at: None,
         });
         self.clients[client.0].outstanding = Some(op);
-        let client_bits_before = self.client_block_bits(client);
-        let mut eff = Effects::new(self.next_rmw);
-        self.clients[client.0].logic.on_invoke(op, req, &mut eff);
-        self.process_effects(client, op, eff);
-        let client_bits_after = self.client_block_bits(client);
-        self.cost.client_bits = self.cost.client_bits - client_bits_before + client_bits_after;
-        self.note_storage();
+        self.run_handler(client, op, |logic, eff| logic.on_invoke(op, req, eff));
         Ok(op)
     }
 
@@ -336,24 +338,34 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         }
     }
 
-    fn apply_rmw(&mut self, id: RmwId) -> Result<(), SimError> {
-        let rt = self
-            .rmws
-            .get_mut(&id)
-            .ok_or_else(|| SimError::InvalidEvent(format!("{id} not in flight")))?;
-        if !matches!(rt.phase, RmwPhase::Triggered) {
-            return Err(SimError::InvalidEvent(format!("{id} already applied")));
+    /// Position of an in-flight RMW in the (id-sorted) table; the fair
+    /// drain always asks for the front entry.
+    fn position(&self, id: RmwId) -> Result<usize, SimError> {
+        match self.rmws.front() {
+            Some(front) if front.id == id => Ok(0),
+            _ => self
+                .rmws
+                .binary_search_by_key(&id, |rt| rt.id)
+                .map_err(|_| SimError::InvalidEvent(format!("{id} not in flight"))),
         }
-        let obj = rt.object;
-        if self.objects[obj.0].crashed {
+    }
+
+    fn apply_rmw(&mut self, id: RmwId) -> Result<(), SimError> {
+        let idx = self.position(id)?;
+        let rt = &mut self.rmws[idx];
+        let RmwPhase::Triggered(rmw) = &rt.phase else {
+            return Err(SimError::InvalidEvent(format!("{id} already applied")));
+        };
+        let object = &mut self.objects[rt.object.0];
+        if object.crashed {
+            let obj = rt.object;
             return Err(SimError::InvalidEvent(format!("{obj} has crashed")));
         }
-        let client = rt.client;
-        let object_bits_before = self.objects[obj.0].state.block_bits();
-        let resp = self.objects[obj.0].state.apply(client, &rt.rmw);
+        let object_bits_before = object.state.block_bits();
+        let resp = object.state.apply(rt.client, rmw);
         self.cost.object_bits =
-            self.cost.object_bits - object_bits_before + self.objects[obj.0].state.block_bits();
-        self.cost.inflight_param_bits -= rt.rmw.block_bits();
+            self.cost.object_bits - object_bits_before + object.state.block_bits();
+        self.cost.inflight_param_bits -= rmw.block_bits();
         self.cost.inflight_resp_bits += resp.block_bits();
         rt.phase = RmwPhase::Applied(resp);
         self.time += 1;
@@ -362,10 +374,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     }
 
     fn deliver_rmw(&mut self, id: RmwId) -> Result<(), SimError> {
-        let rt = self
-            .rmws
-            .get(&id)
-            .ok_or_else(|| SimError::InvalidEvent(format!("{id} not in flight")))?;
+        let idx = self.position(id)?;
+        let rt = &self.rmws[idx];
         if !matches!(rt.phase, RmwPhase::Applied(_)) {
             return Err(SimError::InvalidEvent(format!("{id} not applied yet")));
         }
@@ -373,43 +383,47 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         if self.clients[client.0].crashed {
             return Err(SimError::InvalidEvent(format!("{client} has crashed")));
         }
-        let rt = self.rmws.remove(&id).expect("checked above");
-        let resp = match rt.phase {
-            RmwPhase::Applied(r) => r,
-            RmwPhase::Triggered => unreachable!(),
+        let rt = self.rmws.remove(idx).expect("position is in range");
+        let RmwPhase::Applied(resp) = rt.phase else {
+            unreachable!("phase checked above");
         };
         self.cost.inflight_resp_bits -= resp.block_bits();
         self.time += 1;
-        let client_bits_before = self.client_block_bits(client);
-        let mut eff = Effects::new(self.next_rmw);
-        self.clients[client.0]
-            .logic
-            .on_response(rt.op, id, resp, &mut eff);
-        self.process_effects(client, rt.op, eff);
-        self.cost.client_bits =
-            self.cost.client_bits - client_bits_before + self.client_block_bits(client);
-        self.note_storage();
+        self.run_handler(client, rt.op, |logic, eff| {
+            logic.on_response(rt.op, id, resp, eff);
+        });
         Ok(())
     }
 
-    fn process_effects(&mut self, client: ClientId, op: OpId, eff: Effects<S>) {
-        let (triggers, completion) = eff.into_parts();
-        for (id, obj, rmw) in triggers {
+    /// Runs one handler of `client`'s logic for operation `op` and carries
+    /// out its effects: the client's held bits are re-measured, triggered
+    /// RMWs enter the in-flight table, a completion closes the record.
+    fn run_handler(
+        &mut self,
+        client: ClientId,
+        op: OpId,
+        handler: impl FnOnce(&mut L, &mut Effects<S>),
+    ) {
+        let logic = &mut self.clients[client.0].logic;
+        let client_bits_before = logic.stored_bits();
+        let mut eff = Effects::new(self.next_rmw, std::mem::take(&mut self.trigger_buf));
+        handler(logic, &mut eff);
+        self.cost.client_bits = self.cost.client_bits - client_bits_before + logic.stored_bits();
+        let (mut triggers, completion) = eff.into_parts();
+        for (id, object, rmw) in triggers.drain(..) {
             debug_assert_eq!(id.0, self.next_rmw);
             self.next_rmw = id.0 + 1;
             self.cost.inflight_param_bits += rmw.block_bits();
-            self.rmws.insert(
+            self.rmws.push_back(RmwRt {
                 id,
-                RmwRt {
-                    client,
-                    op,
-                    object: obj,
-                    rmw,
-                    phase: RmwPhase::Triggered,
-                    triggered_at: self.time,
-                },
-            );
+                client,
+                op,
+                object,
+                phase: RmwPhase::Triggered(rmw),
+                triggered_at: self.time,
+            });
         }
+        self.trigger_buf = triggers;
         if let Some(result) = completion {
             let rec = &mut self.records[(op.0 - self.records_base) as usize];
             debug_assert!(rec.result.is_none(), "operation {op} returned twice");
@@ -417,6 +431,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             rec.returned_at = Some(self.time);
             self.clients[client.0].outstanding = None;
         }
+        self.note_storage();
     }
 
     /// Crashes a base object: pending RMWs on it never take effect and it
@@ -523,13 +538,20 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// The first enabled event in trigger order, without materializing the
     /// whole enabled set — the fair-scheduler hot path.
     pub fn first_enabled_event(&self) -> Option<SimEvent> {
-        self.rmws.iter().find_map(|(&id, rt)| match &rt.phase {
-            RmwPhase::Triggered if !self.objects[rt.object.0].crashed => Some(SimEvent::Apply(id)),
+        self.rmws.iter().find_map(|rt| self.enabled(rt))
+    }
+
+    /// The event that would advance `rt`, unless its target has crashed.
+    fn enabled(&self, rt: &RmwRt<S>) -> Option<SimEvent> {
+        match rt.phase {
+            RmwPhase::Triggered(_) if !self.objects[rt.object.0].crashed => {
+                Some(SimEvent::Apply(rt.id))
+            }
             RmwPhase::Applied(_) if !self.clients[rt.client.0].crashed => {
-                Some(SimEvent::Deliver(id))
+                Some(SimEvent::Deliver(rt.id))
             }
             _ => None,
-        })
+        }
     }
 
     /// Compacts settled history, returning how many records were dropped.
@@ -599,8 +621,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     pub fn inflight_rmws(&self) -> Vec<RmwInfo> {
         self.rmws
             .iter()
-            .map(|(&rmw, rt)| RmwInfo {
-                rmw,
+            .map(|rt| RmwInfo {
+                rmw: rt.id,
                 client: rt.client,
                 op: rt.op,
                 object: rt.object,
@@ -613,18 +635,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// Events currently enabled: applies on live objects, deliveries to
     /// live clients, in trigger order.
     pub fn enabled_events(&self) -> Vec<SimEvent> {
-        self.rmws
-            .iter()
-            .filter_map(|(&id, rt)| match &rt.phase {
-                RmwPhase::Triggered if !self.objects[rt.object.0].crashed => {
-                    Some(SimEvent::Apply(id))
-                }
-                RmwPhase::Applied(_) if !self.clients[rt.client.0].crashed => {
-                    Some(SimEvent::Deliver(id))
-                }
-                _ => None,
-            })
-            .collect()
+        self.rmws.iter().filter_map(|rt| self.enabled(rt)).collect()
     }
 
     /// Captures a quiescent register's full state for eviction: object
@@ -677,25 +688,15 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             cost.object_bits += o.state.block_bits();
         }
         for c in &self.clients {
-            cost.client_bits += c.logic.stored_blocks().iter().map(|b| b.bits).sum::<u64>();
+            cost.client_bits += c.logic.stored_bits();
         }
-        for rt in self.rmws.values() {
+        for rt in &self.rmws {
             match &rt.phase {
-                RmwPhase::Triggered => cost.inflight_param_bits += rt.rmw.block_bits(),
-                RmwPhase::Applied(r) => cost.inflight_resp_bits += r.block_bits(),
+                RmwPhase::Triggered(rmw) => cost.inflight_param_bits += rmw.block_bits(),
+                RmwPhase::Applied(resp) => cost.inflight_resp_bits += resp.block_bits(),
             }
         }
         cost
-    }
-
-    /// Block bits currently held by one client's logic.
-    fn client_block_bits(&self, client: ClientId) -> u64 {
-        self.clients[client.0]
-            .logic
-            .stored_blocks()
-            .iter()
-            .map(|b| b.bits)
-            .sum()
     }
 
     /// Every block instance in the system, tagged by component — the raw
@@ -708,21 +709,21 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         for (i, c) in self.clients.iter().enumerate() {
             out.push((Component::Client(ClientId(i)), c.logic.stored_blocks()));
         }
-        for (&id, rt) in &self.rmws {
+        for rt in &self.rmws {
             match &rt.phase {
-                RmwPhase::Triggered => out.push((
+                RmwPhase::Triggered(rmw) => out.push((
                     Component::RmwParam {
-                        rmw: id,
+                        rmw: rt.id,
                         client: rt.client,
                     },
-                    rt.rmw.blocks(),
+                    rmw.blocks(),
                 )),
-                RmwPhase::Applied(r) => out.push((
+                RmwPhase::Applied(resp) => out.push((
                     Component::RmwResponse {
-                        rmw: id,
+                        rmw: rt.id,
                         object: rt.object,
                     },
-                    r.blocks(),
+                    resp.blocks(),
                 )),
             }
         }

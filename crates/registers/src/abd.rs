@@ -15,8 +15,8 @@ use crate::common::{QuorumRound, RegisterConfig, TaggedBlock, Timestamp, INITIAL
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Value};
 use rsb_fpsm::{
-    BlockInstance, ClientId, ClientLogic, Effects, ObjectId, ObjectState, OpId, OpRequest,
-    OpResult, Payload, RmwId, Simulation,
+    BlockInstance, ClientId, ClientLogic, Effects, ObjectState, OpId, OpRequest, OpResult, Payload,
+    RmwId, Simulation,
 };
 
 /// Base-object state: one timestamped full replica.
@@ -57,12 +57,25 @@ pub enum AbdRmw {
     },
 }
 
+impl AbdRmw {
+    fn replica(&self) -> Option<&TaggedBlock> {
+        match self {
+            AbdRmw::ReadTs | AbdRmw::ReadValue => None,
+            AbdRmw::Store { replica, .. } => Some(replica),
+        }
+    }
+}
+
 impl Payload for AbdRmw {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            AbdRmw::ReadTs | AbdRmw::ReadValue => Vec::new(),
-            AbdRmw::Store { replica, .. } => vec![replica.instance()],
-        }
+        self.replica()
+            .map(TaggedBlock::instance)
+            .into_iter()
+            .collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.replica().map_or(0, TaggedBlock::bits)
     }
 }
 
@@ -82,12 +95,25 @@ pub enum AbdResp {
     },
 }
 
+impl AbdResp {
+    fn replica(&self) -> Option<&TaggedBlock> {
+        match self {
+            AbdResp::Ack | AbdResp::Ts(_) => None,
+            AbdResp::State { replica, .. } => Some(replica),
+        }
+    }
+}
+
 impl Payload for AbdResp {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            AbdResp::Ack | AbdResp::Ts(_) => Vec::new(),
-            AbdResp::State { replica, .. } => vec![replica.instance()],
-        }
+        self.replica()
+            .map(TaggedBlock::instance)
+            .into_iter()
+            .collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.replica().map_or(0, TaggedBlock::bits)
     }
 }
 
@@ -95,6 +121,28 @@ impl Payload for AbdObject {
     fn blocks(&self) -> Vec<BlockInstance> {
         vec![self.replica.instance()]
     }
+
+    fn block_bits(&self) -> u64 {
+        self.replica.bits()
+    }
+}
+
+/// The replicas a reader has collected so far — what a client holds.
+fn collected(round: &QuorumRound<(Timestamp, TaggedBlock)>) -> impl Iterator<Item = &TaggedBlock> {
+    round.responses().iter().map(|(_, (_, replica))| replica)
+}
+
+/// Triggers `Store { ts, replica }` on all `n` objects.
+fn broadcast_store(
+    n: usize,
+    eff: &mut Effects<AbdObject>,
+    ts: Timestamp,
+    replica: &TaggedBlock,
+) -> QuorumRound<()> {
+    QuorumRound::broadcast(n, eff, |_| AbdRmw::Store {
+        ts,
+        replica: replica.clone(),
+    })
 }
 
 impl ObjectState for AbdObject {
@@ -165,19 +213,11 @@ impl ClientLogic for AbdClient {
         match req {
             OpRequest::Write(v) => {
                 self.value = Some(v);
-                let mut round = QuorumRound::new();
-                for i in 0..self.cfg.n {
-                    let id = eff.trigger(ObjectId(i), AbdRmw::ReadTs);
-                    round.expect(id, ObjectId(i));
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| AbdRmw::ReadTs);
                 self.phase = Phase::WriteReadTs { round };
             }
             OpRequest::Read => {
-                let mut round = QuorumRound::new();
-                for i in 0..self.cfg.n {
-                    let id = eff.trigger(ObjectId(i), AbdRmw::ReadValue);
-                    round.expect(id, ObjectId(i));
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| AbdRmw::ReadValue);
                 self.phase = Phase::Read { round };
             }
         }
@@ -203,18 +243,8 @@ impl ClientLogic for AbdClient {
                         .expect("quorum is nonempty");
                     let ts = Timestamp::new(max.num + 1, self.me);
                     let v = self.value.take().expect("write holds a value");
-                    let replica = TaggedBlock::new(op, Block::new(0, v.as_bytes().to_vec()));
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            AbdRmw::Store {
-                                ts,
-                                replica: replica.clone(),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let replica = TaggedBlock::new(op, Block::replica(0, &v));
+                    let round = broadcast_store(self.cfg.n, eff, ts, &replica);
                     self.phase = Phase::WriteStore { round };
                 }
             }
@@ -241,7 +271,7 @@ impl ClientLogic for AbdClient {
                         .iter()
                         .max_by_key(|(_, (ts, _))| *ts)
                         .expect("quorum is nonempty");
-                    let value = Value::from_bytes(best.1.block.data().to_vec());
+                    let value = best.1.block.to_value();
                     self.phase = Phase::Idle;
                     self.current_op = None;
                     eff.complete(OpResult::Read(value));
@@ -252,12 +282,15 @@ impl ClientLogic for AbdClient {
 
     fn stored_blocks(&self) -> Vec<BlockInstance> {
         match &self.phase {
-            Phase::Read { round } => round
-                .responses()
-                .iter()
-                .map(|(_, (_, r))| r.instance())
-                .collect(),
+            Phase::Read { round } => collected(round).map(TaggedBlock::instance).collect(),
             _ => Vec::new(),
+        }
+    }
+
+    fn stored_bits(&self) -> u64 {
+        match &self.phase {
+            Phase::Read { round } => collected(round).map(TaggedBlock::bits).sum(),
+            _ => 0,
         }
     }
 }
@@ -291,10 +324,7 @@ impl RegisterProtocol for Abd {
     fn new_sim(&self) -> Simulation<AbdObject, AbdClient> {
         let v0 = self.cfg.initial_value();
         Simulation::new(self.cfg.n, move |_| {
-            AbdObject::initial(TaggedBlock::new(
-                INITIAL_OP,
-                Block::new(0, v0.as_bytes().to_vec()),
-            ))
+            AbdObject::initial(TaggedBlock::new(INITIAL_OP, Block::replica(0, &v0)))
         })
     }
 
@@ -353,16 +383,6 @@ impl AbdAtomicClient {
             current_op: None,
         }
     }
-
-    fn broadcast(
-        &self,
-        eff: &mut Effects<AbdObject>,
-        make: impl Fn() -> AbdRmw,
-    ) -> Vec<(rsb_fpsm::RmwId, ObjectId)> {
-        (0..self.cfg.n)
-            .map(|i| (eff.trigger(ObjectId(i), make()), ObjectId(i)))
-            .collect()
-    }
 }
 
 impl ClientLogic for AbdAtomicClient {
@@ -373,17 +393,11 @@ impl ClientLogic for AbdAtomicClient {
         match req {
             OpRequest::Write(v) => {
                 self.value = Some(v);
-                let mut round = QuorumRound::new();
-                for (id, obj) in self.broadcast(eff, || AbdRmw::ReadTs) {
-                    round.expect(id, obj);
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| AbdRmw::ReadTs);
                 self.phase = AtomicPhase::WriteReadTs { round };
             }
             OpRequest::Read => {
-                let mut round = QuorumRound::new();
-                for (id, obj) in self.broadcast(eff, || AbdRmw::ReadValue) {
-                    round.expect(id, obj);
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| AbdRmw::ReadValue);
                 self.phase = AtomicPhase::ReadCollect { round };
             }
         }
@@ -410,18 +424,8 @@ impl ClientLogic for AbdAtomicClient {
                         .expect("quorum is nonempty");
                     let ts = Timestamp::new(max.num + 1, self.me);
                     let v = self.value.take().expect("write holds a value");
-                    let replica = TaggedBlock::new(op, Block::new(0, v.as_bytes().to_vec()));
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            AbdRmw::Store {
-                                ts,
-                                replica: replica.clone(),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let replica = TaggedBlock::new(op, Block::replica(0, &v));
+                    let round = broadcast_store(self.cfg.n, eff, ts, &replica);
                     self.phase = AtomicPhase::WriteStore { round };
                 }
             }
@@ -449,21 +453,11 @@ impl ClientLogic for AbdAtomicClient {
                         .max_by_key(|(_, (ts, _))| *ts)
                         .expect("quorum is nonempty")
                         .clone();
-                    let value = Value::from_bytes(best.block.data().to_vec());
+                    let value = best.block.to_value();
                     // Write-back round: make the observed value as durable
                     // as a write before returning (relaying its blocks
                     // with the ORIGINAL source tag).
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            AbdRmw::Store {
-                                ts: best_ts,
-                                replica: best.clone(),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let round = broadcast_store(self.cfg.n, eff, best_ts, &best);
                     self.phase = AtomicPhase::ReadWriteBack { round, value };
                 }
             }
@@ -483,12 +477,17 @@ impl ClientLogic for AbdAtomicClient {
 
     fn stored_blocks(&self) -> Vec<BlockInstance> {
         match &self.phase {
-            AtomicPhase::ReadCollect { round } => round
-                .responses()
-                .iter()
-                .map(|(_, (_, r))| r.instance())
-                .collect(),
+            AtomicPhase::ReadCollect { round } => {
+                collected(round).map(TaggedBlock::instance).collect()
+            }
             _ => Vec::new(),
+        }
+    }
+
+    fn stored_bits(&self) -> u64 {
+        match &self.phase {
+            AtomicPhase::ReadCollect { round } => collected(round).map(TaggedBlock::bits).sum(),
+            _ => 0,
         }
     }
 }
@@ -521,10 +520,7 @@ impl RegisterProtocol for AbdAtomic {
     fn new_sim(&self) -> Simulation<AbdObject, AbdAtomicClient> {
         let v0 = self.cfg.initial_value();
         Simulation::new(self.cfg.n, move |_| {
-            AbdObject::initial(TaggedBlock::new(
-                INITIAL_OP,
-                Block::new(0, v0.as_bytes().to_vec()),
-            ))
+            AbdObject::initial(TaggedBlock::new(INITIAL_OP, Block::replica(0, &v0)))
         })
     }
 
@@ -537,7 +533,7 @@ impl RegisterProtocol for AbdAtomic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsb_fpsm::{run_to_completion, run_until, RandomScheduler};
+    use rsb_fpsm::{run_to_completion, run_until, ObjectId, RandomScheduler};
 
     fn proto(f: usize, len: usize) -> Abd {
         Abd::new(RegisterConfig::new(2 * f + 1, f, 1, len).unwrap())

@@ -27,8 +27,7 @@
 //!   store), not all `n` pieces.
 
 use crate::common::{
-    best_decodable, chunk_instances, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,
-    INITIAL_OP,
+    best_decodable, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp, INITIAL_OP,
 };
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Code, ReedSolomon};
@@ -36,6 +35,7 @@ use rsb_fpsm::{
     BlockInstance, ClientId, ClientLogic, Effects, ObjectId, ObjectState, OpId, OpRequest,
     OpResult, Payload, RmwId, Simulation,
 };
+use std::sync::Arc;
 
 /// Base-object state: `⟨storedTS, Vp, Vf⟩` (Algorithm 1 line 8).
 #[derive(Debug, Clone)]
@@ -72,9 +72,9 @@ impl AdaptiveObject {
         &self.vf
     }
 
-    /// Total stored block bits in this object.
-    pub fn stored_bits(&self) -> u64 {
-        self.block_bits()
+    /// `Vp ∪ Vf`: every chunk the object stores.
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.vp.iter().chain(&self.vf)
     }
 }
 
@@ -93,8 +93,9 @@ pub enum AdaptiveRmw {
         seen_stored_ts: Timestamp,
         /// Piece `i` of the written value, for this object's `Vp`.
         piece: TaggedBlock,
-        /// Pieces `0..k`, forming a full replica for `Vf` if needed.
-        full: Vec<TaggedBlock>,
+        /// Pieces `0..k`, forming a full replica for `Vf` if needed; one
+        /// list shared by the `n` updates of a write.
+        full: Arc<[TaggedBlock]>,
     },
     /// Write round 3 (the `GC` routine, lines 40–45).
     Gc {
@@ -105,17 +106,25 @@ pub enum AdaptiveRmw {
     },
 }
 
+impl AdaptiveRmw {
+    /// The pieces the parameters carry: the object's own, then the replica's.
+    fn pieces(&self) -> impl Iterator<Item = &TaggedBlock> {
+        let (piece, full): (_, &[TaggedBlock]) = match self {
+            AdaptiveRmw::ReadTs | AdaptiveRmw::ReadValue => (None, &[]),
+            AdaptiveRmw::Update { piece, full, .. } => (Some(piece), full),
+            AdaptiveRmw::Gc { piece, .. } => (Some(piece), &[]),
+        };
+        piece.into_iter().chain(full)
+    }
+}
+
 impl Payload for AdaptiveRmw {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            AdaptiveRmw::ReadTs | AdaptiveRmw::ReadValue => Vec::new(),
-            AdaptiveRmw::Update { piece, full, .. } => {
-                let mut v = vec![piece.instance()];
-                v.extend(full.iter().map(TaggedBlock::instance));
-                v
-            }
-            AdaptiveRmw::Gc { piece, .. } => vec![piece.instance()],
-        }
+        self.pieces().map(TaggedBlock::instance).collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.pieces().map(TaggedBlock::bits).sum()
     }
 }
 
@@ -144,20 +153,32 @@ pub enum AdaptiveResp {
     },
 }
 
+impl AdaptiveResp {
+    fn chunks(&self) -> &[Chunk] {
+        match self {
+            AdaptiveResp::Ack | AdaptiveResp::Ts { .. } => &[],
+            AdaptiveResp::State { chunks, .. } => chunks,
+        }
+    }
+}
+
 impl Payload for AdaptiveResp {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            AdaptiveResp::Ack | AdaptiveResp::Ts { .. } => Vec::new(),
-            AdaptiveResp::State { chunks, .. } => chunk_instances(chunks),
-        }
+        self.chunks().iter().map(Chunk::instance).collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.chunks().iter().map(Chunk::bits).sum()
     }
 }
 
 impl Payload for AdaptiveObject {
     fn blocks(&self) -> Vec<BlockInstance> {
-        let mut v = chunk_instances(&self.vp);
-        v.extend(chunk_instances(&self.vf));
-        v
+        self.chunks().map(Chunk::instance).collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.chunks().map(Chunk::bits).sum()
     }
 }
 
@@ -169,7 +190,7 @@ impl ObjectState for AdaptiveObject {
         match rmw {
             AdaptiveRmw::ReadTs => {
                 let mut max = self.stored_ts;
-                for c in self.vp.iter().chain(self.vf.iter()) {
+                for c in self.chunks() {
                     max = max.max(c.ts);
                 }
                 AdaptiveResp::Ts {
@@ -179,7 +200,7 @@ impl ObjectState for AdaptiveObject {
             }
             AdaptiveRmw::ReadValue => AdaptiveResp::State {
                 stored_ts: self.stored_ts,
-                chunks: self.vp.iter().chain(self.vf.iter()).cloned().collect(),
+                chunks: self.chunks().cloned().collect(),
             },
             AdaptiveRmw::Update {
                 ts,
@@ -273,12 +294,17 @@ impl AdaptiveClient {
         &self,
         eff: &mut Effects<AdaptiveObject>,
     ) -> QuorumRound<(Timestamp, Vec<Chunk>)> {
-        let mut round = QuorumRound::new();
-        for i in 0..self.cfg.n {
-            let id = eff.trigger(ObjectId(i), AdaptiveRmw::ReadValue);
-            round.expect(id, ObjectId(i));
-        }
-        round
+        QuorumRound::broadcast(self.cfg.n, eff, |_| AdaptiveRmw::ReadValue)
+    }
+
+    /// The chunks a reader has collected so far this round: what the
+    /// client holds, and what it decodes from.
+    fn collected(&self) -> impl Iterator<Item = &Chunk> {
+        let responses = match &self.phase {
+            Phase::Read { round } => round.responses(),
+            _ => &[],
+        };
+        responses.iter().flat_map(|(_, (_, chunks))| chunks)
     }
 }
 
@@ -292,11 +318,7 @@ impl ClientLogic for AdaptiveClient {
                 // Line 4: WriteSet ← encode(v).
                 self.write_set = self.code.encode(&v);
                 // Round 1 (line 5): read timestamps.
-                let mut round = QuorumRound::new();
-                for i in 0..self.cfg.n {
-                    let id = eff.trigger(ObjectId(i), AdaptiveRmw::ReadTs);
-                    round.expect(id, ObjectId(i));
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| AdaptiveRmw::ReadTs);
                 self.phase = Phase::WriteReadTs { round };
             }
             OpRequest::Read => {
@@ -348,23 +370,16 @@ impl ClientLogic for AdaptiveClient {
                         .max()
                         .expect("quorum is nonempty");
                     // Round 2 (lines 8–10): update all objects.
-                    let full: Vec<TaggedBlock> = self.write_set[..self.cfg.k]
+                    let full: Arc<[TaggedBlock]> = self.write_set[..self.cfg.k]
                         .iter()
                         .map(|b| TaggedBlock::new(op, b.clone()))
                         .collect();
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            AdaptiveRmw::Update {
-                                ts,
-                                seen_stored_ts,
-                                piece: TaggedBlock::new(op, self.write_set[i].clone()),
-                                full: full.clone(),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let round = QuorumRound::broadcast(self.cfg.n, eff, |i| AdaptiveRmw::Update {
+                        ts,
+                        seen_stored_ts,
+                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                        full: Arc::clone(&full),
+                    });
                     self.phase = Phase::WriteUpdate { round, ts };
                 }
             }
@@ -375,17 +390,10 @@ impl ClientLogic for AdaptiveClient {
                 if round.count() >= self.cfg.quorum() {
                     let ts = *ts;
                     // Round 3 (lines 11–13): garbage collect.
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            AdaptiveRmw::Gc {
-                                ts,
-                                piece: TaggedBlock::new(op, self.write_set[i].clone()),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let round = QuorumRound::broadcast(self.cfg.n, eff, |i| AdaptiveRmw::Gc {
+                        ts,
+                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                    });
                     self.phase = Phase::WriteGc { round };
                 }
             }
@@ -417,12 +425,8 @@ impl ClientLogic for AdaptiveClient {
                         .map(|(_, (ts, _))| *ts)
                         .max()
                         .expect("quorum is nonempty");
-                    let all: Vec<Chunk> = round
-                        .responses()
-                        .iter()
-                        .flat_map(|(_, (_, chunks))| chunks.iter().cloned())
-                        .collect();
-                    if let Some((_, blocks)) = best_decodable(&all, min_ts, self.cfg.k) {
+                    if let Some((_, blocks)) = best_decodable(self.collected(), min_ts, self.cfg.k)
+                    {
                         let value = self
                             .code
                             .decode(&blocks)
@@ -443,14 +447,11 @@ impl ClientLogic for AdaptiveClient {
     fn stored_blocks(&self) -> Vec<BlockInstance> {
         // A reader mid-round holds the chunks it has collected; those are
         // charged (the write set is the writer's own oracle and is free).
-        match &self.phase {
-            Phase::Read { round } => round
-                .responses()
-                .iter()
-                .flat_map(|(_, (_, chunks))| chunk_instances(chunks))
-                .collect(),
-            _ => Vec::new(),
-        }
+        self.collected().map(Chunk::instance).collect()
+    }
+
+    fn stored_bits(&self) -> u64 {
+        self.collected().map(Chunk::bits).sum()
     }
 }
 

@@ -13,8 +13,7 @@
 //! FW-terminating (they may loop while new writes keep landing).
 
 use crate::common::{
-    best_decodable, chunk_instances, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,
-    INITIAL_OP,
+    best_decodable, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp, INITIAL_OP,
 };
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Code, ReedSolomon};
@@ -74,12 +73,25 @@ pub enum CodedRmw {
     },
 }
 
+impl CodedRmw {
+    fn piece(&self) -> Option<&TaggedBlock> {
+        match self {
+            CodedRmw::ReadTs | CodedRmw::ReadValue | CodedRmw::Gc { .. } => None,
+            CodedRmw::Store { piece, .. } => Some(piece),
+        }
+    }
+}
+
 impl Payload for CodedRmw {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            CodedRmw::ReadTs | CodedRmw::ReadValue | CodedRmw::Gc { .. } => Vec::new(),
-            CodedRmw::Store { piece, .. } => vec![piece.instance()],
-        }
+        self.piece()
+            .map(TaggedBlock::instance)
+            .into_iter()
+            .collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.piece().map_or(0, TaggedBlock::bits)
     }
 }
 
@@ -104,18 +116,32 @@ pub enum CodedResp {
     },
 }
 
+impl CodedResp {
+    fn chunks(&self) -> &[Chunk] {
+        match self {
+            CodedResp::Ack | CodedResp::Ts { .. } => &[],
+            CodedResp::State { chunks, .. } => chunks,
+        }
+    }
+}
+
 impl Payload for CodedResp {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            CodedResp::Ack | CodedResp::Ts { .. } => Vec::new(),
-            CodedResp::State { chunks, .. } => chunk_instances(chunks),
-        }
+        self.chunks().iter().map(Chunk::instance).collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.chunks().iter().map(Chunk::bits).sum()
     }
 }
 
 impl Payload for CodedObject {
     fn blocks(&self) -> Vec<BlockInstance> {
-        chunk_instances(&self.vp)
+        self.vp.iter().map(Chunk::instance).collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.vp.iter().map(Chunk::bits).sum()
     }
 }
 
@@ -214,12 +240,17 @@ impl CodedClient {
         &self,
         eff: &mut Effects<CodedObject>,
     ) -> QuorumRound<(Timestamp, Vec<Chunk>)> {
-        let mut round = QuorumRound::new();
-        for i in 0..self.cfg.n {
-            let id = eff.trigger(ObjectId(i), CodedRmw::ReadValue);
-            round.expect(id, ObjectId(i));
-        }
-        round
+        QuorumRound::broadcast(self.cfg.n, eff, |_| CodedRmw::ReadValue)
+    }
+
+    /// The chunks a reader has collected so far this round: what the
+    /// client holds, and what it decodes from.
+    fn collected(&self) -> impl Iterator<Item = &Chunk> {
+        let responses = match &self.phase {
+            Phase::Read { round } => round.responses(),
+            _ => &[],
+        };
+        responses.iter().flat_map(|(_, (_, chunks))| chunks)
     }
 }
 
@@ -231,11 +262,7 @@ impl ClientLogic for CodedClient {
         match req {
             OpRequest::Write(v) => {
                 self.write_set = self.code.encode(&v);
-                let mut round = QuorumRound::new();
-                for i in 0..self.cfg.n {
-                    let id = eff.trigger(ObjectId(i), CodedRmw::ReadTs);
-                    round.expect(id, ObjectId(i));
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| CodedRmw::ReadTs);
                 self.phase = Phase::WriteReadTs { round };
             }
             OpRequest::Read => {
@@ -282,18 +309,11 @@ impl ClientLogic for CodedClient {
                         .map(|(_, (st, _))| *st)
                         .max()
                         .expect("quorum is nonempty");
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            CodedRmw::Store {
-                                ts,
-                                seen_stored_ts,
-                                piece: TaggedBlock::new(op, self.write_set[i].clone()),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let round = QuorumRound::broadcast(self.cfg.n, eff, |i| CodedRmw::Store {
+                        ts,
+                        seen_stored_ts,
+                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                    });
                     self.phase = Phase::WriteStore { round, ts };
                 }
             }
@@ -303,11 +323,7 @@ impl ClientLogic for CodedClient {
                 }
                 if round.count() >= self.cfg.quorum() {
                     let ts = *ts;
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(ObjectId(i), CodedRmw::Gc { ts });
-                        round.expect(id, ObjectId(i));
-                    }
+                    let round = QuorumRound::broadcast(self.cfg.n, eff, |_| CodedRmw::Gc { ts });
                     self.phase = Phase::WriteGc { round };
                 }
             }
@@ -336,12 +352,8 @@ impl ClientLogic for CodedClient {
                         .map(|(_, (ts, _))| *ts)
                         .max()
                         .expect("quorum is nonempty");
-                    let all: Vec<Chunk> = round
-                        .responses()
-                        .iter()
-                        .flat_map(|(_, (_, chunks))| chunks.iter().cloned())
-                        .collect();
-                    if let Some((_, blocks)) = best_decodable(&all, min_ts, self.cfg.k) {
+                    if let Some((_, blocks)) = best_decodable(self.collected(), min_ts, self.cfg.k)
+                    {
                         let value = self
                             .code
                             .decode(&blocks)
@@ -359,14 +371,11 @@ impl ClientLogic for CodedClient {
     }
 
     fn stored_blocks(&self) -> Vec<BlockInstance> {
-        match &self.phase {
-            Phase::Read { round } => round
-                .responses()
-                .iter()
-                .flat_map(|(_, (_, chunks))| chunk_instances(chunks))
-                .collect(),
-            _ => Vec::new(),
-        }
+        self.collected().map(Chunk::instance).collect()
+    }
+
+    fn stored_bits(&self) -> u64 {
+        self.collected().map(Chunk::bits).sum()
     }
 }
 

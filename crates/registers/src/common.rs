@@ -1,10 +1,10 @@
 //! Machinery shared by all register emulations: timestamps, tagged code
 //! blocks, quorum-round tracking, and protocol configuration.
 
-use rsb_coding::{Block, BlockIndex, CodingError, ReedSolomon, Value};
-use rsb_fpsm::{BlockInstance, ClientId, ObjectId, OpId, RmwId};
+use rsb_coding::{Block, CodingError, ReedSolomon, Value};
+use rsb_fpsm::{BlockInstance, ClientId, Effects, ObjectId, ObjectState, OpId, RmwId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// The reserved operation id of the synthetic initial write `w₀` that
 /// installed `v₀` "at time 0" (the paper's convention in Definition 8).
@@ -67,7 +67,12 @@ impl TaggedBlock {
 
     /// The accounting record for this block instance.
     pub fn instance(&self) -> BlockInstance {
-        BlockInstance::new(self.source_op, self.block.index(), self.block.size_bits())
+        BlockInstance::new(self.source_op, self.block.index(), self.bits())
+    }
+
+    /// The bits this block instance is charged: `instance().bits`.
+    pub fn bits(&self) -> u64 {
+        self.block.size_bits()
     }
 }
 
@@ -90,11 +95,11 @@ impl Chunk {
     pub fn instance(&self) -> BlockInstance {
         self.piece.instance()
     }
-}
 
-/// Collects block instances from a slice of chunks.
-pub fn chunk_instances(chunks: &[Chunk]) -> Vec<BlockInstance> {
-    chunks.iter().map(Chunk::instance).collect()
+    /// The bits this chunk is charged: `instance().bits`.
+    pub fn bits(&self) -> u64 {
+        self.piece.bits()
+    }
 }
 
 /// Configuration shared by the register emulations.
@@ -195,7 +200,9 @@ impl RegisterConfig {
 /// rounds or operations) are rejected by [`QuorumRound::accept`].
 #[derive(Debug, Clone)]
 pub struct QuorumRound<R> {
-    expected: HashMap<RmwId, ObjectId>,
+    /// Slot `i` holds the RMW awaited from object `i` until its response
+    /// arrives (a round triggers one RMW per object).
+    expected: Vec<Option<RmwId>>,
     responses: Vec<(ObjectId, R)>,
 }
 
@@ -209,22 +216,42 @@ impl<R> QuorumRound<R> {
     /// Creates an empty round.
     pub fn new() -> Self {
         QuorumRound {
-            expected: HashMap::new(),
+            expected: Vec::new(),
             responses: Vec::new(),
+        }
+    }
+
+    /// Triggers `make(i)` on every object `i < n` and returns the round
+    /// awaiting their responses, sized so that accepting them allocates
+    /// nothing.
+    pub fn broadcast<S: ObjectState>(
+        n: usize,
+        eff: &mut Effects<S>,
+        mut make: impl FnMut(usize) -> S::Rmw,
+    ) -> Self {
+        QuorumRound {
+            expected: (0..n)
+                .map(|i| Some(eff.trigger(ObjectId(i), make(i))))
+                .collect(),
+            responses: Vec::with_capacity(n),
         }
     }
 
     /// Registers a triggered RMW and its target object.
     pub fn expect(&mut self, rmw: RmwId, obj: ObjectId) {
-        self.expected.insert(rmw, obj);
+        if self.expected.len() <= obj.0 {
+            self.expected.resize(obj.0 + 1, None);
+        }
+        self.expected[obj.0] = Some(rmw);
     }
 
     /// Accepts a response if it belongs to this round. Returns `true` if
     /// accepted.
     pub fn accept(&mut self, rmw: RmwId, resp: R) -> bool {
-        match self.expected.remove(&rmw) {
+        match self.expected.iter().position(|e| *e == Some(rmw)) {
             Some(obj) => {
-                self.responses.push((obj, resp));
+                self.expected[obj] = None;
+                self.responses.push((ObjectId(obj), resp));
                 true
             }
             None => false,
@@ -249,36 +276,33 @@ impl<R> QuorumRound<R> {
 
 /// Finds, among `chunks`, the highest timestamp `ts ≥ min_ts` for which at
 /// least `k` blocks with distinct indices are present; returns that
-/// timestamp with one block per distinct index.
+/// timestamp with one block per distinct index, in index order — so a
+/// decoder that takes the first `k` takes the systematic ones when they
+/// are there, and the choice never depends on arrival or hash order.
 ///
 /// This is the read-side test of both the adaptive algorithm (Algorithm 2
 /// lines 18–21) and the safe register (Algorithm 5 lines 15–17).
-pub fn best_decodable(
-    chunks: &[Chunk],
+pub fn best_decodable<'a>(
+    chunks: impl IntoIterator<Item = &'a Chunk>,
     min_ts: Timestamp,
     k: usize,
 ) -> Option<(Timestamp, Vec<Block>)> {
-    let mut by_ts: HashMap<Timestamp, HashMap<BlockIndex, Block>> = HashMap::new();
-    for c in chunks {
-        if c.ts >= min_ts {
-            by_ts
-                .entry(c.ts)
-                .or_default()
-                .entry(c.piece.block.index())
-                .or_insert_with(|| c.piece.block.clone());
-        }
-    }
-    by_ts
-        .into_iter()
-        .filter(|(_, blocks)| blocks.len() >= k)
-        .max_by_key(|(ts, _)| *ts)
-        .map(|(ts, blocks)| (ts, blocks.into_values().collect()))
+    let mut candidates: Vec<&Chunk> = chunks.into_iter().filter(|c| c.ts >= min_ts).collect();
+    candidates.sort_by_key(|c| (Reverse(c.ts), c.piece.block.index()));
+    candidates.dedup_by_key(|c| (c.ts, c.piece.block.index()));
+    candidates
+        .chunk_by(|a, b| a.ts == b.ts)
+        .find(|pieces| pieces.len() >= k)
+        .map(|pieces| {
+            let blocks = pieces.iter().map(|c| c.piece.block.clone()).collect();
+            (pieces[0].ts, blocks)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsb_coding::Code;
+    use rsb_coding::{BlockIndex, Code};
 
     #[test]
     fn timestamp_order_is_lexicographic() {
@@ -329,19 +353,29 @@ mod tests {
     }
 
     #[test]
-    fn best_decodable_picks_highest_complete_ts() {
+    fn best_decodable_picks_highest_complete_ts_in_index_order() {
         let t1 = Timestamp { num: 1, client: 0 };
         let t2 = Timestamp { num: 2, client: 0 };
+        let t3 = Timestamp { num: 3, client: 0 };
+        // Arrival order is scrambled: parity first, timestamps interleaved.
         let chunks = vec![
+            chunk(t2, 3, 4),
             chunk(t1, 0, 4),
+            chunk(t2, 1, 4),
+            chunk(t3, 0, 4), // the highest timestamp, one piece short
             chunk(t1, 1, 4),
             chunk(t2, 0, 4),
-            chunk(t2, 1, 4),
             chunk(t2, 1, 4), // duplicate index does not help
         ];
         let (ts, blocks) = best_decodable(&chunks, Timestamp::ZERO, 2).unwrap();
         assert_eq!(ts, t2);
-        assert_eq!(blocks.len(), 2);
+        let indices: Vec<BlockIndex> = blocks.iter().map(Block::index).collect();
+        assert_eq!(indices, [0, 1, 3], "one block per index, systematic first");
+        // Of two chunks with one timestamp and index, the first seen stays.
+        let first = chunk(t1, 0, 4);
+        let dup = vec![first.clone(), chunk(t1, 1, 4), chunk(t1, 0, 4)];
+        let (_, blocks) = best_decodable(&dup, Timestamp::ZERO, 2).unwrap();
+        assert_eq!(blocks[0].data().as_ptr(), first.piece.block.data().as_ptr());
     }
 
     #[test]

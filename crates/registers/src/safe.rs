@@ -57,12 +57,25 @@ pub enum SafeRmw {
     },
 }
 
+impl SafeRmw {
+    fn piece(&self) -> Option<&TaggedBlock> {
+        match self {
+            SafeRmw::ReadTs | SafeRmw::ReadChunk => None,
+            SafeRmw::Store { piece, .. } => Some(piece),
+        }
+    }
+}
+
 impl Payload for SafeRmw {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            SafeRmw::ReadTs | SafeRmw::ReadChunk => Vec::new(),
-            SafeRmw::Store { piece, .. } => vec![piece.instance()],
-        }
+        self.piece()
+            .map(TaggedBlock::instance)
+            .into_iter()
+            .collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.piece().map_or(0, TaggedBlock::bits)
     }
 }
 
@@ -77,18 +90,32 @@ pub enum SafeResp {
     Data(Chunk),
 }
 
+impl SafeResp {
+    fn chunk(&self) -> Option<&Chunk> {
+        match self {
+            SafeResp::Ack | SafeResp::Ts(_) => None,
+            SafeResp::Data(c) => Some(c),
+        }
+    }
+}
+
 impl Payload for SafeResp {
     fn blocks(&self) -> Vec<BlockInstance> {
-        match self {
-            SafeResp::Ack | SafeResp::Ts(_) => Vec::new(),
-            SafeResp::Data(c) => vec![c.instance()],
-        }
+        self.chunk().map(Chunk::instance).into_iter().collect()
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.chunk().map_or(0, Chunk::bits)
     }
 }
 
 impl Payload for SafeObject {
     fn blocks(&self) -> Vec<BlockInstance> {
         vec![self.chunk.instance()]
+    }
+
+    fn block_bits(&self) -> u64 {
+        self.chunk.bits()
     }
 }
 
@@ -143,6 +170,16 @@ impl SafeClient {
             current_op: None,
         }
     }
+
+    /// The chunks a reader has collected so far: what the client holds,
+    /// and what it decodes from.
+    fn collected(&self) -> impl Iterator<Item = &Chunk> {
+        let responses = match &self.phase {
+            Phase::Read { round } => round.responses(),
+            _ => &[],
+        };
+        responses.iter().map(|(_, chunk)| chunk)
+    }
 }
 
 impl ClientLogic for SafeClient {
@@ -153,19 +190,11 @@ impl ClientLogic for SafeClient {
         match req {
             OpRequest::Write(v) => {
                 self.write_set = self.code.encode(&v);
-                let mut round = QuorumRound::new();
-                for i in 0..self.cfg.n {
-                    let id = eff.trigger(ObjectId(i), SafeRmw::ReadTs);
-                    round.expect(id, ObjectId(i));
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| SafeRmw::ReadTs);
                 self.phase = Phase::WriteReadTs { round };
             }
             OpRequest::Read => {
-                let mut round = QuorumRound::new();
-                for i in 0..self.cfg.n {
-                    let id = eff.trigger(ObjectId(i), SafeRmw::ReadChunk);
-                    round.expect(id, ObjectId(i));
-                }
+                let round = QuorumRound::broadcast(self.cfg.n, eff, |_| SafeRmw::ReadChunk);
                 self.phase = Phase::Read { round };
             }
         }
@@ -192,17 +221,10 @@ impl ClientLogic for SafeClient {
                         .expect("quorum is nonempty");
                     let ts = Timestamp::new(max.num + 1, self.me);
                     // Lines 5–6: store piece i at boᵢ.
-                    let mut round = QuorumRound::new();
-                    for i in 0..self.cfg.n {
-                        let id = eff.trigger(
-                            ObjectId(i),
-                            SafeRmw::Store {
-                                ts,
-                                piece: TaggedBlock::new(op, self.write_set[i].clone()),
-                            },
-                        );
-                        round.expect(id, ObjectId(i));
-                    }
+                    let round = QuorumRound::broadcast(self.cfg.n, eff, |i| SafeRmw::Store {
+                        ts,
+                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                    });
                     self.phase = Phase::WriteStore { round };
                 }
             }
@@ -224,9 +246,8 @@ impl ClientLogic for SafeClient {
                 }
                 if round.count() >= self.cfg.quorum() {
                     // Lines 15–18: decode if some ts has k pieces, else v₀.
-                    let chunks: Vec<Chunk> =
-                        round.responses().iter().map(|(_, c)| c.clone()).collect();
-                    let value = match best_decodable(&chunks, Timestamp::ZERO, self.cfg.k) {
+                    let value = match best_decodable(self.collected(), Timestamp::ZERO, self.cfg.k)
+                    {
                         Some((_, blocks)) => self
                             .code
                             .decode(&blocks)
@@ -242,14 +263,11 @@ impl ClientLogic for SafeClient {
     }
 
     fn stored_blocks(&self) -> Vec<BlockInstance> {
-        match &self.phase {
-            Phase::Read { round } => round
-                .responses()
-                .iter()
-                .map(|(_, c)| c.instance())
-                .collect(),
-            _ => Vec::new(),
-        }
+        self.collected().map(Chunk::instance).collect()
+    }
+
+    fn stored_bits(&self) -> u64 {
+        self.collected().map(Chunk::bits).sum()
     }
 }
 

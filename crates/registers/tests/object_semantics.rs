@@ -8,6 +8,7 @@ use rsb_registers::abd::{AbdObject, AbdResp, AbdRmw};
 use rsb_registers::adaptive::{AdaptiveObject, AdaptiveResp, AdaptiveRmw};
 use rsb_registers::safe::{SafeObject, SafeResp, SafeRmw};
 use rsb_registers::{RegisterConfig, TaggedBlock, Timestamp, INITIAL_OP};
+use std::sync::Arc;
 
 fn ts(num: u64, client: u64) -> Timestamp {
     Timestamp { num, client }
@@ -17,7 +18,7 @@ fn piece(op: u64, index: u32, bytes: usize) -> TaggedBlock {
     TaggedBlock::new(OpId(op), Block::new(index, vec![op as u8; bytes]))
 }
 
-fn full(op: u64, k: usize, bytes: usize) -> Vec<TaggedBlock> {
+fn full(op: u64, k: usize, bytes: usize) -> Arc<[TaggedBlock]> {
     (0..k as u32).map(|i| piece(op, i, bytes)).collect()
 }
 
