@@ -1,5 +1,5 @@
 //! Known-good lock-order fixture: nestings in strictly increasing rank
-//! (shard_map/0 → slot_table/20 → key_state/30, completion/40 after
+//! (shard_map/0 → slot_table/20 → key_state/30, net_state/38 after
 //! key_state via the wrapper), plus one deliberate inversion carrying
 //! an `audit:allow` justification. Zero findings, one suppression.
 
@@ -14,7 +14,7 @@ fn ordered_raw(&self) {
 
 fn ordered_tracked(&self) {
     let st = tracked_lock(ranks::KEY_STATE, "key_state", || self.state.lock());
-    let c = tracked_lock(ranks::COMPLETION, "completion", || self.inner.lock());
+    let c = tracked_lock(ranks::NET_STATE, "net_state", || self.replies.lock());
     drop(c);
     drop(st);
 }

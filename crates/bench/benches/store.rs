@@ -179,7 +179,7 @@ fn bench_frame_codec(c: &mut Criterion) {
 
 /// The same write+read pair as `store_write_read`, but through a real
 /// socket on 127.0.0.1 — the gate watches the whole wire path (frame
-/// encode, kernel round-trip, reader-thread demux, completion cell).
+/// encode, kernel round-trip, the caller's own read of the reply).
 fn bench_tcp_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_tcp_roundtrip");
     group.sample_size(20);

@@ -29,15 +29,11 @@ pub mod ranks {
     pub const SLOT_TABLE: i64 = 20;
     /// `KeySlot.state`: per-key simulation state.
     pub const KEY_STATE: i64 = 30;
-    /// tcp client: dead-connection set.
-    pub const NET_DEAD: i64 = 32;
-    /// tcp client: in-flight op table.
-    pub const NET_PENDING: i64 = 34;
-    /// tcp client: write half of the socket.
+    /// tcp client: write half of the socket and its encode buffer.
     pub const NET_WRITER: i64 = 36;
-    /// `NetCell.inner`: one-shot completions filled by the tcp client's
-    /// reader.
-    pub const COMPLETION: i64 = 40;
+    /// tcp client: `ReplyQueue.replies`, the replies still owed and the
+    /// read half of the socket.
+    pub const NET_STATE: i64 = 38;
     /// `GovernorSignal.due`: the governor's pass-requested bit.
     pub const GOVERNOR: i64 = 50;
     /// `Store.governor`: the governor thread's join handle.
@@ -48,8 +44,6 @@ pub mod ranks {
     pub const CONN_HANDLES: i64 = 74;
     /// net server: acceptor join handle.
     pub const ACCEPT_HANDLE: i64 = 76;
-    /// tcp client: read half of the socket.
-    pub const NET_READER: i64 = 78;
 }
 
 /// The full `(rank, name)` table, in rank order — what the audit-crate
@@ -60,16 +54,13 @@ pub fn rank_table() -> &'static [(i64, &'static str)] {
         (ranks::SHARD_MAP, "shard_map"),
         (ranks::SLOT_TABLE, "slot_table"),
         (ranks::KEY_STATE, "key_state"),
-        (ranks::NET_DEAD, "net_dead"),
-        (ranks::NET_PENDING, "net_pending"),
         (ranks::NET_WRITER, "net_writer"),
-        (ranks::COMPLETION, "completion"),
+        (ranks::NET_STATE, "net_state"),
         (ranks::GOVERNOR, "governor"),
         (ranks::GOVERNOR_HANDLE, "governor_handle"),
         (ranks::CONN_TABLE, "conn_table"),
         (ranks::CONN_HANDLES, "conn_handles"),
         (ranks::ACCEPT_HANDLE, "accept_handle"),
-        (ranks::NET_READER, "net_reader"),
     ]
 }
 

@@ -3,12 +3,23 @@
 //! [`ReadFuture`] / [`WriteFuture`] wrap the [`OpTicket`] a
 //! [`Transport`](crate::Transport) returned for the submission: on the
 //! loopback path the result itself (the operation ran on the submitting
-//! thread, so the first poll is `Ready`), a TCP-reader-filled cell on
-//! the wire. They implement [`Future`] so any executor can await them,
-//! and each also offers a blocking `wait()` that parks on the cell's
-//! condvar — the tree is offline-vendored, so no tokio (or any runtime)
-//! is required anywhere. [`block_on`] is a minimal thread-parking
-//! executor for contexts with no runtime at all.
+//! thread, so the first poll is `Ready`), on the wire a place in the
+//! connection's in-order reply queue. They implement [`Future`] so any
+//! executor can await them, and each also offers a blocking `wait()` —
+//! the tree is offline-vendored, so no tokio (or any runtime) is
+//! required anywhere. [`block_on`] is a minimal thread-parking executor
+//! for contexts with no runtime at all.
+//!
+//! Nothing runs in the background on either wire, so a future makes
+//! progress only while somebody drives it. Over TCP that has a
+//! consequence worth knowing: a `poll` (or `wait()`) that finds nobody
+//! reading the connection reads it, on behalf of every operation in
+//! flight there, and so **may block** — for up to one reply when
+//! polled, until its own reply when waited on, or until the transport's
+//! configured timeout. Found somebody reading, `poll` leaves its waker
+//! and returns `Pending`, and `wait()` sleeps until that caller hands
+//! over. An executor that must never block a thread should give TCP
+//! futures a thread of their own, as it would any blocking client.
 
 use crate::net::OpTicket;
 use crate::store::StoreError;
@@ -27,7 +38,8 @@ pub struct ReadFuture {
 }
 
 impl ReadFuture {
-    /// Blocking facade: parks the calling thread until the read returns.
+    /// Blocking facade: returns once the read has, reading the
+    /// connection or sleeping while another caller does.
     ///
     /// # Errors
     ///
@@ -57,7 +69,8 @@ pub struct WriteFuture {
 }
 
 impl WriteFuture {
-    /// Blocking facade: parks the calling thread until the write is acked.
+    /// Blocking facade: returns once the write is acked, reading the
+    /// connection or sleeping while another caller does.
     ///
     /// # Errors
     ///
@@ -88,8 +101,8 @@ pub struct OpFuture {
 }
 
 impl OpFuture {
-    /// Blocking facade: parks the calling thread until the operation
-    /// resolves.
+    /// Blocking facade: returns once the operation resolves, reading
+    /// the connection or sleeping while another caller does.
     ///
     /// # Errors
     ///

@@ -23,15 +23,17 @@
 //! std `TcpStream`, served by [`Store::serve`] / [`StoreServer`]).
 //! [`StoreClient::read`] / [`StoreClient::write`] return lightweight
 //! futures backed by transport tickets (the result itself on loopback,
-//! reader-thread-filled cells over TCP) — no external async runtime is
-//! needed anywhere:
+//! a place in the connection's reply queue over TCP, where whoever
+//! waits reads the socket) — no external async runtime and no client
+//! thread is needed anywhere:
 //!
 //! * **async** — the futures implement [`std::future::Future`] and can be
 //!   awaited from any executor, or from the bundled executor-less
 //!   [`block_on`];
 //! * **blocking** — [`ReadFuture::wait`] / [`WriteFuture::wait`] (and the
-//!   `*_blocking` shorthands) park the calling thread on the cell's
-//!   condvar (over loopback there is nothing to wait for).
+//!   `*_blocking` shorthands) read the connection until the reply is in,
+//!   or sleep while another caller does (over loopback there is nothing
+//!   to wait for).
 //!
 //! The [`load`] module offers closed- and open-loop
 //! (coordinated-omission-free) load generation over any transport.
@@ -89,6 +91,8 @@ pub use config::{
 pub use future::{block_on, join_all, OpFuture, ReadFuture, WriteFuture};
 pub use governor::GovernorSignal;
 pub use metrics::{EvictionCause, LatencyHistogram, OpCounters, ShardMetrics, StoreMetrics};
-pub use net::{frame, KeyMeta, Loopback, OpTicket, StoreServer, TcpTransport, Transport};
+pub use net::{
+    frame, KeyMeta, Loopback, NextReply, OpTicket, ReplyQueue, StoreServer, TcpTransport, Transport,
+};
 pub use recorder::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use store::{BatchOp, KeyHistory, Store, StoreClient, StoreError};

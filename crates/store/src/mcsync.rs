@@ -1,17 +1,17 @@
 //! Switchable sync primitives for the store's hand-rolled concurrency.
 //!
 //! With the `mc` cargo feature enabled, the `FlightRecorder` seqlock,
-//! the shard/`KeySlot` activity atomics and the `GovernorSignal`
-//! rendezvous run on `rsb-mcsync`'s model-checkable wrappers, so
-//! `crates/mc`'s interleaving harness can exhaustively explore their
-//! schedules; the wrappers are transparent passthroughs outside a model
-//! run. Without the feature these aliases are exactly
-//! `std::sync::atomic` / `parking_lot`.
+//! the shard/`KeySlot` activity atomics, the `GovernorSignal`
+//! rendezvous and the TCP client's `ReplyQueue` run on `rsb-mcsync`'s
+//! model-checkable wrappers, so `crates/mc`'s interleaving harness can
+//! exhaustively explore their schedules; the wrappers are transparent
+//! passthroughs outside a model run. Without the feature these aliases
+//! are exactly `std::sync::atomic` / `parking_lot`.
 
 #[cfg(feature = "mc")]
-pub(crate) use rsb_mcsync::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
+pub(crate) use rsb_mcsync::sync::{AtomicBool, AtomicU64, Condvar, Mutex, MutexGuard, Ordering};
 
 #[cfg(not(feature = "mc"))]
-pub(crate) use parking_lot::{Condvar, Mutex};
+pub(crate) use parking_lot::{Condvar, Mutex, MutexGuard};
 #[cfg(not(feature = "mc"))]
 pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -754,6 +754,50 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, StoreError> {
     Ok(frame)
 }
 
+/// A frame buffer kept from one frame to the next is let go once it has
+/// grown past this, so one huge frame does not pin its size to the
+/// connection for good; larger frames allocate per frame.
+const MAX_KEPT_BUF: usize = 1 << 20;
+
+/// The write half of a connection with its encode buffer, reused from
+/// frame to frame.
+#[derive(Debug)]
+pub(crate) struct FrameWriter<W> {
+    stream: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    pub(crate) fn new(stream: W) -> Self {
+        FrameWriter {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    pub(crate) fn stream(&self) -> &W {
+        &self.stream
+    }
+
+    /// Writes one frame (single `write_all`).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the peer is gone or the write fails.
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), StoreError> {
+        self.buf.clear();
+        encode_frame(frame, &mut self.buf);
+        let written = self
+            .stream
+            .write_all(&self.buf)
+            .map_err(|e| StoreError::Io(e.to_string()));
+        if self.buf.capacity() > MAX_KEPT_BUF {
+            self.buf = Vec::new();
+        }
+        written
+    }
+}
+
 /// Writes one frame to a stream (single `write_all`, then flush is the
 /// caller's choice — `TcpStream` is unbuffered so no flush is needed).
 ///
@@ -761,9 +805,111 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, StoreError> {
 ///
 /// [`StoreError::Io`] when the peer is gone or the write fails.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(64);
-    encode_frame(frame, &mut buf);
-    w.write_all(&buf).map_err(|e| StoreError::Io(e.to_string()))
+    let buf = Vec::with_capacity(64);
+    FrameWriter { stream: w, buf }.send(frame)
+}
+
+/// Why no frame was read.
+#[derive(Debug)]
+pub(crate) enum ReadStop {
+    /// The peer closed before any byte of a next frame.
+    Closed,
+    /// The stream's read timeout passed before any byte of a next frame:
+    /// the stream is still in step.
+    Idle(std::io::Error),
+    /// Anything else; the stream cannot be read further.
+    Failed(StoreError),
+}
+
+/// The read half of a connection with its payload buffer, reused from
+/// frame to frame: grown as needed and never cleared, since each frame
+/// overwrites the bytes it uses.
+#[derive(Debug)]
+pub(crate) struct FrameReader<R> {
+    stream: R,
+    payload: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(stream: R) -> Self {
+        FrameReader {
+            stream,
+            payload: Vec::new(),
+        }
+    }
+
+    pub(crate) fn stream(&self) -> &R {
+        &self.stream
+    }
+
+    /// [`FrameReader::next`] the way [`read_frame`] reports it: a clean
+    /// close is `Ok(None)`, every other stop an error.
+    pub(crate) fn next_or_end(&mut self) -> Result<Option<Frame>, StoreError> {
+        match self.next() {
+            Ok(frame) => Ok(Some(frame)),
+            Err(ReadStop::Closed) => Ok(None),
+            Err(ReadStop::Idle(e)) => Err(StoreError::Io(e.to_string())),
+            Err(ReadStop::Failed(e)) => Err(e),
+        }
+    }
+
+    /// Reads one frame, telling a close or a timeout *between* frames
+    /// from one inside a frame.
+    pub(crate) fn next(&mut self) -> Result<Frame, ReadStop> {
+        let io = |e: std::io::Error| ReadStop::Failed(StoreError::Io(e.to_string()));
+        let mid_frame = || ReadStop::Failed(StoreError::Io("connection closed mid-frame".into()));
+        let mut len_buf = [0u8; 4];
+        // Hand-rolled first-byte read so that whether any byte of the
+        // frame has arrived is known when the read stops.
+        let mut got = 0;
+        while let Some(dst) = len_buf.get_mut(got..).filter(|d| !d.is_empty()) {
+            match self.stream.read(dst) {
+                Ok(0) if got == 0 => return Err(ReadStop::Closed),
+                Ok(0) => return Err(mid_frame()),
+                Ok(n) => got += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if got == 0 && is_timeout(&e) => return Err(ReadStop::Idle(e)),
+                Err(e) => return Err(io(e)),
+            }
+        }
+        let len = u32::from_le_bytes(len_buf);
+        if len == 0 {
+            return Err(ReadStop::Failed(decode_err("zero-length frame")));
+        }
+        if len > MAX_FRAME_LEN {
+            return Err(ReadStop::Failed(decode_err(format!(
+                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"
+            ))));
+        }
+        let len = len as usize;
+        if self.payload.len() < len {
+            self.payload.resize(len, 0);
+        }
+        let body = self
+            .payload
+            .get_mut(..len)
+            .ok_or_else(|| ReadStop::Failed(decode_err("frame buffer shorter than its frame")))?;
+        self.stream.read_exact(body).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                mid_frame()
+            } else {
+                io(e)
+            }
+        })?;
+        let frame = decode_payload(body).map_err(ReadStop::Failed);
+        if self.payload.capacity() > MAX_KEPT_BUF {
+            self.payload = Vec::new();
+        }
+        frame
+    }
+}
+
+/// Whether a read failed because the stream's read timeout passed.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
 }
 
 /// Reads one frame from a stream.
@@ -777,39 +923,5 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), StoreError> 
 /// [`StoreError::Decode`] on an oversized length prefix or a malformed
 /// payload.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, StoreError> {
-    let mut len_buf = [0u8; 4];
-    // Hand-rolled first-byte read so a clean close between frames is
-    // distinguishable from truncation inside one.
-    let mut got = 0;
-    while let Some(dst) = len_buf.get_mut(got..).filter(|d| !d.is_empty()) {
-        match r.read(dst) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(None);
-                }
-                return Err(StoreError::Io("connection closed mid-frame".into()));
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(StoreError::Io(e.to_string())),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 {
-        return Err(decode_err("zero-length frame"));
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(decode_err(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Io("connection closed mid-frame".into())
-        } else {
-            StoreError::Io(e.to_string())
-        }
-    })?;
-    decode_payload(&payload).map(Some)
+    FrameReader::new(r).next_or_end()
 }

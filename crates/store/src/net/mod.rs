@@ -10,18 +10,27 @@
 //!   tier-1 tests and benches run against.
 //! * [`TcpTransport`] — the real wire: a versioned length-prefixed
 //!   binary protocol (see [`frame`]) over a std `TcpStream`, served by
-//!   [`StoreServer`]. No async runtime anywhere: the client's one reader
-//!   thread per connection fills the completion cells the futures poll.
+//!   [`StoreServer`]. No async runtime and no client thread anywhere:
+//!   the caller that waits for a reply reads the socket, on behalf of
+//!   whoever else shares the connection ([`ReplyQueue`] decides whose
+//!   turn it is), and a ticket is a position in the connection's
+//!   in-order reply queue.
 //!
 //! [`StoreClient`](crate::StoreClient) is generic over the transport
 //! (defaulting to [`Loopback`]), so the whole async + blocking client
 //! API — futures, `block_on`, `join_all`, the `*_blocking` shorthands —
 //! is identical whether the store is in-process or across a socket.
+//! On neither wire does a background thread make progress for a future:
+//! [`Loopback`] runs the operation inside `submit`, and over TCP a
+//! `poll` that finds nobody reading the connection reads it, blocking
+//! for up to one reply or the configured timeout.
 
 pub mod frame;
+mod replies;
 mod server;
 mod tcp;
 
+pub use replies::{NextReply, ReplyQueue};
 pub use server::StoreServer;
 pub use tcp::TcpTransport;
 
@@ -29,10 +38,8 @@ use crate::metrics::StoreMetrics;
 use crate::store::{BatchOp, StoreError, StoreInner};
 use rsb_coding::Value;
 use rsb_fpsm::{OpRequest, OpResult};
-use rsb_registers::lockorder::{ranks, tracked_lock};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-use std::time::Duration;
+use std::task::{Context, Poll};
 
 /// What a transport knows about one key's shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,90 +100,6 @@ pub trait Transport: Send + Sync + 'static {
     fn stats(&self) -> Result<StoreMetrics, StoreError>;
 }
 
-/// A one-shot completion cell filled by a transport's delivery thread
-/// (the TCP client's reader): blocking wait on a condvar, or
-/// future-style poll through a stored waker.
-#[derive(Debug)]
-pub(crate) struct NetCell<T> {
-    inner: parking_lot::Mutex<NetCellInner<T>>,
-    done: parking_lot::Condvar,
-}
-
-#[derive(Debug)]
-struct NetCellInner<T> {
-    result: Option<T>,
-    waker: Option<Waker>,
-}
-
-impl<T: Clone> NetCell<T> {
-    pub(crate) fn new() -> Self {
-        NetCell {
-            inner: parking_lot::Mutex::new(NetCellInner {
-                result: None,
-                waker: None,
-            }),
-            done: parking_lot::Condvar::new(),
-        }
-    }
-
-    /// Fills the cell (first outcome wins), waking waiters and wakers.
-    pub(crate) fn fill(&self, value: T) {
-        let waker = {
-            let mut inner = tracked_lock(ranks::COMPLETION, "completion", || self.inner.lock());
-            if inner.result.is_some() {
-                return;
-            }
-            inner.result = Some(value);
-            self.done.notify_all();
-            inner.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    /// Blocks until filled, or until `timeout` elapses (`None` = forever).
-    /// Returns `None` on timeout.
-    pub(crate) fn wait(&self, timeout: Option<Duration>) -> Option<T> {
-        let mut inner = tracked_lock(ranks::COMPLETION, "completion", || self.inner.lock());
-        match timeout {
-            None => loop {
-                if let Some(v) = inner.result.clone() {
-                    return Some(v);
-                }
-                self.done.wait(inner.raw_mut());
-            },
-            Some(limit) => {
-                let deadline = std::time::Instant::now() + limit;
-                loop {
-                    if let Some(v) = inner.result.clone() {
-                        return Some(v);
-                    }
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let _ = self.done.wait_for(inner.raw_mut(), deadline - now);
-                }
-            }
-        }
-    }
-
-    /// Future-style poll: ready with the value, or registers the waker.
-    pub(crate) fn poll(&self, cx: &mut Context<'_>) -> Poll<T> {
-        let mut inner = tracked_lock(ranks::COMPLETION, "completion", || self.inner.lock());
-        if let Some(v) = inner.result.clone() {
-            Poll::Ready(v)
-        } else {
-            inner.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-/// The completion cell TCP operations resolve through.
-pub(crate) type OpCell = NetCell<Result<OpResult, StoreError>>;
-
 /// An operation's completion handle, returned by
 /// [`Transport::submit`] and wrapped by the client's
 /// [`ReadFuture`](crate::ReadFuture) / [`WriteFuture`](crate::WriteFuture).
@@ -193,12 +116,8 @@ pub struct OpTicket {
 pub(crate) enum TicketInner {
     /// Resolved at submission; `None` after the outcome has been taken.
     Ready(Option<Result<OpResult, StoreError>>),
-    /// A transport-filled completion cell (TCP reader thread), with an
-    /// optional blocking-wait timeout.
-    Net {
-        cell: Arc<OpCell>,
-        timeout: Option<Duration>,
-    },
+    /// A place in a TCP connection's reply queue.
+    Net(tcp::NetTicket),
 }
 
 impl OpTicket {
@@ -209,9 +128,9 @@ impl OpTicket {
         }
     }
 
-    pub(crate) fn net(cell: Arc<OpCell>, timeout: Option<Duration>) -> Self {
+    pub(crate) fn net(ticket: tcp::NetTicket) -> Self {
         OpTicket {
-            inner: TicketInner::Net { cell, timeout },
+            inner: TicketInner::Net(ticket),
         }
     }
 
@@ -228,13 +147,12 @@ impl OpTicket {
                     // after completion is a caller bug.
                     .expect("operation future polled after completion"),
             ),
-            TicketInner::Net { cell, .. } => cell.poll(cx),
+            TicketInner::Net(ticket) => ticket.poll(cx),
         }
     }
 
-    /// Blocking wait. The configured per-operation timeout (TCP
-    /// transports only) applies here; the async path has no timer and
-    /// resolves whenever the transport delivers.
+    /// Blocking wait, bounded by the configured per-operation timeout
+    /// (TCP transports only).
     pub(crate) fn wait(self) -> Result<OpResult, StoreError> {
         match self.inner {
             TicketInner::Ready(outcome) => {
@@ -243,9 +161,7 @@ impl OpTicket {
                 // that already returned `Ready` could have emptied it.
                 outcome.expect("operation future waited after completion")
             }
-            TicketInner::Net { cell, timeout } => {
-                cell.wait(timeout).unwrap_or(Err(StoreError::Timeout))
-            }
+            TicketInner::Net(ticket) => ticket.wait(),
         }
     }
 }
@@ -364,4 +280,17 @@ pub(crate) fn result_frame(id: u64, result: Result<OpResult, StoreError>) -> fra
 /// Converts wire value bytes into the store's [`Value`].
 pub(crate) fn value_from_wire(bytes: Vec<u8>) -> Value {
     Value::from_bytes(bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::OpTicket;
+
+    #[test]
+    fn a_ticket_stays_four_words() {
+        // Every loopback operation moves one of these; the TCP variant
+        // (connection, request id, part, parts, taken) must fit beside
+        // the ready outcome without growing it.
+        assert_eq!(std::mem::size_of::<OpTicket>(), 32);
+    }
 }

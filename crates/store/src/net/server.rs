@@ -16,7 +16,9 @@
 //! error frames — shuts down every live connection socket (unblocking
 //! the threads parked in `read`), and joins every thread.
 
-use super::frame::{read_frame, write_frame, Frame, WireOp, WireOpResult, WIRE_VERSION};
+use super::frame::{
+    read_frame, write_frame, Frame, FrameReader, FrameWriter, WireOp, WireOpResult, WIRE_VERSION,
+};
 use super::{result_frame, value_from_wire, Loopback, Transport};
 use crate::config::ListenSpec;
 use crate::recorder::FlightEventKind;
@@ -289,7 +291,7 @@ fn connection(stream: &TcpStream, loopback: &Loopback) {
 /// itself *plus* response serialization — everything server-side that
 /// loopback clients never pay.
 fn answer_op(
-    mut w: &TcpStream,
+    w: &mut FrameWriter<&TcpStream>,
     loopback: &Loopback,
     id: u64,
     key: &str,
@@ -297,7 +299,7 @@ fn answer_op(
     decoded: Instant,
 ) -> Result<(), StoreError> {
     let result = loopback.submit(key, req).wait();
-    let written = write_frame(&mut w, &result_frame(id, result));
+    let written = w.send(&result_frame(id, result));
     loopback
         .inner
         .shard_for(key)
@@ -307,20 +309,22 @@ fn answer_op(
 
 /// The request loop: each decoded request is run and its response
 /// written before the next is read. Returns on EOF, a write error (the
-/// client is gone), a decode error or a protocol violation.
+/// client is gone), a decode error or a protocol violation. The
+/// connection owns one payload buffer and one encode buffer, reused for
+/// every frame.
 fn serve_requests(stream: &TcpStream, loopback: &Loopback) {
-    let mut r = BufReader::new(stream);
-    let mut w = stream;
+    let mut r = FrameReader::new(BufReader::new(stream));
+    let mut w = FrameWriter::new(stream);
     loop {
-        let request = read_frame(&mut r);
+        let request = r.next_or_end();
         let decoded = Instant::now();
         let written = match request {
             Ok(Some(Frame::ReadReq { id, key })) => {
-                answer_op(w, loopback, id, &key, OpRequest::Read, decoded)
+                answer_op(&mut w, loopback, id, &key, OpRequest::Read, decoded)
             }
             Ok(Some(Frame::WriteReq { id, key, value })) => {
                 let req = OpRequest::Write(value_from_wire(value));
-                answer_op(w, loopback, id, &key, req, decoded)
+                answer_op(&mut w, loopback, id, &key, req, decoded)
             }
             Ok(Some(Frame::BatchReq { id, ops })) => {
                 let batch: Vec<BatchOp> = ops
@@ -342,20 +346,17 @@ fn serve_requests(stream: &TcpStream, loopback: &Loopback) {
                     .into_iter()
                     .map(|ticket| wire_result(ticket.wait()))
                     .collect();
-                let written = write_frame(&mut w, &Frame::BatchResp { id, results });
+                let written = w.send(&Frame::BatchResp { id, results });
                 let wire_ns = decoded.elapsed().as_nanos() as u64;
                 for shard in shards {
                     loopback.inner.shards[shard].note_wire_latency(wire_ns);
                 }
                 written
             }
-            Ok(Some(Frame::StatsReq { id })) => write_frame(
-                &mut w,
-                &Frame::StatsResp {
-                    id,
-                    metrics: loopback.inner.metrics(),
-                },
-            ),
+            Ok(Some(Frame::StatsReq { id })) => w.send(&Frame::StatsResp {
+                id,
+                metrics: loopback.inner.metrics(),
+            }),
             Ok(Some(Frame::MetaReq { id, key })) => {
                 let frame = match loopback.key_meta(&key) {
                     Ok(meta) => Frame::MetaResp {
@@ -365,7 +366,7 @@ fn serve_requests(stream: &TcpStream, loopback: &Loopback) {
                     },
                     Err(error) => Frame::ErrorResp { id, error },
                 };
-                write_frame(&mut w, &frame)
+                w.send(&frame)
             }
             Ok(None) => return,
             // A hello or response frame mid-session is a protocol

@@ -1,74 +1,267 @@
 //! The client side of the wire: a [`TcpTransport`] speaking the
-//! length-prefixed frame protocol over one `TcpStream`.
+//! length-prefixed frame protocol over one `TcpStream`, with no thread
+//! of its own.
 //!
-//! One connection multiplexes any number of client threads: submissions
-//! assign a connection-unique request id, register a completion cell,
-//! and write the request frame under a short writer lock; a single
-//! reader thread demultiplexes response frames back into the cells by
-//! id (the server answers a connection's requests in order, but nothing
-//! here depends on it), and the same futures the loopback path returns
-//! work unchanged.
+//! The caller drives its connection. A submission takes the writer
+//! lock, appends one slot to the connection's in-order
+//! [`ReplyQueue`] — the slot's position is the request id, a batch is
+//! one slot with one part per operation — and writes the frame from the
+//! connection's encode buffer. The ticket that comes back is
+//! `(connection, request id, part)`. Waiting on it, or polling it, looks
+//! in the queue: the reply is there — take it; nobody is reading the
+//! socket — read it, file each reply under the oldest unanswered
+//! request after checking that its id is that request's, until the
+//! ticket's own reply arrives; somebody is reading — sleep until they
+//! hand over, or leave a waker. So a connection with one user costs two
+//! thread wake-ups per round trip (the server's and the caller's own),
+//! the echo floor; a connection shared by many threads has, at any
+//! moment, one of them reading on behalf of the rest.
 //!
-//! When the connection dies (server gone, decode failure, socket error)
-//! every in-flight operation fails with the connection's terminal
-//! [`StoreError`], and later submissions fail fast with a clone of it.
+//! **Polling may block.** A `poll` that finds nobody reading reads, for
+//! up to one reply or the configured timeout — the stance
+//! [`Loopback`](super::Loopback) already takes by running the whole
+//! operation inside `submit`. There is no background thread to make
+//! progress otherwise.
+//!
+//! A submitter more than `MAX_IN_FLIGHT` unanswered requests ahead
+//! reads replies before it writes more, so what a caller can pile up —
+//! including requests whose tickets it dropped or that timed out — is
+//! bounded. The window counts requests, not bytes: one thread that
+//! pipelines more than the socket buffers hold *in both directions*
+//! (large writes interleaved with large reads) without ever waiting can
+//! still stall against a server blocked in `write`; the configured
+//! timeout, which bounds socket writes too, turns that into an error.
+//!
+//! When the connection dies (server gone, the server's connection-level
+//! error frame, a reply out of order, decode failure, socket error, a
+//! timeout inside a frame) every unanswered operation fails with the
+//! connection's terminal [`StoreError`], and later submissions fail
+//! fast with a clone of it.
 
-use super::frame::{read_frame, write_frame, Frame, WireOp, WIRE_VERSION};
-use super::{value_from_wire, KeyMeta, NetCell, OpCell, OpTicket, Transport};
+use super::frame::{Frame, FrameReader, FrameWriter, ReadStop, WireOp, WIRE_VERSION};
+use super::replies::{NextReply, ReplyQueue};
+use super::{value_from_wire, KeyMeta, OpTicket, Transport};
 use crate::metrics::StoreMetrics;
 use crate::store::{BatchOp, StoreError};
 use rsb_fpsm::{OpRequest, OpResult};
 use rsb_registers::lockorder::{ranks, tracked_lock};
-use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
+use std::task::{Context, Poll};
+use std::time::{Duration, Instant};
 
-/// A pending request's completion cell, by kind.
-enum Pending {
-    Op(Arc<OpCell>),
-    /// One cell per batched operation, in submission order; the whole
-    /// batch shares one request id and resolves from one `BatchResp`.
-    Batch(Vec<Arc<OpCell>>),
-    Meta(Arc<NetCell<Result<KeyMeta, StoreError>>>),
-    Stats(Arc<NetCell<Result<StoreMetrics, StoreError>>>),
+/// How many unanswered requests a connection carries before a submitter
+/// reads replies instead of writing more.
+const MAX_IN_FLIGHT: usize = 256;
+
+/// `parts` of a ticket for a single-operation frame (a batch has ≥ 1).
+const SINGLE: u16 = 0;
+
+type Reader = FrameReader<BufReader<TcpStream>>;
+
+fn io_err(e: &std::io::Error) -> StoreError {
+    StoreError::Io(e.to_string())
 }
 
-/// Shared between submitters and the reader thread.
-struct Shared {
-    pending: parking_lot::Mutex<HashMap<u64, Pending>>,
-    /// The connection's terminal error, once it has one: submissions
-    /// fail fast with a clone instead of writing into a dead socket.
-    dead: parking_lot::Mutex<Option<StoreError>>,
+/// The id a response frame answers; `None` for frames only a client
+/// sends.
+fn reply_id(frame: &Frame) -> Option<u64> {
+    match frame {
+        Frame::ReadResp { id, .. }
+        | Frame::WriteResp { id }
+        | Frame::MetaResp { id, .. }
+        | Frame::ErrorResp { id, .. }
+        | Frame::StatsResp { id, .. }
+        | Frame::BatchResp { id, .. } => Some(*id),
+        Frame::Hello { .. }
+        | Frame::HelloAck { .. }
+        | Frame::ReadReq { .. }
+        | Frame::WriteReq { .. }
+        | Frame::MetaReq { .. }
+        | Frame::StatsReq { .. }
+        | Frame::BatchReq { .. } => None,
+    }
 }
 
-impl Shared {
-    /// Marks the connection dead and fails every pending completion.
-    fn fail_all(&self, err: &StoreError) {
-        {
-            let mut dead = tracked_lock(ranks::NET_DEAD, "net_dead", || self.dead.lock());
-            if dead.is_none() {
-                *dead = Some(err.clone());
-            }
+/// Reads the next reply off the socket, giving up at `deadline` if the
+/// stream is idle until then. A deadline that passes *inside* a frame
+/// leaves the stream out of step and is fatal, like any other failure.
+fn next_reply(reader: &mut Reader, deadline: Option<Instant>) -> NextReply<Frame> {
+    if let Some(deadline) = deadline {
+        // Zero would mean "no timeout" to the socket.
+        let left = deadline
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(1));
+        if let Err(e) = reader.stream().get_ref().set_read_timeout(Some(left)) {
+            return NextReply::Dead(io_err(&e));
         }
-        let drained: Vec<Pending> = {
-            let mut pending =
-                tracked_lock(ranks::NET_PENDING, "net_pending", || self.pending.lock());
-            pending.drain().map(|(_, p)| p).collect()
-        };
-        for p in drained {
-            match p {
-                Pending::Op(cell) => cell.fill(Err(err.clone())),
-                Pending::Batch(cells) => {
-                    for cell in cells {
-                        cell.fill(Err(err.clone()));
+    }
+    match reader.next() {
+        // The server's parting word on a connection it is closing: a
+        // decode error or protocol violation of ours, named.
+        Ok(Frame::ErrorResp { id: 0, error }) => NextReply::Dead(error),
+        Ok(frame) => match reply_id(&frame) {
+            Some(id) => NextReply::Reply(id, frame),
+            None => NextReply::Dead(StoreError::Decode(format!(
+                "unexpected {} frame from server",
+                frame.kind()
+            ))),
+        },
+        Err(ReadStop::Closed) => {
+            NextReply::Dead(StoreError::Io("connection closed by server".into()))
+        }
+        Err(ReadStop::Idle(_)) => NextReply::Quiet,
+        Err(ReadStop::Failed(e)) => NextReply::Dead(e),
+    }
+}
+
+/// What a response frame holds for one operation: part `part` of a
+/// `parts`-wide batch, or a [`SINGLE`] operation.
+fn op_outcome(frame: &mut Frame, part: u16, parts: u16) -> Result<OpResult, StoreError> {
+    match frame {
+        Frame::ReadResp { value, .. } if parts == SINGLE => {
+            Ok(OpResult::Read(value_from_wire(std::mem::take(value))))
+        }
+        Frame::WriteResp { .. } if parts == SINGLE => Ok(OpResult::Write),
+        Frame::BatchResp { results, .. } if parts != SINGLE => {
+            // An arity mismatch is unrecoverable: results can no longer
+            // be matched to operations, so the whole batch fails.
+            let got = results.len();
+            match results.get_mut(usize::from(part)) {
+                Some(result) if got == usize::from(parts) => {
+                    match std::mem::replace(result, Ok(None)) {
+                        Ok(Some(bytes)) => Ok(OpResult::Read(value_from_wire(bytes))),
+                        Ok(None) => Ok(OpResult::Write),
+                        Err(e) => Err(e),
                     }
                 }
-                Pending::Meta(cell) => cell.fill(Err(err.clone())),
-                Pending::Stats(cell) => cell.fill(Err(err.clone())),
+                _ => Err(StoreError::Decode(format!(
+                    "batch response carries {got} results for {parts} operations"
+                ))),
             }
+        }
+        // An `ErrorResp` on a batch id is a legitimate batch-wide failure.
+        Frame::ErrorResp { error, .. } => Err(error.clone()),
+        other => Err(mismatch(
+            other,
+            if parts == SINGLE {
+                "an operation"
+            } else {
+                "a batch"
+            },
+        )),
+    }
+}
+
+fn mismatch(frame: &Frame, request: &str) -> StoreError {
+    StoreError::Decode(format!(
+        "{} frame in answer to {request} request",
+        frame.kind()
+    ))
+}
+
+/// One connection: what the transport and its tickets share.
+struct Conn {
+    writer: parking_lot::Mutex<FrameWriter<TcpStream>>,
+    replies: ReplyQueue<Reader, Frame>,
+    timeout: Option<Duration>,
+}
+
+impl Conn {
+    /// When an operation that starts waiting now gives up.
+    fn deadline(&self) -> Option<Instant> {
+        self.timeout.map(|t| Instant::now() + t)
+    }
+
+    /// Queues a `parts`-wide request and writes the frame `frame` makes
+    /// of its id; returns the id.
+    fn send(&self, parts: u32, frame: impl FnOnce(u64) -> Frame) -> Result<u64, StoreError> {
+        self.replies
+            .make_room(MAX_IN_FLIGHT, self.deadline(), next_reply)?;
+        let mut w = tracked_lock(ranks::NET_WRITER, "net_writer", || self.writer.lock());
+        let id = self.replies.push(parts)?;
+        if let Err(e) = w.send(&frame(id)) {
+            // A failed write means the socket is gone for everyone;
+            // closing it brings back whoever is reading.
+            let _ = w.stream().shutdown(Shutdown::Both);
+            self.replies.fail_all(e.clone());
+            return Err(e);
+        }
+        Ok(id)
+    }
+
+    /// Sends a request with one taker and blocks for what `take` makes
+    /// of its reply.
+    fn round_trip<O>(
+        &self,
+        frame: impl FnOnce(u64) -> Frame,
+        take: impl FnMut(&mut Frame) -> Result<O, StoreError>,
+    ) -> Result<O, StoreError> {
+        let id = self.send(1, frame)?;
+        self.replies.wait(id, self.deadline(), next_reply, take)?
+    }
+}
+
+/// The TCP half of an [`OpTicket`]: one operation's claim on its
+/// connection's reply queue. Dropped untaken, it gives the claim up, so
+/// the reply is discarded when it lands.
+pub(crate) struct NetTicket {
+    conn: Arc<Conn>,
+    id: u64,
+    part: u16,
+    parts: u16,
+    taken: bool,
+}
+
+impl std::fmt::Debug for NetTicket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NetTicket")
+            .field("id", &self.id)
+            .field("part", &self.part)
+            .field("taken", &self.taken)
+            .finish_non_exhaustive()
+    }
+}
+
+impl NetTicket {
+    /// Blocking wait, bounded by the transport's timeout.
+    pub(crate) fn wait(mut self) -> Result<OpResult, StoreError> {
+        // Every way out of the queue's `wait` releases the claim.
+        self.taken = true;
+        let (part, parts) = (self.part, self.parts);
+        self.conn
+            .replies
+            .wait(self.id, self.conn.deadline(), next_reply, |frame| {
+                op_outcome(frame, part, parts)
+            })?
+    }
+
+    /// Future-style poll; reads the socket when nobody else is.
+    pub(crate) fn poll(&mut self, cx: &mut Context<'_>) -> Poll<Result<OpResult, StoreError>> {
+        if self.taken {
+            return Poll::Ready(Err(StoreError::Rejected(
+                "operation future polled after completion".into(),
+            )));
+        }
+        let (part, parts) = (self.part, self.parts);
+        let outcome =
+            self.conn
+                .replies
+                .poll(self.id, cx, self.conn.deadline(), next_reply, |frame| {
+                    op_outcome(frame, part, parts)
+                });
+        outcome.map(|result| {
+            self.taken = true;
+            result?
+        })
+    }
+}
+
+impl Drop for NetTicket {
+    fn drop(&mut self) {
+        if !self.taken {
+            self.conn.replies.abandon(self.id);
         }
     }
 }
@@ -77,14 +270,11 @@ impl Shared {
 /// implementation of [`Transport`].
 ///
 /// Cheap to share behind the client's `Arc`; all methods take `&self`.
-/// Dropping the transport closes the socket and joins the reader
-/// thread, failing whatever was still in flight.
+/// It runs no thread: whoever waits for a reply reads the socket.
+/// Dropping the transport closes the socket, failing whatever was still
+/// in flight with [`StoreError::Io`].
 pub struct TcpTransport {
-    writer: parking_lot::Mutex<TcpStream>,
-    shared: Arc<Shared>,
-    next_id: AtomicU64,
-    timeout: Option<Duration>,
-    reader: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
+    conn: Arc<Conn>,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -92,7 +282,8 @@ impl std::fmt::Debug for TcpTransport {
         f.debug_struct("TcpTransport")
             .field(
                 "peer",
-                &tracked_lock(ranks::NET_WRITER, "net_writer", || self.writer.lock())
+                &tracked_lock(ranks::NET_WRITER, "net_writer", || self.conn.writer.lock())
+                    .stream()
                     .peer_addr()
                     .ok(),
             )
@@ -113,28 +304,33 @@ impl TcpTransport {
         Self::connect_with(addr, None)
     }
 
-    /// Like [`TcpTransport::connect`], with a per-operation timeout
-    /// applied by the *blocking* wait paths (`read_blocking`,
-    /// `ReadFuture::wait`, …): an operation whose response has not
-    /// arrived within `timeout` fails with [`StoreError::Timeout`]. The
-    /// pure-async poll path carries no timer and resolves whenever the
-    /// response lands.
+    /// Like [`TcpTransport::connect`], with a per-operation timeout: an
+    /// operation whose response has not arrived within `timeout` of the
+    /// moment its caller starts waiting for it — `ReadFuture::wait`,
+    /// `read_blocking`, …, or a `poll` that ends up reading the socket —
+    /// fails with [`StoreError::Timeout`], and so does a submission that
+    /// cannot get room in the pipeline within it. A timeout that fires
+    /// while the stream is idle costs only that operation; one that
+    /// fires inside a frame, in either direction, ends the connection.
+    /// A future that is polled while another caller reads carries no
+    /// timer and resolves when that caller delivers or hands over.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         timeout: Option<Duration>,
     ) -> Result<Self, StoreError> {
-        let stream = TcpStream::connect(addr).map_err(|e| StoreError::Io(e.to_string()))?;
+        let stream = TcpStream::connect(addr).map_err(|e| io_err(&e))?;
+        stream.set_nodelay(true).map_err(|e| io_err(&e))?;
+        // (A zero timeout fails every wait at once; the socket has no
+        // way to say that.)
         stream
-            .set_nodelay(true)
-            .map_err(|e| StoreError::Io(e.to_string()))?;
-        // Handshake, still single-threaded on this socket.
-        write_frame(
-            &mut &stream,
-            &Frame::Hello {
-                version: WIRE_VERSION,
-            },
-        )?;
-        match read_frame(&mut &stream)? {
+            .set_write_timeout(timeout.filter(|t| !t.is_zero()))
+            .map_err(|e| io_err(&e))?;
+        let mut writer = FrameWriter::new(stream);
+        writer.send(&Frame::Hello {
+            version: WIRE_VERSION,
+        })?;
+        // Unbuffered, so the handshake consumes its own frame only.
+        match FrameReader::new(writer.stream()).next_or_end()? {
             Some(Frame::HelloAck { version }) if version == WIRE_VERSION => {}
             Some(Frame::HelloAck { version }) => {
                 return Err(StoreError::ProtocolVersion {
@@ -151,114 +347,74 @@ impl TcpTransport {
             }
             None => return Err(StoreError::Io("connection closed during handshake".into())),
         }
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| StoreError::Io(e.to_string()))?;
-        let shared = Arc::new(Shared {
-            pending: parking_lot::Mutex::new(HashMap::new()),
-            dead: parking_lot::Mutex::new(None),
-        });
-        let reader = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("store-tcp-reader".into())
-                .spawn(move || read_loop(reader_stream, &shared))
-                .map_err(|e| StoreError::Io(e.to_string()))?
-        };
+        let read_half = writer.stream().try_clone().map_err(|e| io_err(&e))?;
         Ok(TcpTransport {
-            writer: parking_lot::Mutex::new(stream),
-            shared,
-            next_id: AtomicU64::new(1),
-            timeout,
-            reader: parking_lot::Mutex::new(Some(reader)),
+            conn: Arc::new(Conn {
+                writer: parking_lot::Mutex::new(writer),
+                replies: ReplyQueue::new(FrameReader::new(BufReader::new(read_half))),
+                timeout,
+            }),
         })
     }
 
     /// The connection's terminal error, if it has died.
     pub fn connection_error(&self) -> Option<StoreError> {
-        tracked_lock(ranks::NET_DEAD, "net_dead", || self.shared.dead.lock()).clone()
+        self.conn.replies.error()
     }
 
-    /// Registers a pending entry and writes its request frame; on a
-    /// write failure the entry is withdrawn and the error returned.
-    fn send(&self, id: u64, entry: Pending, frame: &Frame) -> Result<(), StoreError> {
-        if let Some(err) =
-            tracked_lock(ranks::NET_DEAD, "net_dead", || self.shared.dead.lock()).clone()
-        {
-            return Err(err);
-        }
-        tracked_lock(ranks::NET_PENDING, "net_pending", || {
-            self.shared.pending.lock()
+    fn ticket(&self, id: u64, part: u16, parts: u16) -> OpTicket {
+        OpTicket::net(NetTicket {
+            conn: Arc::clone(&self.conn),
+            id,
+            part,
+            parts,
+            taken: false,
         })
-        .insert(id, entry);
-        let result = {
-            let mut w = tracked_lock(ranks::NET_WRITER, "net_writer", || self.writer.lock());
-            write_frame(&mut *w, frame)
-        };
-        if let Err(e) = result {
-            tracked_lock(ranks::NET_PENDING, "net_pending", || {
-                self.shared.pending.lock()
-            })
-            .remove(&id);
-            // A failed write means the socket is gone for everyone.
-            self.shared.fail_all(&e);
-            return Err(e);
-        }
-        Ok(())
     }
+}
 
-    fn next_id(&self) -> u64 {
-        // audit:allow(atomics-relaxed) — ID allocation: uniqueness comes
-        // from the atomic RMW; no data is published through the counter.
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
+fn key_too_long(key: &str) -> Option<StoreError> {
+    (key.len() > super::frame::MAX_KEY_LEN).then(|| {
+        StoreError::Rejected(format!(
+            "key length {} exceeds the wire bound {}",
+            key.len(),
+            super::frame::MAX_KEY_LEN
+        ))
+    })
 }
 
 impl Transport for TcpTransport {
     fn submit(&self, key: &str, req: OpRequest) -> OpTicket {
-        if key.len() > super::frame::MAX_KEY_LEN {
-            return OpTicket::ready(Err(StoreError::Rejected(format!(
-                "key length {} exceeds the wire bound {}",
-                key.len(),
-                super::frame::MAX_KEY_LEN
-            ))));
+        if let Some(err) = key_too_long(key) {
+            return OpTicket::ready(Err(err));
         }
-        let id = self.next_id();
-        let cell: Arc<OpCell> = Arc::new(NetCell::new());
-        let frame = match req {
-            OpRequest::Read => Frame::ReadReq {
-                id,
-                key: key.to_owned(),
-            },
-            OpRequest::Write(value) => Frame::WriteReq {
-                id,
-                key: key.to_owned(),
-                value: value.as_bytes().to_vec(),
-            },
+        let key = key.to_owned();
+        let sent = match req {
+            OpRequest::Read => self.conn.send(1, |id| Frame::ReadReq { id, key }),
+            OpRequest::Write(value) => {
+                let value = value.as_bytes().to_vec();
+                self.conn.send(1, |id| Frame::WriteReq { id, key, value })
+            }
         };
-        match self.send(id, Pending::Op(Arc::clone(&cell)), &frame) {
-            Ok(()) => OpTicket::net(cell, self.timeout),
+        match sent {
+            Ok(id) => self.ticket(id, 0, SINGLE),
             Err(e) => OpTicket::ready(Err(e)),
         }
     }
 
-    /// One `BatchReq` frame for the whole batch — one writer-lock hold
-    /// and one wire round instead of one per operation. Oversized
-    /// batches are chunked at the frame bound (`u16::MAX` operations);
-    /// per-operation key-length violations fail only their own ticket
-    /// and are excluded from the frame.
+    /// One `BatchReq` frame for the whole batch — one writer-lock hold,
+    /// one wire round and one slot in the reply queue instead of one per
+    /// operation. Oversized batches are chunked at the frame bound
+    /// (`u16::MAX` operations); per-operation key-length violations fail
+    /// only their own ticket and are excluded from the frame.
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<OpTicket> {
         let mut tickets: Vec<Option<OpTicket>> = (0..ops.len()).map(|_| None).collect();
         // (original index, wire op) for every op that passes the local
         // key-length check.
         let mut sendable: Vec<(usize, WireOp)> = Vec::with_capacity(ops.len());
         for (i, op) in ops.into_iter().enumerate() {
-            if op.key().len() > super::frame::MAX_KEY_LEN {
-                tickets[i] = Some(OpTicket::ready(Err(StoreError::Rejected(format!(
-                    "key length {} exceeds the wire bound {}",
-                    op.key().len(),
-                    super::frame::MAX_KEY_LEN
-                )))));
+            if let Some(err) = key_too_long(op.key()) {
+                tickets[i] = Some(OpTicket::ready(Err(err)));
                 continue;
             }
             let wire = match op {
@@ -267,237 +423,77 @@ impl Transport for TcpTransport {
             };
             sendable.push((i, wire));
         }
-        for chunk in sendable.chunks_mut(usize::from(u16::MAX)) {
-            let id = self.next_id();
-            let mut cells = Vec::with_capacity(chunk.len());
-            let mut wire_ops = Vec::with_capacity(chunk.len());
-            for (i, wire) in chunk.iter_mut() {
-                let cell: Arc<OpCell> = Arc::new(NetCell::new());
-                tickets[*i] = Some(OpTicket::net(Arc::clone(&cell), self.timeout));
-                cells.push(cell);
-                wire_ops.push(std::mem::replace(wire, WireOp::Read(String::new())));
-            }
-            let frame = Frame::BatchReq { id, ops: wire_ops };
-            if let Err(e) = self.send(id, Pending::Batch(cells), &frame) {
-                // The socket died: `send` already failed the registered
-                // cells via `fail_all`; tickets for *later* chunks are
-                // assigned below as failed-at-submission.
-                for (i, _) in chunk.iter() {
-                    tickets[*i] = Some(OpTicket::ready(Err(e.clone())));
-                }
+        let mut sendable = sendable.into_iter().peekable();
+        while sendable.peek().is_some() {
+            let (indices, ops): (Vec<usize>, Vec<WireOp>) =
+                sendable.by_ref().take(usize::from(u16::MAX)).unzip();
+            // At most `u16::MAX` by the `take` above.
+            let parts = ops.len() as u16;
+            let sent = self
+                .conn
+                .send(u32::from(parts), |id| Frame::BatchReq { id, ops });
+            for (part, i) in (0..parts).zip(indices) {
+                tickets[i] = Some(match &sent {
+                    Ok(id) => self.ticket(*id, part, parts),
+                    // The socket died, or there was no room in time:
+                    // this chunk fails at submission, and so will the
+                    // later ones.
+                    Err(e) => OpTicket::ready(Err(e.clone())),
+                });
             }
         }
         tickets
             .into_iter()
-            // audit:allow(panic-path) — every chunk either registers a cell
-            // (success arm) or marks its indices failed (error arm), so each
-            // `tickets` slot is assigned exactly once.
+            // audit:allow(panic-path) — every operation either failed the
+            // key-length check or went out in exactly one chunk, and both
+            // arms assign its `tickets` slot.
             .map(|t| t.expect("every batched operation got a ticket"))
             .collect()
     }
 
     fn key_meta(&self, key: &str) -> Result<KeyMeta, StoreError> {
-        let id = self.next_id();
-        let cell: Arc<NetCell<Result<KeyMeta, StoreError>>> = Arc::new(NetCell::new());
-        self.send(
-            id,
-            Pending::Meta(Arc::clone(&cell)),
-            &Frame::MetaReq {
-                id,
-                key: key.to_owned(),
+        let key = key.to_owned();
+        self.conn.round_trip(
+            |id| Frame::MetaReq { id, key },
+            |frame| match frame {
+                Frame::MetaResp {
+                    value_len,
+                    protocol,
+                    ..
+                } => Ok(KeyMeta {
+                    value_len: *value_len as usize,
+                    protocol: std::mem::take(protocol),
+                }),
+                Frame::ErrorResp { error, .. } => Err(error.clone()),
+                other => Err(mismatch(other, "a meta")),
             },
-        )?;
-        cell.wait(self.timeout).unwrap_or(Err(StoreError::Timeout))
+        )
     }
 
     fn stats(&self) -> Result<StoreMetrics, StoreError> {
-        let id = self.next_id();
-        let cell: Arc<NetCell<Result<StoreMetrics, StoreError>>> = Arc::new(NetCell::new());
-        self.send(
-            id,
-            Pending::Stats(Arc::clone(&cell)),
-            &Frame::StatsReq { id },
-        )?;
-        cell.wait(self.timeout).unwrap_or(Err(StoreError::Timeout))
+        self.conn.round_trip(
+            |id| Frame::StatsReq { id },
+            |frame| match frame {
+                Frame::StatsResp { metrics, .. } => Ok(StoreMetrics {
+                    shards: std::mem::take(&mut metrics.shards),
+                }),
+                Frame::ErrorResp { error, .. } => Err(error.clone()),
+                other => Err(mismatch(other, "a stats")),
+            },
+        )
     }
 }
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        // Closing the socket makes the reader's blocking read return,
-        // which fails anything still pending and exits the thread.
-        let _ = tracked_lock(ranks::NET_WRITER, "net_writer", || self.writer.lock())
-            .shutdown(std::net::Shutdown::Both);
-        if let Some(h) = tracked_lock(ranks::NET_READER, "net_reader", || self.reader.lock()).take()
-        {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The per-connection reader: demultiplexes response frames into the
-/// pending completion cells until the stream ends or breaks.
-fn read_loop(stream: TcpStream, shared: &Shared) {
-    let mut r = BufReader::new(stream);
-    loop {
-        match read_frame(&mut r) {
-            Ok(Some(frame)) => {
-                let (id, outcome): (u64, Result<OpResult, StoreError>) = match frame {
-                    Frame::ReadResp { id, value } => {
-                        (id, Ok(OpResult::Read(value_from_wire(value))))
-                    }
-                    Frame::WriteResp { id } => (id, Ok(OpResult::Write)),
-                    Frame::ErrorResp { id, error } => (id, Err(error)),
-                    Frame::MetaResp {
-                        id,
-                        value_len,
-                        protocol,
-                    } => {
-                        match tracked_lock(ranks::NET_PENDING, "net_pending", || {
-                            shared.pending.lock()
-                        })
-                        .remove(&id)
-                        {
-                            Some(Pending::Meta(cell)) => cell.fill(Ok(KeyMeta {
-                                value_len: value_len as usize,
-                                protocol,
-                            })),
-                            Some(Pending::Op(cell)) => cell.fill(Err(StoreError::Decode(
-                                "meta response to an operation request".into(),
-                            ))),
-                            Some(Pending::Batch(cells)) => {
-                                for cell in cells {
-                                    cell.fill(Err(StoreError::Decode(
-                                        "meta response to a batch request".into(),
-                                    )));
-                                }
-                            }
-                            Some(Pending::Stats(cell)) => cell.fill(Err(StoreError::Decode(
-                                "meta response to a stats request".into(),
-                            ))),
-                            None => {}
-                        }
-                        continue;
-                    }
-                    Frame::BatchResp { id, results } => {
-                        match tracked_lock(ranks::NET_PENDING, "net_pending", || {
-                            shared.pending.lock()
-                        })
-                        .remove(&id)
-                        {
-                            Some(Pending::Batch(cells)) => {
-                                if cells.len() == results.len() {
-                                    for (cell, result) in cells.iter().zip(results) {
-                                        cell.fill(match result {
-                                            Ok(Some(bytes)) => {
-                                                Ok(OpResult::Read(value_from_wire(bytes)))
-                                            }
-                                            Ok(None) => Ok(OpResult::Write),
-                                            Err(e) => Err(e),
-                                        });
-                                    }
-                                } else {
-                                    // An arity mismatch is unrecoverable:
-                                    // results can no longer be matched to
-                                    // operations, so the whole batch fails.
-                                    let err = StoreError::Decode(format!(
-                                        "batch response carries {} results for {} operations",
-                                        results.len(),
-                                        cells.len()
-                                    ));
-                                    for cell in cells {
-                                        cell.fill(Err(err.clone()));
-                                    }
-                                }
-                            }
-                            Some(Pending::Op(cell)) => cell.fill(Err(StoreError::Decode(
-                                "batch response to a single-operation request".into(),
-                            ))),
-                            Some(Pending::Meta(cell)) => cell.fill(Err(StoreError::Decode(
-                                "batch response to a meta request".into(),
-                            ))),
-                            Some(Pending::Stats(cell)) => cell.fill(Err(StoreError::Decode(
-                                "batch response to a stats request".into(),
-                            ))),
-                            None => {}
-                        }
-                        continue;
-                    }
-                    Frame::StatsResp { id, metrics } => {
-                        match tracked_lock(ranks::NET_PENDING, "net_pending", || {
-                            shared.pending.lock()
-                        })
-                        .remove(&id)
-                        {
-                            Some(Pending::Stats(cell)) => cell.fill(Ok(metrics)),
-                            Some(Pending::Op(cell)) => cell.fill(Err(StoreError::Decode(
-                                "stats response to an operation request".into(),
-                            ))),
-                            Some(Pending::Batch(cells)) => {
-                                for cell in cells {
-                                    cell.fill(Err(StoreError::Decode(
-                                        "stats response to a batch request".into(),
-                                    )));
-                                }
-                            }
-                            Some(Pending::Meta(cell)) => cell.fill(Err(StoreError::Decode(
-                                "stats response to a meta request".into(),
-                            ))),
-                            None => {}
-                        }
-                        continue;
-                    }
-                    other => {
-                        // A request frame (or hello) from the server is a
-                        // protocol violation; kill the connection cleanly.
-                        shared.fail_all(&StoreError::Decode(format!(
-                            "unexpected {} frame from server",
-                            other.kind()
-                        )));
-                        return;
-                    }
-                };
-                match tracked_lock(ranks::NET_PENDING, "net_pending", || shared.pending.lock())
-                    .remove(&id)
-                {
-                    Some(Pending::Op(cell)) => cell.fill(outcome),
-                    Some(Pending::Batch(cells)) => {
-                        // An `ErrorResp` on a batch id is a legitimate
-                        // batch-wide failure; any other single-operation
-                        // response to a batch is a protocol violation.
-                        let fill = match outcome {
-                            Err(e) => Err(e),
-                            Ok(_) => Err(StoreError::Decode(
-                                "single-operation response to a batch request".into(),
-                            )),
-                        };
-                        for cell in cells {
-                            cell.fill(fill.clone());
-                        }
-                    }
-                    Some(Pending::Meta(cell)) => {
-                        cell.fill(outcome.and(Err(StoreError::Decode(
-                            "operation response to a meta request".into(),
-                        ))));
-                    }
-                    Some(Pending::Stats(cell)) => {
-                        cell.fill(outcome.and(Err(StoreError::Decode(
-                            "operation response to a stats request".into(),
-                        ))));
-                    }
-                    // Unknown id: a response to a timed-out-and-forgotten
-                    // op, or a server bug — either way, nothing to fill.
-                    None => {}
-                }
-            }
-            Ok(None) => {
-                shared.fail_all(&StoreError::Io("connection closed by server".into()));
-                return;
-            }
-            Err(e) => {
-                shared.fail_all(&e);
-                return;
-            }
-        }
+        // Tickets keep the connection's memory alive, not its socket:
+        // closing it brings back whoever is reading, and nobody waits
+        // for a reply that can no longer come.
+        let _ = tracked_lock(ranks::NET_WRITER, "net_writer", || self.conn.writer.lock())
+            .stream()
+            .shutdown(Shutdown::Both);
+        self.conn.replies.fail_all(StoreError::Io(
+            "transport dropped with the operation in flight".into(),
+        ));
     }
 }

@@ -515,3 +515,320 @@ fn batched_load_runs_over_tcp() {
     }
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// The caller drives its connection: no client thread, an in-order reply
+// queue, a bounded pipeline.
+// ---------------------------------------------------------------------------
+
+/// A scripted server for one connection: completes the handshake, then
+/// hands the socket to `serve`.
+fn fake_server(
+    serve: impl FnOnce(TcpStream) + Send + 'static,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        match read_frame(&mut &stream) {
+            Ok(Some(Frame::Hello { .. })) => write_frame(
+                &mut &stream,
+                &Frame::HelloAck {
+                    version: WIRE_VERSION,
+                },
+            )
+            .unwrap(),
+            other => panic!("expected a hello, got {other:?}"),
+        }
+        serve(stream);
+    });
+    (addr, server)
+}
+
+/// Reads until the client closes, answering nothing.
+fn swallow(stream: &TcpStream) {
+    while let Ok(Some(_)) = read_frame(&mut &*stream) {}
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn connecting_spawns_no_thread() {
+    // The tests of this binary start and stop threads all the time, so
+    // the count is taken in a child process that runs this test alone.
+    const ALONE: &str = "RSB_TCP_TEST_ALONE";
+    if std::env::var_os(ALONE).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "connecting_spawns_no_thread", "--test-threads=1"])
+            .env(ALONE, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{stdout}");
+        assert!(
+            stdout.contains("1 passed"),
+            "the child ran nothing: {stdout}"
+        );
+        return;
+    }
+    fn threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+        line["Threads:".len()..].trim().parse().unwrap()
+    }
+    // The scripted servers' threads exist before the first count, and
+    // each serves its connection on the thread that accepted it.
+    let servers: Vec<_> = (0..8).map(|_| fake_server(|s| swallow(&s))).collect();
+    let before = threads();
+    let transports: Vec<TcpTransport> = servers
+        .iter()
+        .map(|(addr, _)| TcpTransport::connect(addr).unwrap())
+        .collect();
+    assert_eq!(threads(), before, "a connection owns no thread");
+    drop(transports);
+    for (_, server) in servers {
+        server.join().unwrap();
+    }
+}
+
+#[test]
+fn one_thread_pipelines_twenty_thousand_reads_then_waits_them_in_order() {
+    // Far more than the connection carries unanswered: past the window
+    // the submitter itself reads replies between writes, so neither side
+    // ends up blocked in `write` against a peer that is not reading.
+    const READS: u64 = 20_000;
+    let server = serve(2, ProtocolSpec::Abd, 16);
+    let client = connect(&server);
+    for k in 0..4u64 {
+        client
+            .write_blocking(&format!("k{k}"), Value::seeded(k, 16))
+            .unwrap();
+    }
+    let futures: Vec<_> = (0..READS)
+        .map(|i| client.read(&format!("k{}", i % 4)))
+        .collect();
+    for (i, future) in (0..READS).zip(futures) {
+        assert_eq!(future.wait().unwrap(), Value::seeded(i % 4, 16), "read {i}");
+    }
+    assert_eq!(server.store().metrics().totals().reads_completed, READS);
+    server.shutdown();
+}
+
+#[test]
+fn a_dropped_ticket_does_not_wedge_the_connection() {
+    let server = serve(2, ProtocolSpec::Abd, 16);
+    let client = connect(&server);
+    client.write_blocking("a", Value::seeded(1, 16)).unwrap();
+    // Never waited, never polled: nobody reads these replies until a
+    // later caller has to read past them.
+    drop(client.read("a"));
+    drop(client.submit_batch(vec![
+        BatchOp::Read("a".into()),
+        BatchOp::Write("b".into(), Value::seeded(2, 16)),
+    ]));
+    assert_eq!(client.read_blocking("b").unwrap(), Value::seeded(2, 16));
+    // Fire-and-forget past the window: the submitter drains the replies
+    // nobody will claim, and the connection stays in step.
+    for i in 0..1_000u64 {
+        drop(client.write("c", Value::seeded(i, 16)));
+    }
+    assert_eq!(client.read_blocking("c").unwrap(), Value::seeded(999, 16));
+    assert_eq!(client.transport().connection_error(), None);
+    server.shutdown();
+}
+
+/// Answers every read with its own id as the value — the first one only
+/// once `release` fires.
+fn id_echo_server(
+    release: std::sync::mpsc::Receiver<()>,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    fake_server(move |stream| {
+        let mut first = true;
+        while let Ok(Some(Frame::ReadReq { id, .. })) = read_frame(&mut &stream) {
+            if std::mem::take(&mut first) {
+                release.recv().unwrap();
+            }
+            let value = id.to_le_bytes().to_vec();
+            if write_frame(&mut &stream, &Frame::ReadResp { id, value }).is_err() {
+                return;
+            }
+        }
+    })
+}
+
+#[test]
+fn after_a_timeout_a_late_reply_is_not_mistaken_for_the_next_one() {
+    let (release, held) = std::sync::mpsc::channel();
+    let (addr, server) = id_echo_server(held);
+    let transport = TcpTransport::connect_with(addr, Some(Duration::from_millis(100))).unwrap();
+    let client: StoreClient<TcpTransport> = StoreClient::over(transport);
+    // The stream is idle when the deadline passes: only this operation
+    // fails, the connection lives.
+    assert_eq!(client.read_blocking("a").unwrap_err(), StoreError::Timeout);
+    assert_eq!(client.transport().connection_error(), None);
+    // Request 1's reply lands late, ahead of request 2's.
+    release.send(()).unwrap();
+    let second = client.read_blocking("b").unwrap();
+    assert_eq!(second.as_bytes(), 2u64.to_le_bytes());
+    let third = client.read_blocking("c").unwrap();
+    assert_eq!(third.as_bytes(), 3u64.to_le_bytes());
+    drop(client);
+    server.join().unwrap();
+}
+
+#[test]
+fn a_full_pipeline_on_a_mute_server_times_the_submitter_out() {
+    // Long next to a submission that finds room (microseconds), so the one
+    // that does not stands out even on a stalling host.
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    let (addr, server) = fake_server(|s| swallow(&s));
+    let client: StoreClient<TcpTransport> =
+        StoreClient::over(TcpTransport::connect_with(addr, Some(TIMEOUT)).unwrap());
+    // Nothing is ever answered, so reading makes no room: once the window
+    // is full a submission spends the timeout looking for some and comes
+    // back already failed, instead of hanging or piling up for ever.
+    let mut in_flight = Vec::new();
+    let refused = loop {
+        assert!(in_flight.len() < 100_000, "the pipeline has no bound");
+        let started = std::time::Instant::now();
+        let future = client.read("k");
+        if started.elapsed() >= TIMEOUT {
+            break future;
+        }
+        in_flight.push(future);
+    };
+    let started = std::time::Instant::now();
+    assert_eq!(refused.wait().unwrap_err(), StoreError::Timeout);
+    assert!(
+        started.elapsed() < TIMEOUT / 2,
+        "the refused submission was failed at submission, not waited for"
+    );
+    // The stream was idle all along, so the connection is still good.
+    assert_eq!(client.transport().connection_error(), None);
+    drop(in_flight);
+    drop(client);
+    server.join().unwrap();
+}
+
+#[test]
+fn the_servers_parting_error_reaches_everything_in_flight() {
+    // What a real server sends before closing a connection whose stream
+    // it can no longer follow: an error frame tied to no request.
+    let parting = || StoreError::Decode("frame length 4294967295 exceeds the bound".into());
+    let (addr, server) = fake_server(move |stream| {
+        for _ in 0..2 {
+            assert!(matches!(
+                read_frame(&mut &stream),
+                Ok(Some(Frame::ReadReq { .. }))
+            ));
+        }
+        let error = parting();
+        write_frame(&mut &stream, &Frame::ErrorResp { id: 0, error }).unwrap();
+    });
+    let client: StoreClient<TcpTransport> = StoreClient::over(TcpTransport::connect(addr).unwrap());
+    let (first, second) = (client.read("a"), client.read("b"));
+    assert_eq!(second.wait().unwrap_err(), parting());
+    assert_eq!(first.wait().unwrap_err(), parting());
+    assert_eq!(client.transport().connection_error(), Some(parting()));
+    assert_eq!(client.read_blocking("c").unwrap_err(), parting());
+    server.join().unwrap();
+}
+
+#[test]
+fn a_reply_out_of_turn_ends_the_connection_with_a_decode_error() {
+    let (addr, server) = fake_server(|stream| {
+        let Ok(Some(Frame::ReadReq { id, .. })) = read_frame(&mut &stream) else {
+            panic!("expected a read request");
+        };
+        // Not the oldest unanswered request's id.
+        let reply = Frame::ReadResp {
+            id: id + 1,
+            value: vec![0; 16],
+        };
+        write_frame(&mut &stream, &reply).unwrap();
+        swallow(&stream);
+    });
+    let client: StoreClient<TcpTransport> = StoreClient::over(TcpTransport::connect(addr).unwrap());
+    let err = client.read_blocking("a").unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Decode(msg) if msg.contains("oldest unanswered")),
+        "got {err:?}"
+    );
+    assert_eq!(client.transport().connection_error(), Some(err.clone()));
+    assert_eq!(client.read_blocking("b").unwrap_err(), err);
+    drop(client);
+    server.join().unwrap();
+}
+
+#[test]
+fn three_batches_back_to_back_resolve_through_join_all() {
+    let server = serve(4, ProtocolSpec::Adaptive, 16);
+    let client = connect(&server);
+    // All three frames are on the wire before anything is read; one
+    // thread then polls 9 futures whose replies arrive as 3 frames. Each
+    // batch reads what the batch before it wrote (the server runs a
+    // connection's frames in order).
+    let mut futures = Vec::new();
+    for round in 1..=3u64 {
+        futures.extend(client.submit_batch(vec![
+            BatchOp::Write(format!("k{round}"), Value::seeded(round, 16)),
+            BatchOp::Read(format!("k{}", round - 1)),
+            BatchOp::Write("bad".into(), Value::seeded(round, 99)),
+        ]));
+    }
+    let results = join_all(futures);
+    for (round, chunk) in (1..=3u64).zip(results.chunks(3)) {
+        let before = if round == 1 {
+            Value::zeroed(16)
+        } else {
+            Value::seeded(round - 1, 16)
+        };
+        assert_eq!(chunk[0], Ok(rsb_fpsm::OpResult::Write));
+        assert_eq!(chunk[1], Ok(rsb_fpsm::OpResult::Read(before)));
+        assert_eq!(
+            chunk[2],
+            Err(StoreError::BadValueLength { got: 99, want: 16 })
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_polled_future_and_a_blocking_waiter_share_one_connection() {
+    let server = serve(4, ProtocolSpec::Abd, 16);
+    let client = connect(&server);
+    client.write_blocking("a", Value::seeded(1, 16)).unwrap();
+    client.write_blocking("b", Value::seeded(2, 16)).unwrap();
+    // Whichever of the two finds nobody reading reads for both; the
+    // other sleeps, or leaves its waker and parks.
+    std::thread::scope(|scope| {
+        let blocking = scope.spawn(|| {
+            for _ in 0..500 {
+                assert_eq!(client.read("a").wait().unwrap(), Value::seeded(1, 16));
+            }
+        });
+        for _ in 0..500 {
+            assert_eq!(block_on(client.read("b")).unwrap(), Value::seeded(2, 16));
+        }
+        blocking.join().unwrap();
+    });
+    assert_eq!(server.store().metrics().totals().reads_completed, 1_000);
+    server.shutdown();
+}
+
+#[test]
+fn dropping_the_transport_fails_outstanding_tickets_with_io() {
+    let (addr, server) = fake_server(|s| swallow(&s));
+    let client: StoreClient<TcpTransport> = StoreClient::over(TcpTransport::connect(addr).unwrap());
+    let (held, waited) = (client.read("a"), client.read("b"));
+    let is_io = |r: Result<Value, StoreError>| matches!(r, Err(StoreError::Io(_)));
+    std::thread::scope(|scope| {
+        // One ticket is being waited on — its thread is inside `read` —
+        // when the transport goes; the other is looked at only afterwards.
+        let waiter = scope.spawn(|| waited.wait());
+        std::thread::sleep(Duration::from_millis(50));
+        drop(client);
+        assert!(is_io(waiter.join().unwrap()));
+    });
+    assert!(is_io(held.wait()));
+    server.join().unwrap();
+}
