@@ -75,7 +75,7 @@ fn is_punct(toks: &[Tok], i: usize, c: char) -> bool {
         .is_some_and(|t| t.kind == TokKind::Punct(c) && !t.in_attr)
 }
 
-/// The rank constant named in a `tracked_lock`/`tracked_try` call: the
+/// The rank constant named in a `tracked_lock` call: the
 /// last identifier before the first top-level comma of the argument
 /// list (`ranks::KEY_STATE` → `KEY_STATE`).
 fn rank_const_name(toks: &[Tok], start: usize, close: usize) -> Option<String> {
@@ -232,12 +232,12 @@ pub fn check(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>, suppressions: &mut 
                     continue;
                 }
                 // A checked acquisition through the runtime wrapper:
-                // `tracked_lock(ranks::LEVEL, "name", || field.lock())`
-                // (or `tracked_try`). The declared level comes from the
+                // `tracked_lock(ranks::LEVEL, "name", || field.lock())`.
+                // The declared level comes from the
                 // `ranks::` constant — its lowercased name is the level
                 // name — and the whole call is the acquisition, so the
                 // `.lock()` inside the closure is not double-counted.
-                if (text == "tracked_lock" || text == "tracked_try") && is_punct(toks, i + 1, '(') {
+                if text == "tracked_lock" && is_punct(toks, i + 1, '(') {
                     if let Some(close) = matching_paren(toks, i + 1) {
                         let const_name = rank_const_name(toks, i + 2, close);
                         let level = const_name
@@ -629,18 +629,6 @@ fn f(s: &Shard) {
     let st = tracked_lock(ranks::KEY_STATE, \"key_state\", || s.inner.lock());
     drop(st);
     drop(m);
-}
-";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn tracked_try_counts_and_drop_releases() {
-        let src = "\
-fn f(s: &Shard) {
-    let sweep = tracked_try(ranks::KEY_STATE, \"key_state\", || s.g.try_lock());
-    drop(sweep);
-    let guard = tracked_lock(ranks::SHARD_MAP, \"shard_map\", || s.m.lock());
 }
 ";
         assert!(run(src).is_empty());

@@ -1,14 +1,14 @@
 //! Known-good lock-order fixture: nestings in strictly increasing rank
-//! (shard_map/0 → slot_table/20 → key_state/30, net_state/38 after
+//! (shard_map/0 → key_state/30 → net_writer/36, net_state/38 after
 //! key_state via the wrapper), plus one deliberate inversion carrying
 //! an `audit:allow` justification. Zero findings, one suppression.
 
 fn ordered_raw(&self) {
     let m = self.map.lock();
-    let s = self.slots.read();
     let st = self.state.lock();
+    let w = self.writer.lock();
+    drop(w);
     drop(st);
-    drop(s);
     drop(m);
 }
 
@@ -20,7 +20,7 @@ fn ordered_tracked(&self) {
 }
 
 fn annotated_inversion(&self) {
-    let q = self.due.lock();
+    let q = self.conns.lock();
     // audit:allow(lock-order) — fixture: a documented, deliberate
     // inversion (the guard is release-before-reacquire in real code).
     let st = self.state.lock();

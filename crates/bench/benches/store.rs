@@ -11,8 +11,7 @@ use rsb_coding::Value;
 use rsb_registers::RegisterConfig;
 use rsb_store::frame::{encode_frame, read_frame, Frame};
 use rsb_store::{
-    BatchOp, EvictionPolicy, HistoryPolicy, ListenSpec, ProtocolSpec, Store, StoreClient,
-    StoreConfig, TcpTransport,
+    BatchOp, HistoryPolicy, ListenSpec, ProtocolSpec, Store, StoreClient, StoreConfig, TcpTransport,
 };
 
 const VALUE_LEN: usize = 64;
@@ -102,54 +101,6 @@ fn bench_batched_submission(c: &mut Criterion) {
             store.shutdown();
         });
     }
-    group.finish();
-}
-
-/// The governed-eviction sweep path under constant churn: a tight
-/// occupancy watermark keeps the governor thread evicting
-/// coldest-first while the workload cycles writes over a rotating window
-/// and reads back an old (usually evicted) key — so the bench-regression
-/// gate covers the cold-scan, snapshot, and rematerialize costs, not
-/// just the live hot path.
-fn bench_governed_eviction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_governed_eviction");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(2));
-    // The store lives across the harness's calibration and batch calls,
-    // so the governor's steady-state churn (not cold setup) is measured.
-    let reg = RegisterConfig::paper(1, 2, VALUE_LEN).unwrap();
-    // ~16 ABD keys' worth of live bits per shard, reclaim to half.
-    let store = Store::start(
-        StoreConfig::uniform(2, ProtocolSpec::Abd, reg)
-            .with_history(HistoryPolicy::TruncateAfter(64))
-            .with_eviction(EvictionPolicy::OccupancyAbove {
-                bits: 32_000,
-                low_watermark: 16_000,
-            }),
-    )
-    .unwrap();
-    let client = store.client();
-    let mut i = 0u64;
-    group.bench_function("occupancy_churn_2shards", |b| {
-        b.iter(|| {
-            i += 1;
-            client
-                .write_blocking(&format!("k{:03}", i % 96), Value::seeded(i, VALUE_LEN))
-                .unwrap();
-            // Half a window back: usually evicted by the governor, so
-            // this read pays (and measures) a rematerialization.
-            let back = (i + 48) % 96;
-            assert_eq!(
-                client.read_blocking(&format!("k{back:03}")).unwrap().len(),
-                VALUE_LEN
-            );
-        });
-    });
-    assert!(
-        store.metrics().totals().evicted_occupancy > 0,
-        "the governor must actually run in this bench"
-    );
-    store.shutdown();
     group.finish();
 }
 
@@ -251,7 +202,6 @@ criterion_group!(
     bench_store_roundtrip,
     bench_hot_key_pipelined,
     bench_batched_submission,
-    bench_governed_eviction,
     bench_frame_codec,
     bench_tcp_roundtrip,
     bench_stats_scrape

@@ -1,10 +1,11 @@
 //! Standalone store server: binds a [`StoreServer`] on a TCP address and
 //! serves until interrupted (or for `--run-secs N`, for scripted smokes).
 //!
-//! `--idle-evict TICKS` arms the eviction governor's idle sweep, and
-//! `--recorder N` sizes the flight recorder ring. On a timed exit the
-//! server prints an event summary from the recorder and asserts its
-//! sequence numbers came out gapless.
+//! `--evict-every MS` runs a timer thread in this binary that calls
+//! `Store::evict_quiescent` every `MS` milliseconds, and `--recorder N`
+//! sizes the flight recorder ring. On a timed exit the server prints an
+//! event summary from the recorder and asserts its sequence numbers came
+//! out gapless.
 //!
 //! ```sh
 //! cargo run --release -p rsb-bench --bin e10_store_server -- \
@@ -12,6 +13,8 @@
 //! ```
 
 use reliable_storage::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -54,8 +57,8 @@ fn main() {
         flag(&args, "--value-len").map_or(64, |v| v.parse().expect("--value-len"));
     let backlog: usize = flag(&args, "--backlog").map_or(64, |v| v.parse().expect("--backlog"));
     let run_secs: Option<u64> = flag(&args, "--run-secs").map(|v| v.parse().expect("--run-secs"));
-    let idle_evict: Option<u64> =
-        flag(&args, "--idle-evict").map(|v| v.parse().expect("--idle-evict"));
+    let evict_every: Option<Duration> = flag(&args, "--evict-every")
+        .map(|v| Duration::from_millis(v.parse().expect("--evict-every")));
     let recorder: Option<usize> = flag(&args, "--recorder").map(|v| v.parse().expect("--recorder"));
     let proto = match flag(&args, "--proto").as_deref().unwrap_or("adaptive") {
         "abd" => ProtocolSpec::Abd,
@@ -69,9 +72,6 @@ fn main() {
     let reg = RegisterConfig::paper(1, 2, value_len).expect("valid parameters");
     let mut config = StoreConfig::uniform(shards, proto, reg)
         .with_listen(ListenSpec::new(addr).with_backlog(backlog));
-    if let Some(ticks) = idle_evict {
-        config = config.with_eviction(EvictionPolicy::IdleAfter(ticks));
-    }
     if let Some(capacity) = recorder {
         config = config.with_recorder_capacity(capacity);
     }
@@ -81,31 +81,44 @@ fn main() {
         server.local_addr()
     );
 
-    match run_secs {
-        Some(secs) => {
-            std::thread::sleep(std::time::Duration::from_secs(secs));
-            let m = server.store().metrics();
-            let totals = m.totals();
-            println!(
-                "e10_store_server: exiting after {secs}s — {} ops completed ({} reads, {} \
-                 writes, {} evicted, {} rematerialized)",
-                totals.completed(),
-                totals.reads_completed,
-                totals.writes_completed,
-                totals.evicted_manual + totals.evicted_idle + totals.evicted_occupancy,
-                totals.rematerialized,
-            );
-            assert!(
-                totals.submitted() >= totals.completed(),
-                "submissions must cover completions"
-            );
-            recorder_summary(server.store());
-            server.shutdown();
+    let done = AtomicBool::new(false);
+    let secs = std::thread::scope(|s| {
+        if let Some(period) = evict_every {
+            let store = server.store();
+            let done = &done;
+            s.spawn(move || {
+                while !done.load(Ordering::Acquire) {
+                    std::thread::sleep(period);
+                    store.evict_quiescent();
+                }
+            });
         }
-        None => loop {
-            // Serve until the process is killed; accept/connection threads
-            // do all the work.
-            std::thread::sleep(std::time::Duration::from_hours(1));
-        },
-    }
+        let Some(secs) = run_secs else {
+            // Serve until the process is killed; accept/connection
+            // threads do all the work.
+            loop {
+                std::thread::sleep(Duration::from_hours(1));
+            }
+        };
+        std::thread::sleep(Duration::from_secs(secs));
+        done.store(true, Ordering::Release);
+        secs
+    });
+    let m = server.store().metrics();
+    let totals = m.totals();
+    println!(
+        "e10_store_server: exiting after {secs}s — {} ops completed ({} reads, {} writes, {} \
+         evicted, {} rematerialized)",
+        totals.completed(),
+        totals.reads_completed,
+        totals.writes_completed,
+        totals.evictions,
+        totals.rematerialized,
+    );
+    assert!(
+        totals.submitted() >= totals.completed(),
+        "submissions must cover completions"
+    );
+    recorder_summary(server.store());
+    server.shutdown();
 }

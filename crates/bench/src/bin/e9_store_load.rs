@@ -14,7 +14,7 @@
 use reliable_storage::prelude::*;
 use rsb_bench::{banner, print_table};
 use rsb_store::load::{run_load, LoadMode, LoadSpec};
-use rsb_store::{EvictionPolicy, HistoryPolicy, ProtocolSpec, Store, StoreConfig};
+use rsb_store::{HistoryPolicy, ProtocolSpec, Store, StoreConfig};
 use rsb_workloads::{key_rank, KeyedAction, KeyedScenario};
 use std::time::Instant;
 
@@ -343,15 +343,17 @@ fn drive_wave(store: &Store, scenario: &KeyedScenario) {
     }
 }
 
-/// Memory governance under skewed reuse with key churn: every wave's
-/// zipf(0.99) traffic targets a *growing* keyspace — the hot head keeps
-/// getting reused while a cold tail accumulates — so an ungoverned
-/// store's live occupancy grows wave over wave, while `OccupancyAbove`
-/// holds its watermark by evicting the cold tail coldest-first and
-/// `IdleAfter` reclaims whatever goes quiescent past its idle age. Read
-/// latency is reported from the store's own histograms, split by
-/// whether the read hit a live key or paid a rematerialization.
-fn memory_governance_section(quick: bool, value_len: usize) {
+/// Memory under skewed reuse with key churn: every wave's zipf(0.99)
+/// traffic targets a *growing* keyspace — the hot head keeps getting
+/// reused while a cold tail accumulates. The `unbounded` store keeps
+/// every key live; the `evict-between` store calls
+/// [`Store::evict_quiescent`] after each wave, so between waves every
+/// key sits in a snapshot. `occ_KiB` is the live occupancy
+/// (`occupancy_bits`, which counts an evicted key as 0); `res_KiB` adds
+/// the snapshots' bits — what is still resident. Read latency is
+/// reported from the store's own histograms, split by whether the read
+/// hit a live key or paid a rematerialization.
+fn eviction_section(quick: bool, value_len: usize) {
     let clients = if quick { 8 } else { 16 };
     let waves = if quick { 4 } else { 8 };
     let ops_per_wave = if quick { 25 } else { 60 };
@@ -360,40 +362,13 @@ fn memory_governance_section(quick: bool, value_len: usize) {
     let shards = 4;
     let reg = RegisterConfig::paper(1, 2, value_len).expect("valid parameters");
 
-    // Size the watermarks from a measured baseline: the live footprint
-    // of the first wave's keyspace, fully materialized.
-    let probe =
-        Store::start(StoreConfig::uniform(shards, ProtocolSpec::Abd, reg)).expect("valid config");
-    drive_wave(
-        &probe,
-        &KeyedScenario::uniform(clients, ops_per_wave, base_keys, 0.0, value_len, 31_000),
-    );
-    let wave_footprint = probe.metrics().occupancy_bits();
-    probe.shutdown();
-    // Budget: twice the first wave's footprint, split across shards;
-    // reclaim down to 3/4 of the per-shard bound once triggered.
-    let bits = wave_footprint * 2 / shards as u64;
-    let low_watermark = bits * 3 / 4;
-
-    let policies: Vec<(&str, EvictionPolicy)> = vec![
-        ("unbounded", EvictionPolicy::Manual),
-        (
-            "occupancy",
-            EvictionPolicy::OccupancyAbove {
-                bits,
-                low_watermark,
-            },
-        ),
-        ("idle-128", EvictionPolicy::IdleAfter(128)),
-    ];
     let mut rows = Vec::new();
     let mut latency_rows = Vec::new();
-    let mut governed_store = None;
-    for (label, policy) in policies {
+    let mut evicting_store = None;
+    for (label, evict) in [("unbounded", false), ("evict-between", true)] {
         let store = Store::start(
             StoreConfig::uniform(shards, ProtocolSpec::Abd, reg)
-                .with_history(HistoryPolicy::TruncateAfter(64))
-                .with_eviction(policy),
+                .with_history(HistoryPolicy::TruncateAfter(64)),
         )
         .expect("valid config");
         for wave in 0..waves {
@@ -408,9 +383,9 @@ fn memory_governance_section(quick: bool, value_len: usize) {
             )
             .with_zipf(0.99);
             drive_wave(&store, &scenario);
-            // Give the governor thread a beat to finish the sweep the
-            // last completions asked for.
-            std::thread::sleep(std::time::Duration::from_millis(30));
+            if evict {
+                store.evict_quiescent();
+            }
             let m = store.metrics();
             let totals = m.totals();
             rows.push(vec![
@@ -418,15 +393,9 @@ fn memory_governance_section(quick: bool, value_len: usize) {
                 (wave + 1).to_string(),
                 m.keys().to_string(),
                 (m.occupancy_bits() / 8 / 1024).to_string(),
-                match policy {
-                    EvictionPolicy::Manual => "-".to_string(),
-                    EvictionPolicy::IdleAfter(n) => format!("idle>{n}"),
-                    EvictionPolicy::OccupancyAbove { bits, .. } => {
-                        (bits * shards as u64 / 8 / 1024).to_string()
-                    }
-                },
+                ((m.occupancy_bits() + m.snapshot_bits()) / 8 / 1024).to_string(),
                 m.evicted_keys().to_string(),
-                totals.evictions().to_string(),
+                totals.evictions.to_string(),
                 totals.rematerialized.to_string(),
                 m.live_records().to_string(),
             ]);
@@ -449,24 +418,24 @@ fn memory_governance_section(quick: bool, value_len: usize) {
             format!("{:.0}", write.quantile_us(0.50)),
             format!("{:.0}", write.quantile_us(0.99)),
         ]);
-        if label == "occupancy" {
-            governed_store = Some(store);
+        if evict {
+            evicting_store = Some(store);
         } else {
             store.shutdown();
         }
     }
     print_table(
         &format!(
-            "memory governance under zipf(0.99) reuse with key churn ({clients} clients x \
-             {ops_per_wave} ops/wave, +{keys_per_wave} keys/wave, abd, {shards} shards, \
-             truncate-64 history)"
+            "unbounded vs evict_quiescent between waves, zipf(0.99) reuse with key churn \
+             ({clients} clients x {ops_per_wave} ops/wave, +{keys_per_wave} keys/wave, abd, \
+             {shards} shards, truncate-64 history; res = live occupancy + snapshot bits)"
         ),
         &[
             "policy",
             "wave",
             "keys",
             "occ_KiB",
-            "bound_KiB",
+            "res_KiB",
             "evicted",
             "evs",
             "remat",
@@ -492,15 +461,17 @@ fn memory_governance_section(quick: bool, value_len: usize) {
         ],
         &latency_rows,
     );
-    if let Some(store) = governed_store {
-        // Histories that span governed eviction/rematerialization cycles
-        // must still check out.
+    if let Some(store) = evicting_store {
+        // Histories that span eviction/rematerialization cycles must
+        // still check out.
         spot_check_consistency(&store, 6);
         store.shutdown();
     }
     println!(
-        "governance: `occupancy` holds live occupancy at/below its bound while `unbounded` \
-         grows with the key churn; rematerializing reads pay the restore cost in their tail.\n"
+        "eviction: a sweep drops occ_KiB to 0 but res_KiB stays near the unbounded store's \
+         occ_KiB — the registers' bits stay resident in the snapshots; what a sweep frees is \
+         per-key simulator scaffolding (heap bytes, not bits). Rematerializing reads pay the \
+         restore cost in their tail.\n"
     );
 }
 
@@ -597,7 +568,7 @@ fn main() {
 
     history_bounds_section(quick, zipf_clients, value_len);
 
-    memory_governance_section(quick, value_len);
+    eviction_section(quick, value_len);
 
     // Per-shard breakdown + consistency spot-check on the showcase store.
     if let Some(store) = showcase {

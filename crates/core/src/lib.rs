@@ -79,10 +79,9 @@ pub mod prelude {
     pub use rsb_lowerbound::{run_blowup, AdOutcome, AdversaryAd, AdversaryParams, Snapshot};
     pub use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol, Safe};
     pub use rsb_store::{
-        block_on, frame, join_all, EvictionPolicy, FlightEvent, FlightEventKind, FlightRecorder,
-        HistoryPolicy, KeyMeta, LatencyHistogram, ListenSpec, Loopback, OpTicket, ProtocolSpec,
-        Store, StoreClient, StoreConfig, StoreError, StoreMetrics, StoreServer, TcpTransport,
-        Transport,
+        block_on, frame, join_all, FlightEvent, FlightEventKind, FlightRecorder, HistoryPolicy,
+        KeyMeta, LatencyHistogram, ListenSpec, Loopback, OpTicket, ProtocolSpec, Store,
+        StoreClient, StoreConfig, StoreError, StoreMetrics, StoreServer, TcpTransport, Transport,
     };
     pub use rsb_workloads::{
         key_rank, run_scenario, FailurePlan, KeyDist, KeyedAction, KeyedScenario, Scenario,

@@ -11,9 +11,9 @@
 //!
 //! **Store internals layer** (re-exported from [`rsb_mcsync`] as
 //! [`sched`]/[`sync`]/[`thread`]): a loom-style bounded-preemption
-//! virtual-thread checker that the store's `FlightRecorder` seqlock,
-//! `GovernorSignal` rendezvous and TCP-client `ReplyQueue` hand-over run
-//! under via its `mc` cargo feature. See `crates/mc/tests/` for both
+//! virtual-thread checker that the store's `FlightRecorder` seqlock and
+//! TCP-client `ReplyQueue` hand-over run under via its `mc` cargo
+//! feature. See `crates/mc/tests/` for both
 //! harnesses.
 
 #![forbid(unsafe_code)]

@@ -1,15 +1,13 @@
 //! Interleaving-harness tests: exhaustive (bounded-preemption)
 //! exploration of the store's hand-rolled concurrency — the flight
-//! recorder's seqlock, the governor rendezvous and the TCP client's
-//! reader hand-over — running on the `rsb-mcsync` virtual-thread shim
+//! recorder's seqlock and the TCP client's reader hand-over — running
+//! on the `rsb-mcsync` virtual-thread shim
 //! (the `mc` cargo feature swaps the real atomics/locks inside
 //! `rsb-store` for modelled ones).
 
 use rsb_mc::sync::{Condvar, Mutex};
 use rsb_mc::{sched, thread as vthread};
-use rsb_store::{
-    FlightEventKind, FlightRecorder, GovernorSignal, NextReply, ReplyQueue, StoreError,
-};
+use rsb_store::{FlightEventKind, FlightRecorder, NextReply, ReplyQueue, StoreError};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
@@ -111,129 +109,6 @@ fn recorder_wraparound_skips_but_never_mixes() {
     })
     .expect("wrap-around seqlock must hold on every interleaving");
     assert!(report.complete);
-}
-
-// ---------------------------------------------------------------------------
-// GovernorSignal: submitter nudge × governor park × halt.
-// ---------------------------------------------------------------------------
-
-/// What the model's governor pass does: publish how much of the
-/// submitters' work it has seen, and wake whoever waits for that.
-struct Sweeps {
-    due: Mutex<u64>,
-    swept: Mutex<u64>,
-    progress: Condvar,
-}
-
-impl Sweeps {
-    fn new() -> Arc<Self> {
-        Arc::new(Sweeps {
-            due: Mutex::new(0),
-            swept: Mutex::new(0),
-            progress: Condvar::new(),
-        })
-    }
-
-    /// A submitter's due-check falling due, then its nudge.
-    fn submit(&self, signal: &GovernorSignal) {
-        *self.due.lock() += 1;
-        signal.nudge();
-    }
-
-    fn pass(&self) {
-        let due = *self.due.lock();
-        *self.swept.lock() = due;
-        self.progress.notify_all();
-    }
-
-    fn swept(&self) -> u64 {
-        *self.swept.lock()
-    }
-}
-
-fn spawn_governor(signal: &Arc<GovernorSignal>, sweeps: &Arc<Sweeps>) -> vthread::JoinHandle<()> {
-    let (signal, sweeps) = (Arc::clone(signal), Arc::clone(sweeps));
-    vthread::spawn(move || signal.run(None, || sweeps.pass()))
-}
-
-/// A pass that fell due is never lost: with no stop in sight, a nudge —
-/// whether it lands before the governor first parks, while it is parked,
-/// or while it is mid-pass — is followed by a pass that sees the
-/// submitter's work. A lost nudge leaves the governor parked and the
-/// root waiting on it: a deadlock, which the model reports.
-#[test]
-fn governor_nudge_is_never_lost() {
-    let report = sched::model(&quick(3), || {
-        let signal = Arc::new(GovernorSignal::default());
-        let sweeps = Sweeps::new();
-        let governor = spawn_governor(&signal, &sweeps);
-        let submitter = {
-            let (signal, sweeps) = (Arc::clone(&signal), Arc::clone(&sweeps));
-            vthread::spawn(move || {
-                sweeps.submit(&signal);
-                sweeps.submit(&signal);
-            })
-        };
-        {
-            let mut swept = sweeps.swept.lock();
-            while *swept < 2 {
-                sweeps.progress.wait(&mut swept);
-            }
-        }
-        submitter.join().unwrap();
-        signal.request_stop();
-        governor.join().unwrap();
-    })
-    .expect("every requested pass must run without a stop to force it");
-    assert!(report.complete, "schedule space must be exhausted");
-    assert!(report.schedules > 10, "got {}", report.schedules);
-}
-
-/// A pass due at stop time still runs before the governor exits, and the
-/// stop is always observed: the submitter's nudge races the governor's
-/// start-up and park, `halt` follows it, and on every interleaving the
-/// governor terminates having swept what was due — even when it is first
-/// scheduled after the stop request.
-#[test]
-fn governor_pass_due_at_stop_time_still_runs() {
-    let report = sched::model(&quick(3), || {
-        let signal = Arc::new(GovernorSignal::default());
-        let sweeps = Sweeps::new();
-        let governor = spawn_governor(&signal, &sweeps);
-        let submitter = {
-            let (signal, sweeps) = (Arc::clone(&signal), Arc::clone(&sweeps));
-            vthread::spawn(move || sweeps.submit(&signal))
-        };
-        submitter.join().unwrap();
-        signal.request_stop();
-        governor.join().unwrap();
-        assert_eq!(sweeps.swept(), 1, "the pass due at stop time was skipped");
-        assert!(signal.is_stopped());
-    })
-    .expect("stop must always be observed");
-    assert!(report.complete, "schedule space must be exhausted");
-    assert!(report.schedules > 10, "got {}", report.schedules);
-}
-
-/// The same with the stop racing the submitter: whatever the order, the
-/// governor exits (a missed stop would deadlock the join), and its last
-/// pass starts after the stop flag is up.
-#[test]
-fn governor_observes_a_stop_racing_a_nudge() {
-    let report = sched::model(&quick(3), || {
-        let signal = Arc::new(GovernorSignal::default());
-        let sweeps = Sweeps::new();
-        let governor = spawn_governor(&signal, &sweeps);
-        let submitter = {
-            let (signal, sweeps) = (Arc::clone(&signal), Arc::clone(&sweeps));
-            vthread::spawn(move || sweeps.submit(&signal))
-        };
-        signal.request_stop();
-        governor.join().unwrap();
-        submitter.join().unwrap();
-    })
-    .expect("stop must always be observed");
-    assert!(report.complete, "schedule space must be exhausted");
 }
 
 // ---------------------------------------------------------------------------

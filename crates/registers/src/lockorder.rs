@@ -2,7 +2,7 @@
 //! `rsb-audit`'s static `lock-order` rule.
 //!
 //! Every guarded structure in the store stack acquires its lock through
-//! [`tracked_lock`] (or [`tracked_try`]), naming its level in the
+//! [`tracked_lock`], naming its level in the
 //! hierarchy declared in the repo-root `audit.toml`. Under
 //! `debug_assertions` or the `mc` feature, a per-thread held-level set
 //! is maintained and an acquisition that does not *strictly increase*
@@ -25,19 +25,13 @@ use std::ops::{Deref, DerefMut};
 pub mod ranks {
     /// `Shard.map`: key-name placement map.
     pub const SHARD_MAP: i64 = 0;
-    /// `Shard.slots`: the append-only slot table.
-    pub const SLOT_TABLE: i64 = 20;
-    /// `KeySlot.state`: per-key simulation state.
+    /// A shard's `KeySlot`: per-key simulation state.
     pub const KEY_STATE: i64 = 30;
     /// tcp client: write half of the socket and its encode buffer.
     pub const NET_WRITER: i64 = 36;
     /// tcp client: `ReplyQueue.replies`, the replies still owed and the
     /// read half of the socket.
     pub const NET_STATE: i64 = 38;
-    /// `GovernorSignal.due`: the governor's pass-requested bit.
-    pub const GOVERNOR: i64 = 50;
-    /// `Store.governor`: the governor thread's join handle.
-    pub const GOVERNOR_HANDLE: i64 = 70;
     /// net server: live connection map.
     pub const CONN_TABLE: i64 = 72;
     /// net server: per-connection join handles.
@@ -52,12 +46,9 @@ pub mod ranks {
 pub fn rank_table() -> &'static [(i64, &'static str)] {
     &[
         (ranks::SHARD_MAP, "shard_map"),
-        (ranks::SLOT_TABLE, "slot_table"),
         (ranks::KEY_STATE, "key_state"),
         (ranks::NET_WRITER, "net_writer"),
         (ranks::NET_STATE, "net_state"),
-        (ranks::GOVERNOR, "governor"),
-        (ranks::GOVERNOR_HANDLE, "governor_handle"),
         (ranks::CONN_TABLE, "conn_table"),
         (ranks::CONN_HANDLES, "conn_handles"),
         (ranks::ACCEPT_HANDLE, "accept_handle"),
@@ -182,20 +173,6 @@ pub fn tracked_lock<G>(rank: i64, name: &'static str, acquire: impl FnOnce() -> 
     }
 }
 
-/// [`tracked_lock`] for fallible acquisitions (`try_lock`): the level is
-/// checked up front — a try-acquisition that would invert the hierarchy
-/// is a discipline bug even though it cannot deadlock — and the record
-/// is dropped again if the lock was not taken.
-#[inline]
-pub fn tracked_try<G>(
-    rank: i64,
-    name: &'static str,
-    acquire: impl FnOnce() -> Option<G>,
-) -> Option<Tracked<G>> {
-    let held = HeldLock::acquire(rank, name);
-    acquire().map(|guard| Tracked { guard, _held: held })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,8 +180,8 @@ mod tests {
     #[test]
     fn increasing_ranks_are_fine() {
         let a = HeldLock::acquire(ranks::SHARD_MAP, "shard_map");
-        let b = HeldLock::acquire(ranks::SLOT_TABLE, "slot_table");
-        let c = HeldLock::acquire(ranks::KEY_STATE, "key_state");
+        let b = HeldLock::acquire(ranks::KEY_STATE, "key_state");
+        let c = HeldLock::acquire(ranks::NET_STATE, "net_state");
         drop(c);
         drop(b);
         drop(a);
@@ -242,16 +219,6 @@ mod tests {
         }
         let _map = HeldLock::acquire(ranks::SHARD_MAP, "shard_map");
         assert_eq!(*mu.lock().unwrap(), 8);
-    }
-
-    #[test]
-    fn tracked_try_releases_on_miss() {
-        let mu = std::sync::Mutex::new(());
-        let outer = mu.lock().unwrap();
-        assert!(tracked_try(ranks::KEY_STATE, "key_state", || mu.try_lock().ok()).is_none());
-        drop(outer);
-        // The failed try left nothing in the held set.
-        let _map = HeldLock::acquire(ranks::SHARD_MAP, "shard_map");
     }
 
     #[test]

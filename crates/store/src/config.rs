@@ -1,5 +1,9 @@
 //! Store configuration: how many shards, and which register emulation
-//! (with which parameters) backs each of them.
+//! (with which parameters) backs each of them; the per-key history
+//! bound; the optional TCP listen section; the flight-recorder window.
+//!
+//! There is no eviction setting: the store reclaims memory only when its
+//! owner calls [`Store::evict_quiescent`](crate::Store::evict_quiescent).
 
 use rsb_registers::RegisterConfig;
 
@@ -77,44 +81,11 @@ pub enum HistoryPolicy {
     TruncateOnQuiescence,
 }
 
-/// How (and whether) the store reclaims memory from cold keys on its own.
-///
-/// [`Store::evict_quiescent`](crate::Store::evict_quiescent) always
-/// works; a non-manual policy additionally starts the store's one
-/// *governor* thread, which runs the eviction machinery whenever a
-/// submitter's O(1) due-check asks for a pass — an idle-age sweep, or an
-/// occupancy trigger that fires on a single atomic comparison — so the
-/// paper's "bounded space" becomes a property the system maintains,
-/// without a sweep on any operation's path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Reclamation happens only when the caller asks for it (default —
-    /// the pre-governor behaviour).
-    Manual,
-    /// The governor evicts keys that have been quiescent for at least
-    /// this many shard *ticks* (each key-lock hold of a submission on
-    /// the shard — one operation, or one batch's operations on one key —
-    /// counts two: its invocation and its drain. Logical time, so tests
-    /// and benches stay deterministic-ish and wall-clock-free).
-    IdleAfter(u64),
-    /// When a shard's live occupancy exceeds `bits`, the governor
-    /// evicts quiescent keys coldest-first until the shard is at or
-    /// below `low_watermark` bits. Both bounds are
-    /// per-shard (divide a store-wide budget by the shard count).
-    OccupancyAbove {
-        /// High watermark: live bits above this arm the trigger.
-        bits: u64,
-        /// Low watermark the sweep reclaims down to (`≤ bits`).
-        low_watermark: u64,
-    },
-}
-
 /// Where (and how) [`Store::serve`](crate::Store::serve) exposes the
 /// store over TCP.
 ///
-/// Validated by [`StoreConfig::validate`] with the same
-/// reject-at-start discipline as the eviction section: a bad address or
-/// a zero connection bound never gets as far as a bind.
+/// Validated by [`StoreConfig::validate`] at start: a bad address or a
+/// zero connection bound never gets as far as a bind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListenSpec {
     /// The address to bind, e.g. `"127.0.0.1:7400"` (use port `0` for an
@@ -156,11 +127,6 @@ pub enum StoreConfigError {
     NoShards,
     /// A truncate-after-N history bound of zero records.
     ZeroHistoryBound,
-    /// An idle-after eviction threshold of zero ticks.
-    ZeroIdleThreshold,
-    /// An occupancy eviction policy whose low watermark exceeds its
-    /// high watermark.
-    WatermarkAboveBound,
     /// A listen section with a zero connection bound.
     ZeroBacklog,
     /// A listen address that does not parse as a socket address.
@@ -170,11 +136,6 @@ pub enum StoreConfigError {
     MissingListen,
     /// A flight-recorder capacity of zero events.
     ZeroRecorderCapacity,
-    /// A wall-clock idle-aging duration of zero.
-    ZeroIdleWallClock,
-    /// Wall-clock idle aging configured without an
-    /// [`EvictionPolicy::IdleAfter`] policy to age against.
-    IdleWallClockWithoutIdleAfter,
 }
 
 impl std::fmt::Display for StoreConfigError {
@@ -183,18 +144,6 @@ impl std::fmt::Display for StoreConfigError {
             StoreConfigError::NoShards => write!(f, "a store needs at least one shard"),
             StoreConfigError::ZeroHistoryBound => {
                 write!(f, "truncate-after-N needs a bound of at least 1 record")
-            }
-            StoreConfigError::ZeroIdleThreshold => {
-                write!(
-                    f,
-                    "idle-after eviction needs a threshold of at least 1 tick"
-                )
-            }
-            StoreConfigError::WatermarkAboveBound => {
-                write!(
-                    f,
-                    "occupancy eviction needs low_watermark <= bits (the high watermark)"
-                )
             }
             StoreConfigError::ZeroBacklog => {
                 write!(
@@ -214,15 +163,6 @@ impl std::fmt::Display for StoreConfigError {
             StoreConfigError::ZeroRecorderCapacity => {
                 write!(f, "the flight recorder needs capacity for at least 1 event")
             }
-            StoreConfigError::ZeroIdleWallClock => {
-                write!(f, "wall-clock idle aging needs a non-zero duration")
-            }
-            StoreConfigError::IdleWallClockWithoutIdleAfter => {
-                write!(
-                    f,
-                    "wall-clock idle aging requires the IdleAfter eviction policy"
-                )
-            }
         }
     }
 }
@@ -240,9 +180,6 @@ pub struct StoreConfig {
     pub shards: Vec<ShardSpec>,
     /// Per-key operation-history bound.
     pub history: HistoryPolicy,
-    /// How (and whether) the store reclaims memory from cold keys on
-    /// its own.
-    pub eviction: EvictionPolicy,
     /// The TCP service surface, if any. `None` (the default) means
     /// in-process only; [`Store::serve`](crate::Store::serve) requires
     /// `Some`.
@@ -250,13 +187,6 @@ pub struct StoreConfig {
     /// Capacity, in events, of the store's flight recorder
     /// (overwrite-oldest; fixed memory of ~16 bytes per slot).
     pub recorder_capacity: usize,
-    /// Optional wall-clock aging for [`EvictionPolicy::IdleAfter`]: a key
-    /// untouched for this long is eligible for the idle sweep even when
-    /// the shard's logical tick counter has not advanced (ticks only move
-    /// with traffic, so a fully idle store never ages keys by ticks
-    /// alone). Off by default; the governor parks with a bounded timeout
-    /// while this is set so the sweep runs on an otherwise silent store.
-    pub idle_wall_clock: Option<std::time::Duration>,
 }
 
 impl StoreConfig {
@@ -269,22 +199,14 @@ impl StoreConfig {
         StoreConfig {
             shards: vec![ShardSpec { protocol, register }; shard_count],
             history: HistoryPolicy::Unbounded,
-            eviction: EvictionPolicy::Manual,
             listen: None,
             recorder_capacity: Self::DEFAULT_RECORDER_CAPACITY,
-            idle_wall_clock: None,
         }
     }
 
     /// Overrides the per-key history policy.
     pub fn with_history(mut self, history: HistoryPolicy) -> Self {
         self.history = history;
-        self
-    }
-
-    /// Overrides the eviction policy the store governs memory by.
-    pub fn with_eviction(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = eviction;
         self
     }
 
@@ -302,38 +224,19 @@ impl StoreConfig {
         self
     }
 
-    /// Enables wall-clock aging for the idle-eviction sweep: keys
-    /// untouched for `age` become sweep-eligible even on a store whose
-    /// logical ticks are frozen by the absence of traffic. Requires an
-    /// [`EvictionPolicy::IdleAfter`] policy (enforced by
-    /// [`StoreConfig::validate`]).
-    pub fn with_idle_wall_clock(mut self, age: std::time::Duration) -> Self {
-        self.idle_wall_clock = Some(age);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Rejects an empty shard list, a zero truncate-after-N bound, a zero idle-eviction threshold, an
-    /// occupancy policy whose low watermark exceeds its high watermark,
-    /// a listen section with a zero backlog or an unparseable address,
-    /// and a zero-capacity flight recorder.
+    /// Rejects an empty shard list, a zero truncate-after-N bound, a
+    /// listen section with a zero backlog or an unparseable address, and
+    /// a zero-capacity flight recorder.
     pub fn validate(&self) -> Result<(), StoreConfigError> {
         if self.shards.is_empty() {
             return Err(StoreConfigError::NoShards);
         }
         if self.history == HistoryPolicy::TruncateAfter(0) {
             return Err(StoreConfigError::ZeroHistoryBound);
-        }
-        match self.eviction {
-            EvictionPolicy::IdleAfter(0) => return Err(StoreConfigError::ZeroIdleThreshold),
-            EvictionPolicy::OccupancyAbove {
-                bits,
-                low_watermark,
-            } if low_watermark > bits => return Err(StoreConfigError::WatermarkAboveBound),
-            _ => {}
         }
         if let Some(listen) = &self.listen {
             if listen.backlog == 0 {
@@ -345,14 +248,6 @@ impl StoreConfig {
         }
         if self.recorder_capacity == 0 {
             return Err(StoreConfigError::ZeroRecorderCapacity);
-        }
-        if let Some(age) = self.idle_wall_clock {
-            if age.is_zero() {
-                return Err(StoreConfigError::ZeroIdleWallClock);
-            }
-            if !matches!(self.eviction, EvictionPolicy::IdleAfter(_)) {
-                return Err(StoreConfigError::IdleWallClockWithoutIdleAfter);
-            }
         }
         Ok(())
     }
@@ -385,65 +280,6 @@ mod tests {
             .with_history(HistoryPolicy::TruncateOnQuiescence)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn eviction_policies_validate() {
-        let reg = RegisterConfig::paper(1, 2, 16).unwrap();
-        let cfg = StoreConfig::uniform(2, ProtocolSpec::Abd, reg);
-        assert!(cfg
-            .clone()
-            .with_eviction(EvictionPolicy::IdleAfter(8))
-            .validate()
-            .is_ok());
-        assert_eq!(
-            cfg.clone()
-                .with_eviction(EvictionPolicy::IdleAfter(0))
-                .validate(),
-            Err(StoreConfigError::ZeroIdleThreshold)
-        );
-        assert!(cfg
-            .clone()
-            .with_eviction(EvictionPolicy::OccupancyAbove {
-                bits: 4096,
-                low_watermark: 2048,
-            })
-            .validate()
-            .is_ok());
-        assert_eq!(
-            cfg.with_eviction(EvictionPolicy::OccupancyAbove {
-                bits: 1024,
-                low_watermark: 2048,
-            })
-            .validate(),
-            Err(StoreConfigError::WatermarkAboveBound)
-        );
-    }
-
-    #[test]
-    fn idle_wall_clock_validates() {
-        use std::time::Duration;
-        let reg = RegisterConfig::paper(1, 2, 16).unwrap();
-        let cfg = StoreConfig::uniform(2, ProtocolSpec::Abd, reg);
-        assert!(cfg
-            .clone()
-            .with_eviction(EvictionPolicy::IdleAfter(4))
-            .with_idle_wall_clock(Duration::from_millis(50))
-            .validate()
-            .is_ok());
-        assert_eq!(
-            cfg.clone()
-                .with_eviction(EvictionPolicy::IdleAfter(4))
-                .with_idle_wall_clock(Duration::ZERO)
-                .validate(),
-            Err(StoreConfigError::ZeroIdleWallClock)
-        );
-        assert_eq!(
-            cfg.with_idle_wall_clock(Duration::from_millis(50))
-                .validate(),
-            Err(StoreConfigError::IdleWallClockWithoutIdleAfter),
-            "wall-clock aging without IdleAfter has nothing to age against"
-        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! *run-to-completion*: keys live behind per-key locks, and the thread
 //! that submits an operation takes its key's lock once and steps the
 //! key's simulation until the operation returns, so the future it gets
-//! back is already resolved. The store runs no thread of its own, except
-//! one governor thread when an [`EvictionPolicy`] asks for eviction
-//! sweeps. Per-key history can be bounded with a [`HistoryPolicy`], and
-//! quiescent keys can be evicted to snapshots
-//! ([`Store::evict_quiescent`]) and transparently rematerialized.
+//! back is already resolved. The store runs no thread of its own.
+//! Per-key history can be bounded with a [`HistoryPolicy`], and quiescent
+//! keys can be evicted to snapshots ([`Store::evict_quiescent`] — one
+//! call, made by the owner on its own schedule) and transparently
+//! rematerialized.
 //!
 //! # Client surface
 //!
@@ -75,7 +75,6 @@
 
 mod config;
 mod future;
-mod governor;
 pub mod load;
 mod mcsync;
 mod metrics;
@@ -85,12 +84,10 @@ mod shard;
 mod store;
 
 pub use config::{
-    EvictionPolicy, HistoryPolicy, ListenSpec, ProtocolSpec, ShardSpec, StoreConfig,
-    StoreConfigError,
+    HistoryPolicy, ListenSpec, ProtocolSpec, ShardSpec, StoreConfig, StoreConfigError,
 };
 pub use future::{block_on, join_all, OpFuture, ReadFuture, WriteFuture};
-pub use governor::GovernorSignal;
-pub use metrics::{EvictionCause, LatencyHistogram, OpCounters, ShardMetrics, StoreMetrics};
+pub use metrics::{LatencyHistogram, OpCounters, ShardMetrics, StoreMetrics};
 pub use net::{
     frame, KeyMeta, Loopback, NextReply, OpTicket, ReplyQueue, StoreServer, TcpTransport, Transport,
 };

@@ -8,20 +8,6 @@
 use rsb_fpsm::{OpResult, StorageCost};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Why the eviction machinery snapshotted a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionCause {
-    /// The caller invoked [`Store::evict_quiescent`](crate::Store::evict_quiescent).
-    Manual,
-    /// The governor's idle-time sweep found the key quiescent past the
-    /// [`EvictionPolicy::IdleAfter`](crate::EvictionPolicy::IdleAfter)
-    /// threshold.
-    Idle,
-    /// The governor's occupancy trigger evicted the key (coldest-first)
-    /// to get back under the low watermark.
-    Occupancy,
-}
-
 /// Latency histogram buckets: 64 power-of-two octaves × 4 sub-buckets
 /// (log-linear, ~±12.5% resolution) — enough to separate a cache-hit
 /// read from one that pays a rematerialization, at tail quantiles.
@@ -222,7 +208,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Lock-free counters one shard's submitters and the governor bump.
+/// Lock-free counters one shard's submitters and evictions bump.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicCounters {
     reads_submitted: AtomicU64,
@@ -234,9 +220,7 @@ pub(crate) struct AtomicCounters {
     rejected: AtomicU64,
     truncated_records: AtomicU64,
     rematerialized: AtomicU64,
-    evicted_manual: AtomicU64,
-    evicted_idle: AtomicU64,
-    evicted_occupancy: AtomicU64,
+    evictions: AtomicU64,
     read_hit_ns: AtomicHistogram,
     read_remat_ns: AtomicHistogram,
     write_ns: AtomicHistogram,
@@ -281,13 +265,8 @@ impl AtomicCounters {
         bump(&self.rematerialized, 1);
     }
 
-    pub(crate) fn note_eviction(&self, cause: EvictionCause) {
-        let counter = match cause {
-            EvictionCause::Manual => &self.evicted_manual,
-            EvictionCause::Idle => &self.evicted_idle,
-            EvictionCause::Occupancy => &self.evicted_occupancy,
-        };
-        bump(counter, 1);
+    pub(crate) fn note_eviction(&self) {
+        bump(&self.evictions, 1);
     }
 
     /// Records a completed read's end-to-end latency, bucketed by whether
@@ -356,9 +335,7 @@ impl AtomicCounters {
             rejected: peek(&self.rejected),
             truncated_records: peek(&self.truncated_records),
             rematerialized: peek(&self.rematerialized),
-            evicted_manual: peek(&self.evicted_manual),
-            evicted_idle: peek(&self.evicted_idle),
-            evicted_occupancy: peek(&self.evicted_occupancy),
+            evictions: peek(&self.evictions),
         }
     }
 }
@@ -384,13 +361,9 @@ pub struct OpCounters {
     pub truncated_records: u64,
     /// Evicted keys brought back by a later operation.
     pub rematerialized: u64,
-    /// Evictions performed by an explicit
-    /// [`Store::evict_quiescent`](crate::Store::evict_quiescent) call.
-    pub evicted_manual: u64,
-    /// Evictions performed by the governor's idle-time sweep.
-    pub evicted_idle: u64,
-    /// Evictions performed by the governor's occupancy trigger.
-    pub evicted_occupancy: u64,
+    /// Keys snapshotted by
+    /// [`Store::evict_quiescent`](crate::Store::evict_quiescent).
+    pub evictions: u64,
 }
 
 impl OpCounters {
@@ -404,11 +377,6 @@ impl OpCounters {
         self.reads_completed + self.writes_completed
     }
 
-    /// Evictions of every cause.
-    pub fn evictions(&self) -> u64 {
-        self.evicted_manual + self.evicted_idle + self.evicted_occupancy
-    }
-
     /// Accumulates another snapshot (for aggregation).
     pub fn absorb(&mut self, other: &OpCounters) {
         self.reads_submitted += other.reads_submitted;
@@ -420,9 +388,7 @@ impl OpCounters {
         self.rejected += other.rejected;
         self.truncated_records += other.truncated_records;
         self.rematerialized += other.rematerialized;
-        self.evicted_manual += other.evicted_manual;
-        self.evicted_idle += other.evicted_idle;
-        self.evicted_occupancy += other.evicted_occupancy;
+        self.evictions += other.evictions;
     }
 }
 
@@ -462,12 +428,6 @@ pub struct ShardMetrics {
     /// releases that lock, so this reads 0 — a non-zero value means a
     /// key was left mid-run.
     pub ready_keys: usize,
-    /// The shard's incrementally-maintained live-occupancy counter — the
-    /// cheap value the eviction governor's occupancy trigger fires on.
-    /// At quiescence it must equal `occupancy.total()` (asserted in
-    /// tests); mid-traffic the two may be momentarily skewed because
-    /// they are sampled at different instants.
-    pub governed_bits: u64,
     /// End-to-end latency of completed reads whose key was live at
     /// submission.
     pub read_hit_latency: LatencyHistogram,
@@ -615,7 +575,7 @@ impl StoreMetrics {
         use std::fmt::Write as _;
         let mut out = String::new();
         let t = self.totals();
-        let counters: [(&str, &str, u64); 12] = [
+        let counters: [(&str, &str, u64); 10] = [
             (
                 "reads_submitted",
                 "Reads accepted by the submit path",
@@ -661,13 +621,7 @@ impl StoreMetrics {
                 "Evicted keys brought back by an op",
                 t.rematerialized,
             ),
-            ("evicted_manual", "Manual evictions", t.evicted_manual),
-            ("evicted_idle", "Idle-sweep evictions", t.evicted_idle),
-            (
-                "evicted_occupancy",
-                "Occupancy-trigger evictions",
-                t.evicted_occupancy,
-            ),
+            ("evictions", "Keys evicted to snapshots", t.evictions),
         ];
         for (name, help, value) in counters {
             let _ = writeln!(out, "# HELP rsb_store_{name}_total {help}");

@@ -31,16 +31,10 @@ pub enum FlightEventKind {
     /// A write was accepted by the submit path; detail is the payload
     /// length in bytes.
     SubmitWrite,
-    /// A key was evicted by an explicit
-    /// [`Store::evict_quiescent`](crate::Store::evict_quiescent) call;
-    /// detail is the snapshot size in bits.
-    EvictManual,
-    /// A key was evicted by the governor's idle sweep; detail is the
-    /// snapshot size in bits.
-    EvictIdle,
-    /// A key was evicted by the governor's occupancy trigger; detail is
-    /// the snapshot size in bits.
-    EvictOccupancy,
+    /// A key was evicted by
+    /// [`Store::evict_quiescent`](crate::Store::evict_quiescent); detail
+    /// is the snapshot size in bits.
+    Evict,
     /// An operation on an evicted key rebuilt its live simulation.
     Rematerialize,
     /// History compaction dropped records; detail is how many.
@@ -62,15 +56,13 @@ impl FlightEventKind {
         Some(match code {
             0 => FlightEventKind::SubmitRead,
             1 => FlightEventKind::SubmitWrite,
-            2 => FlightEventKind::EvictManual,
-            3 => FlightEventKind::EvictIdle,
-            4 => FlightEventKind::EvictOccupancy,
-            5 => FlightEventKind::Rematerialize,
-            6 => FlightEventKind::Compaction,
-            7 => FlightEventKind::DecodeError,
-            8 => FlightEventKind::ConnOpen,
-            9 => FlightEventKind::ConnClose,
-            10 => FlightEventKind::Rejected,
+            2 => FlightEventKind::Evict,
+            3 => FlightEventKind::Rematerialize,
+            4 => FlightEventKind::Compaction,
+            5 => FlightEventKind::DecodeError,
+            6 => FlightEventKind::ConnOpen,
+            7 => FlightEventKind::ConnClose,
+            8 => FlightEventKind::Rejected,
             _ => return None,
         })
     }
@@ -79,15 +71,13 @@ impl FlightEventKind {
         match self {
             FlightEventKind::SubmitRead => 0,
             FlightEventKind::SubmitWrite => 1,
-            FlightEventKind::EvictManual => 2,
-            FlightEventKind::EvictIdle => 3,
-            FlightEventKind::EvictOccupancy => 4,
-            FlightEventKind::Rematerialize => 5,
-            FlightEventKind::Compaction => 6,
-            FlightEventKind::DecodeError => 7,
-            FlightEventKind::ConnOpen => 8,
-            FlightEventKind::ConnClose => 9,
-            FlightEventKind::Rejected => 10,
+            FlightEventKind::Evict => 2,
+            FlightEventKind::Rematerialize => 3,
+            FlightEventKind::Compaction => 4,
+            FlightEventKind::DecodeError => 5,
+            FlightEventKind::ConnOpen => 6,
+            FlightEventKind::ConnClose => 7,
+            FlightEventKind::Rejected => 8,
         }
     }
 
@@ -96,9 +86,7 @@ impl FlightEventKind {
         match self {
             FlightEventKind::SubmitRead => "submit-read",
             FlightEventKind::SubmitWrite => "submit-write",
-            FlightEventKind::EvictManual => "evict-manual",
-            FlightEventKind::EvictIdle => "evict-idle",
-            FlightEventKind::EvictOccupancy => "evict-occupancy",
+            FlightEventKind::Evict => "evict",
             FlightEventKind::Rematerialize => "rematerialize",
             FlightEventKind::Compaction => "compaction",
             FlightEventKind::DecodeError => "decode-error",
@@ -295,12 +283,12 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for code in 0..=10u8 {
+        for code in 0..=8u8 {
             let kind = FlightEventKind::from_code(code).expect("known code");
             assert_eq!(kind.code(), code);
             assert!(!kind.label().is_empty());
         }
-        assert_eq!(FlightEventKind::from_code(11), None);
+        assert_eq!(FlightEventKind::from_code(9), None);
     }
 
     #[test]

@@ -6,30 +6,21 @@
 //! placement. A submission takes the key lock once and, inside that
 //! hold, invokes its operation, drains every enabled simulator event,
 //! reads the result off the operation's record, and settles the key
-//! (completion accounting, history policy, activity stamp, occupancy).
-//! Nothing is ever pending between two lock holds, so there is no queue,
-//! no slot ownership and no completion cell: `submit` returns the
-//! result. The key lock is what serializes same-key submitters.
+//! (its history policy). Nothing is ever pending between two lock holds,
+//! so there is no queue, no slot ownership and no completion cell:
+//! `submit` returns the result. The key lock is what serializes same-key
+//! submitters.
 //!
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
-//! the consistency checkers need), and a quiescent key can be *evicted*
-//! to a [`SimSnapshot`] and rematerialized on its next operation.
-//!
-//! Eviction is *governed*: under a non-`Manual` [`EvictionPolicy`] the
-//! store's one governor thread sweeps a shard for keys quiescent past
-//! the idle threshold, and an occupancy trigger (one atomic comparison
-//! against an incrementally-maintained per-shard live-bits counter)
-//! evicts coldest-first down to a low watermark. Submitters never sweep;
-//! each pays one O(1) due-check after its hold and nudges the governor
-//! only when a pass is due — so bounded space holds under sustained
-//! traffic without a sweep on any operation's path.
+//! the consistency checkers need), and [`ShardEngine::evict_quiescent`]
+//! replaces every quiescent key's live simulation by a [`SimSnapshot`],
+//! rematerialized on the key's next operation. Eviction is that one call,
+//! made by the store's owner; nothing sweeps on its own.
 
 use crate::config::ShardSpec;
-use crate::config::{EvictionPolicy, HistoryPolicy, ProtocolSpec};
-use crate::governor::GovernorSignal;
-use crate::mcsync::{AtomicU64, Ordering};
-use crate::metrics::{AtomicCounters, EvictionCause, ShardMetrics};
+use crate::config::{HistoryPolicy, ProtocolSpec};
+use crate::metrics::{AtomicCounters, ShardMetrics};
 use crate::recorder::{FlightEventKind, FlightRecorder};
 use crate::store::StoreError;
 use rsb_coding::Value;
@@ -39,16 +30,9 @@ use rsb_fpsm::{
 use rsb_registers::lockorder::{ranks, tracked_lock};
 use rsb_registers::{Abd, AbdAtomic, Adaptive, Coded, RegisterProtocol, Safe};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// After a futile occupancy pass (armed, but nothing could be evicted),
-/// the trigger stays disarmed for this many shard ticks. Evictable keys
-/// can only appear through traffic — which is exactly what advances
-/// ticks — so the backoff self-clears the moment eviction could
-/// plausibly succeed again, and an armed-but-stuck trigger stops every
-/// submitter from requesting a full cold-scan.
-const GOVERN_FUTILE_BACKOFF_TICKS: u64 = 64;
 
 /// One key's live register: its simulation plus the sim-level clients
 /// allocated for it so far (reused across operations when idle).
@@ -103,34 +87,8 @@ enum KeyState<P: RegisterProtocol + 'static> {
 }
 
 /// One key's slot: the per-key lock every simulation access goes
-/// through, plus governor-readable metadata kept *outside* the lock so
-/// cold-scans never contend with a running operation.
-struct KeySlot<P: RegisterProtocol + 'static> {
-    state: crate::mcsync::Mutex<KeyState<P>>,
-    /// Shard tick of the key's most recent operation — what the idle
-    /// sweep and the coldest-first order read. Written under the key
-    /// lock, read lock-free by the governor.
-    last_active: AtomicU64,
-    /// Milliseconds since the shard's epoch at the key's most recent
-    /// activity — the wall-clock twin of `last_active`, stamped only
-    /// when wall-clock aging is configured (ticks freeze without
-    /// traffic; this does not).
-    last_active_at: AtomicU64,
-    /// Live-simulation bits this key currently contributes to the
-    /// shard's `live_bits` aggregate; zero while evicted.
-    cached_bits: AtomicU64,
-}
-
-impl<P: RegisterProtocol + 'static> KeySlot<P> {
-    fn new(state: KeyState<P>) -> Self {
-        KeySlot {
-            state: crate::mcsync::Mutex::new(state),
-            last_active: AtomicU64::new(0),
-            last_active_at: AtomicU64::new(0),
-            cached_bits: AtomicU64::new(0),
-        }
-    }
-}
+/// through.
+type KeySlot<P> = crate::mcsync::Mutex<KeyState<P>>;
 
 /// The object-safe surface the store drives a shard through.
 pub(crate) trait ShardEngine: Send + Sync {
@@ -148,11 +106,6 @@ pub(crate) trait ShardEngine: Send + Sync {
 
     /// Evicts every quiescent key to a snapshot; returns how many.
     fn evict_quiescent(&self) -> usize;
-
-    /// Runs one governor pass under the configured [`EvictionPolicy`]:
-    /// the idle sweep, or the occupancy trigger's coldest-first
-    /// reclamation if it is armed. Returns how many keys were evicted.
-    fn govern(&self) -> usize;
 
     /// Snapshot of the shard's metrics.
     fn metrics(&self) -> ShardMetrics;
@@ -184,57 +137,35 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
     /// `add_client` take `&self`).
     proto: P,
     /// The placement map: key names to their slots. Guarded by its own
-    /// lock, held only for the name lookup / first-touch insert — never
-    /// across key locks or simulation work.
+    /// lock, held only for the name lookup / first-touch insert (or to
+    /// clone the slots out for a sweep) — never across key locks or
+    /// simulation work.
     map: parking_lot::Mutex<HashMap<String, Arc<KeySlot<P>>>>,
-    /// Every slot in first-touch order, for the sweeps and `metrics`
-    /// (which must not hold the placement lock across key locks). The
-    /// only writer is first-touch placement, which already holds the map
-    /// lock (lock order: map → slots, never reversed).
-    slots: parking_lot::RwLock<Vec<Arc<KeySlot<P>>>>,
-    /// The store's stop flag and the governor's wake-up.
-    signal: Arc<GovernorSignal>,
+    /// The store's stop flag.
+    stop: Arc<AtomicBool>,
     counters: AtomicCounters,
     /// This shard's index within the store (stable event/metrics label).
     shard: usize,
     /// The store-wide flight recorder every shard stamps events into.
     recorder: Arc<FlightRecorder>,
     policy: HistoryPolicy,
-    eviction: EvictionPolicy,
-    /// Optional wall-clock idle-aging bound: keys untouched this long
-    /// are sweep-eligible even with a frozen tick clock (see
-    /// [`StoreConfig::with_idle_wall_clock`](crate::StoreConfig::with_idle_wall_clock)).
-    idle_wall_clock: Option<std::time::Duration>,
-    /// The instant the shard was built — the zero point `last_active_at`
-    /// stamps are measured from.
-    epoch: Instant,
     name: &'static str,
     value_len: usize,
     initial: Value,
-    /// Logical shard clock: two ticks per key-lock hold of a submission.
-    /// Key idle ages are measured against it, so governance is
-    /// wall-clock-free (deterministic under test schedules).
-    ticks: AtomicU64,
-    /// Incrementally-maintained sum of every live key's simulation bits
-    /// — the O(1) value the occupancy trigger compares against its
-    /// watermark (ground-truth occupancy is still re-measured by
-    /// `metrics`, and tests assert the two agree at quiescence).
-    live_bits: AtomicU64,
-    /// Tick before which the occupancy trigger stays disarmed after a
-    /// futile pass (see [`GOVERN_FUTILE_BACKOFF_TICKS`]).
-    govern_backoff: AtomicU64,
-    /// Tick of the most recent idle sweep — what the `IdleAfter`
-    /// due-check measures the shard clock against.
-    last_idle_sweep: AtomicU64,
 }
 
 impl<P: RegisterProtocol + Send + Sync + 'static> ShardCore<P>
 where
     P::Object: Clone,
 {
-    /// Compacts a key's history if the policy says so. Call after the
-    /// hold's results have been read off the records.
-    fn apply_history_policy(&self, kc: &mut KeyCell<P>) {
+    fn is_stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Closes a key-lock hold that ran operations: compacts the key's
+    /// history if the policy says so. Call after the hold's results have
+    /// been read off the records.
+    fn settle(&self, kc: &mut KeyCell<P>) {
         let compact = match self.policy {
             HistoryPolicy::Unbounded => false,
             HistoryPolicy::TruncateAfter(n) => kc.sim.live_records() > n,
@@ -254,51 +185,11 @@ where
         }
     }
 
-    /// Advances the shard clock past one key-lock hold and returns the
-    /// new time: two ticks per hold, one for its invocations and one for
-    /// its drain — the unit `EvictionPolicy::IdleAfter` is documented in.
-    fn tick(&self) -> u64 {
-        // audit:allow(atomics-relaxed) — the tick clock is advisory (idle-age
-        // comparisons); it orders nothing and skew only shifts eviction timing.
-        self.ticks.fetch_add(2, Ordering::Relaxed) + 2
-    }
-
-    /// The shard clock's current tick.
-    fn now(&self) -> u64 {
-        // audit:allow(atomics-relaxed) — advisory, as in `tick`: a stale
-        // read delays (or briefly duplicates) one governor pass or shifts
-        // which sweep reclaims a key; what is safe to reclaim is decided
-        // under the key lock.
-        self.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Re-measures one key's live-simulation bits into the shard
-    /// aggregate. Call under the key lock whenever the key's state may
-    /// have changed size (an operation, evict, rematerialize);
-    /// evicted/vacant keys account as zero.
-    fn account_occupancy(&self, slot: &KeySlot<P>, state: &KeyState<P>) {
-        let bits = match state {
-            KeyState::Live(kc) => kc.sim.storage_cost().total(),
-            KeyState::Evicted(_) | KeyState::Vacant => 0,
-        };
-        // audit:allow(atomics-relaxed) — written under the key lock (the lock
-        // orders it); lock-free readers (governor screens) tolerate staleness.
-        let prev = slot.cached_bits.swap(bits, Ordering::Relaxed);
-        if bits >= prev {
-            // audit:allow(atomics-relaxed) — occupancy aggregate feeding an
-            // advisory trigger threshold; no data is published through it.
-            self.live_bits.fetch_add(bits - prev, Ordering::Relaxed);
-        } else {
-            // audit:allow(atomics-relaxed) — see the fetch_add above.
-            self.live_bits.fetch_sub(prev - bits, Ordering::Relaxed);
-        }
-    }
-
     /// Tries to evict one key: under its lock, a live, quiescent key is
     /// compacted (under a truncating history policy) and snapshotted.
     /// Returns whether the key was evicted.
-    fn try_evict(&self, slot: &KeySlot<P>, cause: EvictionCause) -> bool {
-        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
+    fn try_evict(&self, slot: &KeySlot<P>) -> bool {
+        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
         let KeyState::Live(kc) = &mut *state else {
             return false;
         };
@@ -316,26 +207,23 @@ where
         };
         let snap_bits = snap.storage_bits();
         *state = KeyState::Evicted(snap);
-        self.counters.note_eviction(cause);
-        let kind = match cause {
-            EvictionCause::Manual => FlightEventKind::EvictManual,
-            EvictionCause::Idle => FlightEventKind::EvictIdle,
-            EvictionCause::Occupancy => FlightEventKind::EvictOccupancy,
-        };
-        self.recorder.record(kind, Some(self.shard), snap_bits);
-        self.account_occupancy(slot, &state);
+        self.counters.note_eviction();
+        self.recorder
+            .record(FlightEventKind::Evict, Some(self.shard), snap_bits);
         true
     }
 
-    /// A snapshot of the slot table (cheap `Arc` clones), so sweeps
-    /// never hold the table lock across key locks.
-    fn slot_table(&self) -> Vec<Arc<KeySlot<P>>> {
-        tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read()).clone()
+    /// Every slot on the shard (cheap `Arc` clones), taken under the map
+    /// lock and released before the caller locks any key.
+    fn slots(&self) -> Vec<Arc<KeySlot<P>>> {
+        tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock())
+            .values()
+            .cloned()
+            .collect()
     }
 
     /// Resolves a key to its slot with the map lock already held,
-    /// materializing the placement on first touch (lock order: map →
-    /// slots, never reversed).
+    /// materializing the placement on first touch.
     fn place_locked(
         &self,
         index: &mut HashMap<String, Arc<KeySlot<P>>>,
@@ -347,8 +235,6 @@ where
         let slot = Arc::new(KeySlot::new(KeyState::Live(KeyCell::new(
             self.proto.new_sim(),
         ))));
-        tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.write())
-            .push(Arc::clone(&slot));
         index.insert(key.to_owned(), Arc::clone(&slot));
         slot
     }
@@ -439,25 +325,6 @@ where
         Ok(result)
     }
 
-    /// Closes a key-lock hold that ran operations: history policy,
-    /// activity stamps (the logical tick always, the wall-clock twin
-    /// only when aging is enabled — keeping the extra clock read off the
-    /// default hot path), occupancy.
-    fn settle(&self, slot: &KeySlot<P>, state: &mut KeyState<P>) {
-        if let KeyState::Live(kc) = state {
-            self.apply_history_policy(kc);
-        }
-        // audit:allow(atomics-relaxed) — activity stamps are read by the
-        // governor for aging decisions only; a stale read delays one sweep.
-        slot.last_active.store(self.tick(), Ordering::Relaxed);
-        if self.idle_wall_clock.is_some() {
-            slot.last_active_at
-                // audit:allow(atomics-relaxed) — same as the tick stamp above.
-                .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-        }
-        self.account_occupancy(slot, state);
-    }
-
     /// One key-lock hold: every request in `reqs` is invoked, the key is
     /// drained, and `deliver` receives each request's tag with its
     /// result, in order; then the key is settled. The authoritative stop
@@ -471,8 +338,8 @@ where
         reqs: impl Iterator<Item = (T, OpRequest)>,
         mut deliver: impl FnMut(T, Result<OpResult, StoreError>),
     ) {
-        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
-        if self.signal.is_stopped() {
+        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
+        if self.is_stopped() {
             for (tag, _) in reqs {
                 deliver(tag, Err(StoreError::ShutDown));
             }
@@ -499,40 +366,7 @@ where
                 op.and_then(|op| self.collect(kc, key, op, &times, remat)),
             );
         }
-        self.settle(slot, &mut *state);
-    }
-
-    /// Cheap (a few atomic loads) check: is a governor pass due right
-    /// now — the occupancy trigger armed, or the shard clock far enough
-    /// past the last idle sweep? Submitters call it after every hold, so
-    /// it must stay O(1).
-    fn wants_governing(&self) -> bool {
-        match self.eviction {
-            EvictionPolicy::OccupancyAbove { bits, .. } => {
-                // audit:allow(atomics-relaxed) — advisory trigger: a stale read
-                // delays (or briefly duplicates) one governor pass, never corrupts.
-                self.live_bits.load(Ordering::Relaxed) > bits
-                    // audit:allow(atomics-relaxed) — same trigger; see above.
-                    && self.now() >= self.govern_backoff.load(Ordering::Relaxed)
-            }
-            // A key crosses the idle threshold `threshold` ticks after
-            // its last activity; sweeping every half-threshold bounds how
-            // long past that it stays live under continuing traffic.
-            EvictionPolicy::IdleAfter(threshold) => {
-                // audit:allow(atomics-relaxed) — advisory trigger, as above.
-                let swept = self.last_idle_sweep.load(Ordering::Relaxed);
-                self.now().saturating_sub(swept) >= (threshold / 2).max(1)
-            }
-            EvictionPolicy::Manual => false,
-        }
-    }
-
-    /// The submitter's share of governance: one due-check, and a nudge
-    /// when a pass is due (the governor does the sweeping).
-    fn nudge_governor(&self) {
-        if self.wants_governing() {
-            self.signal.nudge();
-        }
+        self.settle(kc);
     }
 }
 
@@ -544,7 +378,7 @@ where
         let started = Instant::now();
         // Fast-path reject, before placement can materialize a key on a
         // stopped store; `run_key` re-checks under the key lock.
-        if self.signal.is_stopped() {
+        if self.is_stopped() {
             return Err(StoreError::ShutDown);
         }
         // Placement: the map lock is held only for the name lookup (and
@@ -559,13 +393,12 @@ where
         self.run_key(key, &slot, started, std::iter::once(((), req)), |(), r| {
             result = Some(r);
         });
-        self.nudge_governor();
         result.expect("one request delivers one result")
     }
 
     fn submit_batch(&self, ops: Vec<(String, OpRequest)>) -> Vec<Result<OpResult, StoreError>> {
         let started = Instant::now();
-        if self.signal.is_stopped() {
+        if self.is_stopped() {
             return ops.iter().map(|_| Err(StoreError::ShutDown)).collect();
         }
         // Placement for the whole batch under one map-lock hold.
@@ -576,10 +409,9 @@ where
                 .collect()
         };
         // Key group by key group, in order of each key's first op: every
-        // op sharing a key is invoked under one key-lock hold (one
-        // drain, one activity stamp and one occupancy re-measure for the
-        // lot) before the next group starts — an op's queue wait is its
-        // group's position in the batch.
+        // op sharing a key is invoked under one key-lock hold (one drain
+        // and one settle for the lot) before the next group starts — an
+        // op's queue wait is its group's position in the batch.
         let (keys, mut reqs): (Vec<String>, Vec<Option<OpRequest>>) =
             ops.into_iter().map(|(key, req)| (key, Some(req))).unzip();
         let mut results: Vec<Option<Result<OpResult, StoreError>>> =
@@ -595,7 +427,6 @@ where
                 results[j] = Some(r);
             });
         }
-        self.nudge_governor();
         results
             .into_iter()
             .map(|r| r.expect("every op belongs to exactly one key group"))
@@ -603,101 +434,14 @@ where
     }
 
     fn evict_quiescent(&self) -> usize {
-        self.slot_table()
+        self.slots()
             .iter()
-            .filter(|slot| self.try_evict(slot, EvictionCause::Manual))
+            .filter(|slot| self.try_evict(slot))
             .count()
     }
 
-    fn govern(&self) -> usize {
-        match self.eviction {
-            EvictionPolicy::Manual => 0,
-            EvictionPolicy::IdleAfter(threshold) => {
-                let now = self.now();
-                // audit:allow(atomics-relaxed) — disarms the advisory due-check
-                // (`wants_governing`) until the clock has moved on.
-                self.last_idle_sweep.store(now, Ordering::Relaxed);
-                // Wall-clock aging (when configured): a key is also
-                // sweep-eligible once untouched for the configured
-                // duration, so a store with a frozen tick clock (no
-                // traffic) still reclaims cold keys.
-                let wall = self.idle_wall_clock.map(|age| {
-                    (
-                        self.epoch.elapsed().as_millis() as u64,
-                        age.as_millis() as u64,
-                    )
-                });
-                // `cached_bits > 0` screens out already-evicted keys
-                // without touching their locks (every live register
-                // holds at least its v₀ blocks, so live keys are never
-                // zero-bit).
-                self.slot_table()
-                    .iter()
-                    .filter(|slot| {
-                        // audit:allow(atomics-relaxed) — lock-free screen only; try_evict
-                        // re-checks everything under the key lock.
-                        if slot.cached_bits.load(Ordering::Relaxed) == 0 {
-                            return false;
-                        }
-                        let tick_aged = now
-                            // audit:allow(atomics-relaxed) — aging comparison; see `now` above.
-                            .saturating_sub(slot.last_active.load(Ordering::Relaxed))
-                            >= threshold;
-                        let wall_aged = wall.is_some_and(|(now_ms, age_ms)| {
-                            // audit:allow(atomics-relaxed) — aging comparison; see `now` above.
-                            now_ms.saturating_sub(slot.last_active_at.load(Ordering::Relaxed))
-                                >= age_ms
-                        });
-                        (tick_aged || wall_aged) && self.try_evict(slot, EvictionCause::Idle)
-                    })
-                    .count()
-            }
-            EvictionPolicy::OccupancyAbove {
-                bits,
-                low_watermark,
-            } => {
-                // audit:allow(atomics-relaxed) — advisory trigger re-check; see
-                // `wants_governing`.
-                if self.live_bits.load(Ordering::Relaxed) <= bits {
-                    return 0;
-                }
-                // Coldest-first: order live keys by their last-activity
-                // tick and evict until the shard is back at (or below)
-                // the low watermark.
-                let table = self.slot_table();
-                let mut cold: Vec<(u64, usize)> = table
-                    .iter()
-                    .enumerate()
-                    // audit:allow(atomics-relaxed) — lock-free screen; try_evict
-                    // re-checks under the key lock.
-                    .filter(|(_, slot)| slot.cached_bits.load(Ordering::Relaxed) > 0)
-                    // audit:allow(atomics-relaxed) — coldest-first ordering hint only.
-                    .map(|(i, slot)| (slot.last_active.load(Ordering::Relaxed), i))
-                    .collect();
-                cold.sort_unstable();
-                let evicted = cold
-                    .into_iter()
-                    // audit:allow(atomics-relaxed) — watermark check is advisory; an
-                    // extra or missed attempt is corrected next pass.
-                    .take_while(|_| self.live_bits.load(Ordering::Relaxed) > low_watermark)
-                    .filter(|&(_, i)| self.try_evict(&table[i], EvictionCause::Occupancy))
-                    .count();
-                if evicted == 0 {
-                    // Armed but stuck: back off so the still-armed
-                    // trigger does not make every submitter request this
-                    // scan again.
-                    let until = self.now() + GOVERN_FUTILE_BACKOFF_TICKS;
-                    // audit:allow(atomics-relaxed) — backoff arming is
-                    // advisory; see `wants_governing`.
-                    self.govern_backoff.store(until, Ordering::Relaxed);
-                }
-                evicted
-            }
-        }
-    }
-
     fn metrics(&self) -> ShardMetrics {
-        let slots = self.slot_table();
+        let slots = self.slots();
         let mut occupancy = StorageCost::default();
         let mut peak = 0u64;
         let mut live_records = 0u64;
@@ -705,7 +449,7 @@ where
         let mut snapshot_bits = 0u64;
         let mut ready_keys = 0usize;
         for slot in &slots {
-            let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
+            let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
             match &*state {
                 KeyState::Live(kc) => {
                     let cost = kc.sim.storage_cost();
@@ -740,8 +484,6 @@ where
             evicted_keys,
             snapshot_bits,
             ready_keys,
-            // audit:allow(atomics-relaxed) — metrics snapshot; racy by design.
-            governed_bits: self.live_bits.load(Ordering::Relaxed),
             read_hit_latency: self.counters.read_hit_histogram(),
             read_remat_latency: self.counters.read_remat_histogram(),
             write_latency: self.counters.write_histogram(),
@@ -766,7 +508,7 @@ where
     fn key_records(&self, key: &str) -> Option<Vec<OpRecord>> {
         let slot =
             Arc::clone(tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()).get(key)?);
-        let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
+        let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
         Some(match &*state {
             KeyState::Live(kc) => kc.sim.full_history(),
             KeyState::Evicted(snap) => snap.records().to_vec(),
@@ -799,13 +541,10 @@ pub(crate) fn build(spec: &ShardSpec, parts: EngineParts) -> Arc<dyn ShardEngine
 
 /// Protocol-independent construction parameters for one shard engine.
 /// `shard` is the shard's index within the store; `recorder` the
-/// store-wide flight recorder; `signal` the store's stop flag and
-/// governor wake-up.
+/// store-wide flight recorder; `stop` the store's stop flag.
 pub(crate) struct EngineParts {
     pub(crate) policy: HistoryPolicy,
-    pub(crate) eviction: EvictionPolicy,
-    pub(crate) idle_wall_clock: Option<std::time::Duration>,
-    pub(crate) signal: Arc<GovernorSignal>,
+    pub(crate) stop: Arc<AtomicBool>,
     pub(crate) shard: usize,
     pub(crate) recorder: Arc<FlightRecorder>,
 }
@@ -823,21 +562,13 @@ where
     Arc::new(ShardCore {
         proto,
         map: parking_lot::Mutex::new(HashMap::new()),
-        slots: parking_lot::RwLock::new(Vec::new()),
-        signal: parts.signal,
+        stop: parts.stop,
         counters: AtomicCounters::default(),
         shard: parts.shard,
         recorder: parts.recorder,
         policy: parts.policy,
-        eviction: parts.eviction,
-        idle_wall_clock: parts.idle_wall_clock,
-        epoch: Instant::now(),
         name,
         value_len,
         initial,
-        ticks: AtomicU64::new(0),
-        live_bits: AtomicU64::new(0),
-        govern_backoff: AtomicU64::new(0),
-        last_idle_sweep: AtomicU64::new(0),
     })
 }

@@ -1,23 +1,20 @@
-//! The store: shard fan-out, the governor thread, client handles,
-//! lifecycle.
+//! The store: shard fan-out, client handles, lifecycle.
 //!
 //! An operation runs to completion on the thread that submits it, under
 //! one hold of its key's lock (see [`crate::shard`]): a client thread
 //! over [`Loopback`], the connection's thread over TCP. The store itself
-//! runs no thread at all under [`EvictionPolicy::Manual`], and exactly
-//! one — the `store-governor`, which does the eviction sweeps submitters
-//! ask for — under any other policy.
+//! runs no thread: memory is reclaimed only when the owner calls
+//! [`Store::evict_quiescent`], on whatever schedule it likes.
 
-use crate::config::{EvictionPolicy, StoreConfig, StoreConfigError};
+use crate::config::{StoreConfig, StoreConfigError};
 use crate::future::{OpFuture, ReadFuture, WriteFuture};
-use crate::governor::GovernorSignal;
 use crate::metrics::StoreMetrics;
 use crate::net::{KeyMeta, Loopback, StoreServer, Transport};
 use crate::recorder::FlightRecorder;
 use crate::shard::{self, ShardEngine};
 use rsb_coding::Value;
 use rsb_fpsm::{OpRecord, OpRequest};
-use rsb_registers::lockorder::{ranks, tracked_lock};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Errors from the store's client surface — one type across every
@@ -161,34 +158,25 @@ pub struct KeyHistory {
 /// The sharded storage service.
 ///
 /// [`Store::shutdown`] (or drop) stops it: later submissions fail with
-/// [`StoreError::ShutDown`], and the governor thread, if the eviction
-/// policy needed one, is joined. Client handles may outlive the store —
+/// [`StoreError::ShutDown`]. Client handles may outlive the store —
 /// their submissions return errors instead of hanging.
 pub struct Store {
     inner: Arc<StoreInner>,
-    signal: Arc<GovernorSignal>,
-    /// Behind a mutex so teardown works from `&self` ([`Store::halt`]):
-    /// the first stopper takes and joins the handle; latecomers find
-    /// `None`.
-    governor: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The stop flag every shard checks under its key locks.
+    stop: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("shards", &self.inner.shards.len())
-            .field("stopped", &self.signal.is_stopped())
+            .field("stopped", &self.stop.load(Ordering::Acquire))
             .finish_non_exhaustive()
     }
 }
 
 impl Store {
-    /// Starts the service: builds every shard and, for a non-`Manual`
-    /// [`EvictionPolicy`], spawns the `store-governor` thread. It parks
-    /// until a submitter's due-check requests a pass (or, with
-    /// wall-clock idle aging configured, for at most that age, so a
-    /// silent store still sheds its aged keys), sweeps every shard, and
-    /// parks again; see [`GovernorSignal::run`] for its exit.
+    /// Starts the service: builds every shard. No thread is spawned.
     ///
     /// # Errors
     ///
@@ -199,15 +187,13 @@ impl Store {
         let StoreConfig {
             shards: specs,
             history,
-            eviction,
-            idle_wall_clock,
             // An in-process store ignores the listen section (validated
             // above regardless); `Store::serve` is the path that binds.
             listen: _,
             recorder_capacity,
         } = config;
         let recorder = Arc::new(FlightRecorder::new(recorder_capacity));
-        let signal = Arc::new(GovernorSignal::default());
+        let stop = Arc::new(AtomicBool::new(false));
         let shards: Vec<Arc<dyn ShardEngine>> = specs
             .iter()
             .enumerate()
@@ -216,32 +202,16 @@ impl Store {
                     spec,
                     shard::EngineParts {
                         policy: history,
-                        eviction,
-                        idle_wall_clock,
-                        signal: Arc::clone(&signal),
+                        stop: Arc::clone(&stop),
                         shard: i,
                         recorder: Arc::clone(&recorder),
                     },
                 )
             })
             .collect();
-        let governor = (eviction != EvictionPolicy::Manual).then(|| {
-            let (signal, shards) = (Arc::clone(&signal), shards.clone());
-            std::thread::Builder::new()
-                .name("store-governor".into())
-                .spawn(move || {
-                    signal.run(idle_wall_clock, || {
-                        for shard in &shards {
-                            shard.govern();
-                        }
-                    });
-                })
-                .expect("spawning the store governor thread")
-        });
         Ok(Store {
             inner: Arc::new(StoreInner { shards, recorder }),
-            signal,
-            governor: parking_lot::Mutex::new(governor),
+            stop,
         })
     }
 
@@ -324,14 +294,18 @@ impl Store {
     /// snapshot, freeing its live simulation; the next operation on an
     /// evicted key transparently rematerializes it. Returns how many keys
     /// were evicted.
+    ///
+    /// This is the store's only reclamation: nothing calls it on the
+    /// owner's behalf. A service that wants bounded memory calls it on a
+    /// timer or between bursts; it is safe to race with submissions and
+    /// with [`Store::halt`].
     pub fn evict_quiescent(&self) -> usize {
         self.inner.shards.iter().map(|s| s.evict_quiescent()).sum()
     }
 
     /// Stops the store: every later submission fails with
     /// [`StoreError::ShutDown`] (operations already inside their key's
-    /// lock hold finish normally — nothing is ever left half-run), and
-    /// the governor thread, if any, makes its last pass and is joined.
+    /// lock hold finish normally — nothing is ever left half-run).
     /// Idempotent; also called on drop.
     pub fn shutdown(self) {
         self.halt();
@@ -343,14 +317,7 @@ impl Store {
     /// submissions and [`Store::evict_quiescent`] — the stress tests
     /// exercise exactly those interleavings.
     pub fn halt(&self) {
-        self.signal.request_stop();
-        let handle = tracked_lock(ranks::GOVERNOR_HANDLE, "governor_handle", || {
-            self.governor.lock()
-        })
-        .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.stop.store(true, Ordering::Release);
     }
 }
 

@@ -3,8 +3,9 @@
 
 use rsb_consistency::{check_atomicity, check_strong_regularity, History};
 use rsb_registers::RegisterConfig;
-use rsb_store::{BatchOp, EvictionPolicy, HistoryPolicy, ProtocolSpec, Store, StoreConfig};
+use rsb_store::{BatchOp, HistoryPolicy, ProtocolSpec, Store, StoreConfig};
 use rsb_workloads::{KeyedAction, KeyedScenario};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Drives a keyed scenario with one OS thread per client, blocking ops.
 fn drive(store: &Store, scenario: &KeyedScenario) {
@@ -160,29 +161,36 @@ fn histories_spanning_eviction_cycles_stay_strongly_regular() {
 
 #[test]
 fn abd_atomic_histories_spanning_eviction_linearize() {
-    // Linearizability must also survive the cycle — with the *governor*
-    // doing the evicting (tight occupancy watermarks, so keys cycle
-    // through snapshots mid-run), a rematerialized key's reads still
-    // linearize against the writes recorded before its eviction.
+    // Linearizability must also survive the cycle — with an evictor
+    // thread sweeping `evict_quiescent` in a loop while the clients run
+    // (so keys cycle through snapshots mid-run), a rematerialized key's
+    // reads still linearize against the writes recorded before its
+    // eviction.
     let reg = RegisterConfig::new(3, 1, 1, 16).unwrap();
     let store = Store::start(
         StoreConfig::uniform(2, ProtocolSpec::AbdAtomic, reg)
-            .with_history(HistoryPolicy::TruncateAfter(64))
-            .with_eviction(EvictionPolicy::OccupancyAbove {
-                bits: 1,
-                low_watermark: 0,
-            }),
+            .with_history(HistoryPolicy::TruncateAfter(64)),
     )
     .unwrap();
     for round in 0..2u64 {
         let scenario = KeyedScenario::uniform(6, 30, 10, 0.6, 16, 7_000 + round);
-        drive(&store, &scenario);
-        // A manual sweep between rounds guarantees cycles even if the
-        // governor's timing didn't catch a quiescent moment.
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    store.evict_quiescent();
+                    std::thread::yield_now();
+                }
+            });
+            drive(&store, &scenario);
+            done.store(true, Ordering::Release);
+        });
+        // A sweep between rounds guarantees cycles even if the evictor
+        // never caught a key quiescent mid-run.
         store.evict_quiescent();
     }
     let totals = store.metrics().totals();
-    assert!(totals.evictions() > 0, "keys were evicted during the run");
+    assert!(totals.evictions > 0, "keys were evicted during the run");
     assert!(totals.rematerialized > 0, "and brought back by traffic");
     check_all_keys(&store, |h| {
         check_atomicity(h).expect("linearizability across eviction/rematerialization cycles");

@@ -1,15 +1,12 @@
-//! The eviction governor: policy-driven reclamation by the governor thread,
-//! counter consistency across evict→rematerialize→compact cycles, and
-//! the eviction-vs-shutdown races.
+//! Eviction by `Store::evict_quiescent`: read classification across an
+//! evict → rematerialize cycle, counter consistency across
+//! evict → rematerialize → compact cycles, and eviction racing shutdown.
 
 use rsb_coding::Value;
 use rsb_registers::RegisterConfig;
-use rsb_store::{
-    block_on, join_all, EvictionPolicy, HistoryPolicy, ProtocolSpec, Store, StoreConfig,
-    StoreError, StoreMetrics,
-};
+use rsb_store::{block_on, join_all, HistoryPolicy, ProtocolSpec, Store, StoreConfig, StoreError};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const VALUE_LEN: usize = 16;
 
@@ -18,53 +15,23 @@ fn config(shards: usize, protocol: ProtocolSpec) -> StoreConfig {
     StoreConfig::uniform(shards, protocol, reg)
 }
 
-/// Polls the metrics until `pred` holds or the deadline passes — the
-/// governor runs on its own thread, so tests wait for it instead of
-/// assuming scheduling.
-fn wait_for(store: &Store, pred: impl Fn(&StoreMetrics) -> bool) -> StoreMetrics {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let m = store.metrics();
-        if pred(&m) || Instant::now() > deadline {
-            return m;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 #[test]
-fn idle_policy_evicts_cold_keys_and_rematerializes_on_touch() {
-    // One shard so every key ages on the same logical clock.
-    let store =
-        Store::start(config(1, ProtocolSpec::Abd).with_eviction(EvictionPolicy::IdleAfter(20)))
-            .unwrap();
+fn evicted_keys_rematerialize_on_touch_and_reads_are_classified() {
+    let store = Store::start(config(1, ProtocolSpec::Abd)).unwrap();
     let client = store.client();
-    // Materialize a cold set…
     for i in 0..8u64 {
         client
             .write_blocking(&format!("cold-{i}"), Value::seeded(i + 1, VALUE_LEN))
             .unwrap();
     }
-    // …then age it past the threshold with hot-key traffic (each op is
-    // at least one submission tick plus one batch tick).
-    for i in 0..40u64 {
-        client
-            .write_blocking("hot", Value::seeded(100 + i, VALUE_LEN))
-            .unwrap();
-    }
-    let m = wait_for(&store, |m| m.evicted_keys() >= 8);
-    let totals = m.totals();
-    assert!(
-        m.evicted_keys() >= 8,
-        "idle sweep should evict the cold set, evicted {}",
-        m.evicted_keys()
-    );
-    assert!(
-        totals.evicted_idle >= 8,
-        "evictions attributed to the idle cause"
-    );
-    assert_eq!(totals.evicted_manual, 0);
-    assert_eq!(totals.evicted_occupancy, 0);
+    assert_eq!(store.evict_quiescent(), 8);
+    // A key first touched after the sweep is live.
+    client
+        .write_blocking("hot", Value::seeded(100, VALUE_LEN))
+        .unwrap();
+    let m = store.metrics();
+    assert_eq!(m.evicted_keys(), 8);
+    assert_eq!(m.totals().evictions, 8);
     // Touching a cold key transparently rematerializes it, value intact.
     for i in 0..8u64 {
         assert_eq!(
@@ -72,133 +39,21 @@ fn idle_policy_evicts_cold_keys_and_rematerializes_on_touch() {
             Value::seeded(i + 1, VALUE_LEN)
         );
     }
-    let after = store.metrics().totals();
-    assert!(after.rematerialized >= 8, "cold reads rematerialized");
+    assert_eq!(store.metrics().totals().rematerialized, 8);
     // The reads above were classified as rematerializing reads and their
     // latency recorded in the remat histogram; a read of the live hot
     // key lands in the hit histogram instead.
-    assert!(store.metrics().read_remat_latency().count() >= 8);
+    assert_eq!(store.metrics().read_remat_latency().count(), 8);
+    assert_eq!(store.metrics().read_hit_latency().count(), 0);
     client.read_blocking("hot").unwrap();
     assert_eq!(store.metrics().read_hit_latency().count(), 1);
-    store.shutdown();
-}
-
-#[test]
-fn wall_clock_aging_reclaims_keys_on_a_silent_store() {
-    // Tick-based idle aging needs traffic to advance the clock: a store
-    // that goes silent freezes its ticks and never sheds its cold keys.
-    // `with_idle_wall_clock` adds a wall-clock age (and a parked-governor
-    // wake timer), so the same sweep runs on a store receiving zero
-    // submissions. The tick threshold here is set unreachably high —
-    // any eviction observed is wall-clock aging alone.
-    let store = Store::start(
-        config(1, ProtocolSpec::Abd)
-            .with_eviction(EvictionPolicy::IdleAfter(u64::MAX))
-            .with_idle_wall_clock(Duration::from_millis(50)),
-    )
-    .unwrap();
-    let client = store.client();
-    for i in 0..4u64 {
-        client
-            .write_blocking(&format!("aging-{i}"), Value::seeded(i + 1, VALUE_LEN))
-            .unwrap();
-    }
-    // No further traffic: only the governor's timed wakeups can evict.
-    let m = wait_for(&store, |m| m.evicted_keys() >= 4);
-    assert!(
-        m.evicted_keys() >= 4,
-        "silent store should shed its aged keys, evicted {}",
-        m.evicted_keys()
-    );
-    assert!(m.totals().evicted_idle >= 4, "attributed to the idle cause");
-    // Values survive the cycle.
-    for i in 0..4u64 {
-        assert_eq!(
-            client.read_blocking(&format!("aging-{i}")).unwrap(),
-            Value::seeded(i + 1, VALUE_LEN)
-        );
-    }
-    store.shutdown();
-
-    // Control: same tick threshold without the wall clock — the silent
-    // store keeps every key live, because nothing advances the ticks.
-    let store = Store::start(
-        config(1, ProtocolSpec::Abd).with_eviction(EvictionPolicy::IdleAfter(u64::MAX)),
-    )
-    .unwrap();
-    let client = store.client();
-    for i in 0..4u64 {
-        client
-            .write_blocking(&format!("pinned-{i}"), Value::seeded(i + 1, VALUE_LEN))
-            .unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(200));
-    let m = store.metrics();
-    assert_eq!(
-        m.evicted_keys(),
-        0,
-        "without a wall clock, a silent store never ages its keys"
-    );
-    store.shutdown();
-}
-
-#[test]
-fn occupancy_policy_holds_the_low_watermark() {
-    // Baseline: how much do 32 ABD keys occupy unbounded?
-    let baseline = Store::start(config(1, ProtocolSpec::Abd)).unwrap();
-    let client = baseline.client();
-    for i in 0..32u64 {
-        client
-            .write_blocking(&format!("k{i}"), Value::seeded(i + 1, VALUE_LEN))
-            .unwrap();
-    }
-    let full_bits = baseline.metrics().occupancy_bits();
-    baseline.shutdown();
-    assert!(full_bits > 0);
-
-    // Governed store: arm the trigger at half the unbounded footprint.
-    let bits = full_bits / 2;
-    let low_watermark = full_bits / 4;
-    let store = Store::start(config(1, ProtocolSpec::Abd).with_eviction(
-        EvictionPolicy::OccupancyAbove {
-            bits,
-            low_watermark,
-        },
-    ))
-    .unwrap();
-    let client = store.client();
-    for i in 0..32u64 {
-        client
-            .write_blocking(&format!("k{i}"), Value::seeded(i + 1, VALUE_LEN))
-            .unwrap();
-    }
-    let m = wait_for(&store, |m| m.occupancy_bits() <= bits);
-    assert!(
-        m.occupancy_bits() <= bits,
-        "governed occupancy {} must be held at/below the high watermark {bits} \
-         (unbounded footprint was {full_bits})",
-        m.occupancy_bits()
-    );
-    assert!(m.totals().evicted_occupancy > 0, "trigger fired");
-    // Coldest-first: the most recently touched key should still be live.
-    // (k31 was written last; spot-check by reading it and confirming the
-    // read did not rematerialize anything new beyond what re-reads do.)
-    for i in 0..32u64 {
-        assert_eq!(
-            client.read_blocking(&format!("k{i}")).unwrap(),
-            Value::seeded(i + 1, VALUE_LEN),
-            "governed eviction must not lose writes"
-        );
-    }
-    assert!(store.metrics().totals().rematerialized > 0);
+    assert_eq!(store.metrics().read_remat_latency().count(), 8);
     store.shutdown();
 }
 
 /// Satellite: `Counters`/aggregate metrics must not drift under
 /// read-modify-write cycles — `snapshot_bits` back down on
-/// rematerialization, `live_records` consistent with per-key histories,
-/// and the governor's incremental occupancy equal to the re-measured
-/// ground truth at quiescence.
+/// rematerialization, `live_records` consistent with per-key histories.
 #[test]
 fn counters_stay_consistent_across_evict_rematerialize_compact_cycles() {
     let store = Store::start(
@@ -210,16 +65,6 @@ fn counters_stay_consistent_across_evict_rematerialize_compact_cycles() {
 
     let assert_consistent = |label: &str| {
         let m = store.metrics();
-        // Incremental governed occupancy == re-measured ground truth,
-        // per shard, at quiescence.
-        for s in &m.shards {
-            assert_eq!(
-                s.governed_bits,
-                s.occupancy.total(),
-                "{label}: shard {} incremental occupancy drifted",
-                s.shard
-            );
-        }
         // live_records == what the per-key histories actually hold.
         let per_key: u64 = store
             .keys()
@@ -265,7 +110,7 @@ fn counters_stay_consistent_across_evict_rematerialize_compact_cycles() {
         assert_consistent("after rematerialize");
     }
     let totals = store.metrics().totals();
-    assert_eq!(totals.evicted_manual, 3 * keys.len() as u64);
+    assert_eq!(totals.evictions, 3 * keys.len() as u64);
     assert_eq!(totals.rematerialized, 3 * keys.len() as u64);
     assert!(totals.truncated_records > 0, "compaction ran during cycles");
     store.shutdown();
@@ -335,51 +180,5 @@ fn evict_quiescent_racing_shutdown_never_loses_a_completion() {
             done.store(true, Ordering::Relaxed);
         });
         store.shutdown(); // idempotent second teardown
-    }
-}
-
-/// Same race, with the *governor* doing the evicting (occupancy trigger
-/// armed so low it fires constantly) and histories bounded, while
-/// shutdown lands mid-traffic.
-#[test]
-fn governor_racing_shutdown_never_loses_a_completion() {
-    for round in 0..8 {
-        let store = Store::start(
-            config(4, ProtocolSpec::Abd)
-                .with_history(HistoryPolicy::TruncateAfter(4))
-                .with_eviction(EvictionPolicy::OccupancyAbove {
-                    bits: 1,
-                    low_watermark: 0,
-                }),
-        )
-        .unwrap();
-        std::thread::scope(|s| {
-            let clients: Vec<_> = (0..4)
-                .map(|t| {
-                    let client = store.client();
-                    s.spawn(move || {
-                        for i in 0..400u64 {
-                            let r = client.write_blocking(
-                                &format!("g{t}-{}", i % 8),
-                                Value::seeded(i + 1, VALUE_LEN),
-                            );
-                            match r {
-                                Ok(()) => {}
-                                Err(StoreError::ShutDown) => return,
-                                Err(other) => panic!("unexpected error: {other}"),
-                            }
-                        }
-                    })
-                })
-                .collect();
-            std::thread::sleep(Duration::from_millis(3 + round));
-            store.halt();
-            for c in clients {
-                c.join().unwrap();
-            }
-        });
-        // The eviction machinery really ran before/while stopping.
-        assert!(store.metrics().totals().evictions() > 0);
-        store.shutdown();
     }
 }

@@ -153,35 +153,6 @@ fn client_outliving_the_store_gets_errors_not_hangs() {
 }
 
 #[test]
-fn a_parked_governor_observes_shutdown_promptly() {
-    // `IdleAfter` without a wall clock: the governor ends up in an
-    // untimed condvar wait (there is no polling fallback that would mask
-    // a lost stop signal). Shutdown must wake and join it promptly; a
-    // regression to a missed wakeup would hang far past the bound.
-    let reg = RegisterConfig::paper(1, 2, 16).unwrap();
-    let s = Store::start(
-        StoreConfig::uniform(8, ProtocolSpec::Adaptive, reg)
-            .with_eviction(rsb_store::EvictionPolicy::IdleAfter(u64::MAX)),
-    )
-    .unwrap();
-    let client = s.client();
-    for i in 0..8u64 {
-        client
-            .write_blocking(&format!("idle-{i}"), Value::seeded(i + 1, 16))
-            .unwrap();
-    }
-    // Give the governor time to finish any pass and park.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let start = std::time::Instant::now();
-    s.shutdown();
-    let took = start.elapsed();
-    assert!(
-        took < std::time::Duration::from_secs(2),
-        "shutdown of a parked governor took {took:?}"
-    );
-}
-
-#[test]
 fn drop_is_a_clean_shutdown() {
     let client = {
         let s = store(2, ProtocolSpec::Abd);

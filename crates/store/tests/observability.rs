@@ -152,7 +152,7 @@ fn eviction_and_rematerialization_leave_recorder_events() {
     let events = store.flight_recorder().dump();
     let evicts = events
         .iter()
-        .filter(|e| e.kind == FlightEventKind::EvictManual)
+        .filter(|e| e.kind == FlightEventKind::Evict)
         .count();
     let remats = events
         .iter()
@@ -163,7 +163,7 @@ fn eviction_and_rematerialization_leave_recorder_events() {
     // The eviction event's detail is the snapshot size in bits.
     let evict = events
         .iter()
-        .find(|e| e.kind == FlightEventKind::EvictManual)
+        .find(|e| e.kind == FlightEventKind::Evict)
         .unwrap();
     assert!(evict.detail > 0);
     assert_eq!(evict.shard, Some(0));

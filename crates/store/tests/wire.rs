@@ -72,9 +72,7 @@ fn random_counters(state: &mut u64) -> OpCounters {
         rejected: splitmix(state),
         truncated_records: splitmix(state),
         rematerialized: splitmix(state),
-        evicted_manual: splitmix(state),
-        evicted_idle: splitmix(state),
-        evicted_occupancy: splitmix(state),
+        evictions: splitmix(state),
     }
 }
 
@@ -95,7 +93,6 @@ fn random_shard_metrics(state: &mut u64, shard: usize) -> ShardMetrics {
         evicted_keys: (splitmix(state) % 100_000) as usize,
         snapshot_bits: splitmix(state),
         ready_keys: (splitmix(state) % 100_000) as usize,
-        governed_bits: splitmix(state),
         read_hit_latency: random_histogram(state, 40),
         read_remat_latency: random_histogram(state, 40),
         write_latency: random_histogram(state, 40),

@@ -19,13 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reg = RegisterConfig::paper(1, 2, 64)?;
     let store = Store::start(
         // Bound each key's op-record history; quiescent keys keep only
-        // their frontier write between bursts. The eviction policy
-        // starts the store's governor thread, which snapshots keys idle
-        // past 256 shard ticks — bounded memory without a sweep on any
-        // operation's path.
+        // their frontier write between bursts.
         StoreConfig::uniform(8, ProtocolSpec::Adaptive, reg)
-            .with_history(HistoryPolicy::TruncateOnQuiescence)
-            .with_eviction(EvictionPolicy::IdleAfter(256)),
+            .with_history(HistoryPolicy::TruncateOnQuiescence),
     )?;
     let client = store.client();
 
@@ -69,8 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.totals().truncated_records,
     );
 
-    // Idle keys can also be evicted on demand (the governor would get
-    // there on its own once they age past the policy threshold).
+    // Quiescent keys can be evicted to snapshots on demand — the store's
+    // one reclamation call; a service makes it on its own schedule.
     let evicted = store.evict_quiescent();
     let back = client.read_blocking("user:alice")?;
     assert_eq!(back, Value::seeded(1, 64), "rematerialized intact");
