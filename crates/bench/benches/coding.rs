@@ -48,11 +48,10 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// The interleaved multi-row primitive against the same kernel called
-/// row-at-a-time: 3 parity rows (4-of-7's count) over a 64 KiB source.
-/// The interleaved form reads the source once per row group instead of
-/// once per row — the gap between the two bars is the memory-traffic
-/// saving `encode_into` now banks.
+/// The block kernel's one-source case (`mul_acc_multi`) against the same
+/// kernel called row-at-a-time: 3 parity rows (4-of-7's count) over a
+/// 64 KiB source. A pass reads the source once for all its rows instead
+/// of once per row — part of what the block kernel saves every encode.
 fn bench_multi_row(c: &mut Criterion) {
     let mut group = c.benchmark_group("gf256_multi_row");
     let len = 64 * 1024;

@@ -1,5 +1,5 @@
 //! Shared helpers for the experiment binaries and Criterion benches that
-//! regenerate the paper's quantitative claims (see `EXPERIMENTS.md`).
+//! regenerate the paper's quantitative claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,9 +7,10 @@
 //!
 //! # Bulk kernels
 //!
-//! The encode/decode hot loop is [`mul_acc`] (`dst[i] ^= coeff · src[i]`)
-//! and its in-place sibling [`scale`]. Both dispatch — once per call, never
-//! per byte — to the fastest [`Kernel`] the host supports:
+//! The field's bulk operations — the block kernel below, its one-row case
+//! [`mul_acc`] (`dst[i] ^= coeff · src[i]`), and the in-place [`scale`] —
+//! dispatch once per call, never per byte, to the fastest [`Kernel`] the
+//! host supports:
 //!
 //! * **`Gfni`** (x86-64, runtime-detected): each coefficient's multiply map
 //!   is a GF(2)-linear transform, precomputed as an 8×8 bit-matrix
@@ -21,9 +22,10 @@
 //!   low/high-nibble product tables ([`MUL_LO`] / [`MUL_HI`], 2×16 entries)
 //!   are loaded into vector registers and evaluated 32 / 16 bytes at a time
 //!   with `pshufb`.
-//! * **`Swar`** (all platforms): 8 bytes at a time in a `u64`, multiplying
-//!   every lane by the coefficient with branchless shift-and-xor doubling;
-//!   tails fall back to the same nibble tables, one byte at a time.
+//! * **`Swar`** (all platforms): 32 bytes at a time in four `u64`s, every
+//!   byte lane doubled with branchless shift-and-xor and the doublings a
+//!   coefficient's bits select summed; tails fall back to the nibble
+//!   tables, one byte at a time.
 //! * **`Scalar`**: the original branchy `EXP[LOG[c] + LOG[s]]` loop, kept as
 //!   the differential-testing reference and benchmark baseline.
 //!
@@ -32,13 +34,20 @@
 //! (`scalar`/`swar`/`ssse3`/`avx2`/`gfni`) or [`force_kernel`] pins a
 //! specific kernel for benchmarks and tests.
 //!
-//! # Multi-row accumulation
+//! # The block kernel
 //!
-//! [`mul_acc_multi`] computes `dsts[r][i] ^= coeffs[r] · src[i]` for up to
-//! four destination rows per pass over the source. Erasure-code encoding is
-//! memory-bound at vector speeds: row-at-a-time encoding re-reads the source
-//! once per parity row, while the interleaved form reads it once per group
-//! of rows, roughly halving memory traffic for n ≫ k.
+//! Erasure coding is a matrix–buffer product: output row `r` is
+//! `Σ_j c[r][j] · src_j`. Built from [`mul_acc`], that product reads every
+//! source once per output row and rewrites every output once per source —
+//! at 4-of-7 × 64 KiB, twelve passes over 16 KiB shards. [`mul_block`]
+//! computes it in passes of up to 4 rows × 4 sources (SWAR: 4 × 8): a
+//! pass loads each 32-byte source chunk (16 for SSSE3) once, sums every
+//! output chunk in registers, and stores it once, overwriting or
+//! accumulating. Every Reed–Solomon and rateless encode and decode runs
+//! through it; [`mul_acc_multi`] is its one-source, accumulating case.
+//! The scalar kernel computes each pass row at a time through
+//! [`mul_acc`]'s scalar loop — the reference the differential tests hold
+//! the other kernels to.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -268,7 +277,7 @@ pub enum Kernel {
     /// The original per-byte `EXP[LOG[c] + LOG[s]]` loop. Reference and
     /// benchmark baseline; never auto-selected.
     Scalar,
-    /// Portable `u64` SWAR: 8 byte lanes per step, branchless
+    /// Portable `u64` SWAR: 32 byte lanes per step, branchless
     /// shift-and-xor doubling, nibble-table tail. The fallback everywhere.
     Swar,
     /// x86-64 SSSE3 `pshufb` nibble lookup, 16 bytes per step.
@@ -318,6 +327,18 @@ impl Kernel {
 
     fn from_u8(v: u8) -> Kernel {
         Kernel::ALL[v as usize]
+    }
+
+    /// Output rows × sources of one pass of this kernel's block kernel.
+    /// A vector pass holds every source chunk of a step and every sum in
+    /// its sixteen registers: at 4 × 8, 8-of-16 and 16-of-24 encodes ran
+    /// slower than at 4 × 4. SWAR reads its sources one at a time, so more
+    /// of them per pass only save rewriting the outputs.
+    fn pass_shape(self) -> (usize, usize) {
+        match self {
+            Kernel::Scalar | Kernel::Swar => (MAX_PASS_ROWS, MAX_PASS_SOURCES),
+            Kernel::Ssse3 | Kernel::Avx2 | Kernel::Gfni => (4, 4),
+        }
     }
 }
 
@@ -489,20 +510,14 @@ pub fn scale_with(kernel: Kernel, buf: &mut [u8], coeff: u8) {
     dispatch_scale(kernel, buf, coeff);
 }
 
+/// One row: the scalar loop, or the block kernel's one-row, one-source
+/// pass — straight to its byte loop for a row under 32 bytes, such as a
+/// matrix row, which no vector step would cover anyway.
 fn dispatch_mul_acc(kernel: Kernel, dst: &mut [u8], src: &[u8], coeff: u8) {
     match kernel {
         Kernel::Scalar => mul_acc_scalar(dst, src, coeff),
-        Kernel::Swar => mul_acc_swar(dst, src, coeff),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => simd::mul_acc_ssse3(dst, src, coeff),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => simd::mul_acc_avx2(dst, src, coeff),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Gfni => simd::mul_acc_gfni(dst, src, coeff),
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ssse3 | Kernel::Avx2 | Kernel::Gfni => {
-            unreachable!("vector kernels are x86-64 only")
-        }
+        _ if dst.len() < 32 => block_tail(&mut [dst], &[src], &[coeff], 0, true),
+        _ => dispatch_block(kernel, &mut [dst], &[src], &[coeff], true),
     }
 }
 
@@ -523,18 +538,66 @@ fn dispatch_scale(kernel: Kernel, buf: &mut [u8], coeff: u8) {
     }
 }
 
-/// The widest row group the interleaved kernels process per pass over the
-/// source. [`mul_acc_multi`] splits larger batches into groups of this size.
-pub const MAX_INTERLEAVED_ROWS: usize = 4;
+/// The most output rows one pass of any block kernel takes.
+const MAX_PASS_ROWS: usize = 4;
 
-/// Computes `dsts[r][i] ^= coeffs[r] · src[i]` for every destination row —
-/// the multi-row inner loop of erasure-code encoding. The interleaved
-/// kernels read each source chunk **once per group of up to
-/// [`MAX_INTERLEAVED_ROWS`] rows** instead of once per row, which is where
-/// the memory-traffic saving over repeated [`mul_acc`] calls comes from.
+/// The most sources one pass of any block kernel takes.
+const MAX_PASS_SOURCES: usize = 8;
+
+/// The block kernel: `outs[r] = Σ_j coeff(r, j) · src(j)` over the
+/// sources `j < sources`, for every output row `r` — the matrix–buffer
+/// product every Reed–Solomon encode and decode is — or
+/// `outs[r] ^= Σ_j coeff(r, j) · src(j)` when `accumulate` is set.
 ///
-/// Results are byte-for-byte identical to calling [`mul_acc`] once per row
-/// (proven exhaustively by the differential tests).
+/// Every output has one length; a source may be shorter, and reads as if
+/// zero-padded to it (the tail shard of a value `k` does not divide).
+/// Rows and sources go through the active [`Kernel`] in passes of its
+/// shape: a pass loads each source chunk once and sums each output chunk
+/// in registers before storing it once. Rows, sources and coefficients
+/// are asked for as the passes need them, so nothing is allocated.
+///
+/// Results are byte-for-byte identical to the scalar kernel's row at a
+/// time (proven by the differential tests).
+///
+/// # Panics
+///
+/// Panics if the outputs differ in length or a source is longer than
+/// they are.
+pub fn mul_block<'o, 's>(
+    outs: impl IntoIterator<Item = &'o mut [u8]>,
+    sources: usize,
+    src: impl Fn(usize) -> &'s [u8],
+    coeff: impl Fn(usize, usize) -> u8,
+    accumulate: bool,
+) {
+    block(active_kernel(), outs, sources, &src, &coeff, accumulate);
+}
+
+/// Runs [`mul_block`] through one specific kernel, bypassing dispatch —
+/// the hook the differential tests use.
+///
+/// # Panics
+///
+/// Panics as [`mul_block`] does, or if the kernel is unavailable on this
+/// machine (see [`kernel_available`]).
+pub fn mul_block_with<'o, 's>(
+    kernel: Kernel,
+    outs: impl IntoIterator<Item = &'o mut [u8]>,
+    sources: usize,
+    src: impl Fn(usize) -> &'s [u8],
+    coeff: impl Fn(usize, usize) -> u8,
+    accumulate: bool,
+) {
+    assert!(
+        kernel_available(kernel),
+        "kernel {kernel} unavailable on this machine"
+    );
+    block(kernel, outs, sources, &src, &coeff, accumulate);
+}
+
+/// Computes `dsts[r][i] ^= coeffs[r] · src[i]` for every destination row:
+/// the block kernel's one-source, accumulating case, so the source is
+/// read once per pass of rows instead of once per row.
 ///
 /// # Panics
 ///
@@ -542,17 +605,11 @@ pub const MAX_INTERLEAVED_ROWS: usize = 4;
 /// row's length differs from `src`'s.
 pub fn mul_acc_multi(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
     check_multi(dsts, src, coeffs);
-    let kernel = active_kernel();
-    let mut start = 0;
-    while start < coeffs.len() {
-        let end = (start + MAX_INTERLEAVED_ROWS).min(coeffs.len());
-        dispatch_mul_acc_multi(kernel, &mut dsts[start..end], src, &coeffs[start..end]);
-        start = end;
-    }
+    multi(active_kernel(), dsts, src, coeffs);
 }
 
 /// Runs [`mul_acc_multi`] through one specific kernel, bypassing dispatch —
-/// the hook the differential tests and kernel benchmarks use.
+/// the hook the kernel benchmarks use.
 ///
 /// # Panics
 ///
@@ -564,12 +621,7 @@ pub fn mul_acc_multi_with(kernel: Kernel, dsts: &mut [&mut [u8]], src: &[u8], co
         kernel_available(kernel),
         "kernel {kernel} unavailable on this machine"
     );
-    let mut start = 0;
-    while start < coeffs.len() {
-        let end = (start + MAX_INTERLEAVED_ROWS).min(coeffs.len());
-        dispatch_mul_acc_multi(kernel, &mut dsts[start..end], src, &coeffs[start..end]);
-        start = end;
-    }
+    multi(kernel, dsts, src, coeffs);
 }
 
 fn check_multi(dsts: &[&mut [u8]], src: &[u8], coeffs: &[u8]) {
@@ -583,26 +635,203 @@ fn check_multi(dsts: &[&mut [u8]], src: &[u8], coeffs: &[u8]) {
     }
 }
 
-/// Dispatch for one row group (`dsts.len() <= MAX_INTERLEAVED_ROWS`).
-fn dispatch_mul_acc_multi(kernel: Kernel, dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    debug_assert!(dsts.len() <= MAX_INTERLEAVED_ROWS);
-    match kernel {
-        // The reference semantics: row at a time through the scalar loop.
-        Kernel::Scalar => {
-            for (d, &c) in dsts.iter_mut().zip(coeffs) {
-                mul_acc_scalar(d, src, c);
+/// [`mul_acc_multi`] as passes of the kernel's rows: with one source, the
+/// coefficients are already a pass's row-major matrix.
+fn multi(kernel: Kernel, dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
+    let rows = kernel.pass_shape().0;
+    for (dsts, coeffs) in dsts.chunks_mut(rows).zip(coeffs.chunks(rows)) {
+        dispatch_block(kernel, dsts, &[src], coeffs, true);
+    }
+}
+
+/// [`mul_block`] on `kernel`: the rows in groups of the kernel's pass
+/// shape, each group against the sources in passes of it; only the first
+/// pass of a group may overwrite.
+fn block<'o, 's>(
+    kernel: Kernel,
+    outs: impl IntoIterator<Item = &'o mut [u8]>,
+    sources: usize,
+    src: &impl Fn(usize) -> &'s [u8],
+    coeff: &impl Fn(usize, usize) -> u8,
+    accumulate: bool,
+) {
+    let (pass_rows, pass_sources) = kernel.pass_shape();
+    let mut outs = outs.into_iter();
+    let mut out_len = None;
+    let mut row = 0;
+    loop {
+        let mut group: [&mut [u8]; MAX_PASS_ROWS] = Default::default();
+        let mut rows = 0;
+        for (slot, out) in group[..pass_rows].iter_mut().zip(&mut outs) {
+            *slot = out;
+            rows += 1;
+        }
+        if rows == 0 {
+            return;
+        }
+        let group = &mut group[..rows];
+        let len = *out_len.get_or_insert(group[0].len());
+        assert!(
+            group.iter().all(|out| out.len() == len),
+            "mul_block outputs of unequal lengths"
+        );
+        let mut accumulate = accumulate;
+        let mut first = 0;
+        while first < sources {
+            let end = (first + pass_sources).min(sources);
+            block_group(kernel, group, row, first..end, src, coeff, accumulate);
+            accumulate = true;
+            first = end;
+        }
+        if !accumulate {
+            // No sources: the sum is empty.
+            for out in group.iter_mut() {
+                out.fill(0);
             }
         }
-        Kernel::Swar => mul_acc_multi_swar(dsts, src, coeffs),
+        row += rows;
+    }
+}
+
+/// The output rows `row..row + outs.len()` against the sources `sources`.
+fn block_group<'s>(
+    kernel: Kernel,
+    outs: &mut [&mut [u8]],
+    row: usize,
+    sources: std::ops::Range<usize>,
+    src: &impl Fn(usize) -> &'s [u8],
+    coeff: &impl Fn(usize, usize) -> u8,
+    accumulate: bool,
+) {
+    let (rows, len) = (outs.len(), outs[0].len());
+    let mut views: [&[u8]; MAX_PASS_SOURCES] = [&[]; MAX_PASS_SOURCES];
+    for (view, j) in views.iter_mut().zip(sources.clone()) {
+        *view = src(j);
+        assert!(
+            view.len() <= len,
+            "mul_block source longer than its outputs"
+        );
+    }
+    let views = &views[..sources.len()];
+    if views.iter().all(|v| v.len() == len) {
+        // The usual case, and the only one when `k` divides the value.
+        let coeff = |r, s| coeff(row + r, sources.start + s);
+        return block_pass(kernel, outs, views, &coeff, accumulate);
+    }
+    // A short source: the columns in stretches over which the same
+    // sources have bytes, each stretch one pass.
+    let mut start = 0;
+    while start < len {
+        let end = views
+            .iter()
+            .map(|v| v.len())
+            .filter(|&l| l > start)
+            .min()
+            .unwrap_or(len);
+        let mut srcs: [&[u8]; MAX_PASS_SOURCES] = [&[]; MAX_PASS_SOURCES];
+        let mut cols = [0; MAX_PASS_SOURCES];
+        let mut width = 0;
+        for (view, j) in views.iter().zip(sources.clone()) {
+            if view.len() > start {
+                srcs[width] = &view[start..end];
+                cols[width] = j;
+                width += 1;
+            }
+        }
+        let mut segment: [&mut [u8]; MAX_PASS_ROWS] = Default::default();
+        for (seg, out) in segment.iter_mut().zip(outs.iter_mut()) {
+            *seg = &mut out[start..end];
+        }
+        let segment = &mut segment[..rows];
+        if width > 0 {
+            let coeff = |r, s: usize| coeff(row + r, cols[s]);
+            block_pass(kernel, segment, &srcs[..width], &coeff, accumulate);
+        } else if !accumulate {
+            for seg in segment.iter_mut() {
+                seg.fill(0);
+            }
+        }
+        start = end;
+    }
+}
+
+/// One pass: its coefficients — `coeff(r, s)` for its own rows and
+/// sources — gathered on the stack, then `kernel` run.
+fn block_pass(
+    kernel: Kernel,
+    outs: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeff: &impl Fn(usize, usize) -> u8,
+    accumulate: bool,
+) {
+    let width = srcs.len();
+    let mut coeffs = [0u8; MAX_PASS_ROWS * MAX_PASS_SOURCES];
+    let coeffs = &mut coeffs[..outs.len() * width];
+    for (r, row) in coeffs.chunks_exact_mut(width).enumerate() {
+        for (s, c) in row.iter_mut().enumerate() {
+            *c = coeff(r, s);
+        }
+    }
+    dispatch_block(kernel, outs, srcs, coeffs, accumulate);
+}
+
+/// One pass on `kernel`: `outs[r] = Σ_s coeffs[r·S + s] · srcs[s]` for
+/// `S = srcs.len()`, or `^=` when `accumulate`; every slice has one
+/// length, and the shape is at most the kernel's.
+fn dispatch_block(
+    kernel: Kernel,
+    outs: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    accumulate: bool,
+) {
+    match kernel {
+        Kernel::Scalar => block_scalar(outs, srcs, coeffs, accumulate),
+        Kernel::Swar => block_swar(outs, srcs, coeffs, accumulate),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => simd::mul_acc_multi_ssse3(dsts, src, coeffs),
+        Kernel::Ssse3 => simd::block_ssse3(outs, srcs, coeffs, accumulate),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => simd::mul_acc_multi_avx2(dsts, src, coeffs),
+        Kernel::Avx2 => simd::block_avx2(outs, srcs, coeffs, accumulate),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Gfni => simd::mul_acc_multi_gfni(dsts, src, coeffs),
+        Kernel::Gfni => simd::block_gfni(outs, srcs, coeffs, accumulate),
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Ssse3 | Kernel::Avx2 | Kernel::Gfni => {
             unreachable!("vector kernels are x86-64 only")
+        }
+    }
+}
+
+/// A pass through the scalar kernel, row at a time: the reference every
+/// other kernel's pass is tested against.
+fn block_scalar(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+    for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+        if !accumulate {
+            out.fill(0);
+        }
+        for (src, &c) in srcs.iter().zip(row) {
+            mul_acc_scalar(out, src, c);
+        }
+    }
+}
+
+/// The columns `from..` of a pass, one byte at a time through the nibble
+/// tables: the ragged end of every other kernel's pass.
+fn block_tail(
+    outs: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    from: usize,
+    accumulate: bool,
+) {
+    for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+        for (i, o) in out.iter_mut().enumerate().skip(from) {
+            let mut sum = if accumulate { *o } else { 0 };
+            for (src, &c) in srcs.iter().zip(row) {
+                let s = src[i];
+                sum ^=
+                    MUL_LO[c as usize][(s & 0x0f) as usize] ^ MUL_HI[c as usize][(s >> 4) as usize];
+            }
+            *o = sum;
         }
     }
 }
@@ -722,58 +951,74 @@ fn store4(bytes: &mut [u8], w: [u64; 4]) {
     }
 }
 
-/// [`mul_acc`] through the portable `u64` SWAR kernel: 32 bytes per step
-/// (4 × 8 lanes), then single words, then a nibble-table tail.
-fn mul_acc_swar(dst: &mut [u8], src: &[u8], coeff: u8) {
-    let mut dq = dst.chunks_exact_mut(32);
-    let mut sq = src.chunks_exact(32);
-    for (d, s) in (&mut dq).zip(&mut sq) {
-        let prod = mul_word4(load4(s), coeff);
-        let mut cur = load4(d);
-        for lane in 0..4 {
-            cur[lane] ^= prod[lane];
-        }
-        store4(d, cur);
-    }
-    let mut dw = dq.into_remainder().chunks_exact_mut(8);
-    let mut sw = sq.remainder().chunks_exact(8);
-    for (d, s) in (&mut dw).zip(&mut sw) {
-        let w = u64::from_le_bytes(s.try_into().unwrap());
-        let cur = u64::from_le_bytes((&*d).try_into().unwrap());
-        d.copy_from_slice(&(cur ^ mul_word(w, coeff)).to_le_bytes());
-    }
-    let lo = &MUL_LO[coeff as usize];
-    let hi = &MUL_HI[coeff as usize];
-    for (d, &s) in dw.into_remainder().iter_mut().zip(sw.remainder()) {
-        *d ^= lo[(s & 0x0f) as usize] ^ hi[(s >> 4) as usize];
+/// A pass through the portable SWAR kernel, 32 bytes per step: each
+/// source chunk is loaded and doubled once, every output row adding the
+/// doublings its coefficient's bits select to a sum it keeps in registers
+/// until its one store.
+fn block_swar(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+    match outs.len() {
+        1 => block_swar_rows::<1>(outs, srcs, coeffs, accumulate),
+        2 => block_swar_rows::<2>(outs, srcs, coeffs, accumulate),
+        3 => block_swar_rows::<3>(outs, srcs, coeffs, accumulate),
+        4 => block_swar_rows::<4>(outs, srcs, coeffs, accumulate),
+        // Not a shape `block` makes: the byte loop is right for any.
+        _ => block_tail(outs, srcs, coeffs, 0, accumulate),
     }
 }
 
-/// [`mul_acc_multi`] through the portable SWAR kernel: each 32-byte source
-/// quad is loaded once and multiplied into every row of the group, so the
-/// source traffic is paid once per group instead of once per row.
-fn mul_acc_multi_swar(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    let len = src.len();
-    let quads = len - len % 32;
-    let mut i = 0;
-    while i < quads {
-        let s = load4(&src[i..i + 32]);
-        for (d, &c) in dsts.iter_mut().zip(coeffs) {
-            let prod = mul_word4(s, c);
-            let row = &mut d[i..i + 32];
-            let mut cur = load4(row);
-            for lane in 0..4 {
-                cur[lane] ^= prod[lane];
+/// [`block_swar`] for exactly `R` output rows, so that the sums are
+/// registers rather than memory.
+fn block_swar_rows<const R: usize>(
+    outs: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    accumulate: bool,
+) {
+    const MSB: u64 = 0x8080_8080_8080_8080;
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // Each coefficient as one all-ones-or-zero mask per bit, and per
+    // source the doublings its coefficients' top bits need — past those,
+    // doubling adds nothing.
+    let mut masks = [[[0u64; 8]; R]; MAX_PASS_SOURCES];
+    let mut bits = [0usize; MAX_PASS_SOURCES];
+    for (r, row) in coeffs.chunks_exact(srcs.len()).enumerate() {
+        for ((s, &c), bits) in row.iter().enumerate().zip(&mut bits) {
+            for (b, mask) in masks[s][r].iter_mut().enumerate() {
+                *mask = 0u64.wrapping_sub(u64::from((c >> b) & 1));
             }
-            store4(row, cur);
+            *bits = (*bits).max(8 - c.leading_zeros() as usize);
+        }
+    }
+    let len = outs.first().map_or(0, |out| out.len());
+    let end = len - len % 32;
+    let mut i = 0;
+    while i < end {
+        let mut sums = [[0u64; 4]; R];
+        for ((src, masks), &bits) in srcs.iter().zip(&masks).zip(&bits) {
+            let mut p = load4(&src[i..i + 32]);
+            for b in 0..bits {
+                for (sum, mask) in sums.iter_mut().zip(masks) {
+                    for (acc, lane) in sum.iter_mut().zip(p) {
+                        *acc ^= lane & mask[b];
+                    }
+                }
+                p = p.map(|lane| ((lane & LOW7) << 1) ^ ((lane & MSB) >> 7).wrapping_mul(0x1d));
+            }
+        }
+        for (out, sum) in outs.iter_mut().zip(&sums) {
+            let chunk = &mut out[i..i + 32];
+            let mut words = *sum;
+            if accumulate {
+                for (w, d) in words.iter_mut().zip(load4(chunk)) {
+                    *w ^= d;
+                }
+            }
+            store4(chunk, words);
         }
         i += 32;
     }
-    for j in quads..len {
-        let s = src[j];
-        for (d, &c) in dsts.iter_mut().zip(coeffs) {
-            d[j] ^= MUL_LO[c as usize][(s & 0x0f) as usize] ^ MUL_HI[c as usize][(s >> 4) as usize];
-        }
+    if end < len {
+        block_tail(outs, srcs, coeffs, end, accumulate);
     }
 }
 

@@ -12,11 +12,13 @@
 //! a time, which is what the exhaustive differential tests pin down
 //! (`tests/kernels.rs`).
 //!
-//! The `*_multi` variants interleave up to
-//! [`MAX_INTERLEAVED_ROWS`](super::MAX_INTERLEAVED_ROWS) destination rows:
-//! each 32/16-byte source chunk is loaded once and multiplied into every
-//! row of the group, so encode passes that used to re-read the source per
-//! parity row now pay its memory traffic once per group.
+//! The `block_*` kernels are the block kernel's passes
+//! ([`mul_block`](super::mul_block)) — and, at one row and one source,
+//! [`mul_acc`](super::mul_acc) too: up to four output rows from up to four
+//! sources, monomorphised per shape so the row and source pointers and
+//! every running sum stay in registers. Each 32/16-byte source chunk is
+//! loaded once and each output chunk is stored once per pass. `scale`
+//! works in place, so it keeps kernels of its own.
 //!
 //! This module is the only place in the crate that uses `unsafe`: raw
 //! pointer loads/stores for the unaligned vector accesses, plus the calls
@@ -25,7 +27,7 @@
 //! detection" — is enforced by `gf256::dispatch_*` and `kernel_available`.
 #![allow(unsafe_code)]
 
-use super::{MAX_INTERLEAVED_ROWS, MUL_HI, MUL_LO, MUL_MATRIX};
+use super::{MUL_HI, MUL_LO, MUL_MATRIX};
 use core::arch::x86_64::{
     __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_gf2p8affine_epi64_epi8,
     _mm256_loadu_si256, _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setzero_si256,
@@ -34,29 +36,11 @@ use core::arch::x86_64::{
     _mm_storeu_si128, _mm_xor_si128,
 };
 
-/// `dst[i] ^= coeff · src[i]` via SSSE3 `pshufb`, 16 bytes per step.
-///
-/// Caller must have verified `ssse3` support (the dispatcher has).
-pub(super) fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], coeff: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(is_x86_feature_detected!("ssse3"));
-    // SAFETY: the ssse3 target feature was runtime-verified by the caller.
-    unsafe { mul_acc_ssse3_impl(dst, src, coeff) }
-}
-
 /// `buf[i] = coeff · buf[i]` via SSSE3 `pshufb`.
 pub(super) fn scale_ssse3(buf: &mut [u8], coeff: u8) {
     debug_assert!(is_x86_feature_detected!("ssse3"));
     // SAFETY: the ssse3 target feature was runtime-verified by the caller.
     unsafe { scale_ssse3_impl(buf, coeff) }
-}
-
-/// `dst[i] ^= coeff · src[i]` via AVX2 `vpshufb`, 32 bytes per step.
-pub(super) fn mul_acc_avx2(dst: &mut [u8], src: &[u8], coeff: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(is_x86_feature_detected!("avx2"));
-    // SAFETY: the avx2 target feature was runtime-verified by the caller.
-    unsafe { mul_acc_avx2_impl(dst, src, coeff) }
 }
 
 /// `buf[i] = coeff · buf[i]` via AVX2 `vpshufb`.
@@ -81,28 +65,6 @@ fn product_128(x: __m128i, lo: __m128i, hi: __m128i) -> __m128i {
     let l = _mm_shuffle_epi8(lo, _mm_and_si128(x, nib));
     let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64::<4>(x), nib));
     _mm_xor_si128(l, h)
-}
-
-#[target_feature(enable = "ssse3")]
-fn mul_acc_ssse3_impl(dst: &mut [u8], src: &[u8], coeff: u8) {
-    let lo_t = &MUL_LO[coeff as usize];
-    let hi_t = &MUL_HI[coeff as usize];
-    let lo = load_table_128(lo_t);
-    let hi = load_table_128(hi_t);
-    let mut dc = dst.chunks_exact_mut(16);
-    let mut sc = src.chunks_exact(16);
-    for (d, s) in (&mut dc).zip(&mut sc) {
-        // SAFETY: both chunks are exactly 16 bytes; unaligned load/store.
-        unsafe {
-            let x = _mm_loadu_si128(s.as_ptr().cast());
-            let cur = _mm_loadu_si128(d.as_ptr().cast());
-            let res = _mm_xor_si128(cur, product_128(x, lo, hi));
-            _mm_storeu_si128(d.as_mut_ptr().cast(), res);
-        }
-    }
-    for (d, &s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *d ^= lo_t[(s & 0x0f) as usize] ^ hi_t[(s >> 4) as usize];
-    }
 }
 
 #[target_feature(enable = "ssse3")]
@@ -143,28 +105,6 @@ fn product_256(x: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
 }
 
 #[target_feature(enable = "avx2")]
-fn mul_acc_avx2_impl(dst: &mut [u8], src: &[u8], coeff: u8) {
-    let lo_t = &MUL_LO[coeff as usize];
-    let hi_t = &MUL_HI[coeff as usize];
-    let lo = load_table_256(lo_t);
-    let hi = load_table_256(hi_t);
-    let mut dc = dst.chunks_exact_mut(32);
-    let mut sc = src.chunks_exact(32);
-    for (d, s) in (&mut dc).zip(&mut sc) {
-        // SAFETY: both chunks are exactly 32 bytes; unaligned load/store.
-        unsafe {
-            let x = _mm256_loadu_si256(s.as_ptr().cast());
-            let cur = _mm256_loadu_si256(d.as_ptr().cast());
-            let res = _mm256_xor_si256(cur, product_256(x, lo, hi));
-            _mm256_storeu_si256(d.as_mut_ptr().cast(), res);
-        }
-    }
-    for (d, &s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *d ^= lo_t[(s & 0x0f) as usize] ^ hi_t[(s >> 4) as usize];
-    }
-}
-
-#[target_feature(enable = "avx2")]
 fn scale_avx2_impl(buf: &mut [u8], coeff: u8) {
     let lo_t = &MUL_LO[coeff as usize];
     let hi_t = &MUL_HI[coeff as usize];
@@ -194,44 +134,12 @@ fn mul_matrix_256(coeff: u8) -> __m256i {
     _mm256_set1_epi64x(i64::from_le_bytes(MUL_MATRIX[coeff as usize].to_le_bytes()))
 }
 
-/// `dst[i] ^= coeff · src[i]` via GFNI `vgf2p8affineqb`, 32 bytes per step.
-///
-/// Caller must have verified `gfni` + `avx2` support (the dispatcher has).
-pub(super) fn mul_acc_gfni(dst: &mut [u8], src: &[u8], coeff: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(is_x86_feature_detected!("gfni") && is_x86_feature_detected!("avx2"));
-    // SAFETY: the gfni+avx2 target features were runtime-verified by the
-    // caller.
-    unsafe { mul_acc_gfni_impl(dst, src, coeff) }
-}
-
 /// `buf[i] = coeff · buf[i]` via GFNI `vgf2p8affineqb`.
 pub(super) fn scale_gfni(buf: &mut [u8], coeff: u8) {
     debug_assert!(is_x86_feature_detected!("gfni") && is_x86_feature_detected!("avx2"));
     // SAFETY: the gfni+avx2 target features were runtime-verified by the
     // caller.
     unsafe { scale_gfni_impl(buf, coeff) }
-}
-
-#[target_feature(enable = "gfni,avx2")]
-fn mul_acc_gfni_impl(dst: &mut [u8], src: &[u8], coeff: u8) {
-    let lo_t = &MUL_LO[coeff as usize];
-    let hi_t = &MUL_HI[coeff as usize];
-    let m = mul_matrix_256(coeff);
-    let mut dc = dst.chunks_exact_mut(32);
-    let mut sc = src.chunks_exact(32);
-    for (d, s) in (&mut dc).zip(&mut sc) {
-        // SAFETY: both chunks are exactly 32 bytes; unaligned load/store.
-        unsafe {
-            let x = _mm256_loadu_si256(s.as_ptr().cast());
-            let cur = _mm256_loadu_si256(d.as_ptr().cast());
-            let res = _mm256_xor_si256(cur, _mm256_gf2p8affine_epi64_epi8::<0>(x, m));
-            _mm256_storeu_si256(d.as_mut_ptr().cast(), res);
-        }
-    }
-    for (d, &s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *d ^= lo_t[(s & 0x0f) as usize] ^ hi_t[(s >> 4) as usize];
-    }
 }
 
 #[target_feature(enable = "gfni,avx2")]
@@ -256,122 +164,257 @@ fn scale_gfni_impl(buf: &mut [u8], coeff: u8) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved multi-row kernels: load each source chunk once per row group
+// Block kernels: one rows × sources pass, every sum kept in registers
 // ---------------------------------------------------------------------------
 
-/// Byte-at-a-time multi-row tail shared by every vector kernel.
-fn multi_tail(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8], from: usize) {
-    for j in from..src.len() {
-        let s = src[j];
-        for (d, &c) in dsts.iter_mut().zip(coeffs) {
-            d[j] ^= MUL_LO[c as usize][(s & 0x0f) as usize] ^ MUL_HI[c as usize][(s >> 4) as usize];
+/// The shortest of the slices: the columns a pass may touch.
+fn common_len(outs: &[&mut [u8]], srcs: &[&[u8]]) -> usize {
+    let outs = outs.iter().map(|o| o.len());
+    outs.chain(srcs.iter().map(|s| s.len())).min().unwrap_or(0)
+}
+
+/// The start addresses of `N` output rows, for a pass that keeps them in
+/// registers.
+fn out_ptrs<const N: usize>(outs: &mut [&mut [u8]]) -> [*mut u8; N] {
+    let mut ptrs = [core::ptr::null_mut(); N];
+    for (p, out) in ptrs.iter_mut().zip(outs.iter_mut()) {
+        *p = out.as_mut_ptr();
+    }
+    ptrs
+}
+
+/// The start addresses of `N` sources; see [`out_ptrs`].
+fn src_ptrs<const N: usize>(srcs: &[&[u8]]) -> [*const u8; N] {
+    let mut ptrs = [core::ptr::null(); N];
+    for (p, src) in ptrs.iter_mut().zip(srcs) {
+        *p = src.as_ptr();
+    }
+    ptrs
+}
+
+/// Runs the pass `$pass::<R, S>` when `$outs` × `$srcs` is a shape in the
+/// table and evaluates to the columns it covered; any other shape covers
+/// none, and the byte loop after it does the whole pass.
+macro_rules! by_shape {
+    ($pass:ident($outs:ident, $srcs:ident, $coeffs:ident, $len:ident, $acc:ident)
+        $($r:literal => [$($s:literal)*])*) => {
+        match ($outs.len(), $srcs.len()) {
+            $($(($r, $s) => {
+                let outs = out_ptrs::<$r>($outs);
+                let srcs = src_ptrs::<$s>($srcs);
+                // SAFETY: the dispatcher verified the pass's CPU features;
+                // the pointers are those of exactly `$r` outputs and `$s`
+                // sources, each at least `$len` bytes long, and the outputs
+                // are distinct `&mut` borrows, so none overlaps another
+                // output or a source.
+                unsafe { $pass::<$r, $s>(outs, srcs, $coeffs, $len, $acc) }
+            })*)*
+            _ => 0,
+        }
+    };
+}
+
+/// `outs[r] = Σ_s coeffs[r·S + s] · srcs[s]` (or `^=` when `accumulate`)
+/// via GFNI: each 32-byte source chunk is loaded once, each output chunk
+/// is summed in a register and stored once. Up to 4 × 4 per pass.
+pub(super) fn block_gfni(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+    debug_assert!(is_x86_feature_detected!("gfni") && is_x86_feature_detected!("avx2"));
+    let len = common_len(outs, srcs);
+    let done = by_shape!(block_gfni_pass(outs, srcs, coeffs, len, accumulate)
+        1 => [1 2 3 4] 2 => [1 2 3 4] 3 => [1 2 3 4] 4 => [1 2 3 4]);
+    if done < len {
+        super::block_tail(outs, srcs, coeffs, done, accumulate);
+    }
+}
+
+/// [`block_gfni`] via AVX2 `vpshufb`, 32 bytes per step.
+pub(super) fn block_avx2(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+    debug_assert!(is_x86_feature_detected!("avx2"));
+    let len = common_len(outs, srcs);
+    let done = by_shape!(block_avx2_pass(outs, srcs, coeffs, len, accumulate)
+        1 => [1 2 3 4] 2 => [1 2 3 4] 3 => [1 2 3 4] 4 => [1 2 3 4]);
+    if done < len {
+        super::block_tail(outs, srcs, coeffs, done, accumulate);
+    }
+}
+
+/// [`block_gfni`] via SSSE3 `pshufb`, 16 bytes per step.
+pub(super) fn block_ssse3(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+    debug_assert!(is_x86_feature_detected!("ssse3"));
+    let len = common_len(outs, srcs);
+    let done = by_shape!(block_ssse3_pass(outs, srcs, coeffs, len, accumulate)
+        1 => [1 2 3 4] 2 => [1 2 3 4] 3 => [1 2 3 4] 4 => [1 2 3 4]);
+    if done < len {
+        super::block_tail(outs, srcs, coeffs, done, accumulate);
+    }
+}
+
+/// One pass of [`block_gfni`] over the whole 32-byte columns of `len`;
+/// returns how many columns that was.
+///
+/// # Safety
+///
+/// The CPU supports GFNI and AVX2, every pointer is valid for `len`
+/// bytes — reads for `srcs`, reads and writes for `outs` — and no output
+/// overlaps another output or a source.
+// SAFETY: the contract above binds the caller — `by_shape!`, which
+// upholds it — not this definition.
+#[target_feature(enable = "gfni,avx2")]
+unsafe fn block_gfni_pass<const R: usize, const S: usize>(
+    outs: [*mut u8; R],
+    srcs: [*const u8; S],
+    coeffs: &[u8],
+    len: usize,
+    accumulate: bool,
+) -> usize {
+    debug_assert_eq!(coeffs.len(), R * S);
+    let mut mats = [[_mm256_setzero_si256(); S]; R];
+    for (row, cs) in mats.iter_mut().zip(coeffs.chunks_exact(S)) {
+        for (m, &c) in row.iter_mut().zip(cs) {
+            *m = mul_matrix_256(c);
         }
     }
-}
-
-/// Multi-row [`mul_acc_ssse3`]: one 16-byte source load per row group.
-pub(super) fn mul_acc_multi_ssse3(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    debug_assert!(is_x86_feature_detected!("ssse3"));
-    // SAFETY: the ssse3 target feature was runtime-verified by the caller.
-    unsafe { mul_acc_multi_ssse3_impl(dsts, src, coeffs) }
-}
-
-/// Multi-row [`mul_acc_avx2`]: one 32-byte source load per row group.
-pub(super) fn mul_acc_multi_avx2(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    debug_assert!(is_x86_feature_detected!("avx2"));
-    // SAFETY: the avx2 target feature was runtime-verified by the caller.
-    unsafe { mul_acc_multi_avx2_impl(dsts, src, coeffs) }
-}
-
-/// Multi-row [`mul_acc_gfni`]: one 32-byte source load per row group.
-pub(super) fn mul_acc_multi_gfni(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    debug_assert!(is_x86_feature_detected!("gfni") && is_x86_feature_detected!("avx2"));
-    // SAFETY: the gfni+avx2 target features were runtime-verified by the
-    // caller.
-    unsafe { mul_acc_multi_gfni_impl(dsts, src, coeffs) }
-}
-
-#[target_feature(enable = "ssse3")]
-fn mul_acc_multi_ssse3_impl(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    let mut lo = [_mm_setzero_si128(); MAX_INTERLEAVED_ROWS];
-    let mut hi = [_mm_setzero_si128(); MAX_INTERLEAVED_ROWS];
-    for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(coeffs) {
-        *l = load_table_128(&MUL_LO[c as usize]);
-        *h = load_table_128(&MUL_HI[c as usize]);
-    }
-    let len = src.len();
-    let vec_end = len - len % 16;
+    let end = len - len % 32;
     let mut i = 0;
-    while i < vec_end {
-        // SAFETY: `i + 16 <= len`, and every destination row has length
-        // `len` (checked by the dispatcher); unaligned load/store.
-        unsafe {
-            let x = _mm_loadu_si128(src.as_ptr().add(i).cast());
-            for (r, d) in dsts.iter_mut().enumerate() {
-                let dp = d.as_mut_ptr().add(i);
-                let cur = _mm_loadu_si128(dp.cast());
-                _mm_storeu_si128(dp.cast(), _mm_xor_si128(cur, product_128(x, lo[r], hi[r])));
+    while i < end {
+        let mut xs = [_mm256_setzero_si256(); S];
+        for (x, src) in xs.iter_mut().zip(srcs) {
+            // SAFETY: `i + 32 <= len`, and every source holds `len` bytes.
+            *x = unsafe { _mm256_loadu_si256(src.add(i).cast()) };
+        }
+        for (out, row) in outs.iter().zip(&mats) {
+            let mut sum = if accumulate {
+                // SAFETY: `i + 32 <= len`, and every output holds `len` bytes.
+                unsafe { _mm256_loadu_si256(out.add(i).cast()) }
+            } else {
+                _mm256_setzero_si256()
+            };
+            for (&x, &m) in xs.iter().zip(row) {
+                sum = _mm256_xor_si256(sum, _mm256_gf2p8affine_epi64_epi8::<0>(x, m));
             }
+            // SAFETY: as for the load.
+            unsafe { _mm256_storeu_si256(out.add(i).cast(), sum) };
+        }
+        i += 32;
+    }
+    end
+}
+
+/// One pass of [`block_avx2`]; see [`block_gfni_pass`].
+///
+/// # Safety
+///
+/// As for [`block_gfni_pass`], with AVX2 in place of GFNI and AVX2.
+// SAFETY: the contract above binds the caller — `by_shape!`, which
+// upholds it — not this definition.
+#[target_feature(enable = "avx2")]
+unsafe fn block_avx2_pass<const R: usize, const S: usize>(
+    outs: [*mut u8; R],
+    srcs: [*const u8; S],
+    coeffs: &[u8],
+    len: usize,
+    accumulate: bool,
+) -> usize {
+    debug_assert_eq!(coeffs.len(), R * S);
+    let zero = _mm256_setzero_si256();
+    let mut tables = [[(zero, zero); S]; R];
+    for (row, cs) in tables.iter_mut().zip(coeffs.chunks_exact(S)) {
+        for (t, &c) in row.iter_mut().zip(cs) {
+            *t = (
+                load_table_256(&MUL_LO[c as usize]),
+                load_table_256(&MUL_HI[c as usize]),
+            );
+        }
+    }
+    let nib = _mm256_set1_epi8(0x0f);
+    let end = len - len % 32;
+    let mut i = 0;
+    while i < end {
+        // Each source chunk split into its low and high nibbles once.
+        let mut xs = [(zero, zero); S];
+        for (x, src) in xs.iter_mut().zip(srcs) {
+            // SAFETY: `i + 32 <= len`, and every source holds `len` bytes.
+            let v = unsafe { _mm256_loadu_si256(src.add(i).cast()) };
+            *x = (
+                _mm256_and_si256(v, nib),
+                _mm256_and_si256(_mm256_srli_epi64::<4>(v), nib),
+            );
+        }
+        for (out, row) in outs.iter().zip(&tables) {
+            let mut sum = if accumulate {
+                // SAFETY: `i + 32 <= len`, and every output holds `len` bytes.
+                unsafe { _mm256_loadu_si256(out.add(i).cast()) }
+            } else {
+                zero
+            };
+            for (&(xl, xh), &(tl, th)) in xs.iter().zip(row) {
+                let prod =
+                    _mm256_xor_si256(_mm256_shuffle_epi8(tl, xl), _mm256_shuffle_epi8(th, xh));
+                sum = _mm256_xor_si256(sum, prod);
+            }
+            // SAFETY: as for the load.
+            unsafe { _mm256_storeu_si256(out.add(i).cast(), sum) };
+        }
+        i += 32;
+    }
+    end
+}
+
+/// One pass of [`block_ssse3`] over 16-byte columns; see
+/// [`block_gfni_pass`].
+///
+/// # Safety
+///
+/// As for [`block_gfni_pass`], with SSSE3 in place of GFNI and AVX2.
+// SAFETY: the contract above binds the caller — `by_shape!`, which
+// upholds it — not this definition.
+#[target_feature(enable = "ssse3")]
+unsafe fn block_ssse3_pass<const R: usize, const S: usize>(
+    outs: [*mut u8; R],
+    srcs: [*const u8; S],
+    coeffs: &[u8],
+    len: usize,
+    accumulate: bool,
+) -> usize {
+    debug_assert_eq!(coeffs.len(), R * S);
+    let zero = _mm_setzero_si128();
+    let mut tables = [[(zero, zero); S]; R];
+    for (row, cs) in tables.iter_mut().zip(coeffs.chunks_exact(S)) {
+        for (t, &c) in row.iter_mut().zip(cs) {
+            *t = (
+                load_table_128(&MUL_LO[c as usize]),
+                load_table_128(&MUL_HI[c as usize]),
+            );
+        }
+    }
+    let nib = _mm_set1_epi8(0x0f);
+    let end = len - len % 16;
+    let mut i = 0;
+    while i < end {
+        let mut xs = [(zero, zero); S];
+        for (x, src) in xs.iter_mut().zip(srcs) {
+            // SAFETY: `i + 16 <= len`, and every source holds `len` bytes.
+            let v = unsafe { _mm_loadu_si128(src.add(i).cast()) };
+            *x = (
+                _mm_and_si128(v, nib),
+                _mm_and_si128(_mm_srli_epi64::<4>(v), nib),
+            );
+        }
+        for (out, row) in outs.iter().zip(&tables) {
+            let mut sum = if accumulate {
+                // SAFETY: `i + 16 <= len`, and every output holds `len` bytes.
+                unsafe { _mm_loadu_si128(out.add(i).cast()) }
+            } else {
+                zero
+            };
+            for (&(xl, xh), &(tl, th)) in xs.iter().zip(row) {
+                let prod = _mm_xor_si128(_mm_shuffle_epi8(tl, xl), _mm_shuffle_epi8(th, xh));
+                sum = _mm_xor_si128(sum, prod);
+            }
+            // SAFETY: as for the load.
+            unsafe { _mm_storeu_si128(out.add(i).cast(), sum) };
         }
         i += 16;
     }
-    multi_tail(dsts, src, coeffs, vec_end);
-}
-
-#[target_feature(enable = "avx2")]
-fn mul_acc_multi_avx2_impl(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    let mut lo = [_mm256_setzero_si256(); MAX_INTERLEAVED_ROWS];
-    let mut hi = [_mm256_setzero_si256(); MAX_INTERLEAVED_ROWS];
-    for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(coeffs) {
-        *l = load_table_256(&MUL_LO[c as usize]);
-        *h = load_table_256(&MUL_HI[c as usize]);
-    }
-    let len = src.len();
-    let vec_end = len - len % 32;
-    let mut i = 0;
-    while i < vec_end {
-        // SAFETY: `i + 32 <= len`, and every destination row has length
-        // `len` (checked by the dispatcher); unaligned load/store.
-        unsafe {
-            let x = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            for (r, d) in dsts.iter_mut().enumerate() {
-                let dp = d.as_mut_ptr().add(i);
-                let cur = _mm256_loadu_si256(dp.cast());
-                _mm256_storeu_si256(
-                    dp.cast(),
-                    _mm256_xor_si256(cur, product_256(x, lo[r], hi[r])),
-                );
-            }
-        }
-        i += 32;
-    }
-    multi_tail(dsts, src, coeffs, vec_end);
-}
-
-#[target_feature(enable = "gfni,avx2")]
-fn mul_acc_multi_gfni_impl(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    let mut mats = [_mm256_setzero_si256(); MAX_INTERLEAVED_ROWS];
-    for (m, &c) in mats.iter_mut().zip(coeffs) {
-        *m = mul_matrix_256(c);
-    }
-    let len = src.len();
-    let vec_end = len - len % 32;
-    let mut i = 0;
-    while i < vec_end {
-        // SAFETY: `i + 32 <= len`, and every destination row has length
-        // `len` (checked by the dispatcher); unaligned load/store.
-        unsafe {
-            let x = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            for (r, d) in dsts.iter_mut().enumerate() {
-                let dp = d.as_mut_ptr().add(i);
-                let cur = _mm256_loadu_si256(dp.cast());
-                _mm256_storeu_si256(
-                    dp.cast(),
-                    _mm256_xor_si256(cur, _mm256_gf2p8affine_epi64_epi8::<0>(x, mats[r])),
-                );
-            }
-        }
-        i += 32;
-    }
-    multi_tail(dsts, src, coeffs, vec_end);
+    end
 }

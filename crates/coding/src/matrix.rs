@@ -130,7 +130,16 @@ impl Matrix {
     ///
     /// Panics if any index is out of bounds or `indices` is empty.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        Matrix::from_rows(indices.iter().map(|&i| self.row(i).to_vec()).collect())
+        assert!(!indices.is_empty(), "matrix must have at least one row");
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &i in indices {
+            data.extend_from_slice(self.row(i));
+        }
+        Matrix {
+            rows: indices.len(),
+            cols: self.cols,
+            data,
+        }
     }
 
     /// Multiplies `self · rhs`.

@@ -141,10 +141,8 @@ impl Code for Rateless {
             out[..src.len()].copy_from_slice(src);
         } else {
             let coeffs = self.coefficients(index);
-            for (j, &c) in coeffs.iter().enumerate() {
-                let src = shard_slice(bytes, self.shard_len, j);
-                gf256::mul_acc(&mut out[..src.len()], src, c);
-            }
+            let src = |j: usize| shard_slice(bytes, self.shard_len, j);
+            gf256::mul_block([&mut out[..]], self.k, src, |_, j| coeffs[j], false);
         }
         Ok(Block::new(index, out))
     }
@@ -216,11 +214,13 @@ impl Code for Rateless {
         // One contiguous buffer for all decoded shards, truncated to the
         // value length — no per-shard vectors, no reassembly pass.
         let mut data = vec![0u8; self.k * self.shard_len];
-        for (s, out) in data.chunks_exact_mut(self.shard_len).enumerate() {
-            for (j, b) in chosen_blocks.iter().enumerate() {
-                gf256::mul_acc(out, b.data(), inv.get(s, j));
-            }
-        }
+        gf256::mul_block(
+            data.chunks_exact_mut(self.shard_len),
+            self.k,
+            |j| chosen_blocks[j].data(),
+            |s, j| inv.get(s, j),
+            false,
+        );
         data.truncate(self.value_len);
         Ok(Value::from_bytes(data))
     }

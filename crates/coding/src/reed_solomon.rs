@@ -100,37 +100,46 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Writes block `i` of `bytes` into `out` (exactly `shard_len` bytes,
-    /// already zeroed). Systematic rows are a straight copy; parity rows are
-    /// one row of the matrix–buffer product, reading the shard views of
-    /// `bytes` in place (no sharding copies).
-    fn encode_row_into(&self, bytes: &[u8], i: usize, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), self.shard_len);
-        if i < self.k {
-            let src = shard_slice(bytes, self.shard_len, i);
-            out[..src.len()].copy_from_slice(src);
-        } else {
-            for (j, &coeff) in self.encoding.row(i).iter().enumerate() {
-                let src = shard_slice(bytes, self.shard_len, j);
-                gf256::mul_acc(&mut out[..src.len()], src, coeff);
-            }
-        }
-    }
-
-    /// Block `i` of `value` (already length-checked). A systematic block
-    /// that lies wholly inside the value *is* a stretch of the value, so it
-    /// is a window onto the value's own buffer: no allocation, no copy —
-    /// and the value's buffer lives for as long as the block does. Parity
-    /// rows and a zero-padded tail shard are computed straight into their
-    /// final shared buffer: one allocation, no staging copy.
-    fn block(&self, value: &Value, i: usize) -> Block {
+    /// Systematic block `i < k` of `value` (already length-checked). A
+    /// block that lies wholly inside the value *is* a stretch of the
+    /// value, so it is a window onto the value's own buffer: no
+    /// allocation, no copy — and the value's buffer lives for as long as
+    /// the block does. A zero-padded tail shard gets a buffer of its own.
+    fn systematic_block(&self, value: &Value, i: usize) -> Block {
         let start = i * self.shard_len;
-        if i < self.k && start + self.shard_len <= self.value_len {
+        if start + self.shard_len <= self.value_len {
             let window = start..start + self.shard_len;
             return Block::window(i as BlockIndex, value.buffer().clone(), window);
         }
         let mut out = BytesMut::zeroed(self.shard_len);
-        self.encode_row_into(value.as_bytes(), i, &mut out);
+        let src = shard_slice(value.as_bytes(), self.shard_len, i);
+        out[..src.len()].copy_from_slice(src);
+        Block::new(i as BlockIndex, out.freeze())
+    }
+
+    /// Parity rows `first..` of `bytes` into `outs`, one block-kernel
+    /// call: the sources are the shard views of `bytes` in place (no
+    /// sharding copies), a short tail shard reading as zero-padded.
+    fn parity_into<'o>(
+        &self,
+        bytes: &[u8],
+        first: usize,
+        outs: impl IntoIterator<Item = &'o mut [u8]>,
+    ) {
+        gf256::mul_block(
+            outs,
+            self.k,
+            |j| shard_slice(bytes, self.shard_len, j),
+            |r, j| self.encoding.get(first + r, j),
+            false,
+        );
+    }
+
+    /// Parity block `i >= k` of `value`, computed straight into its final
+    /// shared buffer: one allocation, no staging copy.
+    fn parity_block(&self, value: &Value, i: usize) -> Block {
+        let mut out = BytesMut::zeroed(self.shard_len);
+        self.parity_into(value.as_bytes(), i, [&mut out[..]]);
         Block::new(i as BlockIndex, out.freeze())
     }
 
@@ -151,12 +160,9 @@ impl ReedSolomon {
     }
 
     /// Encodes all `n` blocks into one contiguous caller-provided buffer —
-    /// block `i` occupies `out[i*shard_len .. (i+1)*shard_len]` — as a
-    /// column-major matrix–buffer product: each source shard is read once
-    /// per group of up to [`gf256::MAX_INTERLEAVED_ROWS`] parity rows (the
-    /// multi-row kernels), instead of once per parity row. Only two small
-    /// bookkeeping `Vec`s (row pointers and one coefficient column) are
-    /// allocated; no data is copied or staged.
+    /// block `i` occupies `out[i*shard_len .. (i+1)*shard_len]`: the
+    /// value copied in, its padding zeroed, and every parity row written
+    /// by one block-kernel call. Allocates nothing.
     ///
     /// # Errors
     ///
@@ -174,38 +180,17 @@ impl ReedSolomon {
             "encode_into buffer must be n * shard_len bytes"
         );
         let bytes = value.as_bytes();
-        out.fill(0);
-        // Systematic prefix: blocks 0..k are the (padded) value itself.
-        out[..bytes.len()].copy_from_slice(bytes);
-        // Parity rows read shard views of `bytes` (the value, not `out`),
-        // so they can all accumulate concurrently: for each source shard,
-        // one interleaved pass feeds every parity row in groups of up to
-        // MAX_INTERLEAVED_ROWS.
-        let parity = &mut out[self.k * self.shard_len..];
-        let mut rows: Vec<&mut [u8]> = parity.chunks_exact_mut(self.shard_len).collect();
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let mut coeffs = vec![0u8; rows.len()];
-        for j in 0..self.k {
-            let src = shard_slice(bytes, self.shard_len, j);
-            for (pi, c) in coeffs.iter_mut().enumerate() {
-                *c = self.encoding.get(self.k + pi, j);
-            }
-            if src.len() == self.shard_len {
-                gf256::mul_acc_multi(&mut rows, src, &coeffs);
-            } else {
-                // Tail shard: the source view is short, so accumulate into
-                // equally-short row prefixes (the suffix stays zero, which
-                // matches the zero-padded tail semantics).
-                let mut views: Vec<&mut [u8]> =
-                    rows.iter_mut().map(|r| &mut r[..src.len()]).collect();
-                gf256::mul_acc_multi(&mut views, src, &coeffs);
-            }
-        }
+        let (data, parity) = out.split_at_mut(self.k * self.shard_len);
+        data[..bytes.len()].copy_from_slice(bytes);
+        data[bytes.len()..].fill(0);
+        self.parity_into(bytes, self.k, parity.chunks_exact_mut(self.shard_len));
         Ok(())
     }
 }
+
+/// Parity blocks [`Code::encode`] computes per block-kernel call, their
+/// buffers held on the stack until they are frozen into blocks.
+const PARITY_ROWS_PER_CALL: usize = 8;
 
 impl Code for ReedSolomon {
     fn kind(&self) -> CodeKind {
@@ -236,13 +221,38 @@ impl Code for ReedSolomon {
         // No re-sharding: the row product reads shard views of the value in
         // place, so a caller looping over every index pays O(D) per parity
         // block and nothing per whole systematic block — not O(k·D) copies.
-        Ok(self.block(value, index as usize))
+        let i = index as usize;
+        Ok(if i < self.k {
+            self.systematic_block(value, i)
+        } else {
+            self.parity_block(value, i)
+        })
     }
 
+    /// The systematic blocks, then the parity blocks from one pass of the
+    /// block kernel over the value (per `PARITY_ROWS_PER_CALL` of them),
+    /// each in a buffer of its own so no block keeps its siblings alive.
+    /// Allocates the block list and the parity buffers, nothing else.
     fn encode(&self, value: &Value) -> Vec<Block> {
         self.check_value(value)
             .expect("value length must match the code");
-        (0..self.n).map(|i| self.block(value, i)).collect()
+        let mut blocks = Vec::with_capacity(self.n);
+        blocks.extend((0..self.k).map(|i| self.systematic_block(value, i)));
+        let mut first = self.k;
+        while first < self.n {
+            let rows = (self.n - first).min(PARITY_ROWS_PER_CALL);
+            let mut bufs: [Option<BytesMut>; PARITY_ROWS_PER_CALL] = Default::default();
+            for buf in &mut bufs[..rows] {
+                *buf = Some(BytesMut::zeroed(self.shard_len));
+            }
+            let outs = bufs.iter_mut().flatten().map(|buf| &mut buf[..]);
+            self.parity_into(value.as_bytes(), first, outs);
+            for (i, buf) in (first..).zip(bufs.into_iter().flatten()) {
+                blocks.push(Block::new(i as BlockIndex, buf.freeze()));
+            }
+            first += rows;
+        }
+        blocks
     }
 
     fn decode(&self, blocks: &[Block]) -> Result<Value, CodingError> {
@@ -281,27 +291,33 @@ impl Code for ReedSolomon {
         // The value's own final buffer holds the decoded shards end to
         // end; a tail shard is cut short (possibly to nothing) where the
         // value ends — its padding is never produced — so nothing is
-        // reassembled or copied.
+        // reassembled.
         let mut data = BytesMut::zeroed(self.value_len);
-        if chosen.iter().all(|b| (b.index() as usize) < self.k) {
-            // All-systematic fast path: k distinct indices < k are exactly
-            // {0..k}, so the shards are the raw payloads — no inversion.
-            for b in &chosen {
-                let start = (b.index() as usize * self.shard_len).min(self.value_len);
-                let end = (start + self.shard_len).min(self.value_len);
-                data[start..end].copy_from_slice(&b.data()[..end - start]);
-            }
-        } else {
+        // A shard one of the chosen blocks holds verbatim is copied into
+        // place: all of them when the chosen are the systematic `0..k`.
+        for b in chosen.iter().filter(|b| (b.index() as usize) < self.k) {
+            let start = (b.index() as usize * self.shard_len).min(self.value_len);
+            let end = (start + self.shard_len).min(self.value_len);
+            data[start..end].copy_from_slice(&b.data()[..end - start]);
+        }
+        if chosen.iter().any(|b| b.index() as usize >= self.k) {
             let indices: Vec<usize> = chosen.iter().map(|b| b.index() as usize).collect();
-            let sub = self.encoding.select_rows(&indices);
-            let sub_inv = sub
+            let inv = self
+                .encoding
+                .select_rows(&indices)
                 .inverse()
                 .expect("any k rows of an MDS encoding matrix are invertible");
-            // shard[s] = Σ_j inv[s][j] * block[j]
-            for (s, out) in data.chunks_mut(self.shard_len).enumerate() {
-                for (j, b) in chosen.iter().enumerate() {
-                    gf256::mul_acc(out, &b.data()[..out.len()], sub_inv.get(s, j));
-                }
+            // Each other shard — one per parity block among the chosen —
+            // is row `s` of the inverse over all k chosen blocks: one
+            // block-kernel row, read only as far as the value reaches.
+            let missing = data
+                .chunks_mut(self.shard_len)
+                .enumerate()
+                .filter(|&(s, _)| !seen[s]);
+            for (s, out) in missing {
+                let len = out.len();
+                let src = |j: usize| &chosen[j].data()[..len];
+                gf256::mul_block([out], self.k, src, |_, j| inv.get(s, j), false);
             }
         }
         Ok(Value::from_bytes(data.freeze()))

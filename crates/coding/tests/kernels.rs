@@ -6,10 +6,13 @@
 //! coefficients**, every length in `0..=64` (crossing the 8/16/32-byte
 //! chunk boundaries and exercising every possible tail length), and a range
 //! of unaligned slice offsets (vector kernels use unaligned loads; a
-//! misaligned-head bug would only show up here).
+//! misaligned-head bug would only show up here). The block kernel is held
+//! to the scalar kernel row at a time over every pass shape, and the
+//! Reed–Solomon and rateless codes to a row-at-a-time reference built here
+//! from the public matrix and the scalar kernel.
 
 use rsb_coding::gf256::{self, Kernel};
-use rsb_coding::{Code, Rateless, ReedSolomon, Value};
+use rsb_coding::{Block, Code, Rateless, ReedSolomon, Value};
 
 /// SplitMix64 — the deterministic fuzz driver used across the workspace.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -98,10 +101,10 @@ fn mul_acc_multi_kernels_match_scalar_exhaustively() {
     // The interleaved multi-row kernels must agree with row-at-a-time scalar
     // for all 256 coefficients (placed in every row position), every length
     // crossing the vector strides, unaligned source offsets, and every row
-    // count up to MAX_INTERLEAVED_ROWS + 1 (one full group plus a rump).
+    // count up to five (one full pass of rows plus a rump).
     let kernels = gf256::available_kernels();
     let mut state = 0x5eed_0005u64;
-    let max_rows = gf256::MAX_INTERLEAVED_ROWS + 1;
+    let max_rows = 5;
     let mut src_base = vec![0u8; MAX_LEN + *OFFSETS.last().unwrap()];
     fill_random(&mut src_base, &mut state);
     let mut dst0 = vec![vec![0u8; MAX_LEN]; max_rows];
@@ -145,6 +148,241 @@ fn mul_acc_multi_kernels_match_scalar_exhaustively() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A coefficient for row `r` and source `j` of a sweep: 0 and 1 recur, the
+/// rest are spread over the field.
+fn sweep_coeff(r: usize, j: usize, salt: usize) -> u8 {
+    const PICKS: [u8; 8] = [0, 1, 2, 0x1d, 87, 142, 200, 255];
+    PICKS[(r * 5 + j * 3 + salt) % PICKS.len()]
+}
+
+#[test]
+fn block_kernels_match_scalar_row_at_a_time() {
+    // Rows 1..=6 × sources 1..=9 cross every kernel's pass shape (4 × 4,
+    // SWAR 4 × 8) with a rump in both directions; lengths 0..=130 cross the
+    // 16/32-byte steps at every tail length, each slice at its own
+    // unaligned offset; half the cases give the sources the ragged lengths
+    // of a value's shards, read as zero-padded.
+    const MAX_ROWS: usize = 6;
+    const MAX_SOURCES: usize = 9;
+    const LEN: usize = 130;
+    let kernels = gf256::available_kernels();
+    let mut state = 0x5eed_0006u64;
+    let pad = LEN + *OFFSETS.last().unwrap();
+    let mut src_base = vec![vec![0u8; pad]; MAX_SOURCES];
+    let mut out_base = vec![vec![0u8; pad]; MAX_ROWS];
+    for buf in src_base.iter_mut().chain(&mut out_base) {
+        fill_random(buf, &mut state);
+    }
+    for rows in 1..=MAX_ROWS {
+        for sources in 1..=MAX_SOURCES {
+            for len in 0..=LEN {
+                for (ragged, accumulate) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let off = |i: usize| OFFSETS[(len + i) % OFFSETS.len()];
+                    let src_len = |j: usize| {
+                        if ragged {
+                            len * ((j * 5 + 3) % (sources + 1)) / sources
+                        } else {
+                            len
+                        }
+                    };
+                    let srcs: Vec<&[u8]> = (0..sources)
+                        .map(|j| &src_base[j][off(j)..off(j) + src_len(j)])
+                        .collect();
+                    let coeff = |r: usize, j: usize| sweep_coeff(r, j, len);
+                    let start: Vec<&[u8]> = (0..rows)
+                        .map(|r| &out_base[r][off(r + 1)..off(r + 1) + len])
+                        .collect();
+                    // The reference: each row on its own, zeroed unless
+                    // accumulating, then one scalar `mul_acc` per source.
+                    let mut expected: Vec<Vec<u8>> = start.iter().map(|r| r.to_vec()).collect();
+                    for (r, row) in expected.iter_mut().enumerate() {
+                        if !accumulate {
+                            row.fill(0);
+                        }
+                        for (j, src) in srcs.iter().enumerate() {
+                            gf256::mul_acc_with(
+                                Kernel::Scalar,
+                                &mut row[..src.len()],
+                                src,
+                                coeff(r, j),
+                            );
+                        }
+                    }
+                    for &kernel in &kernels {
+                        let mut bufs = out_base.clone();
+                        let outs = bufs
+                            .iter_mut()
+                            .take(rows)
+                            .enumerate()
+                            .map(|(r, b)| &mut b[off(r + 1)..off(r + 1) + len]);
+                        gf256::mul_block_with(
+                            kernel,
+                            outs,
+                            sources,
+                            |j| srcs[j],
+                            coeff,
+                            accumulate,
+                        );
+                        for (r, want) in expected.iter().enumerate() {
+                            assert_eq!(
+                                &bufs[r][off(r + 1)..off(r + 1) + len],
+                                &want[..],
+                                "mul_block {kernel} vs scalar rows: {rows}x{sources} len={len} \
+                                 row={r} ragged={ragged} accumulate={accumulate}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The code's shards of `v`, zero-padded: the reference's sources.
+fn shards(v: &Value, k: usize, shard_len: usize) -> Vec<Vec<u8>> {
+    (0..k)
+        .map(|j| {
+            let bytes = v.as_bytes();
+            let start = (j * shard_len).min(bytes.len());
+            let end = ((j + 1) * shard_len).min(bytes.len());
+            let mut shard = bytes[start..end].to_vec();
+            shard.resize(shard_len, 0);
+            shard
+        })
+        .collect()
+}
+
+/// Row `coeffs` applied to `sources` row at a time through the scalar
+/// kernel: the reference every encode and decode path is compared with.
+fn scalar_row(coeffs: &[u8], sources: &[Vec<u8>], len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    for (src, &c) in sources.iter().zip(coeffs) {
+        gf256::mul_acc_with(Kernel::Scalar, &mut out, src, c);
+    }
+    out
+}
+
+/// Reference encode of block `i`: row `i` of the encoding matrix over the
+/// zero-padded shards.
+fn reference_block(code: &ReedSolomon, v: &Value, i: usize) -> Vec<u8> {
+    let k = code.reconstruction_threshold();
+    let shard_len = code.shard_len();
+    scalar_row(
+        code.encoding_matrix().row(i),
+        &shards(v, k, shard_len),
+        shard_len,
+    )
+}
+
+/// Reference decode: invert the chosen blocks' encoding rows and rebuild
+/// every shard row at a time, then cut the padding.
+fn reference_decode(code: &ReedSolomon, blocks: &[Block]) -> Vec<u8> {
+    let indices: Vec<usize> = blocks.iter().map(|b| b.index() as usize).collect();
+    let inv = code
+        .encoding_matrix()
+        .select_rows(&indices)
+        .inverse()
+        .expect("distinct rows of an MDS matrix invert");
+    let payloads: Vec<Vec<u8>> = blocks.iter().map(|b| b.data().to_vec()).collect();
+    let mut value: Vec<u8> = (0..indices.len())
+        .flat_map(|s| scalar_row(inv.row(s), &payloads, code.shard_len()))
+        .collect();
+    value.truncate(code.value_len());
+    value
+}
+
+/// Every encode path and a decode from several `k`-subsets of `code`,
+/// under every available kernel, against the row-at-a-time reference.
+fn check_code_against_reference(code: &ReedSolomon, seed: u64) {
+    let (k, n, len) = (
+        code.reconstruction_threshold(),
+        code.block_count(),
+        code.value_len(),
+    );
+    let shard_len = code.shard_len();
+    let v = Value::seeded(seed, len);
+    let expected: Vec<Vec<u8>> = (0..n).map(|i| reference_block(code, &v, i)).collect();
+    // Subsets: the parity-heaviest (the last k), the first k, and one that
+    // interleaves systematic and parity blocks.
+    let mut subsets: Vec<Vec<usize>> = vec![(n - k..n).collect(), (0..k).collect()];
+    subsets.push(
+        (0..n)
+            .filter(|i| i % 2 == 1)
+            .chain((0..n).filter(|i| i % 2 == 0))
+            .take(k)
+            .collect(),
+    );
+    for kernel in gf256::available_kernels() {
+        assert!(gf256::force_kernel(kernel));
+        let blocks = code.encode(&v);
+        let mut buf = vec![0xa5u8; n * shard_len];
+        code.encode_into(&v, &mut buf).unwrap();
+        for (i, want) in expected.iter().enumerate() {
+            let ctx = format!("{kernel} k={k} n={n} len={len} block {i}");
+            assert_eq!(blocks[i].data(), &want[..], "encode: {ctx}");
+            let one = code.encode_block(&v, i as u32).unwrap();
+            assert_eq!(one.data(), &want[..], "encode_block: {ctx}");
+            assert_eq!(
+                &buf[i * shard_len..(i + 1) * shard_len],
+                &want[..],
+                "encode_into: {ctx}"
+            );
+        }
+        for subset in &subsets {
+            let chosen: Vec<Block> = subset.iter().map(|&i| blocks[i].clone()).collect();
+            let decoded = code.decode(&chosen).unwrap();
+            assert_eq!(
+                decoded.as_bytes(),
+                &reference_decode(code, &chosen)[..],
+                "{kernel} {subset:?}"
+            );
+            assert_eq!(
+                decoded, v,
+                "{kernel} k={k} n={n} len={len} subset {subset:?}"
+            );
+        }
+    }
+    gf256::reset_kernel();
+}
+
+#[test]
+fn reed_solomon_paths_match_row_at_a_time_reference() {
+    // Every k in 1..=8 and n up to 12, at a value length k divides and at
+    // lengths that leave a short (or empty) tail shard; then the-block's
+    // 16 data + 8 parity stripe.
+    for k in 1..=8usize {
+        for n in k..=12usize {
+            for len in [13 * k, 13 * k + 1, 13 * k + k / 2 + 1, k + 1] {
+                let code = ReedSolomon::new(k, n, len).unwrap();
+                check_code_against_reference(&code, (k * 100 + n) as u64);
+            }
+        }
+    }
+    for len in [16 * 64, 16 * 64 + 5] {
+        check_code_against_reference(&ReedSolomon::new(16, 24, len).unwrap(), 1624);
+    }
+}
+
+#[test]
+fn rateless_blocks_match_row_at_a_time_reference() {
+    for (k, len) in [(1usize, 9usize), (3, 31), (4, 64), (7, 50)] {
+        let code = Rateless::new(k, len).unwrap();
+        let v = Value::seeded(k as u64, len);
+        let shard_len = len.div_ceil(k);
+        let sources = shards(&v, k, shard_len);
+        for index in [0u32, 1, k as u32, 99, 123_456] {
+            let want = scalar_row(&code.coefficients(index), &sources, shard_len);
+            assert_eq!(
+                code.encode_block(&v, index).unwrap().data(),
+                &want[..],
+                "k={k} #{index}"
+            );
         }
     }
 }

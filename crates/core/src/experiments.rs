@@ -1,7 +1,7 @@
 //! Experiment drivers regenerating the paper's quantitative claims.
 //!
-//! Each function here backs one experiment id in `DESIGN.md` §4 /
-//! `EXPERIMENTS.md`; the `rsb-bench` binaries print the resulting rows.
+//! Each function here backs one experiment (E1–E4, named on each item);
+//! the `rsb-bench` binaries print the resulting rows.
 
 use rsb_coding::Value;
 use rsb_fpsm::{run, FairScheduler, OpRequest, StorageCost};

@@ -24,8 +24,8 @@
 //!   transport-generic async client surface (in-process loopback or a
 //!   real TCP wire), live storage metrics, and an open-/closed-loop
 //!   load harness;
-//! * [`experiments`] — the drivers regenerating every quantitative claim
-//!   (see `EXPERIMENTS.md` at the repository root);
+//! * [`experiments`] — the functions regenerating every quantitative claim,
+//!   whose rows the `rsb-bench` binaries print;
 //! * [`verify`] — glue tying scenarios to the checkers.
 //!
 //! # Quickstart

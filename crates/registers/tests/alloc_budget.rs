@@ -11,7 +11,7 @@
 // file is listed under `[unsafe_code] allowed` in `audit.toml`.
 #![allow(unsafe_code)]
 
-use rsb_coding::Value;
+use rsb_coding::{Code, ReedSolomon, Value};
 use rsb_fpsm::{ClientId, Component, OpRequest, RmwId, SimEvent, Simulation};
 use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -185,12 +185,33 @@ fn cost(allocations: u64, metadata_events: u64) -> OpCost {
     }
 }
 
+/// Allocations of one warm `ReedSolomon::encode` of a `len`-byte value.
+fn encode_allocations(k: usize, n: usize, len: usize) -> u64 {
+    let code = ReedSolomon::new(k, n, len).expect("valid code parameters");
+    let value = Value::seeded(1, len);
+    drop(code.encode(&value));
+    let before = allocations();
+    let blocks = code.encode(&value);
+    let spent = allocations() - before;
+    drop(blocks);
+    spent
+}
+
 // The counts below are what the code does today, not a target: a change
 // that moves one says so here. A write's are its rounds (two lists each)
 // plus what encoding makes (the write set and its parity buffers; for
 // Adaptive also the shared replica list); a read's are its round, one
 // chunk list per responding object, and the decoder's bookkeeping — never
 // a buffer of the value's size.
+
+// An encode allocates the block list and one buffer per parity block and
+// nothing else — the block kernel's bookkeeping lives on the stack:
+// `1 + (n − k)`. Systematic blocks are windows onto the value.
+#[test]
+fn reed_solomon_encode_allocation_budget() {
+    assert_eq!(encode_allocations(4, 7, 64 * 1024), 4, "4-of-7 × 64 KiB");
+    assert_eq!(encode_allocations(2, 6, 1024), 5, "2-of-6 × 1 KiB");
+}
 
 #[test]
 fn abd_256b_allocation_budget() {
