@@ -3,9 +3,9 @@
 //!
 //! The build environment vendors stub crates only, so there is no real
 //! TOML (or serde) implementation to lean on. The parser below covers
-//! exactly what the manifest needs: `[section]` and `[[array.of.tables]]`
-//! headers, `key = "string"`, `key = 123`, `key = true`, and
-//! (possibly multi-line) `key = ["a", "b"]` string arrays. Anything
+//! exactly what the manifest needs: `[section]` headers,
+//! `key = "string"`, `key = true`, and (possibly multi-line)
+//! `key = ["a", "b"]` string arrays. Anything
 //! else is a hard error — the manifest is project infrastructure, not
 //! user input.
 
@@ -34,26 +34,20 @@ impl std::error::Error for ConfigError {}
 pub enum TomlValue {
     /// A quoted string.
     Str(String),
-    /// An integer.
-    Int(i64),
     /// A boolean.
     Bool(bool),
     /// An array of strings.
     StrArray(Vec<String>),
 }
 
-/// One `[section]` or one element of a `[[section]]` list: its key/value
-/// pairs in declaration order.
+/// One `[section]`: its key/value pairs by key.
 pub type TomlTable = BTreeMap<String, TomlValue>;
 
-/// The parsed document: plain sections by name, array-of-table sections
-/// by name.
+/// The parsed document: its `[name]` sections by name.
 #[derive(Debug, Default)]
 pub struct TomlDoc {
     /// `[name]` sections.
     pub tables: BTreeMap<String, TomlTable>,
-    /// `[[name]]` sections, in declaration order.
-    pub arrays: BTreeMap<String, Vec<TomlTable>>,
 }
 
 fn err(line: u32, message: impl Into<String>) -> ConfigError {
@@ -109,26 +103,20 @@ fn parse_scalar(raw: &str, line_no: u32) -> Result<TomlValue, ConfigError> {
     if raw == "false" {
         return Ok(TomlValue::Bool(false));
     }
-    raw.parse::<i64>()
-        .map(TomlValue::Int)
-        .map_err(|_| err(line_no, format!("unsupported value `{raw}`")))
+    Err(err(line_no, format!("unsupported value `{raw}`")))
 }
 
 /// Parses the supported TOML subset.
 ///
 /// # Errors
 ///
-/// Fails on any construct outside the subset (inline tables, floats,
-/// non-string arrays, dotted keys), with the offending line number.
+/// Fails on any construct outside the subset (inline tables, numbers,
+/// arrays of tables, non-string arrays, dotted keys), with the offending
+/// line number.
 pub fn parse_toml(src: &str) -> Result<TomlDoc, ConfigError> {
     let mut doc = TomlDoc::default();
-    // Where key/value pairs currently land.
-    enum Cursor {
-        None,
-        Table(String),
-        Array(String),
-    }
-    let mut cursor = Cursor::None;
+    // The section key/value pairs currently land in.
+    let mut cursor: Option<String> = None;
     let mut lines = src.lines().enumerate().peekable();
     while let Some((idx, raw)) = lines.next() {
         let line_no = u32::try_from(idx + 1).unwrap_or(u32::MAX);
@@ -136,17 +124,8 @@ pub fn parse_toml(src: &str) -> Result<TomlDoc, ConfigError> {
         if line.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("[[") {
-            let Some(name) = rest.strip_suffix("]]") else {
-                return Err(err(line_no, "malformed [[section]] header"));
-            };
-            let name = name.trim().to_string();
-            doc.arrays
-                .entry(name.clone())
-                .or_default()
-                .push(TomlTable::new());
-            cursor = Cursor::Array(name);
-            continue;
+        if line.starts_with("[[") {
+            return Err(err(line_no, "arrays of tables are not supported"));
         }
         if let Some(rest) = line.strip_prefix('[') {
             let Some(name) = rest.strip_suffix(']') else {
@@ -154,7 +133,7 @@ pub fn parse_toml(src: &str) -> Result<TomlDoc, ConfigError> {
             };
             let name = name.trim().to_string();
             doc.tables.entry(name.clone()).or_default();
-            cursor = Cursor::Table(name);
+            cursor = Some(name);
             continue;
         }
         let Some(eq) = line.find('=') else {
@@ -195,15 +174,10 @@ pub fn parse_toml(src: &str) -> Result<TomlDoc, ConfigError> {
         } else {
             parse_scalar(&value_src, line_no)?
         };
-        let table = match &cursor {
-            Cursor::None => return Err(err(line_no, "key/value before any [section]")),
-            Cursor::Table(name) => doc.tables.get_mut(name).expect("cursor points at a table"),
-            Cursor::Array(name) => doc
-                .arrays
-                .get_mut(name)
-                .and_then(|v| v.last_mut())
-                .expect("cursor points at an array element"),
+        let Some(name) = &cursor else {
+            return Err(err(line_no, "key/value before any [section]"));
         };
+        let table = doc.tables.get_mut(name).expect("cursor points at a table");
         if table.insert(key.clone(), value).is_some() {
             return Err(err(line_no, format!("duplicate key `{key}`")));
         }
@@ -248,18 +222,6 @@ fn split_array_items(body: &str) -> Vec<String> {
         .collect()
 }
 
-/// One level of the declared lock hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockLevel {
-    /// Numeric rank: locks must be acquired in strictly increasing rank.
-    pub rank: i64,
-    /// Human-readable level name (matches the runtime checker's table).
-    pub name: String,
-    /// Struct field names whose `.lock()`/`.try_lock()`/`.read()`/
-    /// `.write()` acquire this level.
-    pub fields: Vec<String>,
-}
-
 /// The analyzer's full configuration.
 #[derive(Debug, Clone, Default)]
 pub struct AuditConfig {
@@ -274,25 +236,6 @@ pub struct AuditConfig {
     /// Crate names whose `lib.rs` may carry `#![deny(unsafe_code)]`
     /// instead of `#![forbid(unsafe_code)]`.
     pub deny_header_ok: Vec<String>,
-    /// The declared lock hierarchy, sorted by rank.
-    pub lock_levels: Vec<LockLevel>,
-}
-
-impl AuditConfig {
-    /// The lock level (rank and name) a field name maps to, if any.
-    #[must_use]
-    pub fn lock_level_of(&self, field: &str) -> Option<&LockLevel> {
-        self.lock_levels
-            .iter()
-            .find(|l| l.fields.iter().any(|f| f == field))
-    }
-
-    /// The level with the given name (what `tracked_lock` calls name via
-    /// their `ranks::` constant).
-    #[must_use]
-    pub fn lock_level_named(&self, name: &str) -> Option<&LockLevel> {
-        self.lock_levels.iter().find(|l| l.name == name)
-    }
 }
 
 fn take_str_array(table: &TomlTable, key: &str) -> Vec<String> {
@@ -302,13 +245,11 @@ fn take_str_array(table: &TomlTable, key: &str) -> Vec<String> {
     }
 }
 
-/// Parses and validates `audit.toml`.
+/// Parses `audit.toml`.
 ///
 /// # Errors
 ///
-/// Fails on TOML outside the supported subset, on lock levels missing
-/// required keys, on duplicate ranks, or on one field name mapped to
-/// two levels.
+/// Fails on TOML outside the supported subset.
 pub fn parse_config(src: &str) -> Result<AuditConfig, ConfigError> {
     let doc = parse_toml(src)?;
     let mut config = AuditConfig::default();
@@ -319,51 +260,6 @@ pub fn parse_config(src: &str) -> Result<AuditConfig, ConfigError> {
     if let Some(table) = doc.tables.get("unsafe_code") {
         config.unsafe_allowed = take_str_array(table, "allowed");
         config.deny_header_ok = take_str_array(table, "deny_header_ok");
-    }
-    if let Some(levels) = doc.arrays.get("lock_order.level") {
-        for table in levels {
-            let Some(TomlValue::Int(rank)) = table.get("rank") else {
-                return Err(err(0, "lock_order.level missing integer `rank`"));
-            };
-            let Some(TomlValue::Str(name)) = table.get("name") else {
-                return Err(err(0, "lock_order.level missing string `name`"));
-            };
-            let fields = take_str_array(table, "fields");
-            if fields.is_empty() {
-                return Err(err(0, format!("lock level `{name}` declares no fields")));
-            }
-            config.lock_levels.push(LockLevel {
-                rank: *rank,
-                name: name.clone(),
-                fields,
-            });
-        }
-    }
-    config.lock_levels.sort_by_key(|l| l.rank);
-    for pair in config.lock_levels.windows(2) {
-        if pair[0].rank == pair[1].rank {
-            return Err(err(
-                0,
-                format!(
-                    "lock levels `{}` and `{}` share rank {}",
-                    pair[0].name, pair[1].name, pair[0].rank
-                ),
-            ));
-        }
-    }
-    let mut seen_fields: BTreeMap<&str, &str> = BTreeMap::new();
-    for level in &config.lock_levels {
-        for field in &level.fields {
-            if let Some(other) = seen_fields.insert(field.as_str(), level.name.as_str()) {
-                return Err(err(
-                    0,
-                    format!(
-                        "field `{field}` mapped to both `{other}` and `{}`",
-                        level.name
-                    ),
-                ));
-            }
-        }
     }
     Ok(config)
 }
@@ -384,16 +280,6 @@ index_paths = ["crates/store/src/net/frame.rs"]
 [unsafe_code]
 allowed = ["crates/coding/src/gf256/simd.rs"]
 deny_header_ok = ["coding"]
-
-[[lock_order.level]]
-rank = 0
-name = "shard_map"
-fields = ["map"]
-
-[[lock_order.level]]
-rank = 30
-name = "key_state"
-fields = ["state"]
 "#;
 
     #[test]
@@ -405,30 +291,15 @@ fields = ["state"]
             config.unsafe_allowed,
             vec!["crates/coding/src/gf256/simd.rs"]
         );
-        assert_eq!(config.lock_levels.len(), 2);
-        assert_eq!(config.lock_level_of("state").unwrap().rank, 30);
-        assert_eq!(config.lock_level_of("map").unwrap().name, "shard_map");
-        assert!(config.lock_level_of("unknown").is_none());
-    }
-
-    #[test]
-    fn rejects_duplicate_ranks() {
-        let src = "[[lock_order.level]]\nrank = 1\nname = \"a\"\nfields = [\"x\"]\n\
-                   [[lock_order.level]]\nrank = 1\nname = \"b\"\nfields = [\"y\"]\n";
-        assert!(parse_config(src).is_err());
-    }
-
-    #[test]
-    fn rejects_field_mapped_twice() {
-        let src = "[[lock_order.level]]\nrank = 1\nname = \"a\"\nfields = [\"x\"]\n\
-                   [[lock_order.level]]\nrank = 2\nname = \"b\"\nfields = [\"x\"]\n";
-        assert!(parse_config(src).is_err());
+        assert_eq!(config.deny_header_ok, vec!["coding"]);
     }
 
     #[test]
     fn rejects_unsupported_values() {
         assert!(parse_toml("[t]\nx = 1.5\n").is_err());
-        assert!(parse_toml("x = 1\n").is_err());
+        assert!(parse_toml("[t]\nx = 1\n").is_err());
+        assert!(parse_toml("x = true\n").is_err());
+        assert!(parse_toml("[[t]]\nx = true\n").is_err());
         assert!(parse_toml("[t]\nx = { a = 1 }\n").is_err());
     }
 

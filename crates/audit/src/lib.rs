@@ -11,7 +11,6 @@
 //! | `atomics-relaxed` | every `Ordering::Relaxed` carries a written justification |
 //! | `atomics-seqcst` | `Ordering::SeqCst` is suspicious by default and needs one too |
 //! | `unsafe-confinement` | `unsafe` only in the allowed SIMD kernels, each under a `// SAFETY:` comment |
-//! | `lock-order` | nested lock acquisitions follow the hierarchy in `audit.toml` |
 //! | `lint-headers` | every crate root carries `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` |
 //! | `bad-annotation` | malformed `audit:allow` comments are findings themselves |
 //!
@@ -19,8 +18,10 @@
 //! `// audit:allow(<rule>) — <justification>` on or directly above the
 //! offending line; suppressions are kept in the report so they stay
 //! reviewable. The manifest (`audit.toml` at the repo root) declares
-//! the tagged paths and the lock hierarchy; the runtime twin of the
-//! lock-order rule lives in `rsb-registers::lockorder`.
+//! the tagged paths. Lock ordering is not a static rule: the one nested
+//! acquisition in the workspace crosses a function boundary, which a
+//! token-level pass cannot follow, so the store checks its lock
+//! hierarchy at run time (`rsb-store`'s `lockorder` module).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +59,6 @@ pub fn audit_source(rel_path: &str, src: &str, config: &AuditConfig) -> Report {
     rules::panic_paths::check(&ctx, &mut report.findings, &mut report.suppressions);
     rules::atomics::check(&ctx, &mut report.findings, &mut report.suppressions);
     rules::unsafe_confinement::check(&ctx, &mut report.findings, &mut report.suppressions);
-    rules::lock_order::check(&ctx, &mut report.findings, &mut report.suppressions);
     for bad in &ann.bad {
         report.findings.push(Finding {
             rule: Rule::BadAnnotation,

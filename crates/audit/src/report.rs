@@ -20,8 +20,6 @@ pub enum Rule {
     AtomicsSeqCst,
     /// `unsafe` outside the allowed files, or without a SAFETY comment.
     UnsafeConfinement,
-    /// Nested lock acquisition inverting the declared hierarchy.
-    LockOrder,
     /// A crate `lib.rs` missing its mandatory lint header.
     LintHeaders,
     /// A malformed `audit:allow` annotation (unknown rule or missing
@@ -39,7 +37,6 @@ impl Rule {
             Rule::AtomicsRelaxed => "atomics-relaxed",
             Rule::AtomicsSeqCst => "atomics-seqcst",
             Rule::UnsafeConfinement => "unsafe-confinement",
-            Rule::LockOrder => "lock-order",
             Rule::LintHeaders => "lint-headers",
             Rule::BadAnnotation => "bad-annotation",
         }
@@ -54,7 +51,6 @@ impl Rule {
             Rule::AtomicsRelaxed,
             Rule::AtomicsSeqCst,
             Rule::UnsafeConfinement,
-            Rule::LockOrder,
             Rule::LintHeaders,
             Rule::BadAnnotation,
         ]

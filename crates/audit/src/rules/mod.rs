@@ -2,7 +2,6 @@
 
 pub mod atomics;
 pub mod lint_headers;
-pub mod lock_order;
 pub mod panic_paths;
 pub mod unsafe_confinement;
 
@@ -23,7 +22,7 @@ pub struct FileCtx<'a> {
     /// The manifest.
     pub config: &'a AuditConfig,
     /// Line spans (inclusive) of `#[cfg(test)] mod` blocks — test code
-    /// panics by design, so the panic-path and lock-order rules skip it.
+    /// panics by design, so the panic-path rules skip it.
     pub test_spans: Vec<(u32, u32)>,
 }
 

@@ -144,25 +144,6 @@ fn unsafe_good_passes_in_simd_scope() {
 }
 
 #[test]
-fn lock_order_inversions_flagged_at_exact_lines() {
-    let report = check_golden("crates/store/src/fixture.rs", "lock_order_bad.rs");
-    assert_eq!(report.findings.len(), 3);
-    // The raw and tracked inversions name both ends of the violation…
-    assert!(report.findings[0].message.contains("while holding"));
-    assert!(report.findings[1].message.contains("while holding"));
-    // …and the unknown rank constant is its own finding.
-    assert!(report.findings[2].message.contains("MYSTERY_LOCK"));
-}
-
-#[test]
-fn lock_order_good_passes_with_annotated_inversion() {
-    let report = check_golden("crates/store/src/fixture.rs", "lock_order_good.rs");
-    assert!(report.is_clean());
-    assert_eq!(report.suppressions.len(), 1, "the annotated inversion");
-    assert_eq!(report.suppressions[0].rule, Rule::LockOrder);
-}
-
-#[test]
 fn malformed_annotations_are_findings() {
     let report = check_golden("crates/store/src/fixture.rs", "bad_annotation.rs");
     assert_eq!(report.findings.len(), 2);
@@ -219,7 +200,7 @@ fn workspace_is_clean() {
 /// | frame.rs direct indexing     | `index-path`          |
 /// | crate lint headers           | `lint-headers`        |
 ///
-/// (panic-path beyond frame.rs, the atomics rules, lock-order, and
+/// (panic-path beyond frame.rs, the atomics rules and
 /// bad-annotation have no Python counterpart — strict superset.)
 #[test]
 fn parity_superset_of_static_audit_py() {

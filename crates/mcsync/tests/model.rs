@@ -100,7 +100,7 @@ fn mutexed_increment_is_race_free() {
 }
 
 #[test]
-fn lock_order_inversion_deadlocks() {
+fn inverted_lock_pair_deadlocks() {
     let err = sched::model(&quick(), || {
         let a = Arc::new(sync::Mutex::new(()));
         let b = Arc::new(sync::Mutex::new(()));

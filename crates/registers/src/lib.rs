@@ -44,7 +44,6 @@ pub mod abd;
 pub mod adaptive;
 pub mod coded;
 pub mod common;
-pub mod lockorder;
 pub mod protocol;
 pub mod safe;
 

@@ -74,11 +74,10 @@ pub enum HistoryPolicy {
     /// Keep every record (the pre-compaction behaviour; default).
     Unbounded,
     /// Compact a key's history whenever it holds more than `N` live
-    /// records — bounded memory under sustained traffic.
+    /// records — bounded memory under sustained traffic. A key-lock hold
+    /// runs its operations to completion, so `TruncateAfter(1)` leaves
+    /// only the frontier once each hold ends.
     TruncateAfter(usize),
-    /// Compact a key's history whenever the register goes quiescent
-    /// (no in-flight work): between bursts only the frontier survives.
-    TruncateOnQuiescence,
 }
 
 /// Where (and how) [`Store::serve`](crate::Store::serve) exposes the
@@ -95,21 +94,17 @@ pub struct ListenSpec {
     /// Maximum concurrent client connections; further connects are
     /// answered with a `Rejected` error frame and closed.
     pub backlog: usize,
-    /// Whether to set `TCP_NODELAY` on accepted connections (default
-    /// true — the protocol is request/response, Nagle only adds latency).
-    pub nodelay: bool,
 }
 
 impl ListenSpec {
     /// Default connection bound.
     pub const DEFAULT_BACKLOG: usize = 64;
 
-    /// A spec for `addr` with the default backlog and `TCP_NODELAY` on.
+    /// A spec for `addr` with the default backlog.
     pub fn new(addr: impl Into<String>) -> Self {
         ListenSpec {
             addr: addr.into(),
             backlog: Self::DEFAULT_BACKLOG,
-            nodelay: true,
         }
     }
 
@@ -277,7 +272,7 @@ mod tests {
             Err(StoreConfigError::ZeroRecorderCapacity)
         );
         assert!(cfg
-            .with_history(HistoryPolicy::TruncateOnQuiescence)
+            .with_history(HistoryPolicy::TruncateAfter(1))
             .validate()
             .is_ok());
     }

@@ -72,6 +72,7 @@
 
 mod config;
 mod future;
+mod lockorder;
 mod mcsync;
 mod metrics;
 mod net;

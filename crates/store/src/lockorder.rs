@@ -1,58 +1,36 @@
-//! Runtime lock-hierarchy enforcement — the dynamic twin of
-//! `rsb-audit`'s static `lock-order` rule.
+//! The store's lock hierarchy, checked at run time.
 //!
-//! Every guarded structure in the store stack acquires its lock through
-//! [`tracked_lock`], naming its level in the
-//! hierarchy declared in the repo-root `audit.toml`. Under
-//! `debug_assertions` or the `mc` feature, a per-thread held-level set
-//! is maintained and an acquisition that does not *strictly increase*
-//! the held rank panics immediately — turning a would-be deadlock (or a
-//! latent inversion that only deadlocks under contention) into a loud,
-//! deterministic failure in tests and model-check runs. In release
-//! builds the checker compiles to nothing: [`HeldLock`] is a zero-sized
-//! no-op and [`Tracked`] is a transparent newtype around the guard.
-//!
-//! The rank table below mirrors `audit.toml` — `rsb-audit`'s test suite
-//! cross-checks the two so they cannot drift apart.
+//! Every lock in the crate is taken through [`tracked_lock`], naming its
+//! level in [`ranks`]. Under `debug_assertions` or the `mc` feature, a
+//! per-thread held-level set is maintained and an acquisition that does
+//! not *strictly increase* the held rank panics immediately — turning a
+//! would-be deadlock (or a latent inversion that only deadlocks under
+//! contention) into a loud, deterministic failure in tests and
+//! model-check runs. The check follows the calls a thread actually
+//! makes, so it sees nestings that cross function boundaries: the one
+//! nested pair in the crate, `net_state` taken under `net_writer`, is a
+//! `Conn::send` → `ReplyQueue::push` call. In release builds the checker
+//! compiles to nothing: [`HeldLock`] is a zero-sized no-op and
+//! [`Tracked`] is a transparent newtype around the guard.
 
 #[cfg(any(debug_assertions, feature = "mc"))]
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
-/// The declared lock levels, mirroring `[[lock_order.level]]` entries in
-/// `audit.toml`. Acquisitions must be nested in strictly increasing
+/// The lock levels. Acquisitions must be nested in strictly increasing
 /// rank.
-pub mod ranks {
+pub(crate) mod ranks {
     /// `Shard.map`: key-name placement map.
-    pub const SHARD_MAP: i64 = 0;
+    pub(crate) const SHARD_MAP: i64 = 0;
     /// A shard's `KeySlot`: per-key simulation state.
-    pub const KEY_STATE: i64 = 30;
+    pub(crate) const KEY_STATE: i64 = 1;
     /// tcp client: write half of the socket and its encode buffer.
-    pub const NET_WRITER: i64 = 36;
+    pub(crate) const NET_WRITER: i64 = 2;
     /// tcp client: `ReplyQueue.replies`, the replies still owed and the
     /// read half of the socket.
-    pub const NET_STATE: i64 = 38;
+    pub(crate) const NET_STATE: i64 = 3;
     /// net server: live connection map.
-    pub const CONN_TABLE: i64 = 72;
-    /// net server: per-connection join handles.
-    pub const CONN_HANDLES: i64 = 74;
-    /// net server: acceptor join handle.
-    pub const ACCEPT_HANDLE: i64 = 76;
-}
-
-/// The full `(rank, name)` table, in rank order — what the audit-crate
-/// cross-check test compares against `audit.toml`.
-#[must_use]
-pub fn rank_table() -> &'static [(i64, &'static str)] {
-    &[
-        (ranks::SHARD_MAP, "shard_map"),
-        (ranks::KEY_STATE, "key_state"),
-        (ranks::NET_WRITER, "net_writer"),
-        (ranks::NET_STATE, "net_state"),
-        (ranks::CONN_TABLE, "conn_table"),
-        (ranks::CONN_HANDLES, "conn_handles"),
-        (ranks::ACCEPT_HANDLE, "accept_handle"),
-    ]
+    pub(crate) const CONN_TABLE: i64 = 4;
 }
 
 #[cfg(any(debug_assertions, feature = "mc"))]
@@ -67,7 +45,7 @@ thread_local! {
 /// then panics instead of deadlocking. Zero-sized and inert without
 /// `debug_assertions` / `mc`.
 #[derive(Debug)]
-pub struct HeldLock {
+pub(crate) struct HeldLock {
     #[cfg(any(debug_assertions, feature = "mc"))]
     rank: i64,
 }
@@ -78,11 +56,10 @@ impl HeldLock {
     /// # Panics
     ///
     /// Panics (checked builds only) when `rank` does not strictly exceed
-    /// every rank the current thread already holds — the same condition
-    /// the static `lock-order` rule reports.
+    /// every rank the current thread already holds.
     #[inline]
     #[must_use]
-    pub fn acquire(rank: i64, name: &'static str) -> HeldLock {
+    pub(crate) fn acquire(rank: i64, name: &'static str) -> HeldLock {
         #[cfg(not(any(debug_assertions, feature = "mc")))]
         {
             let _ = (rank, name);
@@ -99,7 +76,7 @@ impl HeldLock {
                         rank > top_rank,
                         "lock-order violation: acquiring `{name}` (level {rank}) \
                          while holding `{top_name}` (level {top_rank}) — \
-                         levels must strictly increase; see audit.toml"
+                         levels must strictly increase; see rsb-store's `lockorder::ranks`"
                     );
                 }
                 held.push((rank, name));
@@ -126,7 +103,7 @@ impl Drop for HeldLock {
 /// A lock guard paired with its [`HeldLock`] record. Dereferences to the
 /// guarded data; the record is released when the guard drops.
 #[derive(Debug)]
-pub struct Tracked<G> {
+pub(crate) struct Tracked<G> {
     // Declaration order matters: the inner guard must drop (releasing
     // the lock) before the held-set record is removed.
     guard: G,
@@ -139,7 +116,7 @@ impl<G> Tracked<G> {
     /// is sound because the set is per-thread and a parked thread
     /// acquires nothing.
     #[inline]
-    pub fn raw_mut(&mut self) -> &mut G {
+    pub(crate) fn raw_mut(&mut self) -> &mut G {
         &mut self.guard
     }
 }
@@ -165,7 +142,11 @@ impl<G: DerefMut> DerefMut for Tracked<G> {
 /// take the real lock. Generic over the guard type, so it wraps
 /// `parking_lot`, `std`, and `rsb-mcsync` guards alike.
 #[inline]
-pub fn tracked_lock<G>(rank: i64, name: &'static str, acquire: impl FnOnce() -> G) -> Tracked<G> {
+pub(crate) fn tracked_lock<G>(
+    rank: i64,
+    name: &'static str,
+    acquire: impl FnOnce() -> G,
+) -> Tracked<G> {
     let held = HeldLock::acquire(rank, name);
     Tracked {
         guard: acquire(),
@@ -229,12 +210,5 @@ mod tests {
         })
         .join()
         .expect("spawned thread must not see this thread's held set");
-    }
-
-    #[test]
-    fn rank_table_is_strictly_increasing() {
-        for pair in rank_table().windows(2) {
-            assert!(pair[0].0 < pair[1].0, "{pair:?}");
-        }
     }
 }

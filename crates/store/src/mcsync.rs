@@ -6,7 +6,9 @@
 //! `crates/mc`'s interleaving harness can exhaustively explore their
 //! schedules; the wrappers are transparent passthroughs outside a model
 //! run. Without the feature these aliases are exactly
-//! `std::sync::atomic` / `parking_lot`.
+//! `std::sync::atomic` / `parking_lot`. The same feature keeps the
+//! lock-order check (`crate::lockorder`) on in release builds, so the
+//! interleaving scenarios also fail on a rank inversion.
 
 #[cfg(feature = "mc")]
 pub(crate) use rsb_mcsync::sync::{AtomicU64, Condvar, Mutex, MutexGuard, Ordering};

@@ -31,9 +31,9 @@
 //! it and `crates/mc/tests/interleavings.rs` can exhaust its
 //! interleavings on the real code (`mc` feature).
 
+use crate::lockorder::{ranks, tracked_lock, Tracked};
 use crate::mcsync::{Condvar, Mutex, MutexGuard};
 use crate::store::StoreError;
-use rsb_registers::lockorder::{ranks, tracked_lock, Tracked};
 use std::collections::VecDeque;
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;

@@ -11,24 +11,28 @@
 //! the socket's send buffer (the thread blocks in `write` and stops
 //! reading) instead of queueing responses in memory.
 //!
-//! Shutdown stops the accept loop (a self-connect unblocks it), halts
-//! the store — requests still arriving are answered with `ShutDown`
-//! error frames — shuts down every live connection socket (unblocking
-//! the threads parked in `read`), and joins every thread.
+//! The accept thread owns the connection threads' handles: on every
+//! accept it joins the threads whose connections have closed, so a
+//! long-lived server holds a thread (and its stack) per live connection,
+//! not per connection ever accepted. Shutdown stops the accept loop (a
+//! self-connect unblocks it), which hands back the handles still
+//! unjoined; halts the store — requests still arriving are answered with
+//! `ShutDown` error frames — shuts down every live connection socket
+//! (unblocking the threads parked in `read`), and joins those threads.
 
 use super::frame::{
     read_frame, write_frame, Frame, FrameReader, FrameWriter, WireOp, WireOpResult, WIRE_VERSION,
 };
 use super::{result_frame, value_from_wire, Loopback, Transport};
 use crate::config::ListenSpec;
+use crate::lockorder::{ranks, tracked_lock};
 use crate::recorder::FlightEventKind;
 use crate::store::{BatchOp, Store, StoreError};
 use rsb_fpsm::{OpRequest, OpResult};
-use rsb_registers::lockorder::{ranks, tracked_lock};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -46,16 +50,18 @@ fn wire_result(result: Result<OpResult, StoreError>) -> WireOpResult {
     }
 }
 
-/// Book-keeping shared by the accept loop and the server handle.
+/// Book-keeping shared by the accept loop, the connection threads and
+/// the server handle.
 struct ServerShared {
     stopping: AtomicBool,
     /// Live connection sockets by connection id, so shutdown can
     /// unblock every connection thread stuck in a blocking read.
     conns: parking_lot::Mutex<HashMap<u64, TcpStream>>,
-    /// Connection-thread handles. Finished threads linger here until
-    /// shutdown joins them — cheap, bounded by the connection cap.
-    handles: parking_lot::Mutex<Vec<JoinHandle<()>>>,
 }
+
+/// The accept thread's handle. The thread returns the handles of the
+/// connection threads it has not joined yet.
+type AcceptHandle = JoinHandle<Vec<JoinHandle<()>>>;
 
 /// A running TCP front-end over a [`Store`].
 ///
@@ -65,7 +71,8 @@ pub struct StoreServer {
     store: Store,
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
-    accept: parking_lot::Mutex<Option<JoinHandle<()>>>,
+    /// `None` once stopped.
+    accept: Option<AcceptHandle>,
 }
 
 impl std::fmt::Debug for StoreServer {
@@ -86,7 +93,6 @@ impl StoreServer {
         let shared = Arc::new(ServerShared {
             stopping: AtomicBool::new(false),
             conns: parking_lot::Mutex::new(HashMap::new()),
-            handles: parking_lot::Mutex::new(Vec::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -101,7 +107,7 @@ impl StoreServer {
             store,
             local_addr,
             shared,
-            accept: parking_lot::Mutex::new(Some(accept)),
+            accept: Some(accept),
         })
     }
 
@@ -122,26 +128,20 @@ impl StoreServer {
     /// decoded after the halt is answered with a
     /// [`StoreError::ShutDown`] error frame, until the socket closes.
     /// Idempotent; also runs on drop.
-    pub fn shutdown(self) {
+    pub fn shutdown(mut self) {
         self.stop();
     }
 
-    fn stop(&self) {
-        // Release publishes the stop to the accept loop's acquire load;
-        // the returned prior value (idempotence) needs only RMW
-        // atomicity. Nothing here requires a total order across other
-        // atomics, so SeqCst (the former ordering) was overkill.
-        if self.shared.stopping.swap(true, Ordering::AcqRel) {
+    fn stop(&mut self) {
+        let Some(accept) = self.accept.take() else {
             return;
-        }
+        };
+        // Release publishes the stop to the accept loop's acquire load.
+        self.shared.stopping.store(true, Ordering::Release);
         // Unblock the accept loop: it re-checks the stop flag per
         // iteration, so one throwaway local connection gets it to exit.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) =
-            tracked_lock(ranks::ACCEPT_HANDLE, "accept_handle", || self.accept.lock()).take()
-        {
-            let _ = h.join();
-        }
+        let handles = accept.join().unwrap_or_default();
         self.store.halt();
         // Sever live sockets so connection threads blocked in a read (or
         // in a write to a client that stopped reading) return.
@@ -150,11 +150,6 @@ impl StoreServer {
         {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        let handles: Vec<_> = tracked_lock(ranks::CONN_HANDLES, "conn_handles", || {
-            self.shared.handles.lock()
-        })
-        .drain(..)
-        .collect();
         for h in handles {
             let _ = h.join();
         }
@@ -167,23 +162,33 @@ impl Drop for StoreServer {
     }
 }
 
+/// Accepts connections until the server stops, then returns the handles
+/// of the connection threads it has not joined.
 fn accept_loop(
     listener: &TcpListener,
     loopback: &Loopback,
     shared: &Arc<ServerShared>,
     spec: &ListenSpec,
-) {
-    let next_conn = AtomicU64::new(0);
+) -> Vec<JoinHandle<()>> {
+    let mut next_conn = 0u64;
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
-        // Acquire pairs with the stopper's release swap: once the
+        // Acquire pairs with the stopper's release store: once the
         // stopper's throwaway connection lands here, this load observes
         // the flag (the accept syscall round-trip long outlasts store
         // visibility) and the loop exits before spawning more handlers.
         // Checked on errors too: when `accept` keeps failing (EMFILE),
         // the throwaway connection never arrives.
         if shared.stopping.load(Ordering::Acquire) {
-            return;
+            return handles;
+        }
+        // Join the threads of connections that have closed since the
+        // last accept.
+        let (finished, live) = handles.into_iter().partition(JoinHandle::is_finished);
+        handles = live;
+        for h in finished {
+            let _ = h.join();
         }
         let Ok((stream, _)) = accepted else {
             // A persistent failure returns at once every time; retrying
@@ -212,12 +217,10 @@ fn accept_loop(
             );
             continue;
         }
-        if spec.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
-        // audit:allow(atomics-relaxed) — ID allocation; single-threaded
-        // accept loop, and uniqueness needs only RMW atomicity.
-        let conn_id = next_conn.fetch_add(1, Ordering::Relaxed);
+        // The protocol is request/response: Nagle only adds latency.
+        let _ = stream.set_nodelay(true);
+        let conn_id = next_conn;
+        next_conn += 1;
         let Ok(registered) = stream.try_clone() else {
             continue;
         };
@@ -235,10 +238,7 @@ fn accept_loop(
                 })
         };
         match handle {
-            Ok(h) => tracked_lock(ranks::CONN_HANDLES, "conn_handles", || {
-                shared.handles.lock()
-            })
-            .push(h),
+            Ok(h) => handles.push(h),
             Err(_) => {
                 tracked_lock(ranks::CONN_TABLE, "conn_table", || shared.conns.lock())
                     .remove(&conn_id);

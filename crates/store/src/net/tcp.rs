@@ -41,10 +41,10 @@
 use super::frame::{Frame, FrameReader, FrameWriter, ReadStop, WireOp, WIRE_VERSION};
 use super::replies::{NextReply, ReplyQueue};
 use super::{value_from_wire, KeyMeta, OpTicket, Transport};
+use crate::lockorder::{ranks, tracked_lock};
 use crate::metrics::StoreMetrics;
 use crate::store::{BatchOp, StoreError};
 use rsb_fpsm::{OpRequest, OpResult};
-use rsb_registers::lockorder::{ranks, tracked_lock};
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::Arc;

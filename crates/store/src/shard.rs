@@ -20,6 +20,7 @@
 
 use crate::config::ShardSpec;
 use crate::config::{HistoryPolicy, ProtocolSpec};
+use crate::lockorder::{ranks, tracked_lock};
 use crate::metrics::{AtomicCounters, ShardMetrics};
 use crate::recorder::{FlightEventKind, FlightRecorder};
 use crate::store::StoreError;
@@ -27,7 +28,6 @@ use rsb_coding::Value;
 use rsb_fpsm::{
     ClientId, OpId, OpRecord, OpRequest, OpResult, SimSnapshot, Simulation, StorageCost,
 };
-use rsb_registers::lockorder::{ranks, tracked_lock};
 use rsb_registers::{Abd, AbdAtomic, Adaptive, Coded, RegisterProtocol, Safe};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,7 +169,6 @@ where
         let compact = match self.policy {
             HistoryPolicy::Unbounded => false,
             HistoryPolicy::TruncateAfter(n) => kc.sim.live_records() > n,
-            HistoryPolicy::TruncateOnQuiescence => kc.sim.is_quiescent(),
         };
         if compact {
             self.compact(kc);

@@ -196,10 +196,10 @@ fn truncate_after_n_bounds_live_records_under_sustained_traffic() {
 }
 
 #[test]
-fn truncate_on_quiescence_compacts_between_bursts() {
+fn truncate_after_one_keeps_only_the_frontier() {
     let store = Store::start(
         StoreConfig::uniform(2, ProtocolSpec::Adaptive, reg())
-            .with_history(HistoryPolicy::TruncateOnQuiescence),
+            .with_history(HistoryPolicy::TruncateAfter(1)),
     )
     .unwrap();
     let client = store.client();
@@ -252,7 +252,7 @@ fn eviction_under_unbounded_policy_preserves_full_history() {
 fn evicted_keys_rematerialize_with_history_intact() {
     let store = Store::start(
         StoreConfig::uniform(2, ProtocolSpec::Abd, reg())
-            .with_history(HistoryPolicy::TruncateOnQuiescence),
+            .with_history(HistoryPolicy::TruncateAfter(1)),
     )
     .unwrap();
     let client = store.client();

@@ -18,10 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // f = 1 tolerated crash and a k = 2 code over 64-byte values.
     let reg = RegisterConfig::paper(1, 2, 64)?;
     let store = Store::start(
-        // Bound each key's op-record history; quiescent keys keep only
-        // their frontier write between bursts.
+        // Bound each key's op-record history: once an operation returns,
+        // its key keeps only the frontier write.
         StoreConfig::uniform(8, ProtocolSpec::Adaptive, reg)
-            .with_history(HistoryPolicy::TruncateOnQuiescence),
+            .with_history(HistoryPolicy::TruncateAfter(1)),
     )?;
     let client = store.client();
 
