@@ -151,6 +151,38 @@ pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
     storage_series: Vec<(u64, u64)>,
 }
 
+/// The buffers a drain works in — the in-flight RMW table and the
+/// trigger buffer — detached from any one simulation.
+///
+/// Both are empty whenever a register is quiescent, yet each keeps the
+/// capacity its busiest drain grew it to. A host that runs many
+/// registers one at a time (the store runs one key per lock hold) keeps
+/// one `Scratch` per thread and lends it to each register for the length
+/// of a drain with [`Simulation::swap_scratch`], so an idle register
+/// holds neither buffer. Lending moves no RMW and changes no event,
+/// result or history; a simulation that is never lent one simply grows
+/// its own.
+#[derive(Debug)]
+pub struct Scratch<S: ObjectState> {
+    rmws: VecDeque<RmwRt<S>>,
+    trigger_buf: Triggers<S>,
+}
+
+impl<S: ObjectState> Default for Scratch<S> {
+    fn default() -> Self {
+        Scratch {
+            rmws: VecDeque::new(),
+            trigger_buf: Vec::new(),
+        }
+    }
+}
+
+impl<S: ObjectState> Scratch<S> {
+    fn is_empty(&self) -> bool {
+        self.rmws.is_empty() && self.trigger_buf.is_empty()
+    }
+}
+
 /// The portable state of a *quiescent* simulation: cloned base-object
 /// states plus the compacted operation history and the logical-time /
 /// id-allocation cursors. A snapshotted register can be dropped and later
@@ -271,11 +303,42 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     }
 
     /// Adds a client running `logic`, returning its id.
+    ///
+    /// The client table grows one slot at a time: a long-lived register
+    /// adds a client only when its concurrency exceeds every earlier
+    /// peak, so a doubled table would mostly hold idle capacity.
     pub fn add_client(&mut self, logic: L) -> ClientId {
         let id = ClientId(self.clients.len());
         self.cost.client_bits += logic.stored_bits();
+        self.clients.reserve_exact(1);
         self.clients.push(ClientRt::new(logic));
         id
+    }
+
+    /// Makes room for `records` operation records in the live history
+    /// tail, exactly. A host that compacts once the tail passes a bound
+    /// reserves `bound + 1` up front, so the tail's buffer never doubles
+    /// past what compaction lets it hold; pushing beyond the reservation
+    /// still grows it.
+    pub fn reserve_history(&mut self, records: usize) {
+        self.records
+            .reserve_exact(records.saturating_sub(self.records.len()));
+    }
+
+    /// Exchanges this simulation's in-flight table and trigger buffer
+    /// with `scratch`'s, if both sides are empty; returns whether it did.
+    ///
+    /// Call once to lend a drain the scratch's warm buffers and once more
+    /// when the drain ends to take them back. A register left with RMWs in
+    /// flight keeps its buffers (the second call returns `false`), so
+    /// lending never moves state between simulations.
+    pub fn swap_scratch(&mut self, scratch: &mut Scratch<S>) -> bool {
+        if !self.rmws.is_empty() || !self.trigger_buf.is_empty() || !scratch.is_empty() {
+            return false;
+        }
+        std::mem::swap(&mut self.rmws, &mut scratch.rmws);
+        std::mem::swap(&mut self.trigger_buf, &mut scratch.trigger_buf);
+        true
     }
 
     /// Number of base objects.

@@ -4,8 +4,8 @@
 use rsb_coding::Value;
 use rsb_fpsm::{
     run, run_to_completion, run_until, BlockInstance, ClientId, ClientLogic, DeliveryChoice,
-    Effects, FairScheduler, ObjectId, ObjectState, OpId, OpRequest, OpResult, Payload,
-    RandomScheduler, RmwId, ScriptedScheduler, SimEvent, Simulation,
+    Effects, FairScheduler, ObjectId, ObjectState, OpId, OpRecord, OpRequest, OpResult, Payload,
+    RandomScheduler, RmwId, Scratch, ScriptedScheduler, SimEvent, Simulation, StorageCost,
 };
 use std::collections::HashSet;
 
@@ -362,4 +362,52 @@ fn scripted_scheduler_replays_an_exact_interleaving() {
     let outcome = run(&mut sim, &mut stuck, 100);
     assert!(outcome.is_quiescent());
     assert_eq!(stuck.remaining(), 1, "unresolvable choice is not consumed");
+}
+
+#[test]
+fn lent_scratch_changes_no_history_and_stays_while_rmws_are_in_flight() {
+    // Runs every enabled event, as a host draining one register does.
+    fn drain(sim: &mut Simulation<Store, Client>) {
+        while let Some(ev) = sim.first_enabled_event() {
+            sim.step(ev).unwrap();
+        }
+    }
+    // Runs one script of concurrent writes and reads, optionally lending
+    // each burst a scratch shared with another register, and returns what
+    // the checkers and the cost model see.
+    fn script(mut scratch: Option<&mut Scratch<Store>>) -> (Vec<OpRecord>, StorageCost, u64) {
+        let (mut sim, ids) = new_sim(5, 2);
+        let (mut other, other_ids) = new_sim(3, 1);
+        for round in 0..4u64 {
+            if let Some(s) = scratch.as_deref_mut() {
+                assert!(sim.swap_scratch(s), "round {round}: both sides are empty");
+            }
+            sim.invoke(ids[0], OpRequest::Write(Value::seeded(round, 64)))
+                .unwrap();
+            sim.invoke(ids[1], OpRequest::Read).unwrap();
+            drain(&mut sim);
+            if let Some(s) = scratch.as_deref_mut() {
+                assert!(sim.swap_scratch(s), "round {round}: the drain settled");
+                // The next register borrows the same buffers.
+                assert!(other.swap_scratch(s));
+                other.invoke(other_ids[0], OpRequest::Read).unwrap();
+                drain(&mut other);
+                assert!(other.swap_scratch(s));
+            }
+        }
+        (
+            sim.full_history(),
+            sim.peak_storage_cost(),
+            sim.peak_storage_bits(),
+        )
+    }
+    let mut scratch = Scratch::default();
+    assert_eq!(script(None), script(Some(&mut scratch)));
+
+    // With an RMW in flight neither side gives its buffers up.
+    let (mut sim, ids) = new_sim(3, 1);
+    sim.invoke(ids[0], OpRequest::Read).unwrap();
+    assert!(!sim.swap_scratch(&mut scratch));
+    drain(&mut sim);
+    assert!(sim.swap_scratch(&mut scratch));
 }

@@ -11,6 +11,12 @@
 //! `submit` returns the result. The key lock is what serializes same-key
 //! submitters.
 //!
+//! A hold borrows its thread's [`Scratch`] — the in-flight table and
+//! trigger buffer a drain works in — and hands it back when it ends, so a
+//! key at rest holds its register, its clients and its history, not the
+//! high-water buffers of its last drain. The thread keeps one scratch per
+//! object-state type, warm in its cache for the next key it runs.
+//!
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
 //! the consistency checkers need), and [`ShardEngine::evict_quiescent`]
@@ -26,40 +32,61 @@ use crate::recorder::{FlightEventKind, FlightRecorder};
 use crate::store::StoreError;
 use rsb_coding::Value;
 use rsb_fpsm::{
-    ClientId, OpId, OpRecord, OpRequest, OpResult, SimSnapshot, Simulation, StorageCost,
+    ClientId, ClientLogic, ObjectState, OpId, OpRecord, OpRequest, OpResult, Scratch, SimSnapshot,
+    Simulation, StorageCost,
 };
 use rsb_registers::{Abd, AbdAtomic, Adaptive, Coded, RegisterProtocol, Safe};
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One key's live register: its simulation plus the sim-level clients
-/// allocated for it so far (reused across operations when idle).
-struct KeyCell<P: RegisterProtocol + 'static> {
-    sim: Simulation<P::Object, P::Client>,
-    clients: Vec<ClientId>,
+/// One key's live register: its simulation, whose clients (allocated as
+/// holds need them) are reused across operations when idle.
+type KeySim<P> = Simulation<<P as RegisterProtocol>::Object, <P as RegisterProtocol>::Client>;
+
+/// Executes enabled events until none is left. No new events can appear
+/// while the key lock is held, so the drain terminates (the backlog is
+/// bounded by in-flight RMWs).
+fn drain<S: ObjectState, L: ClientLogic<State = S>>(sim: &mut Simulation<S, L>) {
+    while let Some(ev) = sim.first_enabled_event() {
+        // `ev` came from `first_enabled_event` one line up with no
+        // intervening mutation, so `step` accepting it is an invariant of
+        // the simulator, not a runtime condition.
+        sim.step(ev).expect("enabled event applies");
+    }
 }
 
-impl<P: RegisterProtocol + 'static> KeyCell<P> {
-    fn new(sim: Simulation<P::Object, P::Client>) -> Self {
-        KeyCell {
-            sim,
-            clients: Vec::new(),
-        }
-    }
+thread_local! {
+    /// This thread's drain scratch, one [`Scratch`] per object-state type
+    /// (a store may mix protocols across shards).
+    static SCRATCH: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
 
-    /// Executes enabled events until none is left. No new events can
-    /// appear while the key lock is held, so the drain terminates (the
-    /// backlog is bounded by in-flight RMWs).
-    fn drain(&mut self) {
-        while let Some(ev) = self.sim.first_enabled_event() {
-            // `ev` came from `first_enabled_event` one line up with no
-            // intervening mutation, so `step` accepting it is an invariant
-            // of the simulator, not a runtime condition.
-            self.sim.step(ev).expect("enabled event applies");
+/// Swaps `sim`'s drain buffers with this thread's scratch for its state
+/// type: called once when a hold starts, to lend the warm buffers, and
+/// once when it ends, to take them back. [`Simulation::swap_scratch`]
+/// declines while RMWs are in flight, so a key left mid-operation keeps
+/// its own.
+fn swap_thread_scratch<S: ObjectState + 'static, L: ClientLogic<State = S>>(
+    sim: &mut Simulation<S, L>,
+) {
+    // During thread teardown the slot may already be gone; the key then
+    // simply keeps its buffers.
+    let _ = SCRATCH.try_with(|slots| {
+        let mut slots = slots.borrow_mut();
+        if !slots.iter().any(|s| s.is::<Scratch<S>>()) {
+            slots.push(Box::<Scratch<S>>::default());
         }
-    }
+        if let Some(scratch) = slots
+            .iter_mut()
+            .find_map(|s| s.downcast_mut::<Scratch<S>>())
+        {
+            sim.swap_scratch(scratch);
+        }
+    });
 }
 
 /// The phase split one key-lock hold shares among its operations:
@@ -81,7 +108,7 @@ struct HoldTimes {
 // submit/step.
 #[allow(clippy::large_enum_variant)]
 enum KeyState<P: RegisterProtocol + 'static> {
-    Live(KeyCell<P>),
+    Live(KeySim<P>),
     Evicted(SimSnapshot<P::Object>),
     Vacant,
 }
@@ -156,7 +183,7 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
 
 impl<P: RegisterProtocol + Send + Sync + 'static> ShardCore<P>
 where
-    P::Object: Clone,
+    P::Object: Clone + 'static,
 {
     fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
@@ -165,18 +192,18 @@ where
     /// Closes a key-lock hold that ran operations: compacts the key's
     /// history if the policy says so. Call after the hold's results have
     /// been read off the records.
-    fn settle(&self, kc: &mut KeyCell<P>) {
+    fn settle(&self, sim: &mut KeySim<P>) {
         let compact = match self.policy {
             HistoryPolicy::Unbounded => false,
-            HistoryPolicy::TruncateAfter(n) => kc.sim.live_records() > n,
+            HistoryPolicy::TruncateAfter(n) => sim.live_records() > n,
         };
         if compact {
-            self.compact(kc);
+            self.compact(sim);
         }
     }
 
-    fn compact(&self, kc: &mut KeyCell<P>) {
-        let dropped = kc.sim.compact_history();
+    fn compact(&self, sim: &mut KeySim<P>) {
+        let dropped = sim.compact_history();
         self.counters.note_truncated(dropped);
         if dropped > 0 {
             self.recorder
@@ -189,19 +216,19 @@ where
     /// Returns whether the key was evicted.
     fn try_evict(&self, slot: &KeySlot<P>) -> bool {
         let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
-        let KeyState::Live(kc) = &mut *state else {
+        let KeyState::Live(sim) = &mut *state else {
             return false;
         };
-        if !kc.sim.is_quiescent() {
+        if !sim.is_quiescent() {
             return false;
         }
         // Compact before snapshotting — but only under a truncating
         // policy: `Unbounded` promises the full history, which the
         // snapshot then carries whole.
         if self.policy != HistoryPolicy::Unbounded {
-            self.compact(kc);
+            self.compact(sim);
         }
-        let Some(snap) = kc.sim.snapshot() else {
+        let Some(snap) = sim.snapshot() else {
             return false;
         };
         let snap_bits = snap.storage_bits();
@@ -231,11 +258,20 @@ where
         if let Some(slot) = index.get(key) {
             return Arc::clone(slot);
         }
-        let slot = Arc::new(KeySlot::new(KeyState::Live(KeyCell::new(
-            self.proto.new_sim(),
-        ))));
+        let slot = Arc::new(KeySlot::new(self.live(self.proto.new_sim())));
         index.insert(key.to_owned(), Arc::clone(&slot));
         slot
+    }
+
+    /// A key's live state around `sim`, its history buffer sized to the
+    /// policy's bound: under `TruncateAfter(n)` the live tail never holds
+    /// more than `n + 1` records between holds, so exactly that many are
+    /// reserved instead of letting doubling leave a buffer twice the size.
+    fn live(&self, mut sim: KeySim<P>) -> KeyState<P> {
+        if let HistoryPolicy::TruncateAfter(n) = self.policy {
+            sim.reserve_history(n.saturating_add(1));
+        }
+        KeyState::Live(sim)
     }
 
     /// Rematerializes an evicted key in place (live keys are untouched);
@@ -249,7 +285,7 @@ where
         let KeyState::Evicted(snap) = std::mem::replace(state, KeyState::Vacant) else {
             unreachable!("matched above");
         };
-        *state = KeyState::Live(KeyCell::new(Simulation::restore(snap)));
+        *state = self.live(Simulation::restore(snap));
         self.counters.note_rematerialized();
         self.recorder
             .record(FlightEventKind::Rematerialize, Some(self.shard), 0);
@@ -258,22 +294,16 @@ where
 
     /// Invokes one operation on a live key (client reuse/allocation,
     /// counters and flight events). Call under the key lock.
-    fn invoke(&self, kc: &mut KeyCell<P>, req: OpRequest) -> Result<OpId, StoreError> {
-        let client = kc
-            .clients
-            .iter()
-            .copied()
-            .find(|&c| kc.sim.outstanding_op(c).is_none())
-            .unwrap_or_else(|| {
-                let c = self.proto.add_client(&mut kc.sim);
-                kc.clients.push(c);
-                c
-            });
+    fn invoke(&self, sim: &mut KeySim<P>, req: OpRequest) -> Result<OpId, StoreError> {
+        let client = (0..sim.client_count())
+            .map(ClientId)
+            .find(|&c| sim.outstanding_op(c).is_none())
+            .unwrap_or_else(|| self.proto.add_client(sim));
         let write_bytes = match &req {
             OpRequest::Write(v) => Some(v.len() as u64),
             OpRequest::Read => None,
         };
-        match kc.sim.invoke(client, req) {
+        match sim.invoke(client, req) {
             Ok(op) => {
                 if let Some(bytes) = write_bytes {
                     self.counters.note_write_submitted(bytes);
@@ -303,13 +333,13 @@ where
     /// error naming the key. Call under the key lock.
     fn collect(
         &self,
-        kc: &KeyCell<P>,
+        sim: &KeySim<P>,
         key: &str,
         op: OpId,
         times: &HoldTimes,
         rematerialized: bool,
     ) -> Result<OpResult, StoreError> {
-        let Some(result) = kc.sim.op_record(op).result.clone() else {
+        let Some(result) = sim.op_record(op).result.clone() else {
             return Err(StoreError::Rejected(format!(
                 "operation on key {key:?} did not complete: no enabled event is left to run"
             )));
@@ -345,16 +375,17 @@ where
             return;
         }
         let rematerialized = self.materialize(&mut state);
-        let KeyState::Live(kc) = &mut *state else {
+        let KeyState::Live(sim) = &mut *state else {
             unreachable!("rematerialized above");
         };
+        swap_thread_scratch(sim);
         // Only the hold's first operation paid the rematerialization.
         let mut first = rematerialized;
         let invoked: Vec<_> = reqs
-            .map(|(tag, req)| (tag, self.invoke(kc, req), std::mem::take(&mut first)))
+            .map(|(tag, req)| (tag, self.invoke(sim, req), std::mem::take(&mut first)))
             .collect();
         let exec_start = Instant::now();
-        kc.drain();
+        drain(sim);
         let times = HoldTimes {
             queue_ns: exec_start.duration_since(started).as_nanos() as u64,
             execute_ns: exec_start.elapsed().as_nanos() as u64,
@@ -362,16 +393,17 @@ where
         for (tag, op, remat) in invoked {
             deliver(
                 tag,
-                op.and_then(|op| self.collect(kc, key, op, &times, remat)),
+                op.and_then(|op| self.collect(sim, key, op, &times, remat)),
             );
         }
-        self.settle(kc);
+        self.settle(sim);
+        swap_thread_scratch(sim);
     }
 }
 
 impl<P: RegisterProtocol + Send + Sync + 'static> ShardEngine for ShardCore<P>
 where
-    P::Object: Clone,
+    P::Object: Clone + 'static,
 {
     fn submit(&self, key: &str, req: OpRequest) -> Result<OpResult, StoreError> {
         let started = Instant::now();
@@ -450,15 +482,15 @@ where
         for slot in &slots {
             let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
             match &*state {
-                KeyState::Live(kc) => {
-                    let cost = kc.sim.storage_cost();
+                KeyState::Live(sim) => {
+                    let cost = sim.storage_cost();
                     occupancy.object_bits += cost.object_bits;
                     occupancy.client_bits += cost.client_bits;
                     occupancy.inflight_param_bits += cost.inflight_param_bits;
                     occupancy.inflight_resp_bits += cost.inflight_resp_bits;
-                    peak += kc.sim.peak_storage_bits();
-                    live_records += kc.sim.live_records() as u64;
-                    ready_keys += usize::from(kc.sim.has_enabled_event());
+                    peak += sim.peak_storage_bits();
+                    live_records += sim.live_records() as u64;
+                    ready_keys += usize::from(sim.has_enabled_event());
                 }
                 KeyState::Evicted(snap) => {
                     evicted_keys += 1;
@@ -509,7 +541,7 @@ where
             Arc::clone(tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()).get(key)?);
         let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
         Some(match &*state {
-            KeyState::Live(kc) => kc.sim.full_history(),
+            KeyState::Live(sim) => sim.full_history(),
             KeyState::Evicted(snap) => snap.records().to_vec(),
             KeyState::Vacant => unreachable!("Vacant never escapes the key lock"),
         })
@@ -553,7 +585,7 @@ fn engine<P: RegisterProtocol + Send + Sync + 'static>(
     parts: EngineParts,
 ) -> Arc<dyn ShardEngine>
 where
-    P::Object: Clone,
+    P::Object: Clone + 'static,
 {
     let name = proto.name();
     let value_len = proto.config().value_len;
