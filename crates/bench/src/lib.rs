@@ -3,7 +3,6 @@
 //! e10 binaries drive.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod load;
 

@@ -412,13 +412,13 @@ fn detect_kernel() -> Kernel {
 /// the `RSB_GF256_KERNEL` environment variable) and cached in an atomic, so
 /// the per-call cost is one relaxed load.
 pub fn active_kernel() -> Kernel {
-    // audit:allow(atomics-relaxed) — a pure value cache: every thread
-    // that races the unresolved state re-runs detection and stores the
-    // same answer; kernels are stateless fns, nothing is guarded.
+    // Relaxed: a pure value cache: every thread that races the unresolved state
+    // re-runs detection and stores the same answer; kernels are stateless fns,
+    // nothing is guarded.
     match ACTIVE_KERNEL.load(Ordering::Relaxed) {
         KERNEL_UNRESOLVED => {
             let k = detect_kernel();
-            // audit:allow(atomics-relaxed) — see the load above.
+            // Relaxed: see the load above.
             ACTIVE_KERNEL.store(k.as_u8(), Ordering::Relaxed);
             k
         }
@@ -435,14 +435,14 @@ pub fn force_kernel(kernel: Kernel) -> bool {
     if !kernel_available(kernel) {
         return false;
     }
-    // audit:allow(atomics-relaxed) — test/bench hook; see `active_kernel`.
+    // Relaxed: test/bench hook; see `active_kernel`.
     ACTIVE_KERNEL.store(kernel.as_u8(), Ordering::Relaxed);
     true
 }
 
 /// Clears any forced kernel; the next [`active_kernel`] call re-detects.
 pub fn reset_kernel() {
-    // audit:allow(atomics-relaxed) — test/bench hook; see `active_kernel`.
+    // Relaxed: test/bench hook; see `active_kernel`.
     ACTIVE_KERNEL.store(KERNEL_UNRESOLVED, Ordering::Relaxed);
 }
 
@@ -838,14 +838,12 @@ fn block_tail(
 
 /// `dst ^= src`, 8 bytes at a time.
 fn xor_slices(dst: &mut [u8], src: &[u8]) {
-    let mut dw = dst.chunks_exact_mut(8);
-    let mut sw = src.chunks_exact(8);
-    for (d, s) in (&mut dw).zip(&mut sw) {
-        let x = u64::from_le_bytes((&*d).try_into().unwrap())
-            ^ u64::from_le_bytes(s.try_into().unwrap());
-        d.copy_from_slice(&x.to_le_bytes());
+    let (dw, d_tail) = dst.as_chunks_mut::<8>();
+    let (sw, s_tail) = src.as_chunks::<8>();
+    for (d, s) in dw.iter_mut().zip(sw) {
+        *d = (u64::from_le_bytes(*d) ^ u64::from_le_bytes(*s)).to_le_bytes();
     }
-    for (d, &s) in dw.into_remainder().iter_mut().zip(sw.remainder()) {
+    for (d, &s) in d_tail.iter_mut().zip(s_tail) {
         *d ^= s;
     }
 }
@@ -939,8 +937,8 @@ fn mul_word4(w: [u64; 4], coeff: u8) -> [u64; 4] {
 
 fn load4(bytes: &[u8]) -> [u64; 4] {
     let mut w = [0u64; 4];
-    for (lane, chunk) in bytes.chunks_exact(8).enumerate() {
-        w[lane] = u64::from_le_bytes(chunk.try_into().unwrap());
+    for (lane, chunk) in w.iter_mut().zip(bytes.as_chunks::<8>().0) {
+        *lane = u64::from_le_bytes(*chunk);
     }
     w
 }
@@ -1029,14 +1027,13 @@ fn scale_swar(buf: &mut [u8], coeff: u8) {
         let prod = mul_word4(load4(q), coeff);
         store4(q, prod);
     }
-    let mut chunks = quads.into_remainder().chunks_exact_mut(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes((&*c).try_into().unwrap());
-        c.copy_from_slice(&mul_word(w, coeff).to_le_bytes());
+    let (words, tail) = quads.into_remainder().as_chunks_mut::<8>();
+    for w in words {
+        *w = mul_word(u64::from_le_bytes(*w), coeff).to_le_bytes();
     }
     let lo = &MUL_LO[coeff as usize];
     let hi = &MUL_HI[coeff as usize];
-    for b in chunks.into_remainder().iter_mut() {
+    for b in tail {
         *b = lo[(*b & 0x0f) as usize] ^ hi[(*b >> 4) as usize];
     }
 }

@@ -44,8 +44,16 @@
 // opt in locally with a documented safety contract; everything else in the
 // crate remains unsafe-free.
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
 
+// The field kernels never panic outside their tests.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub mod gf256;
 pub mod matrix;
 

@@ -19,7 +19,6 @@
 //! `rsb-fpsm` simulator's records directly.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod atomicity;
 mod condition;

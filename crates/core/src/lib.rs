@@ -52,7 +52,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub use rsb_coding as coding;
 pub use rsb_consistency as consistency;

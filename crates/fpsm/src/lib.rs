@@ -66,7 +66,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod client;
 mod ids;

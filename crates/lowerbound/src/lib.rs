@@ -46,7 +46,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod adversary;
 mod collisions;

@@ -17,7 +17,6 @@
 //! harnesses.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod explore;
 pub mod trace;

@@ -381,8 +381,8 @@ where
                 }
             }
         }
-        // audit:allow(atomics-seqcst) — shadow state publishing a virtual
-        // thread's exit to `join`'s predicate; the baton is the real sync.
+        // SeqCst: shadow state publishing a virtual thread's exit to `join`'s
+        // predicate; the baton is the real sync.
         finished.store(true, Ordering::SeqCst);
         shared.finish(id);
         CTX.with(|c| c.borrow_mut().take());

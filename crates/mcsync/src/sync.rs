@@ -223,13 +223,13 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         if let Some(ctx) = sched::ctx() {
             let m = Arc::clone(&self.model);
-            // audit:allow(atomics-seqcst) — model-checker shadow state: the
-            // scheduler baton is the real synchronization; SeqCst keeps the
-            // shadow metadata trivially sequentially consistent.
+            // SeqCst: model-checker shadow state: the scheduler baton is the
+            // real synchronization; SeqCst keeps the shadow metadata trivially
+            // sequentially consistent.
             ctx.block_until(Box::new(move || !m.held.load(Ordering::SeqCst)));
             // Exactly one virtual thread runs at a time, so marking the
             // lock held and taking it is a single atomic step.
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             self.model.held.store(true, Ordering::SeqCst);
             let g = self
                 .inner
@@ -253,11 +253,11 @@ impl<T> Mutex<T> {
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         if let Some(ctx) = sched::ctx() {
             ctx.yield_point();
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             if self.model.held.load(Ordering::SeqCst) {
                 return None;
             }
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             self.model.held.store(true, Ordering::SeqCst);
             let g = self
                 .inner
@@ -317,7 +317,7 @@ impl<T> Drop for MutexGuard<'_, T> {
         if let Some(g) = self.inner.take() {
             drop(g);
             if self.modelled {
-                // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+                // SeqCst: shadow state; see `Mutex::lock`.
                 self.lock.model.held.store(false, Ordering::SeqCst);
                 // Releasing a lock is an interleaving point too — but
                 // never unwind from inside another unwind.
@@ -393,14 +393,14 @@ impl Condvar {
             // free again, then reacquire — monitor semantics.
             let mutex = guard.lock;
             drop(guard.inner.take());
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             mutex.model.held.store(false, Ordering::SeqCst);
             let m = Arc::clone(&mutex.model);
             ctx.block_until(Box::new(move || {
-                // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+                // SeqCst: shadow state; see `Mutex::lock`.
                 notified.load(Ordering::SeqCst) && !m.held.load(Ordering::SeqCst)
             }));
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             mutex.model.held.store(true, Ordering::SeqCst);
             guard.inner = Some(
                 mutex
@@ -427,14 +427,14 @@ impl Condvar {
             let _ = timeout;
             let mutex = guard.lock;
             drop(guard.inner.take());
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             mutex.model.held.store(false, Ordering::SeqCst);
             let m = Arc::clone(&mutex.model);
-            // audit:allow(atomics-seqcst) — model-checker shadow state: the
-            // scheduler baton is the real synchronization; SeqCst keeps the
-            // shadow metadata trivially sequentially consistent.
+            // SeqCst: model-checker shadow state: the scheduler baton is the
+            // real synchronization; SeqCst keeps the shadow metadata trivially
+            // sequentially consistent.
             ctx.block_until(Box::new(move || !m.held.load(Ordering::SeqCst)));
-            // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+            // SeqCst: shadow state; see `Mutex::lock`.
             mutex.model.held.store(true, Ordering::SeqCst);
             guard.inner = Some(
                 mutex
@@ -465,7 +465,7 @@ impl Condvar {
                 false
             } else {
                 let w = q.remove(0);
-                // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+                // SeqCst: shadow state; see `Mutex::lock`.
                 w.notified.store(true, Ordering::SeqCst);
                 true
             }
@@ -484,7 +484,7 @@ impl Condvar {
                 .unwrap_or_else(PoisonError::into_inner);
             let n = q.len();
             for w in q.drain(..) {
-                // audit:allow(atomics-seqcst) — shadow state; see `Mutex::lock`.
+                // SeqCst: shadow state; see `Mutex::lock`.
                 w.notified.store(true, Ordering::SeqCst);
             }
             n

@@ -76,8 +76,8 @@ impl<T> JoinHandle<T> {
             } => {
                 let ctx = sched::ctx().expect("joining a virtual thread outside its model run");
                 let fin = Arc::clone(&finished);
-                // audit:allow(atomics-seqcst) — shadow state; the scheduler baton is
-                // the real synchronization (see `sync::Mutex::lock`).
+                // SeqCst: shadow state; the scheduler baton is the real
+                // synchronization (see `sync::Mutex::lock`).
                 ctx.block_until(Box::new(move || fin.load(Ordering::SeqCst)));
                 // The virtual thread has finished; reap its OS backing
                 // (exits as soon as it hands the baton on).
@@ -95,7 +95,7 @@ impl<T> JoinHandle<T> {
     pub fn is_finished(&self) -> bool {
         match &self.imp {
             Imp::Os(h) => h.is_finished(),
-            // audit:allow(atomics-seqcst) — shadow state; see `join` above.
+            // SeqCst: shadow state; see `join` above.
             Imp::Virtual { finished, .. } => finished.load(Ordering::SeqCst),
         }
     }

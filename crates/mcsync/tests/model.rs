@@ -20,16 +20,16 @@ fn atomic_fetch_add_is_race_free() {
         let c = Arc::new(sync::AtomicU64::new(0));
         let c2 = Arc::clone(&c);
         let t = thread::spawn(move || {
-            // audit:allow(atomics-relaxed) — modelled access: the checker
-            // serializes every step; the race (or its absence) is the test.
+            // Relaxed: modelled access: the checker serializes every step; the
+            // race (or its absence) is the test.
             c2.fetch_add(1, Ordering::Relaxed);
         });
-        // audit:allow(atomics-relaxed) — modelled access: the checker
-        // serializes every step; the race (or its absence) is the test.
+        // Relaxed: modelled access: the checker serializes every step; the race
+        // (or its absence) is the test.
         c.fetch_add(1, Ordering::Relaxed);
         t.join().unwrap();
-        // audit:allow(atomics-relaxed) — modelled access: the checker
-        // serializes every step; the race (or its absence) is the test.
+        // Relaxed: modelled access: the checker serializes every step; the race
+        // (or its absence) is the test.
         assert_eq!(c.load(Ordering::Relaxed), 2);
     })
     .expect("fetch_add must be safe under every interleaving");
@@ -46,22 +46,22 @@ fn load_store_increment_loses_updates_and_replays() {
         let c = Arc::new(sync::AtomicU64::new(0));
         let c2 = Arc::clone(&c);
         let t = thread::spawn(move || {
-            // audit:allow(atomics-relaxed) — modelled access: the checker
-            // serializes every step; the race (or its absence) is the test.
+            // Relaxed: modelled access: the checker serializes every step; the
+            // race (or its absence) is the test.
             let v = c2.load(Ordering::Relaxed);
-            // audit:allow(atomics-relaxed) — modelled access: the checker
-            // serializes every step; the race (or its absence) is the test.
+            // Relaxed: modelled access: the checker serializes every step; the
+            // race (or its absence) is the test.
             c2.store(v + 1, Ordering::Relaxed);
         });
-        // audit:allow(atomics-relaxed) — modelled access: the checker
-        // serializes every step; the race (or its absence) is the test.
+        // Relaxed: modelled access: the checker serializes every step; the race
+        // (or its absence) is the test.
         let v = c.load(Ordering::Relaxed);
-        // audit:allow(atomics-relaxed) — modelled access: the checker
-        // serializes every step; the race (or its absence) is the test.
+        // Relaxed: modelled access: the checker serializes every step; the race
+        // (or its absence) is the test.
         c.store(v + 1, Ordering::Relaxed);
         t.join().unwrap();
-        // audit:allow(atomics-relaxed) — modelled access: the checker
-        // serializes every step; the race (or its absence) is the test.
+        // Relaxed: modelled access: the checker serializes every step; the race
+        // (or its absence) is the test.
         assert_eq!(c.load(Ordering::Relaxed), 2, "lost update");
     };
     let err = sched::model(&quick(), body).expect_err("model must find the lost update");
@@ -176,19 +176,19 @@ fn preemption_bound_scales_coverage() {
             let c2 = Arc::clone(&c);
             let t = thread::spawn(move || {
                 for _ in 0..3 {
-                    // audit:allow(atomics-relaxed) — modelled access: the checker
-                    // serializes every step; the race (or its absence) is the test.
+                    // Relaxed: modelled access: the checker serializes every
+                    // step; the race (or its absence) is the test.
                     c2.fetch_add(1, Ordering::Relaxed);
                 }
             });
             for _ in 0..3 {
-                // audit:allow(atomics-relaxed) — modelled access: the checker
-                // serializes every step; the race (or its absence) is the test.
+                // Relaxed: modelled access: the checker serializes every step;
+                // the race (or its absence) is the test.
                 c.fetch_add(1, Ordering::Relaxed);
             }
             t.join().unwrap();
-            // audit:allow(atomics-relaxed) — modelled access: the checker
-            // serializes every step; the race (or its absence) is the test.
+            // Relaxed: modelled access: the checker serializes every step; the
+            // race (or its absence) is the test.
             assert_eq!(c.load(Ordering::Relaxed), 6);
         })
         .expect("race-free");
@@ -206,11 +206,11 @@ fn preemption_bound_scales_coverage() {
 fn passthrough_outside_model_is_transparent() {
     // No controller: the wrappers behave exactly like std/parking_lot.
     let c = sync::AtomicU64::new(41);
-    // audit:allow(atomics-relaxed) — modelled access: the checker
-    // serializes every step; the race (or its absence) is the test.
+    // Relaxed: modelled access: the checker serializes every step; the race (or
+    // its absence) is the test.
     assert_eq!(c.fetch_add(1, Ordering::Relaxed), 41);
-    // audit:allow(atomics-relaxed) — modelled access: the checker
-    // serializes every step; the race (or its absence) is the test.
+    // Relaxed: modelled access: the checker serializes every step; the race (or
+    // its absence) is the test.
     assert_eq!(c.load(Ordering::Relaxed), 42);
     let m = sync::Mutex::new(7);
     *m.lock() += 1;

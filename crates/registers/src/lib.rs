@@ -38,7 +38,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod abd;
 pub mod adaptive;

@@ -7,8 +7,8 @@
 //! write and a whole read are pinned per protocol at the benchmark's
 //! configurations.
 
-// A counting `#[global_allocator]` is an `unsafe impl` by definition; the
-// file is listed under `[unsafe_code] allowed` in `audit.toml`.
+// A counting `#[global_allocator]` is an `unsafe impl` by definition, so
+// this test opts out of the workspace's `unsafe_code` deny.
 #![allow(unsafe_code)]
 
 use rsb_coding::{Code, ReedSolomon, Value};

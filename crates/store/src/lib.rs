@@ -68,14 +68,31 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod config;
 mod future;
 mod lockorder;
 mod mcsync;
 mod metrics;
+// The wire paths and the flight recorder never panic outside their tests
+// (`clippy.toml` exempts those); a justified exception is an `#[expect]`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod net;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod recorder;
 mod shard;
 mod store;

@@ -58,16 +58,15 @@ fn hist_representative_ns(bucket: usize) -> f64 {
 
 /// Bumps one statistics counter.
 fn bump(counter: &AtomicU64, n: u64) {
-    // audit:allow(atomics-relaxed) — pure statistics: counters guard no
-    // data, and snapshots are racy by design (each field is read
-    // independently while writers keep going).
+    // Relaxed: pure statistics: counters guard no data, and snapshots are racy
+    // by design (each field is read independently while writers keep going).
     counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Reads one statistics counter for a (racy) snapshot.
 fn peek(counter: &AtomicU64) -> u64 {
-    // audit:allow(atomics-relaxed) — see `bump`: nothing is published
-    // through these counters, staleness only skews a report.
+    // Relaxed: see `bump`: nothing is published through these counters,
+    // staleness only skews a report.
     counter.load(Ordering::Relaxed)
 }
 

@@ -621,9 +621,11 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     );
     match out.get_mut(len_at..len_at + 4) {
         Some(slot) => slot.copy_from_slice(&frame_len.to_le_bytes()),
-        // audit:allow(panic-path) — `len_at..len_at + 4` was reserved by
-        // the `extend_from_slice` above and `out` only grows, so the slice
-        // is always in bounds.
+        #[expect(
+            clippy::unreachable,
+            reason = "`len_at..len_at + 4` was reserved by the `extend_from_slice` \
+                      above and `out` only grows, so the slice is always in bounds"
+        )]
         None => unreachable!("length slot was reserved above"),
     }
 }

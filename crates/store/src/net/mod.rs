@@ -25,6 +25,8 @@
 //! `poll` that finds nobody reading the connection reads it, blocking
 //! for up to one reply or the configured timeout.
 
+// The decoder is total over untrusted bytes: no bare indexing either.
+#[deny(clippy::indexing_slicing)]
 pub mod frame;
 mod replies;
 mod server;
@@ -134,6 +136,12 @@ impl OpTicket {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "standard future contract: the outcome is taken exactly once \
+                  when `Ready` is returned; polling again after completion is a \
+                  caller bug"
+    )]
     pub(crate) fn poll_result(
         &mut self,
         cx: &mut Context<'_>,
@@ -142,9 +150,6 @@ impl OpTicket {
             TicketInner::Ready(outcome) => Poll::Ready(
                 outcome
                     .take()
-                    // audit:allow(panic-path) — standard future contract: the outcome
-                    // is taken exactly once when `Ready` is returned; polling again
-                    // after completion is a caller bug.
                     .expect("operation future polled after completion"),
             ),
             TicketInner::Net(ticket) => ticket.poll(cx),
@@ -153,12 +158,15 @@ impl OpTicket {
 
     /// Blocking wait, bounded by the configured per-operation timeout
     /// (TCP transports only).
+    #[expect(
+        clippy::expect_used,
+        reason = "`Ready` tickets are built with `Some(outcome)` and consumed by \
+                  value here; only a poll that already returned `Ready` could have \
+                  emptied it"
+    )]
     pub(crate) fn wait(self) -> Result<OpResult, StoreError> {
         match self.inner {
             TicketInner::Ready(outcome) => {
-                // audit:allow(panic-path) — `Ready` tickets are built with
-                // `Some(outcome)` and consumed by value here; only a poll
-                // that already returned `Ready` could have emptied it.
                 outcome.expect("operation future waited after completion")
             }
             TicketInner::Net(ticket) => ticket.wait(),
@@ -206,6 +214,11 @@ impl Transport for Loopback {
     /// call — one placement-map lock hold for the bucket, one key-lock
     /// hold and one drain per distinct key — instead of paying all three
     /// per operation.
+    #[expect(
+        clippy::expect_used,
+        reason = "the loops assign every index of `tickets` exactly once (hit, \
+                  miss, and failed arms all write), so no slot is `None`"
+    )]
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<OpTicket> {
         let n = ops.len();
         let mut tickets: Vec<Option<OpTicket>> = (0..n).map(|_| None).collect();
@@ -245,9 +258,6 @@ impl Transport for Loopback {
         }
         tickets
             .into_iter()
-            // audit:allow(panic-path) — the loops above assign every index of
-            // `tickets` exactly once (hit, miss, and failed arms all write), so
-            // no slot is `None`.
             .map(|t| t.expect("every batched operation resolved"))
             .collect()
     }

@@ -407,6 +407,11 @@ impl Transport for TcpTransport {
     /// operation. Oversized batches are chunked at the frame bound
     /// (`u16::MAX` operations); per-operation key-length violations fail
     /// only their own ticket and are excluded from the frame.
+    #[expect(
+        clippy::expect_used,
+        reason = "every operation either failed the key-length check or went out \
+                  in exactly one chunk, and both arms assign its `tickets` slot"
+    )]
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<OpTicket> {
         let mut tickets: Vec<Option<OpTicket>> = (0..ops.len()).map(|_| None).collect();
         // (original index, wire op) for every op that passes the local
@@ -444,9 +449,6 @@ impl Transport for TcpTransport {
         }
         tickets
             .into_iter()
-            // audit:allow(panic-path) — every operation either failed the
-            // key-length check or went out in exactly one chunk, and both
-            // arms assign its `tickets` slot.
             .map(|t| t.expect("every batched operation got a ticket"))
             .collect()
     }

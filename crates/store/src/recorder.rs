@@ -159,10 +159,10 @@ impl FlightRecorder {
 
     /// Total events ever recorded (not just the surviving window).
     pub fn recorded(&self) -> u64 {
-        // audit:allow(atomics-relaxed) — a monitoring total. Any reader that
-        // observed an event via `dump`'s acquire loads already
-        // happens-after that event's `fetch_add`, so even a relaxed load
-        // here returns a count covering it; nothing else pairs with head.
+        // Relaxed: a monitoring total. Any reader that observed an event via
+        // `dump`'s acquire loads already happens-after that event's
+        // `fetch_add`, so even a relaxed load here returns a count covering it;
+        // nothing else pairs with head.
         self.head.load(Ordering::Relaxed)
     }
 
@@ -179,9 +179,9 @@ impl FlightRecorder {
     /// of the swap drops its event instead: under same-slot contention
     /// the ring may miss an event, but never misattributes one.
     pub fn record(&self, kind: FlightEventKind, shard: Option<usize>, detail: u64) -> u64 {
-        // audit:allow(atomics-relaxed) — sequence allocation only: the RMW
-        // is atomic regardless of ordering, and payload publication is
-        // ordered by the per-slot release stores below, not by head.
+        // Relaxed: sequence allocation only: the RMW is atomic regardless of
+        // ordering, and payload publication is ordered by the per-slot release
+        // stores below, not by head.
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let idx = (seq % self.seqs.len() as u64) as usize;
         let shard_field = match shard {

@@ -21,8 +21,8 @@
 //! One `#[test]` in its own binary: the counting allocator is global, so a
 //! sibling test on another thread would pollute the count.
 
-// A counting `#[global_allocator]` is an `unsafe impl` by definition; the
-// file is listed under `[unsafe_code] allowed` in `audit.toml`.
+// A counting `#[global_allocator]` is an `unsafe impl` by definition, so
+// this test opts out of the workspace's `unsafe_code` deny.
 #![allow(unsafe_code)]
 
 use rsb_coding::Value;

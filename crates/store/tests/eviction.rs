@@ -128,8 +128,8 @@ fn evict_quiescent_racing_shutdown_never_loses_a_completion() {
         std::thread::scope(|s| {
             // Evictor: sweeps continuously, including while `halt` runs.
             s.spawn(|| {
-                // audit:allow(atomics-relaxed) — evictor stop flag; the scope join
-                // is the synchronization point.
+                // Relaxed: evictor stop flag; the scope join is the
+                // synchronization point.
                 while !done.load(Ordering::Relaxed) {
                     store.evict_quiescent();
                     std::thread::yield_now();
@@ -176,7 +176,7 @@ fn evict_quiescent_racing_shutdown_never_loses_a_completion() {
             for c in clients {
                 assert!(c.join().unwrap() > 0, "clients made progress");
             }
-            // audit:allow(atomics-relaxed) — same stop flag; see above.
+            // Relaxed: same stop flag; see above.
             done.store(true, Ordering::Relaxed);
         });
         store.shutdown(); // idempotent second teardown

@@ -5,7 +5,6 @@
 //! determines the run (the simulator is deterministic).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod keyed;
 mod scenario;
