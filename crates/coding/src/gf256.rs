@@ -42,17 +42,29 @@
 //! at 4-of-7 × 64 KiB, twelve passes over 16 KiB shards. [`mul_block`]
 //! computes it in passes of up to 4 rows × 4 sources (SWAR: 4 × 8): a
 //! pass loads each 32-byte source chunk (16 for SSSE3) once, sums every
-//! output chunk in registers, and stores it once, overwriting or
-//! accumulating. Every Reed–Solomon and rateless encode and decode runs
-//! through it; [`mul_acc_multi`] is its one-source, accumulating case.
-//! The scalar kernel computes each pass row at a time through
-//! [`mul_acc`]'s scalar loop — the reference the differential tests hold
-//! the other kernels to.
+//! output chunk in registers, and stores it once, as the output's first
+//! writer or adding to it. Every Reed–Solomon and rateless encode and
+//! decode runs through it; [`mul_acc_multi`] is its one-source,
+//! accumulating case.
+//! The scalar kernel computes each pass a byte at a time with the
+//! `EXP`/`LOG` multiply — the reference the differential tests hold the
+//! other kernels to.
+//!
+//! A pass adds its sums to a row of bytes (`[u8]`), or is the first writer
+//! of a row of uninitialised ones (`[MaybeUninit<u8>]`), which it never
+//! reads: the row's type, not a flag, says which. A group's first pass over
+//! uninitialised rows writes every byte of them, and the passes after it
+//! add to what it wrote. So [`mul_block_new`] hands the kernel a new buffer
+//! uninitialised, and its bytes are written once — not zero-filled first.
 
+use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
 mod simd;
+mod uninit;
 
 /// The primitive polynomial 0x11d, i.e. `x⁸ + x⁴ + x³ + x² + 1`.
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -516,8 +528,8 @@ pub fn scale_with(kernel: Kernel, buf: &mut [u8], coeff: u8) {
 fn dispatch_mul_acc(kernel: Kernel, dst: &mut [u8], src: &[u8], coeff: u8) {
     match kernel {
         Kernel::Scalar => mul_acc_scalar(dst, src, coeff),
-        _ if dst.len() < 32 => block_tail(&mut [dst], &[src], &[coeff], 0, true),
-        _ => dispatch_block(kernel, &mut [dst], &[src], &[coeff], true),
+        _ if dst.len() < 32 => block_tail(&mut [dst], &[src], &[coeff], 0),
+        _ => dispatch_block(kernel, &mut [dst], &[src], &[coeff]),
     }
 }
 
@@ -543,6 +555,44 @@ const MAX_PASS_ROWS: usize = 4;
 
 /// The most sources one pass of any block kernel takes.
 const MAX_PASS_SOURCES: usize = 8;
+
+/// A byte of a block-kernel output row. A pass adds its sum to a `u8`, and
+/// is the first writer of a `MaybeUninit<u8>`, which it never reads.
+trait OutByte {
+    /// Whether a pass adds its sum to the byte, rather than writing it
+    /// first.
+    const ACCUMULATE: bool;
+
+    /// What a pass adds its sum to: the byte, or 0 for one it writes first.
+    fn base(&self) -> u8;
+
+    /// Stores a pass's result.
+    fn set(&mut self, value: u8);
+}
+
+impl OutByte for u8 {
+    const ACCUMULATE: bool = true;
+
+    fn base(&self) -> u8 {
+        *self
+    }
+
+    fn set(&mut self, value: u8) {
+        *self = value;
+    }
+}
+
+impl OutByte for MaybeUninit<u8> {
+    const ACCUMULATE: bool = false;
+
+    fn base(&self) -> u8 {
+        0
+    }
+
+    fn set(&mut self, value: u8) {
+        self.write(value);
+    }
+}
 
 /// The block kernel: `outs[r] = Σ_j coeff(r, j) · src(j)` over the
 /// sources `j < sources`, for every output row `r` — the matrix–buffer
@@ -595,6 +645,45 @@ pub fn mul_block_with<'o, 's>(
     block(kernel, outs, sources, &src, &coeff, accumulate);
 }
 
+/// [`mul_block`] into one new buffer: `rows` output rows of `len` bytes,
+/// row `r` at `r·len`. The block kernel is the buffer's first and only
+/// writer, so its bytes are written once and never zero-filled.
+///
+/// # Panics
+///
+/// Panics if a source is longer than `len`.
+pub fn mul_block_new<'s>(
+    rows: usize,
+    len: usize,
+    sources: usize,
+    src: impl Fn(usize) -> &'s [u8],
+    coeff: impl Fn(usize, usize) -> u8,
+) -> Arc<[u8]> {
+    uninit::new_rows(active_kernel(), rows, len, sources, &src, &coeff)
+}
+
+/// Runs [`mul_block_new`] through one specific kernel, bypassing
+/// dispatch — the hook the differential tests use.
+///
+/// # Panics
+///
+/// Panics as [`mul_block_new`] does, or if the kernel is unavailable on
+/// this machine (see [`kernel_available`]).
+pub fn mul_block_new_with<'s>(
+    kernel: Kernel,
+    rows: usize,
+    len: usize,
+    sources: usize,
+    src: impl Fn(usize) -> &'s [u8],
+    coeff: impl Fn(usize, usize) -> u8,
+) -> Arc<[u8]> {
+    assert!(
+        kernel_available(kernel),
+        "kernel {kernel} unavailable on this machine"
+    );
+    uninit::new_rows(kernel, rows, len, sources, &src, &coeff)
+}
+
 /// Computes `dsts[r][i] ^= coeffs[r] · src[i]` for every destination row:
 /// the block kernel's one-source, accumulating case, so the source is
 /// read once per pass of rows instead of once per row.
@@ -640,13 +729,12 @@ fn check_multi(dsts: &[&mut [u8]], src: &[u8], coeffs: &[u8]) {
 fn multi(kernel: Kernel, dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
     let rows = kernel.pass_shape().0;
     for (dsts, coeffs) in dsts.chunks_mut(rows).zip(coeffs.chunks(rows)) {
-        dispatch_block(kernel, dsts, &[src], coeffs, true);
+        dispatch_block(kernel, dsts, &[src], coeffs);
     }
 }
 
-/// [`mul_block`] on `kernel`: the rows in groups of the kernel's pass
-/// shape, each group against the sources in passes of it; only the first
-/// pass of a group may overwrite.
+/// [`mul_block`] on `kernel`. Overwriting rows is the initialising form's
+/// work ([`uninit::overwrite`]); accumulating, every pass adds.
 fn block<'o, 's>(
     kernel: Kernel,
     outs: impl IntoIterator<Item = &'o mut [u8]>,
@@ -655,12 +743,27 @@ fn block<'o, 's>(
     coeff: &impl Fn(usize, usize) -> u8,
     accumulate: bool,
 ) {
-    let (pass_rows, pass_sources) = kernel.pass_shape();
+    if !accumulate {
+        return uninit::overwrite(kernel, outs, sources, src, coeff);
+    }
+    for_each_group(kernel, outs, |group, row| {
+        add_passes(kernel, group, row, 0..sources, src, coeff);
+    });
+}
+
+/// Hands `outs` to `each` in groups of the kernel's pass rows, each with
+/// the index of its first row.
+fn for_each_group<'o, B: 'o>(
+    kernel: Kernel,
+    outs: impl IntoIterator<Item = &'o mut [B]>,
+    mut each: impl FnMut(&mut [&'o mut [B]], usize),
+) {
+    let pass_rows = kernel.pass_shape().0;
     let mut outs = outs.into_iter();
     let mut out_len = None;
     let mut row = 0;
     loop {
-        let mut group: [&mut [u8]; MAX_PASS_ROWS] = Default::default();
+        let mut group: [&mut [B]; MAX_PASS_ROWS] = Default::default();
         let mut rows = 0;
         for (slot, out) in group[..pass_rows].iter_mut().zip(&mut outs) {
             *slot = out;
@@ -675,33 +778,40 @@ fn block<'o, 's>(
             group.iter().all(|out| out.len() == len),
             "mul_block outputs of unequal lengths"
         );
-        let mut accumulate = accumulate;
-        let mut first = 0;
-        while first < sources {
-            let end = (first + pass_sources).min(sources);
-            block_group(kernel, group, row, first..end, src, coeff, accumulate);
-            accumulate = true;
-            first = end;
-        }
-        if !accumulate {
-            // No sources: the sum is empty.
-            for out in group.iter_mut() {
-                out.fill(0);
-            }
-        }
+        each(group, row);
         row += rows;
     }
 }
 
-/// The output rows `row..row + outs.len()` against the sources `sources`.
-fn block_group<'s>(
+/// Adds the sources `sources` to one group of rows, in passes of the
+/// kernel's shape.
+fn add_passes<'s>(
     kernel: Kernel,
-    outs: &mut [&mut [u8]],
+    group: &mut [&mut [u8]],
     row: usize,
-    sources: std::ops::Range<usize>,
+    sources: Range<usize>,
     src: &impl Fn(usize) -> &'s [u8],
     coeff: &impl Fn(usize, usize) -> u8,
-    accumulate: bool,
+) {
+    let pass_sources = kernel.pass_shape().1;
+    let mut first = sources.start;
+    while first < sources.end {
+        let end = (first + pass_sources).min(sources.end);
+        block_group(kernel, group, row, first..end, src, coeff);
+        first = end;
+    }
+}
+
+/// The output rows `row..row + outs.len()` against the sources `sources`,
+/// at most one pass's worth: over uninitialised rows it writes every byte,
+/// the sum over no source being 0.
+fn block_group<'s, B: OutByte>(
+    kernel: Kernel,
+    outs: &mut [&mut [B]],
+    row: usize,
+    sources: Range<usize>,
+    src: &impl Fn(usize) -> &'s [u8],
+    coeff: &impl Fn(usize, usize) -> u8,
 ) {
     let (rows, len) = (outs.len(), outs[0].len());
     let mut views: [&[u8]; MAX_PASS_SOURCES] = [&[]; MAX_PASS_SOURCES];
@@ -713,10 +823,10 @@ fn block_group<'s>(
         );
     }
     let views = &views[..sources.len()];
-    if views.iter().all(|v| v.len() == len) {
+    if !views.is_empty() && views.iter().all(|v| v.len() == len) {
         // The usual case, and the only one when `k` divides the value.
         let coeff = |r, s| coeff(row + r, sources.start + s);
-        return block_pass(kernel, outs, views, &coeff, accumulate);
+        return block_pass(kernel, outs, views, &coeff);
     }
     // A short source: the columns in stretches over which the same
     // sources have bytes, each stretch one pass.
@@ -738,17 +848,17 @@ fn block_group<'s>(
                 width += 1;
             }
         }
-        let mut segment: [&mut [u8]; MAX_PASS_ROWS] = Default::default();
+        let mut segment: [&mut [B]; MAX_PASS_ROWS] = Default::default();
         for (seg, out) in segment.iter_mut().zip(outs.iter_mut()) {
             *seg = &mut out[start..end];
         }
         let segment = &mut segment[..rows];
         if width > 0 {
             let coeff = |r, s: usize| coeff(row + r, cols[s]);
-            block_pass(kernel, segment, &srcs[..width], &coeff, accumulate);
-        } else if !accumulate {
-            for seg in segment.iter_mut() {
-                seg.fill(0);
+            block_pass(kernel, segment, &srcs[..width], &coeff);
+        } else if !B::ACCUMULATE {
+            for byte in segment.iter_mut().flat_map(|seg| seg.iter_mut()) {
+                byte.set(0);
             }
         }
         start = end;
@@ -757,12 +867,11 @@ fn block_group<'s>(
 
 /// One pass: its coefficients — `coeff(r, s)` for its own rows and
 /// sources — gathered on the stack, then `kernel` run.
-fn block_pass(
+fn block_pass<B: OutByte>(
     kernel: Kernel,
-    outs: &mut [&mut [u8]],
+    outs: &mut [&mut [B]],
     srcs: &[&[u8]],
     coeff: &impl Fn(usize, usize) -> u8,
-    accumulate: bool,
 ) {
     let width = srcs.len();
     let mut coeffs = [0u8; MAX_PASS_ROWS * MAX_PASS_SOURCES];
@@ -772,28 +881,27 @@ fn block_pass(
             *c = coeff(r, s);
         }
     }
-    dispatch_block(kernel, outs, srcs, coeffs, accumulate);
+    dispatch_block(kernel, outs, srcs, coeffs);
 }
 
-/// One pass on `kernel`: `outs[r] = Σ_s coeffs[r·S + s] · srcs[s]` for
-/// `S = srcs.len()`, or `^=` when `accumulate`; every slice has one
-/// length, and the shape is at most the kernel's.
-fn dispatch_block(
+/// One pass on `kernel`: `outs[r] = base + Σ_s coeffs[r·S + s] · srcs[s]`
+/// for `S = srcs.len()` and each byte's [`OutByte::base`]; every slice
+/// has one length, and the shape is at most the kernel's.
+fn dispatch_block<B: OutByte>(
     kernel: Kernel,
-    outs: &mut [&mut [u8]],
+    outs: &mut [&mut [B]],
     srcs: &[&[u8]],
     coeffs: &[u8],
-    accumulate: bool,
 ) {
     match kernel {
-        Kernel::Scalar => block_scalar(outs, srcs, coeffs, accumulate),
-        Kernel::Swar => block_swar(outs, srcs, coeffs, accumulate),
+        Kernel::Scalar => block_bytes(outs, srcs, coeffs, 0, mul),
+        Kernel::Swar => block_swar(outs, srcs, coeffs),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => simd::block_ssse3(outs, srcs, coeffs, accumulate),
+        Kernel::Ssse3 => simd::block_ssse3(outs, srcs, coeffs),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => simd::block_avx2(outs, srcs, coeffs, accumulate),
+        Kernel::Avx2 => simd::block_avx2(outs, srcs, coeffs),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Gfni => simd::block_gfni(outs, srcs, coeffs, accumulate),
+        Kernel::Gfni => simd::block_gfni(outs, srcs, coeffs),
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Ssse3 | Kernel::Avx2 | Kernel::Gfni => {
             unreachable!("vector kernels are x86-64 only")
@@ -801,39 +909,37 @@ fn dispatch_block(
     }
 }
 
-/// A pass through the scalar kernel, row at a time: the reference every
-/// other kernel's pass is tested against.
-fn block_scalar(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+/// The columns `from..` of a pass, one byte at a time, each byte's full
+/// sum written once: the scalar kernel's whole pass with the `EXP`/`LOG`
+/// [`mul`] — the reference every other kernel is tested against — and the
+/// ragged end of every other kernel's with [`mul_nibbles`].
+fn block_bytes<B: OutByte>(
+    outs: &mut [&mut [B]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    from: usize,
+    mul: impl Fn(u8, u8) -> u8,
+) {
     for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
-        if !accumulate {
-            out.fill(0);
-        }
-        for (src, &c) in srcs.iter().zip(row) {
-            mul_acc_scalar(out, src, c);
+        for (i, o) in out.iter_mut().enumerate().skip(from) {
+            let mut sum = o.base();
+            for (src, &c) in srcs.iter().zip(row) {
+                sum ^= mul(c, src[i]);
+            }
+            o.set(sum);
         }
     }
 }
 
-/// The columns `from..` of a pass, one byte at a time through the nibble
-/// tables: the ragged end of every other kernel's pass.
-fn block_tail(
-    outs: &mut [&mut [u8]],
-    srcs: &[&[u8]],
-    coeffs: &[u8],
-    from: usize,
-    accumulate: bool,
-) {
-    for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
-        for (i, o) in out.iter_mut().enumerate().skip(from) {
-            let mut sum = if accumulate { *o } else { 0 };
-            for (src, &c) in srcs.iter().zip(row) {
-                let s = src[i];
-                sum ^=
-                    MUL_LO[c as usize][(s & 0x0f) as usize] ^ MUL_HI[c as usize][(s >> 4) as usize];
-            }
-            *o = sum;
-        }
-    }
+/// [`block_bytes`] through the nibble tables: the tail of a vector or
+/// SWAR pass.
+fn block_tail<B: OutByte>(outs: &mut [&mut [B]], srcs: &[&[u8]], coeffs: &[u8], from: usize) {
+    block_bytes(outs, srcs, coeffs, from, mul_nibbles);
+}
+
+/// `c · s` as two nibble-table lookups.
+fn mul_nibbles(c: u8, s: u8) -> u8 {
+    MUL_LO[c as usize][(s & 0x0f) as usize] ^ MUL_HI[c as usize][(s >> 4) as usize]
 }
 
 /// `dst ^= src`, 8 bytes at a time.
@@ -935,17 +1041,20 @@ fn mul_word4(w: [u64; 4], coeff: u8) -> [u64; 4] {
     }
 }
 
-fn load4(bytes: &[u8]) -> [u64; 4] {
+/// 32 bytes' [`OutByte::base`]s as four little-endian words.
+fn load4<B: OutByte>(bytes: &[B]) -> [u64; 4] {
     let mut w = [0u64; 4];
     for (lane, chunk) in w.iter_mut().zip(bytes.as_chunks::<8>().0) {
-        *lane = u64::from_le_bytes(*chunk);
+        *lane = u64::from_le_bytes(chunk.each_ref().map(OutByte::base));
     }
     w
 }
 
-fn store4(bytes: &mut [u8], w: [u64; 4]) {
-    for (lane, chunk) in bytes.chunks_exact_mut(8).enumerate() {
-        chunk.copy_from_slice(&w[lane].to_le_bytes());
+fn store4<B: OutByte>(bytes: &mut [B], w: [u64; 4]) {
+    for (chunk, word) in bytes.chunks_exact_mut(8).zip(w) {
+        for (byte, value) in chunk.iter_mut().zip(word.to_le_bytes()) {
+            byte.set(value);
+        }
     }
 }
 
@@ -953,24 +1062,23 @@ fn store4(bytes: &mut [u8], w: [u64; 4]) {
 /// source chunk is loaded and doubled once, every output row adding the
 /// doublings its coefficient's bits select to a sum it keeps in registers
 /// until its one store.
-fn block_swar(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+fn block_swar<B: OutByte>(outs: &mut [&mut [B]], srcs: &[&[u8]], coeffs: &[u8]) {
     match outs.len() {
-        1 => block_swar_rows::<1>(outs, srcs, coeffs, accumulate),
-        2 => block_swar_rows::<2>(outs, srcs, coeffs, accumulate),
-        3 => block_swar_rows::<3>(outs, srcs, coeffs, accumulate),
-        4 => block_swar_rows::<4>(outs, srcs, coeffs, accumulate),
+        1 => block_swar_rows::<1, B>(outs, srcs, coeffs),
+        2 => block_swar_rows::<2, B>(outs, srcs, coeffs),
+        3 => block_swar_rows::<3, B>(outs, srcs, coeffs),
+        4 => block_swar_rows::<4, B>(outs, srcs, coeffs),
         // Not a shape `block` makes: the byte loop is right for any.
-        _ => block_tail(outs, srcs, coeffs, 0, accumulate),
+        _ => block_tail(outs, srcs, coeffs, 0),
     }
 }
 
 /// [`block_swar`] for exactly `R` output rows, so that the sums are
 /// registers rather than memory.
-fn block_swar_rows<const R: usize>(
-    outs: &mut [&mut [u8]],
+fn block_swar_rows<const R: usize, B: OutByte>(
+    outs: &mut [&mut [B]],
     srcs: &[&[u8]],
     coeffs: &[u8],
-    accumulate: bool,
 ) {
     const MSB: u64 = 0x8080_8080_8080_8080;
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
@@ -1006,17 +1114,15 @@ fn block_swar_rows<const R: usize>(
         for (out, sum) in outs.iter_mut().zip(&sums) {
             let chunk = &mut out[i..i + 32];
             let mut words = *sum;
-            if accumulate {
-                for (w, d) in words.iter_mut().zip(load4(chunk)) {
-                    *w ^= d;
-                }
+            for (w, base) in words.iter_mut().zip(load4(chunk)) {
+                *w ^= base;
             }
             store4(chunk, words);
         }
         i += 32;
     }
     if end < len {
-        block_tail(outs, srcs, coeffs, end, accumulate);
+        block_tail(outs, srcs, coeffs, end);
     }
 }
 

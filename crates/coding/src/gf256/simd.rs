@@ -17,17 +17,19 @@
 //! [`mul_acc`](super::mul_acc) too: up to four output rows from up to four
 //! sources, monomorphised per shape so the row and source pointers and
 //! every running sum stay in registers. Each 32/16-byte source chunk is
-//! loaded once and each output chunk is stored once per pass. `scale`
-//! works in place, so it keeps kernels of its own.
+//! loaded once and each output chunk is stored once per pass; an output
+//! is loaded only when the pass adds to it, never when it is the output's
+//! first writer. `scale` works in place, so it keeps kernels of its own.
 //!
-//! This module is the only place in the crate that uses `unsafe`: raw
-//! pointer loads/stores for the unaligned vector accesses, plus the calls
-//! into `#[target_feature]` functions. Every entry point is a safe wrapper
-//! whose caller contract — "only dispatch here after runtime feature
-//! detection" — is enforced by `gf256::dispatch_*` and `kernel_available`.
+//! This module and `uninit.rs` are the only places in the crate that use
+//! `unsafe`. Here it is raw pointer loads/stores for the unaligned vector
+//! accesses, plus the calls into `#[target_feature]` functions. Every
+//! entry point is a safe wrapper whose caller contract — "only dispatch
+//! here after runtime feature detection" — is enforced by
+//! `gf256::dispatch_*` and `kernel_available`.
 #![allow(unsafe_code)]
 
-use super::{MUL_HI, MUL_LO, MUL_MATRIX};
+use super::{OutByte, MUL_HI, MUL_LO, MUL_MATRIX};
 use core::arch::x86_64::{
     __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_gf2p8affine_epi64_epi8,
     _mm256_loadu_si256, _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setzero_si256,
@@ -168,17 +170,17 @@ fn scale_gfni_impl(buf: &mut [u8], coeff: u8) {
 // ---------------------------------------------------------------------------
 
 /// The shortest of the slices: the columns a pass may touch.
-fn common_len(outs: &[&mut [u8]], srcs: &[&[u8]]) -> usize {
+fn common_len<B>(outs: &[&mut [B]], srcs: &[&[u8]]) -> usize {
     let outs = outs.iter().map(|o| o.len());
     outs.chain(srcs.iter().map(|s| s.len())).min().unwrap_or(0)
 }
 
 /// The start addresses of `N` output rows, for a pass that keeps them in
 /// registers.
-fn out_ptrs<const N: usize>(outs: &mut [&mut [u8]]) -> [*mut u8; N] {
+fn out_ptrs<const N: usize, B>(outs: &mut [&mut [B]]) -> [*mut u8; N] {
     let mut ptrs = [core::ptr::null_mut(); N];
     for (p, out) in ptrs.iter_mut().zip(outs.iter_mut()) {
-        *p = out.as_mut_ptr();
+        *p = out.as_mut_ptr().cast();
     }
     ptrs
 }
@@ -192,60 +194,65 @@ fn src_ptrs<const N: usize>(srcs: &[&[u8]]) -> [*const u8; N] {
     ptrs
 }
 
-/// Runs the pass `$pass::<R, S>` when `$outs` × `$srcs` is a shape in the
-/// table and evaluates to the columns it covered; any other shape covers
-/// none, and the byte loop after it does the whole pass.
+/// Runs the pass `$pass::<R, S>` over the `[B]` rows `$outs` when
+/// `$outs` × `$srcs` is a shape in the table and evaluates to the columns
+/// it covered; any other shape covers none, and the byte loop after it
+/// does the whole pass.
 macro_rules! by_shape {
-    ($pass:ident($outs:ident, $srcs:ident, $coeffs:ident, $len:ident, $acc:ident)
+    ($pass:ident::<$b:ident>($outs:ident, $srcs:ident, $coeffs:ident, $len:ident)
         $($r:literal => [$($s:literal)*])*) => {
         match ($outs.len(), $srcs.len()) {
             $($(($r, $s) => {
-                let outs = out_ptrs::<$r>($outs);
+                let outs = out_ptrs::<$r, $b>($outs);
                 let srcs = src_ptrs::<$s>($srcs);
                 // SAFETY: the dispatcher verified the pass's CPU features;
                 // the pointers are those of exactly `$r` outputs and `$s`
                 // sources, each at least `$len` bytes long, and the outputs
                 // are distinct `&mut` borrows, so none overlaps another
-                // output or a source.
-                unsafe { $pass::<$r, $s>(outs, srcs, $coeffs, $len, $acc) }
+                // output or a source. The pass loads outputs only when it
+                // accumulates, which `u8` rows alone do: over
+                // `MaybeUninit<u8>` rows the initialising pass writes every
+                // output byte and reads none.
+                unsafe { $pass::<$r, $s>(outs, srcs, $coeffs, $len, $b::ACCUMULATE) }
             })*)*
             _ => 0,
         }
     };
 }
 
-/// `outs[r] = Σ_s coeffs[r·S + s] · srcs[s]` (or `^=` when `accumulate`)
-/// via GFNI: each 32-byte source chunk is loaded once, each output chunk
-/// is summed in a register and stored once. Up to 4 × 4 per pass.
-pub(super) fn block_gfni(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+/// `outs[r] = base + Σ_s coeffs[r·S + s] · srcs[s]`, `base` being each
+/// byte's [`OutByte::base`], via GFNI: each 32-byte source chunk is loaded
+/// once, each output chunk is summed in a register and stored once. Up to
+/// 4 × 4 per pass.
+pub(super) fn block_gfni<B: OutByte>(outs: &mut [&mut [B]], srcs: &[&[u8]], coeffs: &[u8]) {
     debug_assert!(is_x86_feature_detected!("gfni") && is_x86_feature_detected!("avx2"));
     let len = common_len(outs, srcs);
-    let done = by_shape!(block_gfni_pass(outs, srcs, coeffs, len, accumulate)
+    let done = by_shape!(block_gfni_pass::<B>(outs, srcs, coeffs, len)
         1 => [1 2 3 4] 2 => [1 2 3 4] 3 => [1 2 3 4] 4 => [1 2 3 4]);
     if done < len {
-        super::block_tail(outs, srcs, coeffs, done, accumulate);
+        super::block_tail(outs, srcs, coeffs, done);
     }
 }
 
 /// [`block_gfni`] via AVX2 `vpshufb`, 32 bytes per step.
-pub(super) fn block_avx2(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+pub(super) fn block_avx2<B: OutByte>(outs: &mut [&mut [B]], srcs: &[&[u8]], coeffs: &[u8]) {
     debug_assert!(is_x86_feature_detected!("avx2"));
     let len = common_len(outs, srcs);
-    let done = by_shape!(block_avx2_pass(outs, srcs, coeffs, len, accumulate)
+    let done = by_shape!(block_avx2_pass::<B>(outs, srcs, coeffs, len)
         1 => [1 2 3 4] 2 => [1 2 3 4] 3 => [1 2 3 4] 4 => [1 2 3 4]);
     if done < len {
-        super::block_tail(outs, srcs, coeffs, done, accumulate);
+        super::block_tail(outs, srcs, coeffs, done);
     }
 }
 
 /// [`block_gfni`] via SSSE3 `pshufb`, 16 bytes per step.
-pub(super) fn block_ssse3(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], accumulate: bool) {
+pub(super) fn block_ssse3<B: OutByte>(outs: &mut [&mut [B]], srcs: &[&[u8]], coeffs: &[u8]) {
     debug_assert!(is_x86_feature_detected!("ssse3"));
     let len = common_len(outs, srcs);
-    let done = by_shape!(block_ssse3_pass(outs, srcs, coeffs, len, accumulate)
+    let done = by_shape!(block_ssse3_pass::<B>(outs, srcs, coeffs, len)
         1 => [1 2 3 4] 2 => [1 2 3 4] 3 => [1 2 3 4] 4 => [1 2 3 4]);
     if done < len {
-        super::block_tail(outs, srcs, coeffs, done, accumulate);
+        super::block_tail(outs, srcs, coeffs, done);
     }
 }
 
@@ -255,7 +262,8 @@ pub(super) fn block_ssse3(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8],
 /// # Safety
 ///
 /// The CPU supports GFNI and AVX2, every pointer is valid for `len`
-/// bytes — reads for `srcs`, reads and writes for `outs` — and no output
+/// bytes — reads for `srcs`, writes for `outs`, and reads for `outs` too
+/// when `accumulate`, whose bytes are then initialised — and no output
 /// overlaps another output or a source.
 // SAFETY: the contract above binds the caller — `by_shape!`, which
 // upholds it — not this definition.

@@ -41,7 +41,8 @@
 //! ```
 
 // `deny` rather than `forbid`: the GF(256) SIMD kernels (`gf256/simd.rs`)
-// opt in locally with a documented safety contract; everything else in the
+// and the block kernel's uninitialised-output form (`gf256/uninit.rs`) opt
+// in locally with a documented safety contract; everything else in the
 // crate remains unsafe-free.
 #![deny(unsafe_code)]
 

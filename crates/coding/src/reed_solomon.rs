@@ -7,7 +7,8 @@
 use crate::matrix::Matrix;
 use crate::scheme::{shard_slice, validate_params};
 use crate::{gf256, Block, BlockIndex, Code, CodeKind, CodingError, Value};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
+use std::ops::Range;
 
 /// A systematic `k`-of-`n` Reed–Solomon code for values of a fixed length.
 ///
@@ -117,44 +118,32 @@ impl ReedSolomon {
         Block::new(i as BlockIndex, out.freeze())
     }
 
-    /// Parity rows `first..` of `bytes` into `outs`, one block-kernel
-    /// call: the sources are the shard views of `bytes` in place (no
-    /// sharding copies), a short tail shard reading as zero-padded.
-    fn parity_into<'o>(
-        &self,
-        bytes: &[u8],
-        first: usize,
-        outs: impl IntoIterator<Item = &'o mut [u8]>,
-    ) {
-        gf256::mul_block(
-            outs,
+    /// Parity rows `rows` of `value` (each `>= k`), one after another in
+    /// one new buffer that one block-kernel call is the first and only
+    /// writer of: the sources are the shard views of the value in place
+    /// (no sharding copies), a short tail shard reading as zero-padded.
+    fn parity(&self, value: &Value, rows: Range<usize>) -> Bytes {
+        let bytes = value.as_bytes();
+        Bytes::from(gf256::mul_block_new(
+            rows.len(),
+            self.shard_len,
             self.k,
             |j| shard_slice(bytes, self.shard_len, j),
-            |r, j| self.encoding.get(first + r, j),
-            false,
-        );
+            |r, j| self.encoding.get(rows.start + r, j),
+        ))
     }
 
-    /// Parity block `i >= k` of `value`, computed straight into its final
-    /// shared buffer: one allocation, no staging copy.
-    fn parity_block(&self, value: &Value, i: usize) -> Block {
-        let mut out = BytesMut::zeroed(self.shard_len);
-        self.parity_into(value.as_bytes(), i, [&mut out[..]]);
-        Block::new(i as BlockIndex, out.freeze())
-    }
-
-    /// The value itself, when `chosen` (`k` blocks of distinct indices,
-    /// each `shard_len` long) are the systematic windows [`Self::block`]
-    /// cut from one live buffer: `k` in-place windows of a `value_len`
-    /// buffer cover it, so that buffer *is* the decoded value — no
-    /// allocation, no copy, and nothing to keep beyond what the blocks
-    /// already keep alive.
-    fn rejoin(&self, chosen: &[&Block]) -> Option<Value> {
-        let buf = chosen[0].buffer();
+    /// The value itself, when `chosen` (`k` blocks of distinct indices)
+    /// are the systematic windows [`Self::systematic_block`] cut from one
+    /// live buffer: `k` in-place windows of a `value_len` buffer cover it,
+    /// so that buffer *is* the decoded value — no allocation, no copy, and
+    /// nothing to keep beyond what the blocks already keep alive.
+    fn rejoin<'b>(&self, mut chosen: impl Iterator<Item = &'b Block> + Clone) -> Option<Value> {
+        let buf = chosen.clone().next()?.buffer();
         let in_place = buf.len() == self.value_len
-            && chosen.iter().all(|b| {
+            && chosen.all(|b| {
                 let i = b.index() as usize;
-                i < self.k && b.is_window_at(buf, i * self.shard_len)
+                i < self.k && b.len() == self.shard_len && b.is_window_at(buf, i * self.shard_len)
             });
         in_place.then(|| Value::from_bytes(buf.clone()))
     }
@@ -183,14 +172,16 @@ impl ReedSolomon {
         let (data, parity) = out.split_at_mut(self.k * self.shard_len);
         data[..bytes.len()].copy_from_slice(bytes);
         data[bytes.len()..].fill(0);
-        self.parity_into(bytes, self.k, parity.chunks_exact_mut(self.shard_len));
+        gf256::mul_block(
+            parity.chunks_exact_mut(self.shard_len),
+            self.k,
+            |j| shard_slice(bytes, self.shard_len, j),
+            |r, j| self.encoding.get(self.k + r, j),
+            false,
+        );
         Ok(())
     }
 }
-
-/// Parity blocks [`Code::encode`] computes per block-kernel call, their
-/// buffers held on the stack until they are frozen into blocks.
-const PARITY_ROWS_PER_CALL: usize = 8;
 
 impl Code for ReedSolomon {
     fn kind(&self) -> CodeKind {
@@ -225,37 +216,46 @@ impl Code for ReedSolomon {
         Ok(if i < self.k {
             self.systematic_block(value, i)
         } else {
-            self.parity_block(value, i)
+            Block::new(index, self.parity(value, i..i + 1))
         })
     }
 
-    /// The systematic blocks, then the parity blocks from one pass of the
-    /// block kernel over the value (per `PARITY_ROWS_PER_CALL` of them),
-    /// each in a buffer of its own so no block keeps its siblings alive.
-    /// Allocates the block list and the parity buffers, nothing else.
+    /// The systematic blocks, then the parity blocks: windows onto one
+    /// buffer from one block-kernel call over the value. Allocates the
+    /// block list and that buffer, nothing else.
+    ///
+    /// The parity blocks keep each other's bytes alive. That costs nothing
+    /// at rest, where every object holds its piece of the newest write, so
+    /// the siblings are alive anyway; a stale piece pins them only until
+    /// its own GC; and storage accounting charges block bits, not buffer
+    /// bytes.
     fn encode(&self, value: &Value) -> Vec<Block> {
         self.check_value(value)
             .expect("value length must match the code");
+        let parity = self.parity(value, self.k..self.n);
         let mut blocks = Vec::with_capacity(self.n);
         blocks.extend((0..self.k).map(|i| self.systematic_block(value, i)));
-        let mut first = self.k;
-        while first < self.n {
-            let rows = (self.n - first).min(PARITY_ROWS_PER_CALL);
-            let mut bufs: [Option<BytesMut>; PARITY_ROWS_PER_CALL] = Default::default();
-            for buf in &mut bufs[..rows] {
-                *buf = Some(BytesMut::zeroed(self.shard_len));
-            }
-            let outs = bufs.iter_mut().flatten().map(|buf| &mut buf[..]);
-            self.parity_into(value.as_bytes(), first, outs);
-            for (i, buf) in (first..).zip(bufs.into_iter().flatten()) {
-                blocks.push(Block::new(i as BlockIndex, buf.freeze()));
-            }
-            first += rows;
-        }
+        blocks.extend((self.k..self.n).map(|i| {
+            let start = (i - self.k) * self.shard_len;
+            let window = start..start + self.shard_len;
+            Block::window(i as BlockIndex, parity.clone(), window)
+        }));
         blocks
     }
 
     fn decode(&self, blocks: &[Block]) -> Result<Value, CodingError> {
+        // A fault-free read: the first `k` blocks are the systematic
+        // windows in index order, so they are distinct and rejoin without
+        // a list.
+        let in_order = blocks.get(..self.k).filter(|first| {
+            first
+                .iter()
+                .enumerate()
+                .all(|(i, b)| b.index() as usize == i)
+        });
+        if let Some(value) = in_order.and_then(|first| self.rejoin(first.iter())) {
+            return Ok(value);
+        }
         // Deduplicate by index, validating as we go.
         let mut chosen: Vec<&Block> = Vec::with_capacity(self.k);
         let mut seen = vec![false; self.n];
@@ -285,7 +285,7 @@ impl Code for ReedSolomon {
                 got: chosen.len(),
             });
         }
-        if let Some(value) = self.rejoin(&chosen) {
+        if let Some(value) = self.rejoin(chosen.iter().copied()) {
             return Ok(value);
         }
         // The value's own final buffer holds the decoded shards end to
@@ -420,6 +420,30 @@ mod tests {
         let tail = &code.encode(&v)[2];
         assert_eq!(tail.data(), &[v.as_bytes()[8], v.as_bytes()[9], 0, 0]);
         assert_ne!(tail.data().as_ptr(), v.as_bytes()[8..].as_ptr());
+    }
+
+    #[test]
+    fn parity_blocks_are_windows_of_one_buffer() {
+        // 301 and 1 000 are not multiples of k: the tail shard is short.
+        for (k, n, len) in [
+            (4usize, 7usize, 64usize),
+            (3, 7, 301),
+            (2, 6, 1000),
+            (1, 3, 5),
+        ] {
+            let code = ReedSolomon::new(k, n, len).unwrap();
+            let v = Value::seeded(41, len);
+            let blocks = code.encode(&v);
+            let shard_len = code.shard_len();
+            let buf = blocks[k].buffer();
+            assert_eq!(buf.len(), (n - k) * shard_len, "k={k} n={n} len={len}");
+            for (r, b) in blocks[k..].iter().enumerate() {
+                let i = k + r;
+                assert!(b.is_window_at(buf, r * shard_len), "k={k} n={n} block {i}");
+                assert_eq!(b.len(), shard_len);
+                assert_eq!(b, &code.encode_block(&v, i as BlockIndex).unwrap());
+            }
+        }
     }
 
     #[test]

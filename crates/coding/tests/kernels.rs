@@ -244,6 +244,62 @@ fn block_kernels_match_scalar_row_at_a_time() {
     }
 }
 
+#[test]
+fn initialising_block_kernels_match_scalar() {
+    // `mul_block_new` hands the kernel uninitialised rows: its first pass
+    // must write every byte without reading one, and a 9th source (past
+    // every pass shape) is added to what that pass wrote. Under Miri, a
+    // read of an output byte before its write fails the test. Rows 1..=4 ×
+    // sources 1..=9, lengths at and around the 32-byte step plus one over
+    // 4 KiB; each case also runs with a short last source (a tail shard).
+    const LENS: [usize; 6] = [0, 1, 31, 32, 33, 4097];
+    const MAX_SOURCES: usize = 9;
+    let mut state = 0x5eed_0007u64;
+    let mut src_base = vec![vec![0u8; LENS[5]]; MAX_SOURCES];
+    for buf in &mut src_base {
+        fill_random(buf, &mut state);
+    }
+    for rows in 1..=4 {
+        for sources in 1..=MAX_SOURCES {
+            for len in LENS {
+                for short in [false, true] {
+                    let src_len = |j: usize| {
+                        if short && j == sources - 1 {
+                            len / 3
+                        } else {
+                            len
+                        }
+                    };
+                    let srcs: Vec<&[u8]> =
+                        (0..sources).map(|j| &src_base[j][..src_len(j)]).collect();
+                    let coeff = |r: usize, j: usize| sweep_coeff(r, j, len);
+                    let mut expected = vec![0u8; rows * len];
+                    for (r, row) in expected.chunks_exact_mut(len.max(1)).enumerate() {
+                        for (j, src) in srcs.iter().enumerate() {
+                            let row = &mut row[..src.len()];
+                            gf256::mul_acc_with(Kernel::Scalar, row, src, coeff(r, j));
+                        }
+                    }
+                    let ctx = format!("rows={rows} sources={sources} len={len} short={short}");
+                    for kernel in gf256::available_kernels() {
+                        let got = gf256::mul_block_new_with(
+                            kernel,
+                            rows,
+                            len,
+                            sources,
+                            |j| srcs[j],
+                            coeff,
+                        );
+                        assert_eq!(&got[..], &expected[..], "{kernel}: {ctx}");
+                    }
+                    let got = gf256::mul_block_new(rows, len, sources, |j| srcs[j], coeff);
+                    assert_eq!(&got[..], &expected[..], "dispatched: {ctx}");
+                }
+            }
+        }
+    }
+}
+
 /// The code's shards of `v`, zero-padded: the reference's sources.
 fn shards(v: &Value, k: usize, shard_len: usize) -> Vec<Vec<u8>> {
     (0..k)
