@@ -29,14 +29,22 @@ pub struct Block {
     /// than in [`Bytes`] because blocks are few and [`Value`]s (which never
     /// need one) are many: every history record holds a couple.
     ///
+    /// The bounds are `u32`s, which keeps a block at 32 bytes so that an
+    /// RMW carrying one fits in 64 (the registers pin that size): a
+    /// payload is at most 4 GiB.
+    ///
     /// [`Value`]: crate::Value
     buf: Bytes,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl Block {
     /// Creates a block with the given index and payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is 4 GiB or longer.
     pub fn new(index: BlockIndex, data: impl Into<Bytes>) -> Self {
         let buf = data.into();
         let end = buf.len();
@@ -46,16 +54,21 @@ impl Block {
     /// Creates a block whose payload is `buf[range]`, sharing `buf`: no
     /// allocation, no copy — and the whole of `buf` lives for as long as
     /// the block does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or ends past 4 GiB.
     pub(crate) fn window(index: BlockIndex, buf: Bytes, range: std::ops::Range<usize>) -> Self {
         assert!(
             range.start <= range.end && range.end <= buf.len(),
             "block window out of bounds"
         );
+        let end = u32::try_from(range.end).expect("a block payload ends within 4 GiB");
         Block {
             index,
             buf,
-            start: range.start,
-            end: range.end,
+            start: range.start as u32,
+            end,
         }
     }
 
@@ -85,7 +98,9 @@ impl Block {
     /// Two live buffers that begin at one address with one length are the
     /// same bytes, so comparing those is comparing identity.
     pub(crate) fn is_window_at(&self, buf: &Bytes, start: usize) -> bool {
-        self.start == start && self.buf.as_ptr() == buf.as_ptr() && self.buf.len() == buf.len()
+        self.start as usize == start
+            && self.buf.as_ptr() == buf.as_ptr()
+            && self.buf.len() == buf.len()
     }
 
     /// The block number `i` passed to `E(v, i)`.
@@ -95,7 +110,7 @@ impl Block {
 
     /// The coded payload.
     pub fn data(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
+        &self.buf[self.start as usize..self.end as usize]
     }
 
     /// The paper's `|e|`: payload size in bits.
@@ -105,7 +120,7 @@ impl Block {
 
     /// Payload size in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the payload is empty.

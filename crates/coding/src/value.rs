@@ -13,8 +13,27 @@ use bytes::Bytes;
 /// let v = Value::from_bytes(vec![1, 2, 3, 4]);
 /// assert_eq!(v.size_bits(), 32);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Equality is by content, but two values sharing one buffer are equal
+/// without reading it: a read that returns the very buffer a write stored
+/// compares in O(1). Hashing and ordering read the content.
+#[derive(Clone, Eq, PartialOrd, Ord)]
 pub struct Value(Bytes);
+
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        // `Arc::ptr_eq`'s shortcut does not reach through `Bytes` to the
+        // unsized `[u8]`, so the same-buffer test is made here.
+        let (a, b) = (self.as_bytes(), other.as_bytes());
+        (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
+    }
+}
 
 impl Value {
     /// Creates a value from raw bytes.
@@ -126,6 +145,20 @@ mod tests {
         for seed in 0..200u64 {
             assert!(seen.insert(Value::seeded(seed, 2)));
         }
+    }
+
+    #[test]
+    fn equality_shortcuts_a_shared_buffer_and_compares_content_otherwise() {
+        let v = Value::seeded(3, 64);
+        let shared = v.clone();
+        assert_eq!(shared.as_bytes().as_ptr(), v.as_bytes().as_ptr());
+        assert_eq!(v, shared, "same buffer");
+        let copy = Value::from(v.as_bytes());
+        assert_ne!(copy.as_bytes().as_ptr(), v.as_bytes().as_ptr());
+        assert_eq!(v, copy, "equal content in another buffer");
+        assert_ne!(v, Value::seeded(4, 64), "same length, other content");
+        assert_ne!(v, Value::seeded(3, 63), "other length");
+        assert_ne!(Value::seeded(3, 63), v, "other length, either side");
     }
 
     #[test]

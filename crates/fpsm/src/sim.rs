@@ -191,7 +191,11 @@ impl<S: ObjectState> Scratch<S> {
 /// accepting the recorded trace across an evict/rematerialize cycle.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot<S: ObjectState> {
-    objects: Vec<(S, bool)>,
+    objects: Vec<S>,
+    /// Indices of the crashed objects, apart from the states so that a
+    /// flag does not pad every state; empty (no allocation) without
+    /// crashes.
+    crashed: Vec<usize>,
     records: Vec<OpRecord>,
     next_op: u64,
     time: u64,
@@ -265,6 +269,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     pub fn restore(snapshot: SimSnapshot<S>) -> Self {
         let SimSnapshot {
             objects,
+            crashed,
             records,
             next_op,
             time,
@@ -276,7 +281,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         let mut sim = Simulation {
             objects: objects
                 .into_iter()
-                .map(|(state, crashed)| ObjectRt::restore(state, crashed))
+                .enumerate()
+                .map(|(i, state)| ObjectRt::restore(state, crashed.contains(&i)))
                 .collect(),
             clients: Vec::new(),
             rmws: VecDeque::new(),
@@ -695,6 +701,17 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             .collect()
     }
 
+    /// The parameters of in-flight RMW `id`, if it has not taken effect
+    /// yet — what a protocol handed its object, for tests that check how
+    /// a round's RMWs share their payload.
+    pub fn triggered_params(&self, id: RmwId) -> Option<&S::Rmw> {
+        let idx = self.position(id).ok()?;
+        match &self.rmws[idx].phase {
+            RmwPhase::Triggered(rmw) => Some(rmw),
+            RmwPhase::Applied(_) => None,
+        }
+    }
+
     /// Events currently enabled: applies on live objects, deliveries to
     /// live clients, in trigger order.
     pub fn enabled_events(&self) -> Vec<SimEvent> {
@@ -716,10 +733,9 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         // cost's object share *is* the snapshot's storage bill.
         let object_bits = self.objects.iter().map(|o| o.state.block_bits()).sum();
         Some(SimSnapshot {
-            objects: self
-                .objects
-                .iter()
-                .map(|o| (o.state.clone(), o.crashed))
+            objects: self.objects.iter().map(|o| o.state.clone()).collect(),
+            crashed: (0..self.objects.len())
+                .filter(|&i| self.objects[i].crashed)
                 .collect(),
             records: self.full_history(),
             next_op: self.records_base + self.records.len() as u64,

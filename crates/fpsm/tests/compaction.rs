@@ -220,3 +220,13 @@ fn snapshot_refused_while_work_is_in_flight() {
     assert!(run_to_completion(&mut sim, 100));
     assert!(sim.snapshot().is_some());
 }
+
+#[test]
+fn snapshot_restore_keeps_crash_flags() {
+    let mut sim: Simulation<Cell, Client> = Simulation::new(4, |_| Cell::default());
+    sim.crash_object(ObjectId(1));
+    sim.crash_object(ObjectId(3));
+    let sim = Simulation::<Cell, Client>::restore(sim.snapshot().unwrap());
+    let crashed: Vec<bool> = (0..4).map(|i| sim.object_crashed(ObjectId(i))).collect();
+    assert_eq!(crashed, [false, true, false, true]);
+}

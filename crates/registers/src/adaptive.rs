@@ -22,12 +22,16 @@
 //!   than the block-carrying `readValue`, since the write uses nothing but
 //!   the maximal timestamp; this keeps in-flight channel bits (which the
 //!   paper's Definition 2 charges) proportional to the Theorem-2 bound.
-//! * The update RMW carries the object's own piece plus the `k` pieces
-//!   forming a full replica (`WriteSet` restricted to what line 36/38 can
-//!   store), not all `n` pieces.
+//! * The update RMW is charged for the object's own piece plus the `k`
+//!   pieces forming a full replica (`WriteSet` restricted to what line
+//!   36/38 can store), not all `n` pieces. In memory, a write's `n`
+//!   updates and `n` GCs share one list of its tagged pieces, and each
+//!   RMW names its target object's index in it (and an update also `k`);
+//!   what an RMW is charged is unchanged by the sharing.
 
 use crate::common::{
-    best_decodable, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp, INITIAL_OP,
+    best_decodable, tagged_pieces, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,
+    INITIAL_OP,
 };
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Code, ReedSolomon};
@@ -38,22 +42,26 @@ use rsb_fpsm::{
 use std::sync::Arc;
 
 /// Base-object state: `⟨storedTS, Vp, Vf⟩` (Algorithm 1 line 8).
+///
+/// `Vp` holds at most `k` chunks, so it is allocated with room for `k`
+/// once and never grows; `k` itself arrives with every update. `Vf` is
+/// only ever replaced whole, so it is a boxed slice, with no room to grow.
 #[derive(Debug, Clone)]
 pub struct AdaptiveObject {
-    k: usize,
     stored_ts: Timestamp,
     vp: Vec<Chunk>,
-    vf: Vec<Chunk>,
+    vf: Box<[Chunk]>,
 }
 
 impl AdaptiveObject {
     /// The initial state of object `i`: `Vp = {⟨ts₀, piece i of v₀⟩}`.
     pub fn initial(k: usize, initial_piece: TaggedBlock) -> Self {
+        let mut vp = Vec::with_capacity(k);
+        vp.push(Chunk::new(Timestamp::ZERO, initial_piece));
         AdaptiveObject {
-            k,
             stored_ts: Timestamp::ZERO,
-            vp: vec![Chunk::new(Timestamp::ZERO, initial_piece)],
-            vf: Vec::new(),
+            vp,
+            vf: Box::default(),
         }
     }
 
@@ -91,30 +99,39 @@ pub enum AdaptiveRmw {
         ts: Timestamp,
         /// The `storedTS` the writer saw in round 1.
         seen_stored_ts: Timestamp,
-        /// Piece `i` of the written value, for this object's `Vp`.
-        piece: TaggedBlock,
-        /// Pieces `0..k`, forming a full replica for `Vf` if needed; one
-        /// list shared by the `n` updates of a write.
-        full: Arc<[TaggedBlock]>,
+        /// All `n` pieces of the written value, one list shared by the
+        /// write's updates and GCs. Piece `index` goes to this object's
+        /// `Vp`; pieces `0..k` form the full replica for `Vf` if needed.
+        pieces: Arc<[TaggedBlock]>,
+        /// The target object's index.
+        index: u32,
+        /// The code's `k`: `Vp`'s capacity and the replica's length.
+        k: u32,
     },
     /// Write round 3 (the `GC` routine, lines 40–45).
     Gc {
         /// The write's timestamp.
         ts: Timestamp,
-        /// Piece `i`, kept as the single remnant if `Vf` held the replica.
-        piece: TaggedBlock,
+        /// The write's shared piece list. Piece `index` is kept as the
+        /// single remnant if `Vf` held the replica.
+        pieces: Arc<[TaggedBlock]>,
+        /// The target object's index.
+        index: u32,
     },
 }
 
 impl AdaptiveRmw {
-    /// The pieces the parameters carry: the object's own, then the replica's.
+    /// The pieces the parameters are charged for: the object's own, then
+    /// (for an update) the replica's.
     fn pieces(&self) -> impl Iterator<Item = &TaggedBlock> {
-        let (piece, full): (_, &[TaggedBlock]) = match self {
+        let (own, full): (_, &[TaggedBlock]) = match self {
             AdaptiveRmw::ReadTs | AdaptiveRmw::ReadValue => (None, &[]),
-            AdaptiveRmw::Update { piece, full, .. } => (Some(piece), full),
-            AdaptiveRmw::Gc { piece, .. } => (Some(piece), &[]),
+            AdaptiveRmw::Update {
+                pieces, index, k, ..
+            } => (Some(&pieces[*index as usize]), &pieces[..*k as usize]),
+            AdaptiveRmw::Gc { pieces, index, .. } => (Some(&pieces[*index as usize]), &[]),
         };
-        piece.into_iter().chain(full)
+        own.into_iter().chain(full)
     }
 }
 
@@ -205,32 +222,43 @@ impl ObjectState for AdaptiveObject {
             AdaptiveRmw::Update {
                 ts,
                 seen_stored_ts,
-                piece,
-                full,
+                pieces,
+                index,
+                k,
             } => {
+                let k = *k as usize;
                 // Line 33: stale updates are ignored entirely.
                 if *ts > self.stored_ts {
-                    if self.vp.len() < self.k {
+                    if self.vp.len() < k {
                         // Line 36: drop pieces below the writer's watermark,
-                        // then store this write's piece.
+                        // then store this write's piece. Room for `k` is
+                        // there from creation on (a snapshot's exact-length
+                        // clone regains it here, once).
                         self.vp.retain(|c| c.ts >= *seen_stored_ts);
-                        self.vp.push(Chunk::new(*ts, piece.clone()));
+                        self.vp.reserve_exact(k - self.vp.len());
+                        self.vp
+                            .push(Chunk::new(*ts, pieces[*index as usize].clone()));
                     } else if self.vf.is_empty() || self.vf.iter().any(|c| c.ts < *ts) {
                         // Lines 37–38: fall back to a full replica.
-                        self.vf = full.iter().map(|p| Chunk::new(*ts, p.clone())).collect();
+                        self.vf = pieces[..k]
+                            .iter()
+                            .map(|p| Chunk::new(*ts, p.clone()))
+                            .collect();
                     }
                     // Line 39: propagate the watermark.
                     self.stored_ts = self.stored_ts.max(*seen_stored_ts);
                 }
                 AdaptiveResp::Ack
             }
-            AdaptiveRmw::Gc { ts, piece } => {
+            AdaptiveRmw::Gc { ts, pieces, index } => {
                 // Lines 41–42: drop everything older than the completed write.
                 self.vp.retain(|c| c.ts >= *ts);
-                self.vf.retain(|c| c.ts >= *ts);
+                if self.vf.iter().any(|c| c.ts < *ts) {
+                    self.vf = self.vf.iter().filter(|c| c.ts >= *ts).cloned().collect();
+                }
                 // Lines 43–44: shrink my full replica to a single piece.
                 if self.vf.iter().any(|c| c.ts == *ts) {
-                    self.vf = vec![Chunk::new(*ts, piece.clone())];
+                    self.vf = Box::new([Chunk::new(*ts, pieces[*index as usize].clone())]);
                 }
                 // Line 45.
                 self.stored_ts = self.stored_ts.max(*ts);
@@ -247,11 +275,15 @@ enum Phase {
     /// Write round 1: collecting `(storedTS, max chunk ts)` pairs.
     WriteReadTs {
         round: QuorumRound<(Timestamp, Timestamp)>,
+        /// The encoder-oracle output (`WriteSet`), tagged; free per the
+        /// cost model (it is the writer's own oracle state).
+        pieces: Arc<[TaggedBlock]>,
     },
     /// Write round 2: collecting update acks.
     WriteUpdate {
         round: QuorumRound<()>,
         ts: Timestamp,
+        pieces: Arc<[TaggedBlock]>,
     },
     /// Write round 3: collecting GC acks.
     WriteGc {
@@ -267,25 +299,22 @@ enum Phase {
 #[derive(Debug)]
 pub struct AdaptiveClient {
     cfg: RegisterConfig,
-    code: ReedSolomon,
+    /// The protocol's code, shared by all its clients.
+    code: Arc<ReedSolomon>,
     me: ClientId,
     phase: Phase,
-    /// The encoder-oracle output of the current write (`WriteSet`); free
-    /// per the cost model (it is the writer's own oracle state).
-    write_set: Vec<Block>,
     current_op: Option<OpId>,
 }
 
 impl AdaptiveClient {
-    /// Creates the automaton for client `me`.
-    pub fn new(cfg: RegisterConfig, me: ClientId) -> Self {
-        let code = cfg.code().expect("validated config builds a code");
+    /// Creates the automaton for client `me`, encoding and decoding with
+    /// `code` (the `k`-of-`n` code of `cfg`).
+    pub fn new(cfg: RegisterConfig, code: Arc<ReedSolomon>, me: ClientId) -> Self {
         AdaptiveClient {
             cfg,
             code,
             me,
             phase: Phase::Idle,
-            write_set: Vec::new(),
             current_op: None,
         }
     }
@@ -315,11 +344,12 @@ impl ClientLogic for AdaptiveClient {
         self.current_op = Some(op);
         match req {
             OpRequest::Write(v) => {
-                // Line 4: WriteSet ← encode(v).
-                self.write_set = self.code.encode(&v);
+                // Line 4: WriteSet ← encode(v), its blocks moved into the
+                // one list every RMW of the write shares.
+                let pieces = tagged_pieces(&self.code, op, &v);
                 // Round 1 (line 5): read timestamps.
                 let round = QuorumRound::broadcast(self.cfg.n, eff, |_| AdaptiveRmw::ReadTs);
-                self.phase = Phase::WriteReadTs { round };
+                self.phase = Phase::WriteReadTs { round, pieces };
             }
             OpRequest::Read => {
                 // Line 17: first readValue round.
@@ -341,7 +371,7 @@ impl ClientLogic for AdaptiveClient {
         }
         match &mut self.phase {
             Phase::Idle => {}
-            Phase::WriteReadTs { round } => {
+            Phase::WriteReadTs { round, pieces } => {
                 let AdaptiveResp::Ts {
                     stored_ts,
                     max_chunk_ts,
@@ -370,29 +400,31 @@ impl ClientLogic for AdaptiveClient {
                         .max()
                         .expect("quorum is nonempty");
                     // Round 2 (lines 8–10): update all objects.
-                    let full: Arc<[TaggedBlock]> = self.write_set[..self.cfg.k]
-                        .iter()
-                        .map(|b| TaggedBlock::new(op, b.clone()))
-                        .collect();
+                    let pieces = Arc::clone(pieces);
+                    let k = self.cfg.k as u32;
                     let round = QuorumRound::broadcast(self.cfg.n, eff, |i| AdaptiveRmw::Update {
                         ts,
                         seen_stored_ts,
-                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
-                        full: Arc::clone(&full),
+                        pieces: Arc::clone(&pieces),
+                        index: i as u32,
+                        k,
                     });
-                    self.phase = Phase::WriteUpdate { round, ts };
+                    self.phase = Phase::WriteUpdate { round, ts, pieces };
                 }
             }
-            Phase::WriteUpdate { round, ts } => {
+            Phase::WriteUpdate { round, ts, pieces } => {
                 if !round.accept(rmw, ()) {
                     return;
                 }
                 if round.count() >= self.cfg.quorum() {
                     let ts = *ts;
-                    // Round 3 (lines 11–13): garbage collect.
+                    // Round 3 (lines 11–13): garbage collect. The GCs hold
+                    // the write's last references to its pieces.
+                    let pieces = Arc::clone(pieces);
                     let round = QuorumRound::broadcast(self.cfg.n, eff, |i| AdaptiveRmw::Gc {
                         ts,
-                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                        pieces: Arc::clone(&pieces),
+                        index: i as u32,
                     });
                     self.phase = Phase::WriteGc { round };
                 }
@@ -404,7 +436,6 @@ impl ClientLogic for AdaptiveClient {
                 if round.count() >= self.cfg.quorum() {
                     // Line 14.
                     self.phase = Phase::Idle;
-                    self.write_set.clear();
                     self.current_op = None;
                     eff.complete(OpResult::Write);
                 }
@@ -459,6 +490,8 @@ impl ClientLogic for AdaptiveClient {
 #[derive(Debug, Clone)]
 pub struct Adaptive {
     cfg: RegisterConfig,
+    /// The one code every client of the protocol encodes and decodes with.
+    code: Arc<ReedSolomon>,
     initial_blocks: Vec<Block>,
 }
 
@@ -469,6 +502,7 @@ impl Adaptive {
         let initial_blocks = code.encode(&cfg.initial_value());
         Adaptive {
             cfg,
+            code: Arc::new(code),
             initial_blocks,
         }
     }
@@ -496,7 +530,7 @@ impl RegisterProtocol for Adaptive {
 
     fn add_client(&self, sim: &mut Simulation<AdaptiveObject, AdaptiveClient>) -> ClientId {
         let id = ClientId(sim.client_count());
-        sim.add_client(AdaptiveClient::new(self.cfg, id))
+        sim.add_client(AdaptiveClient::new(self.cfg, Arc::clone(&self.code), id))
     }
 }
 
@@ -627,6 +661,99 @@ mod tests {
         let expected = (p.config().n as u64) * p.config().data_bits() / p.config().k as u64;
         assert_eq!(cost.object_bits, expected);
         assert_eq!(cost.total(), expected);
+    }
+
+    #[test]
+    fn a_writes_updates_and_gcs_share_the_encoders_pieces() {
+        let p = proto(2, 2, 64); // n = 6, pieces of 32 B
+        let mut sim = p.new_sim();
+        let w = p.add_client(&mut sim);
+        let v = Value::seeded(11, 64);
+        let op = sim.invoke(w, OpRequest::Write(v.clone())).unwrap();
+        // (round, object) → the list its RMW carried; 0 = update, 1 = GC.
+        let mut seen: Vec<(usize, usize, Arc<[TaggedBlock]>)> = Vec::new();
+        let mut note = |round: usize, obj: ObjectId, pieces: &Arc<[TaggedBlock]>, index: u32| {
+            assert_eq!(index as usize, obj.0, "an RMW names its own object");
+            if !seen.iter().any(|(r, o, _)| (*r, *o) == (round, obj.0)) {
+                seen.push((round, obj.0, Arc::clone(pieces)));
+            }
+        };
+        while let Some(ev) = sim.first_enabled_event() {
+            sim.step(ev).unwrap();
+            for info in sim.inflight_rmws() {
+                match sim.triggered_params(info.rmw) {
+                    Some(AdaptiveRmw::Update {
+                        pieces, index, k, ..
+                    }) => {
+                        assert_eq!(*k, 2);
+                        note(0, info.object, pieces, *index);
+                    }
+                    Some(AdaptiveRmw::Gc { pieces, index, .. }) => {
+                        note(1, info.object, pieces, *index);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(seen.len(), 12, "n updates and n GCs");
+        let list = Arc::clone(&seen[0].2);
+        assert!(
+            seen.iter().all(|(_, _, l)| Arc::ptr_eq(l, &list)),
+            "one list per write"
+        );
+        // The list holds the encoder's blocks as they came out of it:
+        // systematic pieces are windows onto the written value, parity
+        // pieces windows onto one parity buffer, row after row.
+        assert_eq!(list.len(), 6);
+        for (i, piece) in list.iter().enumerate() {
+            assert_eq!((piece.source_op, piece.block.index() as usize), (op, i));
+        }
+        assert_eq!(list[0].block.data().as_ptr(), v.as_bytes().as_ptr());
+        assert_eq!(list[1].block.data().as_ptr(), v.as_bytes()[32..].as_ptr());
+        let parity = list[2].block.data().as_ptr();
+        for (row, piece) in list[2..].iter().enumerate() {
+            assert_eq!(piece.block.data().as_ptr(), parity.wrapping_add(32 * row));
+        }
+        // The finished write keeps nothing: only this test still holds
+        // the list (the objects keep their own pieces, not the list).
+        drop(seen);
+        assert!(sim.is_quiescent());
+        assert_eq!(Arc::strong_count(&list), 1);
+    }
+
+    #[test]
+    fn vp_is_sized_to_k_once_and_never_reallocates() {
+        // c = 4 concurrent writers against k = 2: Vp fills up and the
+        // overflow goes to Vf, while each Vp keeps its first buffer.
+        for seed in 0..5u64 {
+            let p = proto(1, 2, 16); // n = 4
+            let mut sim = p.new_sim();
+            let buffers: Vec<*const Chunk> = (0..4)
+                .map(|i| {
+                    let vp = &sim.object_state(ObjectId(i)).vp;
+                    assert_eq!(vp.capacity(), 2, "bo{i} is created with room for k");
+                    vp.as_ptr()
+                })
+                .collect();
+            let writers: Vec<_> = (0..4).map(|_| p.add_client(&mut sim)).collect();
+            for (i, &w) in writers.iter().enumerate() {
+                sim.invoke(w, OpRequest::Write(Value::seeded(i as u64, 16)))
+                    .unwrap();
+            }
+            let mut sched = RandomScheduler::new(seed);
+            let mut fullest = 0;
+            while let Some(ev) = rsb_fpsm::Scheduler::next_event(&mut sched, &sim) {
+                sim.step(ev).unwrap();
+                for (i, &buffer) in buffers.iter().enumerate() {
+                    let vp = &sim.object_state(ObjectId(i)).vp;
+                    assert_eq!(vp.as_ptr(), buffer, "bo{i} reallocated Vp, seed {seed}");
+                    assert_eq!(vp.capacity(), 2, "bo{i}, seed {seed}");
+                    fullest = fullest.max(vp.len());
+                }
+            }
+            assert!(sim.history().iter().all(rsb_fpsm::OpRecord::is_complete));
+            assert_eq!(fullest, 2, "some Vp filled up, seed {seed}");
+        }
     }
 
     #[test]

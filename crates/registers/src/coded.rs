@@ -11,9 +11,14 @@
 //! Structurally it is the adaptive algorithm of Section 5 with `Vf`
 //! removed and the `|Vp| < k` capacity check dropped; reads are
 //! FW-terminating (they may loop while new writes keep landing).
+//!
+//! The encoder's blocks are moved into one tagged list that a write's
+//! `n` `Store` RMWs share, each naming its target object's index in it;
+//! a `Store` is charged for piece `i` alone, as if it carried only that.
 
 use crate::common::{
-    best_decodable, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp, INITIAL_OP,
+    best_decodable, tagged_pieces, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,
+    INITIAL_OP,
 };
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Code, ReedSolomon};
@@ -21,8 +26,12 @@ use rsb_fpsm::{
     BlockInstance, ClientId, ClientLogic, Effects, ObjectId, ObjectState, OpId, OpRequest,
     OpResult, Payload, RmwId, Simulation,
 };
+use std::sync::Arc;
 
 /// Base-object state: watermark plus an unbounded piece set.
+///
+/// The set has room for one write beside the one it supersedes — what a
+/// write with no concurrency needs; only concurrent writes grow it.
 #[derive(Debug, Clone)]
 pub struct CodedObject {
     stored_ts: Timestamp,
@@ -32,9 +41,11 @@ pub struct CodedObject {
 impl CodedObject {
     /// Initial state: piece `i` of `v₀`.
     pub fn initial(piece: TaggedBlock) -> Self {
+        let mut vp = Vec::with_capacity(2);
+        vp.push(Chunk::new(Timestamp::ZERO, piece));
         CodedObject {
             stored_ts: Timestamp::ZERO,
-            vp: vec![Chunk::new(Timestamp::ZERO, piece)],
+            vp,
         }
     }
 
@@ -63,8 +74,11 @@ pub enum CodedRmw {
         ts: Timestamp,
         /// The watermark seen in round 1.
         seen_stored_ts: Timestamp,
-        /// Piece `i`.
-        piece: TaggedBlock,
+        /// All `n` pieces of the written value, one list shared by the
+        /// write's stores; piece `index` is this object's.
+        pieces: Arc<[TaggedBlock]>,
+        /// The target object's index.
+        index: u32,
     },
     /// Write round 3: garbage-collect below the completed write.
     Gc {
@@ -77,7 +91,7 @@ impl CodedRmw {
     fn piece(&self) -> Option<&TaggedBlock> {
         match self {
             CodedRmw::ReadTs | CodedRmw::ReadValue | CodedRmw::Gc { .. } => None,
-            CodedRmw::Store { piece, .. } => Some(piece),
+            CodedRmw::Store { pieces, index, .. } => Some(&pieces[*index as usize]),
         }
     }
 }
@@ -171,14 +185,19 @@ impl ObjectState for CodedObject {
             CodedRmw::Store {
                 ts,
                 seen_stored_ts,
-                piece,
+                pieces,
+                index,
             } => {
                 if *ts > self.stored_ts {
                     // Drop pieces the writer knows are superseded, then
                     // append — with NO capacity bound: one piece per
-                    // concurrent write survives.
+                    // concurrent write survives. Growth is one chunk at
+                    // a time, so a set never holds more room than its
+                    // busiest moment needed.
                     self.vp.retain(|c| c.ts >= *seen_stored_ts);
-                    self.vp.push(Chunk::new(*ts, piece.clone()));
+                    self.vp.reserve_exact(1);
+                    self.vp
+                        .push(Chunk::new(*ts, pieces[*index as usize].clone()));
                     self.stored_ts = self.stored_ts.max(*seen_stored_ts);
                 }
                 CodedResp::Ack
@@ -198,6 +217,9 @@ enum Phase {
     Idle,
     WriteReadTs {
         round: QuorumRound<(Timestamp, Timestamp)>,
+        /// The encoder's blocks (`WriteSet`), tagged, until round 2
+        /// hands them to the stores.
+        pieces: Arc<[TaggedBlock]>,
     },
     WriteStore {
         round: QuorumRound<()>,
@@ -215,23 +237,22 @@ enum Phase {
 #[derive(Debug)]
 pub struct CodedClient {
     cfg: RegisterConfig,
-    code: ReedSolomon,
+    /// The protocol's code, shared by all its clients.
+    code: Arc<ReedSolomon>,
     me: ClientId,
     phase: Phase,
-    write_set: Vec<Block>,
     current_op: Option<OpId>,
 }
 
 impl CodedClient {
-    /// Creates the automaton for client `me`.
-    pub fn new(cfg: RegisterConfig, me: ClientId) -> Self {
-        let code = cfg.code().expect("validated config builds a code");
+    /// Creates the automaton for client `me`, encoding and decoding with
+    /// `code` (the `k`-of-`n` code of `cfg`).
+    pub fn new(cfg: RegisterConfig, code: Arc<ReedSolomon>, me: ClientId) -> Self {
         CodedClient {
             cfg,
             code,
             me,
             phase: Phase::Idle,
-            write_set: Vec::new(),
             current_op: None,
         }
     }
@@ -261,9 +282,9 @@ impl ClientLogic for CodedClient {
         self.current_op = Some(op);
         match req {
             OpRequest::Write(v) => {
-                self.write_set = self.code.encode(&v);
+                let pieces = tagged_pieces(&self.code, op, &v);
                 let round = QuorumRound::broadcast(self.cfg.n, eff, |_| CodedRmw::ReadTs);
-                self.phase = Phase::WriteReadTs { round };
+                self.phase = Phase::WriteReadTs { round, pieces };
             }
             OpRequest::Read => {
                 let round = self.trigger_read_value(eff);
@@ -284,7 +305,7 @@ impl ClientLogic for CodedClient {
         }
         match &mut self.phase {
             Phase::Idle => {}
-            Phase::WriteReadTs { round } => {
+            Phase::WriteReadTs { round, pieces } => {
                 let CodedResp::Ts {
                     stored_ts,
                     max_chunk_ts,
@@ -309,10 +330,14 @@ impl ClientLogic for CodedClient {
                         .map(|(_, (st, _))| *st)
                         .max()
                         .expect("quorum is nonempty");
+                    // The stores hold the write's last references to its
+                    // pieces.
+                    let pieces = Arc::clone(pieces);
                     let round = QuorumRound::broadcast(self.cfg.n, eff, |i| CodedRmw::Store {
                         ts,
                         seen_stored_ts,
-                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                        pieces: Arc::clone(&pieces),
+                        index: i as u32,
                     });
                     self.phase = Phase::WriteStore { round, ts };
                 }
@@ -333,7 +358,6 @@ impl ClientLogic for CodedClient {
                 }
                 if round.count() >= self.cfg.quorum() {
                     self.phase = Phase::Idle;
-                    self.write_set.clear();
                     self.current_op = None;
                     eff.complete(OpResult::Write);
                 }
@@ -383,6 +407,8 @@ impl ClientLogic for CodedClient {
 #[derive(Debug, Clone)]
 pub struct Coded {
     cfg: RegisterConfig,
+    /// The one code every client of the protocol encodes and decodes with.
+    code: Arc<ReedSolomon>,
     initial_blocks: Vec<Block>,
 }
 
@@ -393,6 +419,7 @@ impl Coded {
         let initial_blocks = code.encode(&cfg.initial_value());
         Coded {
             cfg,
+            code: Arc::new(code),
             initial_blocks,
         }
     }
@@ -419,7 +446,7 @@ impl RegisterProtocol for Coded {
 
     fn add_client(&self, sim: &mut Simulation<CodedObject, CodedClient>) -> ClientId {
         let id = ClientId(sim.client_count());
-        sim.add_client(CodedClient::new(self.cfg, id))
+        sim.add_client(CodedClient::new(self.cfg, Arc::clone(&self.code), id))
     }
 }
 

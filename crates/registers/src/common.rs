@@ -1,9 +1,10 @@
 //! Machinery shared by all register emulations: timestamps, tagged code
 //! blocks, quorum-round tracking, and protocol configuration.
 
-use rsb_coding::{Block, CodingError, ReedSolomon, Value};
+use rsb_coding::{Block, Code, CodingError, ReedSolomon, Value};
 use rsb_fpsm::{BlockInstance, ClientId, Effects, ObjectId, ObjectState, OpId, RmwId};
 use std::cmp::Reverse;
+use std::sync::Arc;
 
 /// The reserved operation id of the synthetic initial write `w₀` that
 /// installed `v₀` "at time 0" (the paper's convention in Definition 8).
@@ -71,6 +72,15 @@ impl TaggedBlock {
     pub fn bits(&self) -> u64 {
         self.block.size_bits()
     }
+}
+
+/// Encodes `v` and moves its blocks, tagged with the write `op`, into
+/// one list for the write's RMWs to share: piece `i` is `E(v, i)`.
+pub(crate) fn tagged_pieces(code: &ReedSolomon, op: OpId, v: &Value) -> Arc<[TaggedBlock]> {
+    code.encode(v)
+        .into_iter()
+        .map(|b| TaggedBlock::new(op, b))
+        .collect()
 }
 
 /// A timestamped code block — the paper's `Chunks = Pieces × TimeStamps`.
@@ -193,31 +203,20 @@ impl RegisterConfig {
 /// Tracks one round of "trigger RMWs on all `n` objects, await `n − f`
 /// responses", the universal communication pattern of the algorithms.
 ///
-/// Responses for RMW ids the round does not know (stragglers from earlier
-/// rounds or operations) are rejected by [`QuorumRound::accept`].
+/// A round's `n` RMWs are triggered back to back, so their ids are
+/// consecutive: the one for object `i` is `first + i`. The round keeps
+/// that first id, `n` and the responses, and allocates nothing but the
+/// response list. Responses for RMW ids outside the round (stragglers
+/// from earlier rounds or operations) and second deliveries for an object
+/// already heard from are rejected by [`QuorumRound::accept`].
 #[derive(Debug, Clone)]
 pub struct QuorumRound<R> {
-    /// Slot `i` holds the RMW awaited from object `i` until its response
-    /// arrives (a round triggers one RMW per object).
-    expected: Vec<Option<RmwId>>,
+    first: RmwId,
+    n: usize,
     responses: Vec<(ObjectId, R)>,
 }
 
-impl<R> Default for QuorumRound<R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<R> QuorumRound<R> {
-    /// Creates an empty round.
-    pub fn new() -> Self {
-        QuorumRound {
-            expected: Vec::new(),
-            responses: Vec::new(),
-        }
-    }
-
     /// Triggers `make(i)` on every object `i < n` and returns the round
     /// awaiting their responses, sized so that accepting them allocates
     /// nothing.
@@ -226,33 +225,38 @@ impl<R> QuorumRound<R> {
         eff: &mut Effects<S>,
         mut make: impl FnMut(usize) -> S::Rmw,
     ) -> Self {
-        QuorumRound {
-            expected: (0..n)
-                .map(|i| Some(eff.trigger(ObjectId(i), make(i))))
-                .collect(),
+        let mut round = QuorumRound {
+            first: RmwId(0),
+            n,
             responses: Vec::with_capacity(n),
-        }
-    }
-
-    /// Registers a triggered RMW and its target object.
-    pub fn expect(&mut self, rmw: RmwId, obj: ObjectId) {
-        if self.expected.len() <= obj.0 {
-            self.expected.resize(obj.0 + 1, None);
-        }
-        self.expected[obj.0] = Some(rmw);
-    }
-
-    /// Accepts a response if it belongs to this round. Returns `true` if
-    /// accepted.
-    pub fn accept(&mut self, rmw: RmwId, resp: R) -> bool {
-        match self.expected.iter().position(|e| *e == Some(rmw)) {
-            Some(obj) => {
-                self.expected[obj] = None;
-                self.responses.push((ObjectId(obj), resp));
-                true
+        };
+        for i in 0..n {
+            let id = eff.trigger(ObjectId(i), make(i));
+            if i == 0 {
+                round.first = id;
             }
-            None => false,
+            debug_assert_eq!(
+                id.0,
+                round.first.0 + i as u64,
+                "broadcast ids are consecutive"
+            );
         }
+        round
+    }
+
+    /// Accepts a response if it belongs to this round and its object has
+    /// not answered yet. Returns `true` if accepted.
+    pub fn accept(&mut self, rmw: RmwId, resp: R) -> bool {
+        let obj = match rmw.0.checked_sub(self.first.0) {
+            Some(i) if i < self.n as u64 => ObjectId(i as usize),
+            _ => return false,
+        };
+        // At most `n` entries: a scan is as cheap as a lookup table.
+        if self.responses.iter().any(|(o, _)| *o == obj) {
+            return false;
+        }
+        self.responses.push((obj, resp));
+        true
     }
 
     /// Number of responses collected.
@@ -331,15 +335,22 @@ mod tests {
 
     #[test]
     fn quorum_round_accepts_only_expected() {
-        let mut round: QuorumRound<u32> = QuorumRound::new();
-        round.expect(RmwId(1), ObjectId(0));
-        round.expect(RmwId(2), ObjectId(1));
-        assert!(round.accept(RmwId(1), 10));
-        assert!(!round.accept(RmwId(1), 10)); // double delivery rejected
-        assert!(!round.accept(RmwId(9), 10)); // stranger rejected
+        // Objects 0..3 were triggered as rmw7..rmw9.
+        let mut round: QuorumRound<u32> = QuorumRound {
+            first: RmwId(7),
+            n: 3,
+            responses: Vec::new(),
+        };
+        assert!(round.accept(RmwId(8), 10));
+        assert!(!round.accept(RmwId(8), 10)); // double delivery rejected
+        assert!(!round.accept(RmwId(6), 10)); // earlier round rejected
+        assert!(!round.accept(RmwId(10), 10)); // later round rejected
         assert_eq!(round.count(), 1);
-        assert!(round.accept(RmwId(2), 20));
-        assert_eq!(round.into_responses().len(), 2);
+        assert!(round.accept(RmwId(7), 20));
+        assert!(round.accept(RmwId(9), 30));
+        let objects: Vec<ObjectId> = round.responses().iter().map(|(o, _)| *o).collect();
+        assert_eq!(objects, [ObjectId(1), ObjectId(0), ObjectId(2)]);
+        assert_eq!(round.into_responses().len(), 3);
     }
 
     fn chunk(ts: Timestamp, idx: BlockIndex, bytes: usize) -> Chunk {

@@ -19,6 +19,7 @@ use rsb_fpsm::{
     BlockInstance, ClientId, ClientLogic, Effects, ObjectId, ObjectState, OpId, OpRequest,
     OpResult, Payload, RmwId, Simulation,
 };
+use std::sync::Arc;
 
 /// Base-object state: exactly one timestamped piece (Algorithm 4).
 #[derive(Debug, Clone)]
@@ -141,32 +142,39 @@ impl ObjectState for SafeObject {
 #[derive(Debug)]
 enum Phase {
     Idle,
-    WriteReadTs { round: QuorumRound<Timestamp> },
-    WriteStore { round: QuorumRound<()> },
-    Read { round: QuorumRound<Chunk> },
+    WriteReadTs {
+        round: QuorumRound<Timestamp>,
+        /// The encoder's blocks (`WriteSet`), until round 2 moves them out.
+        write_set: Vec<Block>,
+    },
+    WriteStore {
+        round: QuorumRound<()>,
+    },
+    Read {
+        round: QuorumRound<Chunk>,
+    },
 }
 
 /// Client automaton of the safe register (Algorithm 5).
 #[derive(Debug)]
 pub struct SafeClient {
     cfg: RegisterConfig,
-    code: ReedSolomon,
+    /// The protocol's code, shared by all its clients.
+    code: Arc<ReedSolomon>,
     me: ClientId,
     phase: Phase,
-    write_set: Vec<Block>,
     current_op: Option<OpId>,
 }
 
 impl SafeClient {
-    /// Creates the automaton for client `me`.
-    pub fn new(cfg: RegisterConfig, me: ClientId) -> Self {
-        let code = cfg.code().expect("validated config builds a code");
+    /// Creates the automaton for client `me`, encoding and decoding with
+    /// `code` (the `k`-of-`n` code of `cfg`).
+    pub fn new(cfg: RegisterConfig, code: Arc<ReedSolomon>, me: ClientId) -> Self {
         SafeClient {
             cfg,
             code,
             me,
             phase: Phase::Idle,
-            write_set: Vec::new(),
             current_op: None,
         }
     }
@@ -189,9 +197,9 @@ impl ClientLogic for SafeClient {
         self.current_op = Some(op);
         match req {
             OpRequest::Write(v) => {
-                self.write_set = self.code.encode(&v);
+                let write_set = self.code.encode(&v);
                 let round = QuorumRound::broadcast(self.cfg.n, eff, |_| SafeRmw::ReadTs);
-                self.phase = Phase::WriteReadTs { round };
+                self.phase = Phase::WriteReadTs { round, write_set };
             }
             OpRequest::Read => {
                 let round = QuorumRound::broadcast(self.cfg.n, eff, |_| SafeRmw::ReadChunk);
@@ -206,7 +214,7 @@ impl ClientLogic for SafeClient {
         }
         match &mut self.phase {
             Phase::Idle => {}
-            Phase::WriteReadTs { round } => {
+            Phase::WriteReadTs { round, write_set } => {
                 let SafeResp::Ts(ts) = resp else { return };
                 if !round.accept(rmw, ts) {
                     return;
@@ -220,10 +228,12 @@ impl ClientLogic for SafeClient {
                         .max()
                         .expect("quorum is nonempty");
                     let ts = Timestamp::new(max.num + 1, self.me);
-                    // Lines 5–6: store piece i at boᵢ.
-                    let round = QuorumRound::broadcast(self.cfg.n, eff, |i| SafeRmw::Store {
+                    // Lines 5–6: store piece i at boᵢ, moved out of the
+                    // write set.
+                    let mut blocks = std::mem::take(write_set).into_iter();
+                    let round = QuorumRound::broadcast(self.cfg.n, eff, |_| SafeRmw::Store {
                         ts,
-                        piece: TaggedBlock::new(op, self.write_set[i].clone()),
+                        piece: TaggedBlock::new(op, blocks.next().expect("n blocks per write")),
                     });
                     self.phase = Phase::WriteStore { round };
                 }
@@ -234,7 +244,6 @@ impl ClientLogic for SafeClient {
                 }
                 if round.count() >= self.cfg.quorum() {
                     self.phase = Phase::Idle;
-                    self.write_set.clear();
                     self.current_op = None;
                     eff.complete(OpResult::Write);
                 }
@@ -275,6 +284,8 @@ impl ClientLogic for SafeClient {
 #[derive(Debug, Clone)]
 pub struct Safe {
     cfg: RegisterConfig,
+    /// The one code every client of the protocol encodes and decodes with.
+    code: Arc<ReedSolomon>,
     initial_blocks: Vec<Block>,
 }
 
@@ -285,6 +296,7 @@ impl Safe {
         let initial_blocks = code.encode(&cfg.initial_value());
         Safe {
             cfg,
+            code: Arc::new(code),
             initial_blocks,
         }
     }
@@ -311,7 +323,7 @@ impl RegisterProtocol for Safe {
 
     fn add_client(&self, sim: &mut Simulation<SafeObject, SafeClient>) -> ClientId {
         let id = ClientId(sim.client_count());
-        sim.add_client(SafeClient::new(self.cfg, id))
+        sim.add_client(SafeClient::new(self.cfg, Arc::clone(&self.code), id))
     }
 }
 

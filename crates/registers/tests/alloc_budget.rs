@@ -198,12 +198,14 @@ fn encode_allocations(k: usize, n: usize, len: usize) -> u64 {
 }
 
 // The counts below are what the code does today, not a target: a change
-// that moves one says so here. A write's are its rounds (two lists each)
-// plus what encoding makes (the write set and its parity buffer; for
-// Adaptive also the shared replica list); a read's are its round, one
-// chunk list per responding object, and the pick of blocks to decode —
-// never a buffer of the value's size. A fault-free read's blocks rejoin,
-// so `decode` itself allocates nothing.
+// that moves one says so here. A write's are its rounds (one response
+// list each: a round knows its RMWs by their first id) plus, for the
+// coded protocols, what encoding makes (the block list and its parity
+// buffer) and the one tagged piece list all the write's RMWs share; Abd's
+// replica is the value's own buffer. A read's are its round, one chunk
+// list per responding object, and the pick of blocks to decode — never a
+// buffer of the value's size. A fault-free read's blocks rejoin, so
+// `decode` itself allocates nothing.
 
 // An encode allocates the block list and one buffer for every parity row,
 // whatever `n − k` is: 2. The block kernel's bookkeeping lives on the
@@ -218,17 +220,17 @@ fn reed_solomon_encode_allocation_budget() {
 #[test]
 fn abd_256b_allocation_budget() {
     let proto = Abd::new(RegisterConfig::new(3, 1, 1, 256).unwrap());
-    assert_budget(&proto, cost(4, 8), cost(2, 0));
+    assert_budget(&proto, cost(2, 8), cost(1, 0));
 }
 
 #[test]
 fn coded_64k_allocation_budget() {
     let proto = Coded::new(RegisterConfig::new(7, 1, 4, 64 * 1024).unwrap());
-    assert_budget(&proto, cost(8, 33), cost(12, 0));
+    assert_budget(&proto, cost(6, 33), cost(11, 0));
 }
 
 #[test]
 fn adaptive_1k_allocation_budget() {
     let proto = Adaptive::new(RegisterConfig::new(6, 2, 2, 1024).unwrap());
-    assert_budget(&proto, cost(9, 22), cost(10, 0));
+    assert_budget(&proto, cost(6, 22), cost(9, 0));
 }

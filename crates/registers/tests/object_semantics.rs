@@ -18,8 +18,9 @@ fn piece(op: u64, index: u32, bytes: usize) -> TaggedBlock {
     TaggedBlock::new(OpId(op), Block::new(index, vec![op as u8; bytes]))
 }
 
-fn full(op: u64, k: usize, bytes: usize) -> Arc<[TaggedBlock]> {
-    (0..k as u32).map(|i| piece(op, i, bytes)).collect()
+/// The shared piece list of write `op`: its pieces `0..n`.
+fn pieces(op: u64, n: usize, bytes: usize) -> Arc<[TaggedBlock]> {
+    (0..n as u32).map(|i| piece(op, i, bytes)).collect()
 }
 
 const C: ClientId = ClientId(0);
@@ -33,7 +34,8 @@ fn adaptive_stale_update_is_noop() {
         C,
         &AdaptiveRmw::Gc {
             ts: ts(5, 1),
-            piece: piece(1, 0, 8),
+            pieces: pieces(1, 1, 8),
+            index: 0,
         },
     );
     assert_eq!(bo.stored_ts(), ts(5, 1));
@@ -43,8 +45,9 @@ fn adaptive_stale_update_is_noop() {
         &AdaptiveRmw::Update {
             ts: ts(5, 0), // ≤ storedTS (client 0 < client 1)
             seen_stored_ts: ts(0, 0),
-            piece: piece(2, 0, 8),
-            full: full(2, 2, 8),
+            pieces: pieces(2, 2, 8),
+            index: 0,
+            k: 2,
         },
     );
     assert_eq!(bo.vp(), &before_vp[..], "stale update must not store");
@@ -65,8 +68,9 @@ fn adaptive_update_prunes_and_stores_in_vp() {
         &AdaptiveRmw::Update {
             ts: ts(1, 1),
             seen_stored_ts: ts(0, 0),
-            piece: piece(1, 0, 8),
-            full: full(1, 3, 8),
+            pieces: pieces(1, 3, 8),
+            index: 0,
+            k: 3,
         },
     );
     assert_eq!(bo.vp().len(), 2); // v₀'s piece + the new one
@@ -78,8 +82,9 @@ fn adaptive_update_prunes_and_stores_in_vp() {
         &AdaptiveRmw::Update {
             ts: ts(2, 2),
             seen_stored_ts: ts(1, 1),
-            piece: piece(2, 0, 8),
-            full: full(2, 3, 8),
+            pieces: pieces(2, 3, 8),
+            index: 0,
+            k: 3,
         },
     );
     let tss: Vec<Timestamp> = bo.vp().iter().map(|c| c.ts).collect();
@@ -98,8 +103,9 @@ fn adaptive_vf_fallback_and_replacement() {
         &AdaptiveRmw::Update {
             ts: ts(1, 1),
             seen_stored_ts: ts(0, 0),
-            piece: piece(1, 0, 8),
-            full: full(1, 1, 8),
+            pieces: pieces(1, 1, 8),
+            index: 0,
+            k: 1,
         },
     );
     assert_eq!(bo.vf().len(), 1);
@@ -110,8 +116,9 @@ fn adaptive_vf_fallback_and_replacement() {
         &AdaptiveRmw::Update {
             ts: ts(1, 0),
             seen_stored_ts: ts(0, 0),
-            piece: piece(2, 0, 8),
-            full: full(2, 1, 8),
+            pieces: pieces(2, 1, 8),
+            index: 0,
+            k: 1,
         },
     );
     assert_eq!(bo.vf()[0].ts, ts(1, 1), "older write must not evict Vf");
@@ -121,8 +128,9 @@ fn adaptive_vf_fallback_and_replacement() {
         &AdaptiveRmw::Update {
             ts: ts(2, 0),
             seen_stored_ts: ts(0, 0),
-            piece: piece(3, 0, 8),
-            full: full(3, 1, 8),
+            pieces: pieces(3, 1, 8),
+            index: 0,
+            k: 1,
         },
     );
     assert_eq!(bo.vf()[0].ts, ts(2, 0));
@@ -138,8 +146,9 @@ fn adaptive_gc_semantics() {
         &AdaptiveRmw::Update {
             ts: ts(1, 1),
             seen_stored_ts: ts(0, 0),
-            piece: piece(1, 0, 8),
-            full: full(1, 1, 8),
+            pieces: pieces(1, 1, 8),
+            index: 0,
+            k: 1,
         },
     );
     // GC of that same write: replica shrinks to one piece, v₀ pruned.
@@ -147,7 +156,8 @@ fn adaptive_gc_semantics() {
         C,
         &AdaptiveRmw::Gc {
             ts: ts(1, 1),
-            piece: piece(1, 0, 8),
+            pieces: pieces(1, 1, 8),
+            index: 0,
         },
     );
     assert!(bo.vp().is_empty(), "v₀'s older piece is pruned");
@@ -159,7 +169,8 @@ fn adaptive_gc_semantics() {
         C,
         &AdaptiveRmw::Gc {
             ts: ts(2, 2),
-            piece: piece(9, 0, 8),
+            pieces: pieces(9, 1, 8),
+            index: 0,
         },
     );
     assert!(bo.vf().is_empty(), "older replica pruned by newer GC");
@@ -175,8 +186,9 @@ fn adaptive_read_value_returns_everything() {
         &AdaptiveRmw::Update {
             ts: ts(1, 1),
             seen_stored_ts: ts(0, 0),
-            piece: piece(1, 0, 8),
-            full: full(1, 2, 8),
+            pieces: pieces(1, 2, 8),
+            index: 0,
+            k: 2,
         },
     );
     let resp = bo.apply(C, &AdaptiveRmw::ReadValue);

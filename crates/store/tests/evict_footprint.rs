@@ -99,7 +99,9 @@ fn live_bytes() -> isize {
 }
 
 /// Largest evicted / live-quiescent heap ratio accepted. Measured at
-/// these configurations: 0.36 (Abd), 0.54 (Coded), 0.53 (Adaptive).
+/// these configurations: 0.343 (Abd), 0.582 (Coded), 0.596 (Adaptive).
+/// Adaptive's sits near the bound because its live key holds no slack a
+/// snapshot would drop: piece lists sized to `k`, no kept write set.
 const MAX_RATIO: f64 = 0.6;
 const KEYS: u64 = 300;
 /// Operations each key runs, alternating write and read, before the
@@ -185,24 +187,24 @@ fn footprint(protocol: ProtocolSpec, register: RegisterConfig) -> (isize, isize)
 #[test]
 fn eviction_frees_at_least_forty_percent_of_a_quiescent_keys_heap() {
     // (protocol, register, max_live_per_key). Each bound is the measured
-    // steady-state heap per key plus 10 %: 3 515, 24 306 and 10 843 B. A
+    // steady-state heap per key plus 10 %: 3 483, 22 869 and 9 501 B. A
     // key that keeps its last drain's buffers, or a record buffer doubled
-    // past the history bound, reads 6 056, 28 132 and 14 924 B.
+    // past the history bound, holds 2.5–4 KB more and fails.
     let cases = [
         (
             ProtocolSpec::Abd,
             RegisterConfig::new(3, 1, 1, 256).unwrap(),
-            3_870,
+            3_830,
         ),
         (
             ProtocolSpec::Coded,
             RegisterConfig::new(7, 1, 4, 4096).unwrap(),
-            26_740,
+            25_160,
         ),
         (
             ProtocolSpec::Adaptive,
             RegisterConfig::new(6, 2, 2, 1024).unwrap(),
-            11_930,
+            10_450,
         ),
     ];
     for (protocol, register, max_live_per_key) in cases {
@@ -216,7 +218,7 @@ fn eviction_frees_at_least_forty_percent_of_a_quiescent_keys_heap() {
         assert!(live > 0, "{protocol}: live keys hold heap");
         let ratio = evicted as f64 / live as f64;
         println!(
-            "{protocol}: {} B/key live, {} B/key evicted ({ratio:.2})",
+            "{protocol}: {} B/key live, {} B/key evicted ({ratio:.3})",
             live / KEYS as isize,
             evicted / KEYS as isize
         );
