@@ -1,11 +1,11 @@
 //! Clients: deterministic state machines emulating register operations.
 
-use crate::ids::{ObjectId, OpId, RmwId};
+use crate::ids::{ClientId, ObjectId, OpId, RmwId};
 use crate::object::ObjectState;
-use crate::payload::BlockInstance;
-#[cfg(test)]
-use crate::payload::Payload;
+use crate::payload::{BlockInstance, Payload};
+use crate::sim::{RmwPhase, RmwRt};
 use rsb_coding::Value;
+use std::collections::VecDeque;
 
 /// An invocation on the emulated register.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,29 +50,43 @@ impl OpResult {
     }
 }
 
-/// RMWs triggered by a handler, in trigger order: `(id, target, payload)`.
-pub(crate) type Triggers<S> = Vec<(RmwId, ObjectId, <S as ObjectState>::Rmw)>;
-
 /// Effects a client handler may produce: triggering RMWs and/or completing
 /// the outstanding operation.
 ///
 /// RMW ids are assigned eagerly so protocol logic can remember which
-/// in-flight RMW belongs to which round.
+/// in-flight RMW belongs to which round. A trigger goes straight into the
+/// simulation's in-flight table, which the handler holds for its length;
+/// the simulation takes the table back, with the ids, bits and completion
+/// the handler left, when it returns.
 #[derive(Debug)]
 pub struct Effects<S: ObjectState> {
-    next_rmw: u64,
-    triggers: Triggers<S>,
-    completion: Option<OpResult>,
+    pub(crate) rmws: VecDeque<RmwRt<S>>,
+    pub(crate) next_rmw: u64,
+    client: ClientId,
+    op: OpId,
+    time: u64,
+    /// Block bits of the parameters triggered so far.
+    pub(crate) param_bits: u64,
+    pub(crate) completion: Option<OpResult>,
 }
 
 impl<S: ObjectState> Effects<S> {
-    /// `triggers` is an empty buffer: the simulation hands the same one to
-    /// every handler, so triggering allocates only while it still grows.
-    pub(crate) fn new(next_rmw: u64, triggers: Triggers<S>) -> Self {
-        debug_assert!(triggers.is_empty());
+    /// A handler of `client` for operation `op` at logical `time`, whose
+    /// triggers join `rmws` with ids from `next_rmw` on.
+    pub(crate) fn new(
+        rmws: VecDeque<RmwRt<S>>,
+        next_rmw: u64,
+        client: ClientId,
+        op: OpId,
+        time: u64,
+    ) -> Self {
         Effects {
+            rmws,
             next_rmw,
-            triggers,
+            client,
+            op,
+            time,
+            param_bits: 0,
             completion: None,
         }
     }
@@ -81,7 +95,15 @@ impl<S: ObjectState> Effects<S> {
     pub fn trigger(&mut self, obj: ObjectId, rmw: S::Rmw) -> RmwId {
         let id = RmwId(self.next_rmw);
         self.next_rmw += 1;
-        self.triggers.push((id, obj, rmw));
+        self.param_bits += rmw.block_bits();
+        self.rmws.push_back(RmwRt {
+            id,
+            client: self.client,
+            op: self.op,
+            object: obj,
+            phase: RmwPhase::Triggered(rmw),
+            triggered_at: self.time,
+        });
         id
     }
 
@@ -96,10 +118,6 @@ impl<S: ObjectState> Effects<S> {
             "operation completed twice in one handler"
         );
         self.completion = Some(result);
-    }
-
-    pub(crate) fn into_parts(self) -> (Triggers<S>, Option<OpResult>) {
-        (self.triggers, self.completion)
     }
 }
 
@@ -165,7 +183,6 @@ impl<L> ClientRt<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ClientId;
     use crate::payload::MetadataOnly;
 
     #[derive(Debug, Clone, Default)]
@@ -187,20 +204,33 @@ mod tests {
 
     #[test]
     fn effects_assign_sequential_ids() {
-        let mut eff: Effects<Nop> = Effects::new(10, Vec::new());
+        let mut eff: Effects<Nop> = Effects::new(VecDeque::new(), 10, ClientId(2), OpId(3), 7);
         let a = eff.trigger(ObjectId(0), MetadataOnly);
         let b = eff.trigger(ObjectId(1), MetadataOnly);
         assert_eq!(a, RmwId(10));
         assert_eq!(b, RmwId(11));
-        let (triggers, completion) = eff.into_parts();
-        assert_eq!(triggers.len(), 2);
-        assert!(completion.is_none());
+        assert_eq!(eff.next_rmw, 12);
+        assert_eq!(eff.param_bits, 0);
+        assert!(eff.completion.is_none());
+        // Each trigger joined the table as its handler's, in id order.
+        let table: Vec<_> = eff
+            .rmws
+            .iter()
+            .map(|rt| (rt.id, rt.client, rt.op, rt.object, rt.triggered_at))
+            .collect();
+        assert_eq!(
+            table,
+            [
+                (RmwId(10), ClientId(2), OpId(3), ObjectId(0), 7),
+                (RmwId(11), ClientId(2), OpId(3), ObjectId(1), 7),
+            ]
+        );
     }
 
     #[test]
     #[should_panic(expected = "completed twice")]
     fn double_completion_panics() {
-        let mut eff: Effects<Nop> = Effects::new(0, Vec::new());
+        let mut eff: Effects<Nop> = Effects::new(VecDeque::new(), 0, ClientId(0), OpId(0), 0);
         eff.complete(OpResult::Write);
         eff.complete(OpResult::Write);
     }

@@ -23,6 +23,15 @@
 //! and a [`ClientLogic`]; adversaries (crate `rsb-lowerbound`) plug in as
 //! [`Scheduler`]s.
 //!
+//! A simulation has two drivers. [`Simulation::step`] runs one
+//! scheduler-chosen event; the experiments, the model checker and the
+//! adversary drive it through a [`Scheduler`]. [`Simulation::drain`] runs
+//! every event the fair scheduler would, until none is enabled, taking
+//! each RMW out of the in-flight table once to apply it and deliver its
+//! response; a host that only wants its operations finished (the store)
+//! calls it. Both share one implementation of each event and produce the
+//! same run: events, times, costs, peaks and storage series.
+//!
 //! # Example: a trivial protocol end-to-end
 //!
 //! ```

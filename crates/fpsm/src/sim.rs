@@ -1,7 +1,7 @@
 //! The deterministic simulation of the asynchronous fault-prone
 //! shared-memory system.
 
-use crate::client::{ClientLogic, ClientRt, Effects, OpRequest, OpResult, Triggers};
+use crate::client::{ClientLogic, ClientRt, Effects, OpRequest, OpResult};
 use crate::ids::{ClientId, ObjectId, OpId, RmwId};
 use crate::object::{ObjectRt, ObjectState};
 use crate::payload::{BlockInstance, Component, Payload, StorageCost};
@@ -51,7 +51,7 @@ impl std::error::Error for SimError {}
 
 /// Phase of an in-flight RMW, holding what is in flight in that phase.
 #[derive(Debug, Clone)]
-enum RmwPhase<S: ObjectState> {
+pub(crate) enum RmwPhase<S: ObjectState> {
     /// Triggered; the parameters have not yet taken effect.
     Triggered(S::Rmw),
     /// Took effect; the response is not yet delivered.
@@ -60,13 +60,13 @@ enum RmwPhase<S: ObjectState> {
 
 /// Bookkeeping for one in-flight RMW.
 #[derive(Debug, Clone)]
-struct RmwRt<S: ObjectState> {
-    id: RmwId,
-    client: ClientId,
-    op: OpId,
-    object: ObjectId,
-    phase: RmwPhase<S>,
-    triggered_at: u64,
+pub(crate) struct RmwRt<S: ObjectState> {
+    pub(crate) id: RmwId,
+    pub(crate) client: ClientId,
+    pub(crate) op: OpId,
+    pub(crate) object: ObjectId,
+    pub(crate) phase: RmwPhase<S>,
+    pub(crate) triggered_at: u64,
 }
 
 /// Public, copyable summary of an in-flight RMW (for schedulers and the
@@ -112,7 +112,9 @@ impl OpRecord {
 }
 
 /// The simulated system: `n` base objects, a growable set of clients, and
-/// in-flight RMWs, advanced one scheduler-chosen event at a time.
+/// in-flight RMWs, advanced one scheduler-chosen event at a time
+/// ([`Simulation::step`]) or all the fair scheduler's events in one call
+/// ([`Simulation::drain`]).
 ///
 /// Logical time increases by one at every action (invocation, apply,
 /// deliver), matching the paper's notion of time as an action index.
@@ -122,11 +124,10 @@ pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
     clients: Vec<ClientRt<L>>,
     /// In-flight RMWs in trigger order. Ids are issued in increasing
     /// order and entries only ever leave, so the table stays sorted by id:
-    /// a trigger is a push, a lookup a binary search, and the fair drain's
-    /// delivery — always of the oldest entry — a pop.
+    /// a trigger is a push (a handler's [`Effects`] holds the table while
+    /// it runs), a lookup a binary search, and the fair drain's event —
+    /// always on the oldest enabled entry — a pop.
     rmws: VecDeque<RmwRt<S>>,
-    /// The buffer every handler's [`Effects`] collects its triggers in.
-    trigger_buf: Triggers<S>,
     records: Vec<OpRecord>,
     /// Op id of `records[0]`: compaction drops a settled prefix and
     /// advances this base, so op ids stay stable identifiers forever.
@@ -151,35 +152,26 @@ pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
     storage_series: Vec<(u64, u64)>,
 }
 
-/// The buffers a drain works in — the in-flight RMW table and the
-/// trigger buffer — detached from any one simulation.
+/// The buffer a drain works in — the in-flight RMW table, into which
+/// handlers trigger directly — detached from any one simulation.
 ///
-/// Both are empty whenever a register is quiescent, yet each keeps the
+/// The table is empty whenever a register is quiescent, yet keeps the
 /// capacity its busiest drain grew it to. A host that runs many
 /// registers one at a time (the store runs one key per lock hold) keeps
 /// one `Scratch` per thread and lends it to each register for the length
 /// of a drain with [`Simulation::swap_scratch`], so an idle register
-/// holds neither buffer. Lending moves no RMW and changes no event,
-/// result or history; a simulation that is never lent one simply grows
-/// its own.
+/// holds no table. Lending moves no RMW and changes no event, result or
+/// history; a simulation that is never lent one simply grows its own.
 #[derive(Debug)]
 pub struct Scratch<S: ObjectState> {
     rmws: VecDeque<RmwRt<S>>,
-    trigger_buf: Triggers<S>,
 }
 
 impl<S: ObjectState> Default for Scratch<S> {
     fn default() -> Self {
         Scratch {
             rmws: VecDeque::new(),
-            trigger_buf: Vec::new(),
         }
-    }
-}
-
-impl<S: ObjectState> Scratch<S> {
-    fn is_empty(&self) -> bool {
-        self.rmws.is_empty() && self.trigger_buf.is_empty()
     }
 }
 
@@ -242,7 +234,6 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             objects,
             clients: Vec::new(),
             rmws: VecDeque::new(),
-            trigger_buf: Vec::new(),
             records: Vec::new(),
             records_base: 0,
             retained: Vec::new(),
@@ -286,7 +277,6 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
                 .collect(),
             clients: Vec::new(),
             rmws: VecDeque::new(),
-            trigger_buf: Vec::new(),
             records: Vec::new(),
             records_base: next_op,
             retained: records,
@@ -331,19 +321,18 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             .reserve_exact(records.saturating_sub(self.records.len()));
     }
 
-    /// Exchanges this simulation's in-flight table and trigger buffer
-    /// with `scratch`'s, if both sides are empty; returns whether it did.
+    /// Exchanges this simulation's in-flight table with `scratch`'s, if
+    /// both are empty; returns whether it did.
     ///
-    /// Call once to lend a drain the scratch's warm buffers and once more
-    /// when the drain ends to take them back. A register left with RMWs in
-    /// flight keeps its buffers (the second call returns `false`), so
+    /// Call once to lend a drain the scratch's warm table and once more
+    /// when the drain ends to take it back. A register left with RMWs in
+    /// flight keeps its table (the second call returns `false`), so
     /// lending never moves state between simulations.
     pub fn swap_scratch(&mut self, scratch: &mut Scratch<S>) -> bool {
-        if !self.rmws.is_empty() || !self.trigger_buf.is_empty() || !scratch.is_empty() {
+        if !self.rmws.is_empty() || !scratch.rmws.is_empty() {
             return false;
         }
         std::mem::swap(&mut self.rmws, &mut scratch.rmws);
-        std::mem::swap(&mut self.trigger_buf, &mut scratch.trigger_buf);
         true
     }
 
@@ -402,13 +391,88 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// target, unknown id).
     pub fn step(&mut self, event: SimEvent) -> Result<(), SimError> {
         match event {
-            SimEvent::Apply(id) => self.apply_rmw(id),
-            SimEvent::Deliver(id) => self.deliver_rmw(id),
+            SimEvent::Apply(id) => {
+                let idx = self.position(id)?;
+                let rt = &self.rmws[idx];
+                if !matches!(rt.phase, RmwPhase::Triggered(_)) {
+                    return Err(SimError::InvalidEvent(format!("{id} already applied")));
+                }
+                if self.objects[rt.object.0].crashed {
+                    let obj = rt.object;
+                    return Err(SimError::InvalidEvent(format!("{obj} has crashed")));
+                }
+                self.apply_parked(idx);
+            }
+            SimEvent::Deliver(id) => {
+                let idx = self.position(id)?;
+                let rt = &self.rmws[idx];
+                if !matches!(rt.phase, RmwPhase::Applied(_)) {
+                    return Err(SimError::InvalidEvent(format!("{id} not applied yet")));
+                }
+                let client = rt.client;
+                if self.clients[client.0].crashed {
+                    return Err(SimError::InvalidEvent(format!("{client} has crashed")));
+                }
+                let Some(RmwRt {
+                    op,
+                    phase: RmwPhase::Applied(resp),
+                    ..
+                }) = self.rmws.remove(idx)
+                else {
+                    unreachable!("an applied RMW at {idx}, checked above");
+                };
+                self.deliver(id, client, op, resp);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs every event the fair scheduler would, until none is enabled:
+    /// exactly what `while let Some(e) = first_enabled_event() { step(e) }`
+    /// runs, with the same order, times, costs, peaks and storage series.
+    ///
+    /// The oldest enabled RMW is always the next to move, and once it takes
+    /// effect its delivery is the next event (unless its client has
+    /// crashed), so the drain takes it out of the table once, applies it
+    /// and delivers its response in one pass: no response parked in the
+    /// table, no id search and no `Result`. Entries whose next event is
+    /// disabled — on a crashed object, or answered to a crashed client —
+    /// stay disabled for the whole drain, so a cursor steps over them.
+    pub fn drain(&mut self) {
+        let mut idx = 0;
+        while let Some(rt) = self.rmws.get(idx) {
+            let applied = matches!(rt.phase, RmwPhase::Applied(_));
+            let live_object = !self.objects[rt.object.0].crashed;
+            if self.clients[rt.client.0].crashed || !(applied || live_object) {
+                // No delivery can follow: it takes effect if its object
+                // lives, and its response stays in the table.
+                if !applied && live_object {
+                    self.apply_parked(idx);
+                }
+                idx += 1;
+                continue;
+            }
+            let Some(RmwRt {
+                id,
+                client,
+                op,
+                object,
+                phase,
+                ..
+            }) = self.rmws.remove(idx)
+            else {
+                unreachable!("entry {idx} was read above");
+            };
+            let resp = match phase {
+                RmwPhase::Triggered(rmw) => self.apply(client, object, &rmw),
+                RmwPhase::Applied(resp) => resp,
+            };
+            self.deliver(id, client, op, resp);
         }
     }
 
     /// Position of an in-flight RMW in the (id-sorted) table; the fair
-    /// drain always asks for the front entry.
+    /// scheduler always asks for the front entry.
     fn position(&self, id: RmwId) -> Result<usize, SimError> {
         match self.rmws.front() {
             Some(front) if front.id == id => Ok(0),
@@ -419,54 +483,48 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         }
     }
 
-    fn apply_rmw(&mut self, id: RmwId) -> Result<(), SimError> {
-        let idx = self.position(id)?;
-        let rt = &mut self.rmws[idx];
-        let RmwPhase::Triggered(rmw) = &rt.phase else {
-            return Err(SimError::InvalidEvent(format!("{id} already applied")));
+    /// Lets the triggered RMW at `idx` take effect and parks its response
+    /// in its place in the table, to be delivered by a later event.
+    fn apply_parked(&mut self, idx: usize) {
+        let Some(mut rt) = self.rmws.remove(idx) else {
+            unreachable!("the caller found entry {idx}");
         };
-        let object = &mut self.objects[rt.object.0];
-        if object.crashed {
-            let obj = rt.object;
-            return Err(SimError::InvalidEvent(format!("{obj} has crashed")));
-        }
-        let object_bits_before = object.state.block_bits();
-        let resp = object.state.apply(rt.client, rmw);
-        self.cost.object_bits =
-            self.cost.object_bits - object_bits_before + object.state.block_bits();
-        self.cost.inflight_param_bits -= rmw.block_bits();
-        self.cost.inflight_resp_bits += resp.block_bits();
-        rt.phase = RmwPhase::Applied(resp);
-        self.time += 1;
-        self.note_storage();
-        Ok(())
+        let RmwPhase::Triggered(rmw) = rt.phase else {
+            unreachable!("the caller checked entry {idx} is triggered");
+        };
+        rt.phase = RmwPhase::Applied(self.apply(rt.client, rt.object, &rmw));
+        self.rmws.insert(idx, rt);
     }
 
-    fn deliver_rmw(&mut self, id: RmwId) -> Result<(), SimError> {
-        let idx = self.position(id)?;
-        let rt = &self.rmws[idx];
-        if !matches!(rt.phase, RmwPhase::Applied(_)) {
-            return Err(SimError::InvalidEvent(format!("{id} not applied yet")));
-        }
-        let client = rt.client;
-        if self.clients[client.0].crashed {
-            return Err(SimError::InvalidEvent(format!("{client} has crashed")));
-        }
-        let rt = self.rmws.remove(idx).expect("position is in range");
-        let RmwPhase::Applied(resp) = rt.phase else {
-            unreachable!("phase checked above");
-        };
+    /// The apply half of an RMW's life, shared by both drivers: `rmw`,
+    /// triggered by `client`, takes effect on the live `object`; its
+    /// parameters leave the bill and its response joins it.
+    fn apply(&mut self, client: ClientId, object: ObjectId, rmw: &S::Rmw) -> S::Resp {
+        let state = &mut self.objects[object.0].state;
+        let object_bits_before = state.block_bits();
+        let resp = state.apply(client, rmw);
+        self.cost.object_bits = self.cost.object_bits - object_bits_before + state.block_bits();
+        self.cost.inflight_param_bits -= rmw.block_bits();
+        self.cost.inflight_resp_bits += resp.block_bits();
+        self.time += 1;
+        self.note_storage();
+        resp
+    }
+
+    /// The deliver half, shared by both drivers: `resp`, already out of
+    /// the table, reaches the live `client`, whose handler for `op` runs.
+    fn deliver(&mut self, id: RmwId, client: ClientId, op: OpId, resp: S::Resp) {
         self.cost.inflight_resp_bits -= resp.block_bits();
         self.time += 1;
-        self.run_handler(client, rt.op, |logic, eff| {
-            logic.on_response(rt.op, id, resp, eff);
+        self.run_handler(client, op, |logic, eff| {
+            logic.on_response(op, id, resp, eff);
         });
-        Ok(())
     }
 
     /// Runs one handler of `client`'s logic for operation `op` and carries
     /// out its effects: the client's held bits are re-measured, triggered
-    /// RMWs enter the in-flight table, a completion closes the record.
+    /// RMWs have joined the in-flight table, a completion closes the
+    /// record.
     fn run_handler(
         &mut self,
         client: ClientId,
@@ -475,24 +533,20 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     ) {
         let logic = &mut self.clients[client.0].logic;
         let client_bits_before = logic.stored_bits();
-        let mut eff = Effects::new(self.next_rmw, std::mem::take(&mut self.trigger_buf));
+        let rmws = std::mem::take(&mut self.rmws);
+        let mut eff = Effects::new(rmws, self.next_rmw, client, op, self.time);
         handler(logic, &mut eff);
         self.cost.client_bits = self.cost.client_bits - client_bits_before + logic.stored_bits();
-        let (mut triggers, completion) = eff.into_parts();
-        for (id, object, rmw) in triggers.drain(..) {
-            debug_assert_eq!(id.0, self.next_rmw);
-            self.next_rmw = id.0 + 1;
-            self.cost.inflight_param_bits += rmw.block_bits();
-            self.rmws.push_back(RmwRt {
-                id,
-                client,
-                op,
-                object,
-                phase: RmwPhase::Triggered(rmw),
-                triggered_at: self.time,
-            });
-        }
-        self.trigger_buf = triggers;
+        let Effects {
+            rmws,
+            next_rmw,
+            param_bits,
+            completion,
+            ..
+        } = eff;
+        self.rmws = rmws;
+        self.next_rmw = next_rmw;
+        self.cost.inflight_param_bits += param_bits;
         if let Some(result) = completion {
             let rec = &mut self.records[(op.0 - self.records_base) as usize];
             debug_assert!(rec.result.is_none(), "operation {op} returned twice");
@@ -825,13 +879,19 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     }
 
     /// Folds the running cost into the peak trackers (and the sampled
-    /// series); called after every action.
+    /// series); called after every action. The peaks are raised field by
+    /// field, where the cost is already in registers.
     fn note_storage(&mut self) {
-        let cost = self.cost;
-        self.peak_total_bits = self.peak_total_bits.max(cost.total());
-        self.peak_cost = self.peak_cost.max(cost);
+        let cost = &self.cost;
+        let peak = &mut self.peak_cost;
+        peak.object_bits = peak.object_bits.max(cost.object_bits);
+        peak.client_bits = peak.client_bits.max(cost.client_bits);
+        peak.inflight_param_bits = peak.inflight_param_bits.max(cost.inflight_param_bits);
+        peak.inflight_resp_bits = peak.inflight_resp_bits.max(cost.inflight_resp_bits);
+        let total = cost.total();
+        self.peak_total_bits = self.peak_total_bits.max(total);
         if self.sample_storage {
-            self.storage_series.push((self.time, cost.total()));
+            self.storage_series.push((self.time, total));
         }
     }
 }

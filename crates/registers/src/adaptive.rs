@@ -30,8 +30,8 @@
 //!   what an RMW is charged is unchanged by the sharing.
 
 use crate::common::{
-    best_decodable, tagged_pieces, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,
-    INITIAL_OP,
+    best_decodable, chunk_bits, retain_from, tagged_pieces, Chunk, QuorumRound, RegisterConfig,
+    TaggedBlock, Timestamp, INITIAL_OP,
 };
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Code, ReedSolomon};
@@ -46,23 +46,34 @@ use std::sync::Arc;
 /// `Vp` holds at most `k` chunks, so it is allocated with room for `k`
 /// once and never grows; `k` itself arrives with every update. `Vf` is
 /// only ever replaced whole, so it is a boxed slice, with no room to grow.
+/// The bits of `Vp ∪ Vf` are kept beside them, so the simulator's
+/// per-event measure of the object is a load.
 #[derive(Debug, Clone)]
 pub struct AdaptiveObject {
     stored_ts: Timestamp,
     vp: Vec<Chunk>,
     vf: Box<[Chunk]>,
+    bits: u64,
 }
 
 impl AdaptiveObject {
     /// The initial state of object `i`: `Vp = {⟨ts₀, piece i of v₀⟩}`.
     pub fn initial(k: usize, initial_piece: TaggedBlock) -> Self {
+        let bits = initial_piece.bits();
         let mut vp = Vec::with_capacity(k);
         vp.push(Chunk::new(Timestamp::ZERO, initial_piece));
         AdaptiveObject {
             stored_ts: Timestamp::ZERO,
             vp,
             vf: Box::default(),
+            bits,
         }
+    }
+
+    /// Replaces `Vf` whole, keeping the cached bits.
+    fn set_vf(&mut self, vf: Box<[Chunk]>) {
+        self.bits = self.bits - chunk_bits(&*self.vf) + chunk_bits(&*vf);
+        self.vf = vf;
     }
 
     /// The `storedTS` watermark.
@@ -167,6 +178,8 @@ pub enum AdaptiveResp {
         stored_ts: Timestamp,
         /// `Vp ∪ Vf`.
         chunks: Vec<Chunk>,
+        /// The bits of `chunks`, as the object had them cached.
+        bits: u64,
     },
 }
 
@@ -185,7 +198,12 @@ impl Payload for AdaptiveResp {
     }
 
     fn block_bits(&self) -> u64 {
-        self.chunks().iter().map(Chunk::bits).sum()
+        let bits = match self {
+            AdaptiveResp::Ack | AdaptiveResp::Ts { .. } => 0,
+            AdaptiveResp::State { bits, .. } => *bits,
+        };
+        debug_assert_eq!(bits, chunk_bits(self.chunks()), "cached response bits");
+        bits
     }
 }
 
@@ -195,7 +213,8 @@ impl Payload for AdaptiveObject {
     }
 
     fn block_bits(&self) -> u64 {
-        self.chunks().map(Chunk::bits).sum()
+        debug_assert_eq!(self.bits, chunk_bits(self.chunks()), "cached object bits");
+        self.bits
     }
 }
 
@@ -218,6 +237,7 @@ impl ObjectState for AdaptiveObject {
             AdaptiveRmw::ReadValue => AdaptiveResp::State {
                 stored_ts: self.stored_ts,
                 chunks: self.chunks().cloned().collect(),
+                bits: self.bits,
             },
             AdaptiveRmw::Update {
                 ts,
@@ -234,16 +254,19 @@ impl ObjectState for AdaptiveObject {
                         // then store this write's piece. Room for `k` is
                         // there from creation on (a snapshot's exact-length
                         // clone regains it here, once).
-                        self.vp.retain(|c| c.ts >= *seen_stored_ts);
+                        retain_from(&mut self.vp, *seen_stored_ts, &mut self.bits);
                         self.vp.reserve_exact(k - self.vp.len());
-                        self.vp
-                            .push(Chunk::new(*ts, pieces[*index as usize].clone()));
+                        let piece = &pieces[*index as usize];
+                        self.bits += piece.bits();
+                        self.vp.push(Chunk::new(*ts, piece.clone()));
                     } else if self.vf.is_empty() || self.vf.iter().any(|c| c.ts < *ts) {
                         // Lines 37–38: fall back to a full replica.
-                        self.vf = pieces[..k]
-                            .iter()
-                            .map(|p| Chunk::new(*ts, p.clone()))
-                            .collect();
+                        self.set_vf(
+                            pieces[..k]
+                                .iter()
+                                .map(|p| Chunk::new(*ts, p.clone()))
+                                .collect(),
+                        );
                     }
                     // Line 39: propagate the watermark.
                     self.stored_ts = self.stored_ts.max(*seen_stored_ts);
@@ -252,13 +275,13 @@ impl ObjectState for AdaptiveObject {
             }
             AdaptiveRmw::Gc { ts, pieces, index } => {
                 // Lines 41–42: drop everything older than the completed write.
-                self.vp.retain(|c| c.ts >= *ts);
+                retain_from(&mut self.vp, *ts, &mut self.bits);
                 if self.vf.iter().any(|c| c.ts < *ts) {
-                    self.vf = self.vf.iter().filter(|c| c.ts >= *ts).cloned().collect();
+                    self.set_vf(self.vf.iter().filter(|c| c.ts >= *ts).cloned().collect());
                 }
                 // Lines 43–44: shrink my full replica to a single piece.
                 if self.vf.iter().any(|c| c.ts == *ts) {
-                    self.vf = Box::new([Chunk::new(*ts, pieces[*index as usize].clone())]);
+                    self.set_vf(Box::new([Chunk::new(*ts, pieces[*index as usize].clone())]));
                 }
                 // Line 45.
                 self.stored_ts = self.stored_ts.max(*ts);
@@ -292,6 +315,8 @@ enum Phase {
     /// Read: collecting `State` responses, possibly over many rounds.
     Read {
         round: QuorumRound<(Timestamp, Vec<Chunk>)>,
+        /// The bits of the chunks collected this round.
+        bits: u64,
     },
 }
 
@@ -330,7 +355,7 @@ impl AdaptiveClient {
     /// client holds, and what it decodes from.
     fn collected(&self) -> impl Iterator<Item = &Chunk> {
         let responses = match &self.phase {
-            Phase::Read { round } => round.responses(),
+            Phase::Read { round, .. } => round.responses(),
             _ => &[],
         };
         responses.iter().flat_map(|(_, (_, chunks))| chunks)
@@ -354,7 +379,7 @@ impl ClientLogic for AdaptiveClient {
             OpRequest::Read => {
                 // Line 17: first readValue round.
                 let round = self.trigger_read_value(eff);
-                self.phase = Phase::Read { round };
+                self.phase = Phase::Read { round, bits: 0 };
             }
         }
     }
@@ -440,13 +465,19 @@ impl ClientLogic for AdaptiveClient {
                     eff.complete(OpResult::Write);
                 }
             }
-            Phase::Read { round } => {
-                let AdaptiveResp::State { stored_ts, chunks } = resp else {
+            Phase::Read { round, bits } => {
+                let AdaptiveResp::State {
+                    stored_ts,
+                    chunks,
+                    bits: resp_bits,
+                } = resp
+                else {
                     return;
                 };
                 if !round.accept(rmw, (stored_ts, chunks)) {
                     return;
                 }
+                *bits += resp_bits;
                 if round.count() >= self.cfg.quorum() {
                     // Lines 18–21: look for a decodable timestamp at or
                     // above the quorum's watermark.
@@ -468,7 +499,7 @@ impl ClientLogic for AdaptiveClient {
                     } else {
                         // Line 19: sample again.
                         let round = self.trigger_read_value(eff);
-                        self.phase = Phase::Read { round };
+                        self.phase = Phase::Read { round, bits: 0 };
                     }
                 }
             }
@@ -482,7 +513,12 @@ impl ClientLogic for AdaptiveClient {
     }
 
     fn stored_bits(&self) -> u64 {
-        self.collected().map(Chunk::bits).sum()
+        let bits = match self.phase {
+            Phase::Read { bits, .. } => bits,
+            _ => 0,
+        };
+        debug_assert_eq!(bits, chunk_bits(self.collected()), "cached reader bits");
+        bits
     }
 }
 

@@ -17,8 +17,8 @@
 //! a `Store` is charged for piece `i` alone, as if it carried only that.
 
 use crate::common::{
-    best_decodable, tagged_pieces, Chunk, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,
-    INITIAL_OP,
+    best_decodable, chunk_bits, retain_from, tagged_pieces, Chunk, QuorumRound, RegisterConfig,
+    TaggedBlock, Timestamp, INITIAL_OP,
 };
 use crate::protocol::RegisterProtocol;
 use rsb_coding::{Block, Code, ReedSolomon};
@@ -31,21 +31,26 @@ use std::sync::Arc;
 /// Base-object state: watermark plus an unbounded piece set.
 ///
 /// The set has room for one write beside the one it supersedes — what a
-/// write with no concurrency needs; only concurrent writes grow it.
+/// write with no concurrency needs; only concurrent writes grow it. The
+/// set's bits are kept beside it, so the simulator's per-event measure of
+/// the object is a load.
 #[derive(Debug, Clone)]
 pub struct CodedObject {
     stored_ts: Timestamp,
     vp: Vec<Chunk>,
+    bits: u64,
 }
 
 impl CodedObject {
     /// Initial state: piece `i` of `v₀`.
     pub fn initial(piece: TaggedBlock) -> Self {
+        let bits = piece.bits();
         let mut vp = Vec::with_capacity(2);
         vp.push(Chunk::new(Timestamp::ZERO, piece));
         CodedObject {
             stored_ts: Timestamp::ZERO,
             vp,
+            bits,
         }
     }
 
@@ -127,6 +132,8 @@ pub enum CodedResp {
         stored_ts: Timestamp,
         /// All stored pieces.
         chunks: Vec<Chunk>,
+        /// The bits of `chunks`, as the object had them cached.
+        bits: u64,
     },
 }
 
@@ -145,7 +152,12 @@ impl Payload for CodedResp {
     }
 
     fn block_bits(&self) -> u64 {
-        self.chunks().iter().map(Chunk::bits).sum()
+        let bits = match self {
+            CodedResp::Ack | CodedResp::Ts { .. } => 0,
+            CodedResp::State { bits, .. } => *bits,
+        };
+        debug_assert_eq!(bits, chunk_bits(self.chunks()), "cached response bits");
+        bits
     }
 }
 
@@ -155,7 +167,8 @@ impl Payload for CodedObject {
     }
 
     fn block_bits(&self) -> u64 {
-        self.vp.iter().map(Chunk::bits).sum()
+        debug_assert_eq!(self.bits, chunk_bits(&self.vp), "cached object bits");
+        self.bits
     }
 }
 
@@ -181,6 +194,7 @@ impl ObjectState for CodedObject {
             CodedRmw::ReadValue => CodedResp::State {
                 stored_ts: self.stored_ts,
                 chunks: self.vp.clone(),
+                bits: self.bits,
             },
             CodedRmw::Store {
                 ts,
@@ -194,16 +208,17 @@ impl ObjectState for CodedObject {
                     // concurrent write survives. Growth is one chunk at
                     // a time, so a set never holds more room than its
                     // busiest moment needed.
-                    self.vp.retain(|c| c.ts >= *seen_stored_ts);
+                    retain_from(&mut self.vp, *seen_stored_ts, &mut self.bits);
                     self.vp.reserve_exact(1);
-                    self.vp
-                        .push(Chunk::new(*ts, pieces[*index as usize].clone()));
+                    let piece = &pieces[*index as usize];
+                    self.bits += piece.bits();
+                    self.vp.push(Chunk::new(*ts, piece.clone()));
                     self.stored_ts = self.stored_ts.max(*seen_stored_ts);
                 }
                 CodedResp::Ack
             }
             CodedRmw::Gc { ts } => {
-                self.vp.retain(|c| c.ts >= *ts);
+                retain_from(&mut self.vp, *ts, &mut self.bits);
                 self.stored_ts = self.stored_ts.max(*ts);
                 CodedResp::Ack
             }
@@ -230,6 +245,8 @@ enum Phase {
     },
     Read {
         round: QuorumRound<(Timestamp, Vec<Chunk>)>,
+        /// The bits of the chunks collected this round.
+        bits: u64,
     },
 }
 
@@ -268,7 +285,7 @@ impl CodedClient {
     /// client holds, and what it decodes from.
     fn collected(&self) -> impl Iterator<Item = &Chunk> {
         let responses = match &self.phase {
-            Phase::Read { round } => round.responses(),
+            Phase::Read { round, .. } => round.responses(),
             _ => &[],
         };
         responses.iter().flat_map(|(_, (_, chunks))| chunks)
@@ -288,7 +305,7 @@ impl ClientLogic for CodedClient {
             }
             OpRequest::Read => {
                 let round = self.trigger_read_value(eff);
-                self.phase = Phase::Read { round };
+                self.phase = Phase::Read { round, bits: 0 };
             }
         }
     }
@@ -362,13 +379,19 @@ impl ClientLogic for CodedClient {
                     eff.complete(OpResult::Write);
                 }
             }
-            Phase::Read { round } => {
-                let CodedResp::State { stored_ts, chunks } = resp else {
+            Phase::Read { round, bits } => {
+                let CodedResp::State {
+                    stored_ts,
+                    chunks,
+                    bits: resp_bits,
+                } = resp
+                else {
                     return;
                 };
                 if !round.accept(rmw, (stored_ts, chunks)) {
                     return;
                 }
+                *bits += resp_bits;
                 if round.count() >= self.cfg.quorum() {
                     let min_ts = round
                         .responses()
@@ -387,7 +410,7 @@ impl ClientLogic for CodedClient {
                         eff.complete(OpResult::Read(value));
                     } else {
                         let round = self.trigger_read_value(eff);
-                        self.phase = Phase::Read { round };
+                        self.phase = Phase::Read { round, bits: 0 };
                     }
                 }
             }
@@ -399,7 +422,12 @@ impl ClientLogic for CodedClient {
     }
 
     fn stored_bits(&self) -> u64 {
-        self.collected().map(Chunk::bits).sum()
+        let bits = match self.phase {
+            Phase::Read { bits, .. } => bits,
+            _ => 0,
+        };
+        debug_assert_eq!(bits, chunk_bits(self.collected()), "cached reader bits");
+        bits
     }
 }
 

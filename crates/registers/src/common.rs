@@ -109,6 +109,23 @@ impl Chunk {
     }
 }
 
+/// Total bits of `chunks`: what a cached `bits` field must equal.
+pub(crate) fn chunk_bits<'a>(chunks: impl IntoIterator<Item = &'a Chunk>) -> u64 {
+    chunks.into_iter().map(Chunk::bits).sum()
+}
+
+/// Keeps the chunks at or above `ts`, taking the bits of those it drops
+/// off `bits`.
+pub(crate) fn retain_from(chunks: &mut Vec<Chunk>, ts: Timestamp, bits: &mut u64) {
+    chunks.retain(|c| {
+        let keep = c.ts >= ts;
+        if !keep {
+            *bits -= c.bits();
+        }
+        keep
+    });
+}
+
 /// Configuration shared by the register emulations.
 ///
 /// The paper fixes `n = 2f + k`; we admit any `n ≥ 2f + k` (two

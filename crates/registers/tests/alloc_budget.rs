@@ -5,7 +5,8 @@
 //! move only metadata (a `ReadTs` taking effect or coming back, an ack
 //! coming back) must allocate nothing, and the allocations of a whole
 //! write and a whole read are pinned per protocol at the benchmark's
-//! configurations.
+//! configurations — the same whether the events are stepped one at a time
+//! or run by the fused `Simulation::drain` the store uses.
 
 // A counting `#[global_allocator]` is an `unsafe impl` by definition, so
 // this test opts out of the workspace's `unsafe_code` deny.
@@ -100,16 +101,27 @@ fn carries_blocks<P: RegisterProtocol>(
         })
 }
 
+/// How an operation's events are run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// One `step` per event, in the fair order, each event counted apart.
+    Step,
+    /// One `drain` for them all, as the store runs a hold.
+    Drain,
+}
+
 /// The most recently triggered RMW still in flight.
 fn newest_rmw<P: RegisterProtocol>(sim: &Simulation<P::Object, P::Client>) -> Option<RmwId> {
     sim.inflight_rmws().last().map(|info| info.rmw)
 }
 
-/// Runs `req` on the simulation's one client under the fair schedule —
-/// the store's drain — and counts.
+/// Runs `req` on the simulation's one client under the fair schedule and
+/// counts. A drain cannot tell its events apart, so it counts allocations
+/// only.
 fn run_op<P: RegisterProtocol>(
     sim: &mut Simulation<P::Object, P::Client>,
     req: OpRequest,
+    driver: Driver,
 ) -> OpCost {
     let client = ClientId(0);
     let mut cost = OpCost {
@@ -120,6 +132,11 @@ fn run_op<P: RegisterProtocol>(
     let before = allocations();
     sim.invoke(client, req).expect("the client is idle");
     cost.allocations += allocations() - before;
+    if driver == Driver::Drain {
+        let before = allocations();
+        sim.drain();
+        cost.allocations += allocations() - before;
+    }
     while let Some(ev) = sim.first_enabled_event() {
         let bare_before = carries_blocks::<P>(sim, ev) == Some(false);
         let newest_before = newest_rmw::<P>(sim);
@@ -144,7 +161,11 @@ fn run_op<P: RegisterProtocol>(
 }
 
 /// Warms a register up, then measures `rounds` writes and reads.
-fn measure<P: RegisterProtocol>(proto: &P, rounds: u64) -> (Vec<OpCost>, Vec<OpCost>) {
+fn measure<P: RegisterProtocol>(
+    proto: &P,
+    rounds: u64,
+    driver: Driver,
+) -> (Vec<OpCost>, Vec<OpCost>) {
     let len = proto.config().value_len;
     let mut sim = proto.new_sim();
     proto.add_client(&mut sim);
@@ -153,26 +174,42 @@ fn measure<P: RegisterProtocol>(proto: &P, rounds: u64) -> (Vec<OpCost>, Vec<OpC
     let mut values = values.into_iter();
     for _ in 0..8 {
         let v = values.next().expect("enough values");
-        run_op::<P>(&mut sim, OpRequest::Write(v));
-        run_op::<P>(&mut sim, OpRequest::Read);
+        run_op::<P>(&mut sim, OpRequest::Write(v), driver);
+        run_op::<P>(&mut sim, OpRequest::Read, driver);
     }
     let mut writes = Vec::new();
     let mut reads = Vec::new();
     for v in values {
-        writes.push(run_op::<P>(&mut sim, OpRequest::Write(v)));
-        reads.push(run_op::<P>(&mut sim, OpRequest::Read));
+        writes.push(run_op::<P>(&mut sim, OpRequest::Write(v), driver));
+        reads.push(run_op::<P>(&mut sim, OpRequest::Read, driver));
     }
     (writes, reads)
 }
 
-/// Every measured write costs `write`, every measured read `read`.
+/// Every measured write costs `write`, every measured read `read`, when
+/// stepped; drained, each makes the same number of allocations.
 fn assert_budget<P: RegisterProtocol>(proto: &P, write: OpCost, read: OpCost) {
-    let (writes, reads) = measure(proto, 6);
+    let (writes, reads) = measure(proto, 6, Driver::Step);
     for (i, cost) in writes.iter().enumerate() {
         assert_eq!(*cost, write, "{} write {i}", proto.name());
     }
     for (i, cost) in reads.iter().enumerate() {
         assert_eq!(*cost, read, "{} read {i}", proto.name());
+    }
+    let (writes, reads) = measure(proto, 6, Driver::Drain);
+    for (i, cost) in writes.iter().enumerate() {
+        let name = proto.name();
+        assert_eq!(
+            cost.allocations, write.allocations,
+            "{name} drained write {i}"
+        );
+    }
+    for (i, cost) in reads.iter().enumerate() {
+        let name = proto.name();
+        assert_eq!(
+            cost.allocations, read.allocations,
+            "{name} drained read {i}"
+        );
     }
 }
 

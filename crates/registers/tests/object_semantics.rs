@@ -192,7 +192,10 @@ fn adaptive_read_value_returns_everything() {
         },
     );
     let resp = bo.apply(C, &AdaptiveRmw::ReadValue);
-    let AdaptiveResp::State { stored_ts, chunks } = resp else {
+    let AdaptiveResp::State {
+        stored_ts, chunks, ..
+    } = resp
+    else {
         panic!("ReadValue must return State");
     };
     assert_eq!(stored_ts, Timestamp::ZERO);

@@ -11,11 +11,14 @@
 //! `submit` returns the result. The key lock is what serializes same-key
 //! submitters.
 //!
-//! A hold borrows its thread's [`Scratch`] — the in-flight table and
-//! trigger buffer a drain works in — and hands it back when it ends, so a
-//! key at rest holds its register, its clients and its history, not the
-//! high-water buffers of its last drain. The thread keeps one scratch per
-//! object-state type, warm in its cache for the next key it runs.
+//! The drain is [`Simulation::drain`]: the fair scheduler's events in one
+//! fused pass, each RMW taken out of the in-flight table once, applied
+//! and delivered. A hold borrows its thread's [`Scratch`] — the in-flight
+//! table the drain works in, which handlers trigger into directly — and
+//! hands it back when it ends, so a key at rest holds its register, its
+//! clients and its history, not the high-water table of its last drain.
+//! The thread keeps one scratch per object-state type, warm in its cache
+//! for the next key it runs.
 //!
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
@@ -47,34 +50,22 @@ use std::time::Instant;
 /// holds need them) are reused across operations when idle.
 type KeySim<P> = Simulation<<P as RegisterProtocol>::Object, <P as RegisterProtocol>::Client>;
 
-/// Executes enabled events until none is left. No new events can appear
-/// while the key lock is held, so the drain terminates (the backlog is
-/// bounded by in-flight RMWs).
-fn drain<S: ObjectState, L: ClientLogic<State = S>>(sim: &mut Simulation<S, L>) {
-    while let Some(ev) = sim.first_enabled_event() {
-        // `ev` came from `first_enabled_event` one line up with no
-        // intervening mutation, so `step` accepting it is an invariant of
-        // the simulator, not a runtime condition.
-        sim.step(ev).expect("enabled event applies");
-    }
-}
-
 thread_local! {
     /// This thread's drain scratch, one [`Scratch`] per object-state type
     /// (a store may mix protocols across shards).
     static SCRATCH: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Swaps `sim`'s drain buffers with this thread's scratch for its state
-/// type: called once when a hold starts, to lend the warm buffers, and
-/// once when it ends, to take them back. [`Simulation::swap_scratch`]
+/// Swaps `sim`'s in-flight table with this thread's scratch for its
+/// state type: called once when a hold starts, to lend the warm table,
+/// and once when it ends, to take it back. [`Simulation::swap_scratch`]
 /// declines while RMWs are in flight, so a key left mid-operation keeps
 /// its own.
 fn swap_thread_scratch<S: ObjectState + 'static, L: ClientLogic<State = S>>(
     sim: &mut Simulation<S, L>,
 ) {
     // During thread teardown the slot may already be gone; the key then
-    // simply keeps its buffers.
+    // simply keeps its table.
     let _ = SCRATCH.try_with(|slots| {
         let mut slots = slots.borrow_mut();
         if !slots.iter().any(|s| s.is::<Scratch<S>>()) {
@@ -385,7 +376,9 @@ where
             .map(|(tag, req)| (tag, self.invoke(sim, req), std::mem::take(&mut first)))
             .collect();
         let exec_start = Instant::now();
-        drain(sim);
+        // No new event can appear while the key lock is held, so the
+        // drain ends (its backlog is bounded by the RMWs in flight).
+        sim.drain();
         let times = HoldTimes {
             queue_ns: exec_start.duration_since(started).as_nanos() as u64,
             execute_ns: exec_start.elapsed().as_nanos() as u64,

@@ -3,8 +3,8 @@
 //!
 //! A live key at rest holds its `n` object states, the client automata
 //! its busiest hold needed, and a record buffer sized to the history
-//! bound. Its in-flight deque and trigger buffer are not among them: a
-//! hold borrows those from its thread and hands them back when it ends.
+//! bound. Its in-flight deque is not among them: a hold borrows it from
+//! its thread and hands it back when it ends.
 //! The steady-state phase pins that bill: after `STEADY_OPS` mixed
 //! operations per key, past the 16-record bound, the live heap per key
 //! must stay under each configuration's `max_live_per_key`.
