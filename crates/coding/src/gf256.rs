@@ -7,10 +7,9 @@
 //!
 //! # Bulk kernels
 //!
-//! The field's bulk operations — the block kernel below, its one-row case
-//! [`mul_acc`] (`dst[i] ^= coeff · src[i]`), and the in-place [`scale`] —
-//! dispatch once per call, never per byte, to the fastest [`Kernel`] the
-//! host supports:
+//! The field's bulk operation — the block kernel below, and its one-row
+//! case [`mul_acc`] (`dst[i] ^= coeff · src[i]`) — dispatches once per
+//! call, never per byte, to the fastest [`Kernel`] the host supports:
 //!
 //! * **`Gfni`** (x86-64, runtime-detected): each coefficient's multiply map
 //!   is a GF(2)-linear transform, precomputed as an 8×8 bit-matrix
@@ -26,13 +25,18 @@
 //!   byte lane doubled with branchless shift-and-xor and the doublings a
 //!   coefficient's bits select summed; tails fall back to the nibble
 //!   tables, one byte at a time.
-//! * **`Scalar`**: the original branchy `EXP[LOG[c] + LOG[s]]` loop, kept as
-//!   the differential-testing reference and benchmark baseline.
+//! * **`Scalar`**: a byte loop over the `EXP[LOG[c] + LOG[s]]` [`mul`],
+//!   kept as the differential-testing reference and benchmark baseline.
 //!
 //! Detection runs once per process ([`active_kernel`]); the
 //! `RSB_GF256_KERNEL` environment variable
 //! (`scalar`/`swar`/`ssse3`/`avx2`/`gfni`) or [`force_kernel`] pins a
 //! specific kernel for benchmarks and tests.
+//!
+//! The in-place [`scale`] does not dispatch: it is one byte loop over
+//! [`mul`]. Its callers — matrix row operations and the rateless code's
+//! basis reduction — hand it coefficient rows `k` or `n` bytes long, never
+//! a data shard, so a vector step would cover one or two vectors at most.
 //!
 //! # The block kernel
 //!
@@ -279,14 +283,14 @@ pub fn dot(a: &[u8], b: &[u8]) -> u8 {
 // Kernel selection
 // ---------------------------------------------------------------------------
 
-/// A bulk GF(256) multiply kernel — the implementation [`mul_acc`] and
-/// [`scale`] dispatch to.
+/// A bulk GF(256) multiply kernel — the implementation the block kernel
+/// and [`mul_acc`] dispatch to.
 ///
 /// All kernels compute byte-for-byte identical results (proven exhaustively
 /// by the crate's differential tests); they differ only in throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The original per-byte `EXP[LOG[c] + LOG[s]]` loop. Reference and
+    /// A byte loop over the `EXP[LOG[c] + LOG[s]]` [`mul`]. Reference and
     /// benchmark baseline; never auto-selected.
     Scalar,
     /// Portable `u64` SWAR: 32 byte lanes per step, branchless
@@ -418,7 +422,7 @@ fn detect_kernel() -> Kernel {
     Kernel::Swar
 }
 
-/// The kernel [`mul_acc`] and [`scale`] currently dispatch to.
+/// The kernel the block kernel and [`mul_acc`] currently dispatch to.
 ///
 /// Resolved once per process (runtime CPU feature detection, overridable via
 /// the `RSB_GF256_KERNEL` environment variable) and cached in an atomic, so
@@ -480,17 +484,13 @@ pub fn mul_acc(dst: &mut [u8], src: &[u8], coeff: u8) {
     dispatch_mul_acc(active_kernel(), dst, src, coeff);
 }
 
-/// Scales every byte of `buf` by `coeff` in place. Dispatches like
-/// [`mul_acc`].
+/// Scales every byte of `buf` by `coeff` in place, one [`mul`] per byte:
+/// it is handed coefficient rows, never data shards, so it does not
+/// dispatch.
 pub fn scale(buf: &mut [u8], coeff: u8) {
-    if coeff == 1 {
-        return;
+    for b in buf {
+        *b = mul(coeff, *b);
     }
-    if coeff == 0 {
-        buf.fill(0);
-        return;
-    }
-    dispatch_scale(active_kernel(), buf, coeff);
 }
 
 /// Runs [`mul_acc`] through one specific kernel, bypassing dispatch — the
@@ -509,44 +509,15 @@ pub fn mul_acc_with(kernel: Kernel, dst: &mut [u8], src: &[u8], coeff: u8) {
     dispatch_mul_acc(kernel, dst, src, coeff);
 }
 
-/// Runs [`scale`] through one specific kernel, bypassing dispatch.
-///
-/// # Panics
-///
-/// Panics if the kernel is unavailable on this machine.
-pub fn scale_with(kernel: Kernel, buf: &mut [u8], coeff: u8) {
-    assert!(
-        kernel_available(kernel),
-        "kernel {kernel} unavailable on this machine"
-    );
-    dispatch_scale(kernel, buf, coeff);
-}
-
-/// One row: the scalar loop, or the block kernel's one-row, one-source
-/// pass — straight to its byte loop for a row under 32 bytes, such as a
-/// matrix row, which no vector step would cover anyway.
+/// One row: the block kernel's one-row, one-source pass — the scalar
+/// kernel's byte loop, and any other kernel's straight to its byte loop
+/// for a row under 32 bytes, such as a matrix row, which no vector step
+/// would cover anyway.
 fn dispatch_mul_acc(kernel: Kernel, dst: &mut [u8], src: &[u8], coeff: u8) {
     match kernel {
-        Kernel::Scalar => mul_acc_scalar(dst, src, coeff),
+        Kernel::Scalar => block_bytes(&mut [dst], &[src], &[coeff], 0, mul),
         _ if dst.len() < 32 => block_tail(&mut [dst], &[src], &[coeff], 0),
         _ => dispatch_block(kernel, &mut [dst], &[src], &[coeff]),
-    }
-}
-
-fn dispatch_scale(kernel: Kernel, buf: &mut [u8], coeff: u8) {
-    match kernel {
-        Kernel::Scalar => scale_scalar(buf, coeff),
-        Kernel::Swar => scale_swar(buf, coeff),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => simd::scale_ssse3(buf, coeff),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => simd::scale_avx2(buf, coeff),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Gfni => simd::scale_gfni(buf, coeff),
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ssse3 | Kernel::Avx2 | Kernel::Gfni => {
-            unreachable!("vector kernels are x86-64 only")
-        }
     }
 }
 
@@ -685,52 +656,25 @@ pub fn mul_block_new_with<'s>(
 }
 
 /// Computes `dsts[r][i] ^= coeffs[r] · src[i]` for every destination row:
-/// the block kernel's one-source, accumulating case, so the source is
-/// read once per pass of rows instead of once per row.
+/// [`mul_block`]'s one-source, accumulating case, so the source is read
+/// once per pass of rows instead of once per row.
 ///
 /// # Panics
 ///
 /// Panics if `dsts` and `coeffs` have different lengths, or any destination
-/// row's length differs from `src`'s.
+/// row's length differs from `src`'s — a shorter source too, which
+/// [`mul_block`] alone would read as zero-padded.
 pub fn mul_acc_multi(dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    check_multi(dsts, src, coeffs);
-    multi(active_kernel(), dsts, src, coeffs);
-}
-
-/// Runs [`mul_acc_multi`] through one specific kernel, bypassing dispatch —
-/// the hook the kernel benchmarks use.
-///
-/// # Panics
-///
-/// Panics on the [`mul_acc_multi`] length mismatches, or if the kernel is
-/// unavailable on this machine (see [`kernel_available`]).
-pub fn mul_acc_multi_with(kernel: Kernel, dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    check_multi(dsts, src, coeffs);
-    assert!(
-        kernel_available(kernel),
-        "kernel {kernel} unavailable on this machine"
-    );
-    multi(kernel, dsts, src, coeffs);
-}
-
-fn check_multi(dsts: &[&mut [u8]], src: &[u8], coeffs: &[u8]) {
     assert_eq!(
         dsts.len(),
         coeffs.len(),
         "mul_acc_multi row/coefficient count mismatch"
     );
-    for d in dsts {
+    for d in dsts.iter() {
         assert_eq!(d.len(), src.len(), "mul_acc_multi on unequal lengths");
     }
-}
-
-/// [`mul_acc_multi`] as passes of the kernel's rows: with one source, the
-/// coefficients are already a pass's row-major matrix.
-fn multi(kernel: Kernel, dsts: &mut [&mut [u8]], src: &[u8], coeffs: &[u8]) {
-    let rows = kernel.pass_shape().0;
-    for (dsts, coeffs) in dsts.chunks_mut(rows).zip(coeffs.chunks(rows)) {
-        dispatch_block(kernel, dsts, &[src], coeffs);
-    }
+    let outs = dsts.iter_mut().map(|d| &mut **d);
+    mul_block(outs, 1, |_| src, |r, _| coeffs[r], true);
 }
 
 /// [`mul_block`] on `kernel`. Overwriting rows is the initialising form's
@@ -954,93 +898,6 @@ fn xor_slices(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Multiplies all 8 byte lanes of `w` by `coeff`: branchless
-/// shift-and-conditionally-xor over the bits of `coeff`, doubling the lane
-/// polynomial (mod 0x11d) each step.
-#[inline]
-fn mul_word(w: u64, coeff: u8) -> u64 {
-    const MSB: u64 = 0x8080_8080_8080_8080;
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    let mut acc = 0u64;
-    let mut p = w;
-    let mut c = u32::from(coeff);
-    loop {
-        // All-ones when the current coefficient bit is set.
-        acc ^= p & 0u64.wrapping_sub(u64::from(c & 1));
-        c >>= 1;
-        if c == 0 {
-            return acc;
-        }
-        // Per-lane ×2: shift, then reduce lanes that overflowed by 0x1d.
-        // `(p & MSB) >> 7` is 0 or 1 per lane, so the multiply by 0x1d
-        // cannot carry across lanes.
-        p = ((p & LOW7) << 1) ^ ((p & MSB) >> 7).wrapping_mul(0x1d);
-    }
-}
-
-/// [`mul_acc`] through the scalar `EXP`/`LOG` kernel — the original
-/// implementation, kept as the differential reference and bench baseline.
-fn mul_acc_scalar(dst: &mut [u8], src: &[u8], coeff: u8) {
-    if coeff == 0 {
-        return;
-    }
-    if coeff == 1 {
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d ^= s;
-        }
-        return;
-    }
-    let lc = LOG[coeff as usize] as usize;
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        if s != 0 {
-            *d ^= EXP[lc + LOG[s as usize] as usize];
-        }
-    }
-}
-
-/// [`scale`] through the scalar `EXP`/`LOG` kernel.
-fn scale_scalar(buf: &mut [u8], coeff: u8) {
-    if coeff == 1 {
-        return;
-    }
-    if coeff == 0 {
-        buf.fill(0);
-        return;
-    }
-    let lc = LOG[coeff as usize] as usize;
-    for b in buf.iter_mut() {
-        if *b != 0 {
-            *b = EXP[lc + LOG[*b as usize] as usize];
-        }
-    }
-}
-
-/// Four independent [`mul_word`] chains in lockstep. The doubling chain is
-/// serial per word (8 dependent steps), so a single-word loop is
-/// latency-bound; running four words side by side restores instruction-level
-/// parallelism (and auto-vectorizes on wider targets).
-#[inline]
-fn mul_word4(w: [u64; 4], coeff: u8) -> [u64; 4] {
-    const MSB: u64 = 0x8080_8080_8080_8080;
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    let mut acc = [0u64; 4];
-    let mut p = w;
-    let mut c = u32::from(coeff);
-    loop {
-        let mask = 0u64.wrapping_sub(u64::from(c & 1));
-        for lane in 0..4 {
-            acc[lane] ^= p[lane] & mask;
-        }
-        c >>= 1;
-        if c == 0 {
-            return acc;
-        }
-        for lane in &mut p {
-            *lane = ((*lane & LOW7) << 1) ^ ((*lane & MSB) >> 7).wrapping_mul(0x1d);
-        }
-    }
-}
-
 /// 32 bytes' [`OutByte::base`]s as four little-endian words.
 fn load4<B: OutByte>(bytes: &[B]) -> [u64; 4] {
     let mut w = [0u64; 4];
@@ -1123,24 +980,6 @@ fn block_swar_rows<const R: usize, B: OutByte>(
     }
     if end < len {
         block_tail(outs, srcs, coeffs, end);
-    }
-}
-
-/// [`scale`] through the portable `u64` SWAR kernel.
-fn scale_swar(buf: &mut [u8], coeff: u8) {
-    let mut quads = buf.chunks_exact_mut(32);
-    for q in &mut quads {
-        let prod = mul_word4(load4(q), coeff);
-        store4(q, prod);
-    }
-    let (words, tail) = quads.into_remainder().as_chunks_mut::<8>();
-    for w in words {
-        *w = mul_word(u64::from_le_bytes(*w), coeff).to_le_bytes();
-    }
-    let lo = &MUL_LO[coeff as usize];
-    let hi = &MUL_HI[coeff as usize];
-    for b in tail {
-        *b = lo[(*b & 0x0f) as usize] ^ hi[(*b >> 4) as usize];
     }
 }
 
@@ -1283,26 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_word_matches_scalar_lanes() {
-        let mut state = 0x1234_5678_9abc_def0u64;
-        for coeff in 0..=255u8 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let w = state;
-            let prod = mul_word(w, coeff);
-            for lane in 0..8 {
-                let s = (w >> (8 * lane)) as u8;
-                assert_eq!(
-                    (prod >> (8 * lane)) as u8,
-                    mul(coeff, s),
-                    "coeff={coeff} lane={lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn mul_acc_matches_scalar_path() {
         let src = [1u8, 0, 255, 87, 13];
         for coeff in [0u8, 1, 2, 200] {
@@ -1316,11 +1135,17 @@ mod tests {
 
     #[test]
     fn scale_matches_mul() {
-        let mut buf = [3u8, 0, 200, 255];
-        scale(&mut buf, 7);
-        assert_eq!(buf, [mul(3, 7), 0, mul(200, 7), mul(255, 7)]);
-        scale(&mut buf, 0);
-        assert_eq!(buf, [0, 0, 0, 0]);
+        // Every coefficient over every length 0..=64, against `mul` byte by
+        // byte; the data starts with a 0.
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(0x4f)).collect();
+        for coeff in 0..=255u8 {
+            for len in 0..=64 {
+                let mut buf = data[..len].to_vec();
+                scale(&mut buf, coeff);
+                let want: Vec<u8> = data[..len].iter().map(|&b| mul(coeff, b)).collect();
+                assert_eq!(buf, want, "coeff={coeff} len={len}");
+            }
+        }
     }
 
     #[test]
@@ -1362,6 +1187,13 @@ mod tests {
         let mut rows: Vec<&mut [u8]> = actual.iter_mut().map(Vec::as_mut_slice).collect();
         mul_acc_multi(&mut rows, &src, &coeffs);
         assert_eq!(actual, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "mul_acc_multi on unequal lengths")]
+    fn mul_acc_multi_rejects_a_short_source() {
+        let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+        mul_acc_multi(&mut [&mut a, &mut b], &[1u8; 7], &[2, 3]);
     }
 
     #[test]

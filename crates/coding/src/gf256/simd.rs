@@ -19,7 +19,7 @@
 //! every running sum stay in registers. Each 32/16-byte source chunk is
 //! loaded once and each output chunk is stored once per pass; an output
 //! is loaded only when the pass adds to it, never when it is the output's
-//! first writer. `scale` works in place, so it keeps kernels of its own.
+//! first writer.
 //!
 //! This module and `uninit.rs` are the only places in the crate that use
 //! `unsafe`. Here it is raw pointer loads/stores for the unaligned vector
@@ -38,19 +38,9 @@ use core::arch::x86_64::{
     _mm_storeu_si128, _mm_xor_si128,
 };
 
-/// `buf[i] = coeff · buf[i]` via SSSE3 `pshufb`.
-pub(super) fn scale_ssse3(buf: &mut [u8], coeff: u8) {
-    debug_assert!(is_x86_feature_detected!("ssse3"));
-    // SAFETY: the ssse3 target feature was runtime-verified by the caller.
-    unsafe { scale_ssse3_impl(buf, coeff) }
-}
-
-/// `buf[i] = coeff · buf[i]` via AVX2 `vpshufb`.
-pub(super) fn scale_avx2(buf: &mut [u8], coeff: u8) {
-    debug_assert!(is_x86_feature_detected!("avx2"));
-    // SAFETY: the avx2 target feature was runtime-verified by the caller.
-    unsafe { scale_avx2_impl(buf, coeff) }
-}
+// ---------------------------------------------------------------------------
+// A coefficient's operands: nibble tables, or the GFNI bit-matrix
+// ---------------------------------------------------------------------------
 
 /// Loads a 16-entry nibble table into a 128-bit register.
 #[target_feature(enable = "ssse3")]
@@ -58,34 +48,6 @@ fn load_table_128(table: &[u8; 16]) -> __m128i {
     // SAFETY: `table` is exactly 16 readable bytes; loadu has no alignment
     // requirement.
     unsafe { _mm_loadu_si128(table.as_ptr().cast()) }
-}
-
-/// `product = pshufb(lo, x & 0xf) ^ pshufb(hi, (x >> 4) & 0xf)`.
-#[target_feature(enable = "ssse3")]
-fn product_128(x: __m128i, lo: __m128i, hi: __m128i) -> __m128i {
-    let nib = _mm_set1_epi8(0x0f);
-    let l = _mm_shuffle_epi8(lo, _mm_and_si128(x, nib));
-    let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64::<4>(x), nib));
-    _mm_xor_si128(l, h)
-}
-
-#[target_feature(enable = "ssse3")]
-fn scale_ssse3_impl(buf: &mut [u8], coeff: u8) {
-    let lo_t = &MUL_LO[coeff as usize];
-    let hi_t = &MUL_HI[coeff as usize];
-    let lo = load_table_128(lo_t);
-    let hi = load_table_128(hi_t);
-    let mut chunks = buf.chunks_exact_mut(16);
-    for c in &mut chunks {
-        // SAFETY: the chunk is exactly 16 bytes; unaligned load/store.
-        unsafe {
-            let x = _mm_loadu_si128(c.as_ptr().cast());
-            _mm_storeu_si128(c.as_mut_ptr().cast(), product_128(x, lo, hi));
-        }
-    }
-    for b in chunks.into_remainder().iter_mut() {
-        *b = lo_t[(*b & 0x0f) as usize] ^ hi_t[(*b >> 4) as usize];
-    }
 }
 
 /// Loads a 16-entry nibble table broadcast to both 128-bit lanes.
@@ -96,73 +58,11 @@ fn load_table_256(table: &[u8; 16]) -> __m256i {
     _mm256_broadcastsi128_si256(t)
 }
 
-/// Per-lane `vpshufb` nibble lookup; the tables are duplicated in both
-/// lanes, so the lane-local shuffle semantics are exactly what we want.
-#[target_feature(enable = "avx2")]
-fn product_256(x: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
-    let nib = _mm256_set1_epi8(0x0f);
-    let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(x, nib));
-    let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64::<4>(x), nib));
-    _mm256_xor_si256(l, h)
-}
-
-#[target_feature(enable = "avx2")]
-fn scale_avx2_impl(buf: &mut [u8], coeff: u8) {
-    let lo_t = &MUL_LO[coeff as usize];
-    let hi_t = &MUL_HI[coeff as usize];
-    let lo = load_table_256(lo_t);
-    let hi = load_table_256(hi_t);
-    let mut chunks = buf.chunks_exact_mut(32);
-    for c in &mut chunks {
-        // SAFETY: the chunk is exactly 32 bytes; unaligned load/store.
-        unsafe {
-            let x = _mm256_loadu_si256(c.as_ptr().cast());
-            _mm256_storeu_si256(c.as_mut_ptr().cast(), product_256(x, lo, hi));
-        }
-    }
-    for b in chunks.into_remainder().iter_mut() {
-        *b = lo_t[(*b & 0x0f) as usize] ^ hi_t[(*b >> 4) as usize];
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GFNI: one `vgf2p8affineqb` per 32 bytes
-// ---------------------------------------------------------------------------
-
 /// The coefficient's 8×8 bit-matrix broadcast to every qword of a 256-bit
 /// register — the second operand of `vgf2p8affineqb`.
 #[target_feature(enable = "gfni,avx2")]
 fn mul_matrix_256(coeff: u8) -> __m256i {
     _mm256_set1_epi64x(i64::from_le_bytes(MUL_MATRIX[coeff as usize].to_le_bytes()))
-}
-
-/// `buf[i] = coeff · buf[i]` via GFNI `vgf2p8affineqb`.
-pub(super) fn scale_gfni(buf: &mut [u8], coeff: u8) {
-    debug_assert!(is_x86_feature_detected!("gfni") && is_x86_feature_detected!("avx2"));
-    // SAFETY: the gfni+avx2 target features were runtime-verified by the
-    // caller.
-    unsafe { scale_gfni_impl(buf, coeff) }
-}
-
-#[target_feature(enable = "gfni,avx2")]
-fn scale_gfni_impl(buf: &mut [u8], coeff: u8) {
-    let lo_t = &MUL_LO[coeff as usize];
-    let hi_t = &MUL_HI[coeff as usize];
-    let m = mul_matrix_256(coeff);
-    let mut chunks = buf.chunks_exact_mut(32);
-    for c in &mut chunks {
-        // SAFETY: the chunk is exactly 32 bytes; unaligned load/store.
-        unsafe {
-            let x = _mm256_loadu_si256(c.as_ptr().cast());
-            _mm256_storeu_si256(
-                c.as_mut_ptr().cast(),
-                _mm256_gf2p8affine_epi64_epi8::<0>(x, m),
-            );
-        }
-    }
-    for b in chunks.into_remainder().iter_mut() {
-        *b = lo_t[(*b & 0x0f) as usize] ^ hi_t[(*b >> 4) as usize];
-    }
 }
 
 // ---------------------------------------------------------------------------

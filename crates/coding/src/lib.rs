@@ -40,10 +40,10 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the GF(256) SIMD kernels (`gf256/simd.rs`)
-// and the block kernel's uninitialised-output form (`gf256/uninit.rs`) opt
-// in locally with a documented safety contract; everything else in the
-// crate remains unsafe-free.
+// `deny` rather than `forbid`: the block kernel's x86-64 passes
+// (`gf256/simd.rs`) and its uninitialised-output form (`gf256/uninit.rs`)
+// opt in locally with a documented safety contract; everything else in the
+// crate, `gf256::scale` included, remains unsafe-free.
 #![deny(unsafe_code)]
 
 // The field kernels never panic outside their tests.

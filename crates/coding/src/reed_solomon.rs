@@ -147,40 +147,6 @@ impl ReedSolomon {
             });
         in_place.then(|| Value::from_bytes(buf.clone()))
     }
-
-    /// Encodes all `n` blocks into one contiguous caller-provided buffer —
-    /// block `i` occupies `out[i*shard_len .. (i+1)*shard_len]`: the
-    /// value copied in, its padding zeroed, and every parity row written
-    /// by one block-kernel call. Allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `value` has the wrong length for this code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != block_count() * shard_len()` (buffer sizing
-    /// is a programmer error, not a data error).
-    pub fn encode_into(&self, value: &Value, out: &mut [u8]) -> Result<(), CodingError> {
-        self.check_value(value)?;
-        assert_eq!(
-            out.len(),
-            self.n * self.shard_len,
-            "encode_into buffer must be n * shard_len bytes"
-        );
-        let bytes = value.as_bytes();
-        let (data, parity) = out.split_at_mut(self.k * self.shard_len);
-        data[..bytes.len()].copy_from_slice(bytes);
-        data[bytes.len()..].fill(0);
-        gf256::mul_block(
-            parity.chunks_exact_mut(self.shard_len),
-            self.k,
-            |j| shard_slice(bytes, self.shard_len, j),
-            |r, j| self.encoding.get(self.k + r, j),
-            false,
-        );
-        Ok(())
-    }
 }
 
 impl Code for ReedSolomon {
@@ -328,50 +294,6 @@ impl Code for ReedSolomon {
 mod tests {
     use super::*;
     use crate::scheme::shard;
-
-    #[test]
-    fn encode_into_matches_encode() {
-        for (k, n, len) in [
-            (3usize, 7usize, 301usize),
-            (2, 4, 16),
-            (5, 5, 40),
-            (4, 9, 64),
-        ] {
-            let code = ReedSolomon::new(k, n, len).unwrap();
-            let v = Value::seeded(17, len);
-            let blocks = code.encode(&v);
-            let mut buf = vec![0xaau8; n * code.shard_len()];
-            code.encode_into(&v, &mut buf).unwrap();
-            for (i, b) in blocks.iter().enumerate() {
-                assert_eq!(
-                    &buf[i * code.shard_len()..(i + 1) * code.shard_len()],
-                    b.data(),
-                    "k={k} n={n} len={len} block {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn encode_into_rejects_wrong_value_length() {
-        let code = ReedSolomon::new(2, 4, 16).unwrap();
-        let mut buf = vec![0u8; 4 * code.shard_len()];
-        assert_eq!(
-            code.encode_into(&Value::zeroed(15), &mut buf).unwrap_err(),
-            CodingError::WrongValueLength {
-                expected: 16,
-                actual: 15
-            }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "n * shard_len")]
-    fn encode_into_wrong_buffer_size_panics() {
-        let code = ReedSolomon::new(2, 4, 16).unwrap();
-        let mut buf = vec![0u8; 7];
-        let _ = code.encode_into(&Value::zeroed(16), &mut buf);
-    }
 
     #[test]
     fn systematic_blocks_decode_in_any_order() {

@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use rsb_workloads::{
         key_rank, run_scenario, FailurePlan, KeyDist, KeyedAction, KeyedScenario, Scenario,
-        ScenarioOutcome, ValueSizeDist, ValueStream,
+        ScenarioOutcome, ValueStream,
     };
 
     pub use crate::experiments;

@@ -72,65 +72,6 @@ macro_rules! model_atomic {
                 self.inner.fetch_sub(v, order)
             }
 
-            /// Atomic bitwise or, returning the previous value.
-            pub fn fetch_or(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.fetch_or(v, order)
-            }
-
-            /// Atomic bitwise and, returning the previous value.
-            pub fn fetch_and(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.fetch_and(v, order)
-            }
-
-            /// Atomic maximum, returning the previous value.
-            pub fn fetch_max(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.fetch_max(v, order)
-            }
-
-            /// Atomic minimum, returning the previous value.
-            pub fn fetch_min(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.fetch_min(v, order)
-            }
-
-            /// Compare-and-exchange; `Ok(previous)` on success.
-            ///
-            /// # Errors
-            ///
-            /// Returns `Err(actual)` when the current value differs from
-            /// `current`.
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                hook();
-                self.inner.compare_exchange(current, new, success, failure)
-            }
-
-            /// Weak compare-and-exchange (may spuriously fail on real
-            /// hardware; never spurious under the model).
-            ///
-            /// # Errors
-            ///
-            /// Returns `Err(actual)` when the current value differs from
-            /// `current`.
-            pub fn compare_exchange_weak(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                hook();
-                self.inner.compare_exchange_weak(current, new, success, failure)
-            }
-
             /// Consumes the atomic, returning the inner value.
             #[must_use]
             pub fn into_inner(self) -> $prim {

@@ -99,9 +99,10 @@ fn live_bytes() -> isize {
 }
 
 /// Largest evicted / live-quiescent heap ratio accepted. Measured at
-/// these configurations: 0.343 (Abd), 0.582 (Coded), 0.596 (Adaptive).
-/// Adaptive's sits near the bound because its live key holds no slack a
-/// snapshot would drop: piece lists sized to `k`, no kept write set.
+/// these configurations (debug and release alike): 0.337 (Abd), 0.583
+/// (Coded), 0.598 (Adaptive). Adaptive passes with a margin of 0.002,
+/// because its live key holds no slack a snapshot would drop: piece lists
+/// sized to `k`, no kept write set.
 const MAX_RATIO: f64 = 0.6;
 const KEYS: u64 = 300;
 /// Operations each key runs, alternating write and read, before the
@@ -186,10 +187,12 @@ fn footprint(protocol: ProtocolSpec, register: RegisterConfig) -> (isize, isize)
 
 #[test]
 fn eviction_frees_at_least_forty_percent_of_a_quiescent_keys_heap() {
-    // (protocol, register, max_live_per_key). Each bound is the measured
-    // steady-state heap per key plus 10 %: 3 483, 22 869 and 9 501 B. A
-    // key that keeps its last drain's buffers, or a record buffer doubled
-    // past the history bound, holds 2.5–4 KB more and fails.
+    // (protocol, register, max_live_per_key). Each bound is 10 % over the
+    // steady-state heap per key measured when it was set (3 483, 22 869
+    // and 9 501 B). The test prints 3 458, 22 899 and 9 523 B, leaving
+    // 10.8 %, 9.9 % and 9.7 % headroom. A key that keeps its last drain's
+    // buffers, or a record buffer doubled past the history bound, holds
+    // 2.5–4 KB more and fails.
     let cases = [
         (
             ProtocolSpec::Abd,

@@ -2,7 +2,8 @@
 //!
 //! A [`KeyedScenario`] describes heavy multi-key traffic the way storage
 //! benchmarks do: a key population with a popularity distribution
-//! (uniform or zipfian), a read/write mix, and a value-size distribution.
+//! (uniform or zipfian), a read/write mix, and the length every written
+//! value has (a store's registers take values of one length).
 //! Every client's operation stream is deterministic given the scenario
 //! seed (clients get independent forked sub-seeds), and written values
 //! are globally unique — the first 8 bytes pack `(client, sequence)` — so
@@ -35,67 +36,6 @@ pub enum KeyDist {
         /// Probability an operation targets the hot set, in `[0, 1]`.
         hot_fraction: f64,
     },
-}
-
-/// How value payload sizes are drawn for writes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ValueSizeDist {
-    /// Every write the same size.
-    Fixed(usize),
-    /// Uniform in `[min, max]`.
-    Uniform {
-        /// Smallest payload, in bytes (≥ 8 for value uniqueness).
-        min: usize,
-        /// Largest payload, in bytes.
-        max: usize,
-    },
-    /// Mostly `small`, occasionally `large` — the classic metadata/blob
-    /// mix.
-    Bimodal {
-        /// The common payload size.
-        small: usize,
-        /// The rare payload size.
-        large: usize,
-        /// Probability of drawing `large`, in `[0, 1]`.
-        large_fraction: f64,
-    },
-}
-
-impl ValueSizeDist {
-    /// The largest size the distribution can draw.
-    pub fn max_len(&self) -> usize {
-        match *self {
-            ValueSizeDist::Fixed(n) => n,
-            ValueSizeDist::Uniform { max, .. } => max,
-            ValueSizeDist::Bimodal { small, large, .. } => small.max(large),
-        }
-    }
-
-    fn min_len(&self) -> usize {
-        match *self {
-            ValueSizeDist::Fixed(n) => n,
-            ValueSizeDist::Uniform { min, .. } => min,
-            ValueSizeDist::Bimodal { small, large, .. } => small.min(large),
-        }
-    }
-
-    fn sample(&self, rng: &mut StdRng) -> usize {
-        match *self {
-            ValueSizeDist::Fixed(n) => n,
-            ValueSizeDist::Uniform { min, max } => rng.gen_range(min..=max),
-            ValueSizeDist::Bimodal {
-                small,
-                large,
-                large_fraction,
-            } => {
-                if rng.gen_bool(large_fraction) {
-                    large
-                } else {
-                    small
-                }
-            }
-        }
-    }
 }
 
 /// A population of keys with a sampling distribution.
@@ -259,8 +199,8 @@ pub struct KeyedScenario {
     pub key_dist: KeyDist,
     /// Fraction of operations that are reads, in `[0, 1]`.
     pub read_fraction: f64,
-    /// Value payload sizes for writes.
-    pub value_sizes: ValueSizeDist,
+    /// Length of every written value, in bytes (≥ 8 for uniqueness).
+    pub value_len: usize,
     /// Master seed; fully determines every client's stream.
     pub seed: u64,
 }
@@ -281,7 +221,7 @@ impl KeyedScenario {
             keys,
             key_dist: KeyDist::Uniform,
             read_fraction,
-            value_sizes: ValueSizeDist::Fixed(value_len),
+            value_len,
             seed,
         }
     }
@@ -299,12 +239,6 @@ impl KeyedScenario {
         self
     }
 
-    /// Switches the value-size distribution.
-    pub fn with_value_sizes(mut self, sizes: ValueSizeDist) -> Self {
-        self.value_sizes = sizes;
-        self
-    }
-
     /// Total operations across all clients.
     pub fn total_ops(&self) -> usize {
         self.clients * self.ops_per_client
@@ -314,14 +248,14 @@ impl KeyedScenario {
     ///
     /// # Panics
     ///
-    /// Panics if `client` is out of range, the smallest drawable value
-    /// size is under 8 bytes (uniqueness needs room for the tag), or
+    /// Panics if `client` is out of range, `value_len` is under 8 bytes
+    /// (uniqueness needs room for the tag), or
     /// `read_fraction` is outside `[0, 1]`.
     pub fn client_ops(&self, client: usize) -> KeyedOpStream {
         assert!(client < self.clients, "client index out of range");
         assert!(
-            self.value_sizes.min_len() >= 8,
-            "value sizes must be at least 8 bytes for write uniqueness"
+            self.value_len >= 8,
+            "values must be at least 8 bytes for write uniqueness"
         );
         assert!(
             (0.0..=1.0).contains(&self.read_fraction),
@@ -332,7 +266,7 @@ impl KeyedScenario {
         KeyedOpStream {
             space: KeySpace::new(self.keys, self.key_dist),
             read_fraction: self.read_fraction,
-            value_sizes: self.value_sizes,
+            value_len: self.value_len,
             rng: StdRng::seed_from_u64(seeds.next_seed()),
             filler: seeds.next_seed(),
             client: client as u32,
@@ -365,7 +299,7 @@ pub struct KeyedOp {
 pub struct KeyedOpStream {
     space: KeySpace,
     read_fraction: f64,
-    value_sizes: ValueSizeDist,
+    value_len: usize,
     rng: StdRng,
     filler: u64,
     client: u32,
@@ -374,9 +308,10 @@ pub struct KeyedOpStream {
 }
 
 impl KeyedOpStream {
-    /// Builds a write payload of `len` bytes whose first 8 bytes pack
-    /// `(client, sequence)` — globally unique across the scenario.
-    fn next_value(&mut self, len: usize) -> Value {
+    /// Builds a write payload of `value_len` bytes whose first 8 bytes
+    /// pack `(client, sequence)` — globally unique across the scenario.
+    fn next_value(&mut self) -> Value {
+        let len = self.value_len;
         self.sequence += 1;
         let mut bytes = Vec::with_capacity(len);
         bytes.extend_from_slice(&self.client.to_le_bytes());
@@ -402,8 +337,7 @@ impl Iterator for KeyedOpStream {
         let action = if self.rng.gen_bool(self.read_fraction) {
             KeyedAction::Read
         } else {
-            let len = self.value_sizes.sample(&mut self.rng);
-            KeyedAction::Write(self.next_value(len))
+            KeyedAction::Write(self.next_value())
         };
         Some(KeyedOp { key, action })
     }
@@ -582,32 +516,5 @@ mod tests {
         // In-space check: rank must also be inside the population.
         assert_eq!(space.rank_of("k000031"), Some(31));
         assert_eq!(space.rank_of("k000032"), None);
-    }
-
-    #[test]
-    fn value_size_distributions_sample_in_range() {
-        let sizes = ValueSizeDist::Uniform { min: 8, max: 32 };
-        let s = KeyedScenario::uniform(1, 500, 4, 0.0, 16, 9).with_value_sizes(sizes);
-        for op in s.client_ops(0) {
-            if let KeyedAction::Write(v) = op.action {
-                assert!((8..=32).contains(&v.len()));
-            }
-        }
-        let bimodal = ValueSizeDist::Bimodal {
-            small: 16,
-            large: 256,
-            large_fraction: 0.1,
-        };
-        let s = KeyedScenario::uniform(1, 500, 4, 0.0, 16, 9).with_value_sizes(bimodal);
-        let mut larges = 0;
-        for op in s.client_ops(0) {
-            if let KeyedAction::Write(v) = op.action {
-                assert!(v.len() == 16 || v.len() == 256);
-                if v.len() == 256 {
-                    larges += 1;
-                }
-            }
-        }
-        assert!((10..=120).contains(&larges), "got {larges} large writes");
     }
 }

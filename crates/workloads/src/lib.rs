@@ -11,9 +11,7 @@ mod scenario;
 mod seeds;
 mod values;
 
-pub use keyed::{
-    key_rank, KeyDist, KeySpace, KeyedAction, KeyedOp, KeyedOpStream, KeyedScenario, ValueSizeDist,
-};
+pub use keyed::{key_rank, KeyDist, KeySpace, KeyedAction, KeyedOp, KeyedOpStream, KeyedScenario};
 pub use scenario::{run_scenario, FailurePlan, Scenario, ScenarioOutcome};
 pub use seeds::SeedSequence;
 pub use values::ValueStream;
