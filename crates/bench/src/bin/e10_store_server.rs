@@ -106,14 +106,16 @@ fn main() {
     });
     let m = server.store().metrics();
     let totals = m.totals();
+    let reads = m.read_latency();
     println!(
-        "e10_store_server: exiting after {secs}s — {} ops completed ({} reads, {} writes, {} \
-         evicted, {} rematerialized)",
+        "e10_store_server: exiting after {secs}s — {} ops completed ({} reads, p50 {:.1} us, \
+         p99 {:.1} us; {} writes; {} keys rested)",
         totals.completed(),
         totals.reads_completed,
+        reads.quantile_us(0.50),
+        reads.quantile_us(0.99),
         totals.writes_completed,
         totals.evictions,
-        totals.rematerialized,
     );
     assert!(
         totals.submitted() >= totals.completed(),

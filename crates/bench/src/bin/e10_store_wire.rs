@@ -145,7 +145,7 @@ const LOAD_HEADER: [&str; 9] = [
 fn check_consistency_through_tcp(store: &Store, atomic: bool) {
     let mut checked = 0;
     for key in store.keys() {
-        let h = store.key_history(&key).expect("key was materialized");
+        let h = store.key_history(&key).expect("the key exists");
         let history =
             History::from_fpsm(h.initial, &h.records).expect("runtime histories are well-formed");
         check_strong_regularity(&history)

@@ -1,9 +1,9 @@
 //! E9 — the sharded store's memory over waves of multi-key traffic.
 //!
 //! Drives waves of keyed traffic at a store and, after each wave, reads
-//! its live-record count, live occupancy and snapshot bits: first with
-//! and without a history bound, then with and without an
-//! [`Store::evict_quiescent`] sweep between waves. Memory over time is
+//! its live-record count and occupancy: first with and without a history
+//! bound, then with and without an [`Store::evict_quiescent`] sweep
+//! between waves. Memory over time is
 //! what these tables show and what no frozen benchmark workload
 //! measures; throughput and latency live in `benchmark/`.
 //!
@@ -30,7 +30,7 @@ fn spot_check_consistency(store: &Store, quota: usize) {
             foreign += 1;
             continue;
         }
-        let h = store.key_history(&key).expect("key was materialized");
+        let h = store.key_history(&key).expect("the key exists");
         let history =
             History::from_fpsm(h.initial, &h.records).expect("runtime histories are well-formed");
         check_strong_regularity(&history).expect("strong regularity of a recorded key history");
@@ -101,13 +101,14 @@ fn history_bounds_section(quick: bool, clients: usize, value_len: usize) {
     );
     if let Some(store) = checked_store {
         spot_check_consistency(&store, 4);
+        let before = store.metrics().occupancy_bits();
         let evicted = store.evict_quiescent();
-        let after = store.metrics();
+        let after = store.metrics().occupancy_bits();
         println!(
-            "evict_quiescent: {evicted} keys -> snapshots ({} KiB live occupancy, {} KiB snapshot \
-             bits)\n",
-            after.occupancy_bits() / 8 / 1024,
-            after.shards.iter().map(|sh| sh.snapshot_bits).sum::<u64>() / 8 / 1024,
+            "evict_quiescent: {evicted} keys rested in place ({} KiB occupancy before the sweep, \
+             {} KiB after)\n",
+            before / 8 / 1024,
+            after / 8 / 1024,
         );
     }
 }
@@ -139,14 +140,12 @@ fn drive_wave(store: &Store, scenario: &KeyedScenario) {
 
 /// Memory under skewed reuse with key churn: every wave's zipf(0.99)
 /// traffic targets a *growing* keyspace — the hot head keeps getting
-/// reused while a cold tail accumulates. The `unbounded` store keeps
-/// every key live; the `evict-between` store calls
+/// reused while a cold tail accumulates. The `unbounded` store leaves
+/// every key as its last hold left it; the `evict-between` store calls
 /// [`Store::evict_quiescent`] after each wave, so between waves every
-/// key sits in a snapshot. `occ_KiB` is the live occupancy
-/// (`occupancy_bits`, which counts an evicted key as 0); `res_KiB` adds
-/// the snapshots' bits — what is still resident. Read latency is
-/// reported from the store's own histograms, split by whether the read
-/// hit a live key or paid a rematerialization.
+/// key rests in place. `occ_KiB` is `occupancy_bits`, the registers'
+/// Definition-2 bits, which a sweep does not move. Read and write
+/// latency come from the store's own histograms.
 fn eviction_section(quick: bool, value_len: usize) {
     let clients = if quick { 8 } else { 16 };
     let waves = if quick { 4 } else { 8 };
@@ -187,27 +186,19 @@ fn eviction_section(quick: bool, value_len: usize) {
                 (wave + 1).to_string(),
                 m.keys().to_string(),
                 (m.occupancy_bits() / 8 / 1024).to_string(),
-                ((m.occupancy_bits() + m.snapshot_bits()) / 8 / 1024).to_string(),
-                m.evicted_keys().to_string(),
                 totals.evictions.to_string(),
-                totals.rematerialized.to_string(),
                 m.live_records().to_string(),
             ]);
         }
         let m = store.metrics();
-        let hit = m.read_hit_latency();
-        let remat = m.read_remat_latency();
+        let read = m.read_latency();
         let write = m.write_latency();
         latency_rows.push(vec![
             label.to_string(),
-            hit.count().to_string(),
-            format!("{:.0}", hit.quantile_us(0.50)),
-            format!("{:.0}", hit.quantile_us(0.99)),
-            format!("{:.0}", hit.quantile_us(0.999)),
-            remat.count().to_string(),
-            format!("{:.0}", remat.quantile_us(0.50)),
-            format!("{:.0}", remat.quantile_us(0.99)),
-            format!("{:.0}", remat.quantile_us(0.999)),
+            read.count().to_string(),
+            format!("{:.0}", read.quantile_us(0.50)),
+            format!("{:.0}", read.quantile_us(0.99)),
+            format!("{:.0}", read.quantile_us(0.999)),
             write.count().to_string(),
             format!("{:.0}", write.quantile_us(0.50)),
             format!("{:.0}", write.quantile_us(0.99)),
@@ -222,50 +213,27 @@ fn eviction_section(quick: bool, value_len: usize) {
         &format!(
             "unbounded vs evict_quiescent between waves, zipf(0.99) reuse with key churn \
              ({clients} clients x {ops_per_wave} ops/wave, +{keys_per_wave} keys/wave, abd, \
-             {shards} shards, truncate-64 history; res = live occupancy + snapshot bits)"
+             {shards} shards, truncate-64 history)"
         ),
-        &[
-            "policy",
-            "wave",
-            "keys",
-            "occ_KiB",
-            "res_KiB",
-            "evicted",
-            "evs",
-            "remat",
-            "live_recs",
-        ],
+        &["policy", "wave", "keys", "occ_KiB", "evs", "live_recs"],
         &rows,
     );
     print_table(
-        "latency by outcome (store-measured, submit -> completion)",
+        "latency (store-measured, submit -> completion)",
         &[
-            "policy",
-            "hits",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "remats",
-            "r_p50_us",
-            "r_p99_us",
-            "r_p999_us",
-            "writes",
-            "w_p50_us",
-            "w_p99_us",
+            "policy", "reads", "p50_us", "p99_us", "p999_us", "writes", "w_p50_us", "w_p99_us",
         ],
         &latency_rows,
     );
     if let Some(store) = evicting_store {
-        // Histories that span eviction/rematerialization cycles must
-        // still check out.
+        // Histories that span rest cycles must still check out.
         spot_check_consistency(&store, 6);
         store.shutdown();
     }
     println!(
-        "eviction: a sweep drops occ_KiB to 0 but res_KiB stays near the unbounded store's \
-         occ_KiB — the registers' bits stay resident in the snapshots; what a sweep frees is \
-         per-key simulator scaffolding (heap bytes, not bits). Rematerializing reads pay the \
-         restore cost in their tail.\n"
+        "eviction: a sweep leaves occ_KiB where it was — a rested key keeps its registers' \
+         bits; what a sweep frees is the heap around them (idle clients, record buffers, \
+         container slack), which crates/store/tests/evict_footprint.rs measures in bytes.\n"
     );
 }
 

@@ -91,4 +91,4 @@ pub use scheduler::{
     run, run_to_completion, run_until, DeliveryChoice, FairScheduler, RandomScheduler, RunOutcome,
     Scheduler, ScriptedScheduler,
 };
-pub use sim::{OpRecord, RmwInfo, Scratch, SimError, SimEvent, SimSnapshot, Simulation};
+pub use sim::{OpRecord, RmwInfo, Scratch, SimError, SimEvent, Simulation};

@@ -27,26 +27,6 @@ pub trait ObjectState: Payload {
     fn apply(&mut self, client: ClientId, rmw: &Self::Rmw) -> Self::Resp;
 }
 
-/// Runtime wrapper of one base object inside the simulation.
-#[derive(Debug, Clone)]
-pub(crate) struct ObjectRt<S: ObjectState> {
-    pub(crate) state: S,
-    pub(crate) crashed: bool,
-}
-
-impl<S: ObjectState> ObjectRt<S> {
-    pub(crate) fn new(state: S) -> Self {
-        ObjectRt {
-            state,
-            crashed: false,
-        }
-    }
-
-    pub(crate) fn restore(state: S, crashed: bool) -> Self {
-        ObjectRt { state, crashed }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,11 +66,10 @@ mod tests {
 
     #[test]
     fn apply_mutates_and_accounts() {
-        let mut cell = ObjectRt::new(Cell::default());
-        assert_eq!(cell.state.block_bits(), 0);
+        let mut cell = Cell::default();
+        assert_eq!(cell.block_bits(), 0);
         let b = BlockInstance::new(OpId(1), 0, 128);
-        cell.state.apply(ClientId(0), &Put(b));
-        assert_eq!(cell.state.block_bits(), 128);
-        assert!(!cell.crashed);
+        cell.apply(ClientId(0), &Put(b));
+        assert_eq!(cell.block_bits(), 128);
     }
 }

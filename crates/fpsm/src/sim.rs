@@ -1,9 +1,14 @@
 //! The deterministic simulation of the asynchronous fault-prone
 //! shared-memory system.
+//!
+//! A simulation is the register's one representation, running or idle:
+//! a host that keeps many registers lets each quiescent one
+//! [`rest`](Simulation::rest) in place, which keeps every bit Definition 2
+//! charges and gives back the heap only a running operation needs.
 
 use crate::client::{ClientLogic, ClientRt, Effects, OpRequest, OpResult};
 use crate::ids::{ClientId, ObjectId, OpId, RmwId};
-use crate::object::{ObjectRt, ObjectState};
+use crate::object::ObjectState;
 use crate::payload::{BlockInstance, Component, Payload, StorageCost};
 use std::collections::VecDeque;
 
@@ -120,7 +125,10 @@ impl OpRecord {
 /// deliver), matching the paper's notion of time as an action index.
 #[derive(Debug)]
 pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
-    objects: Vec<ObjectRt<S>>,
+    objects: Vec<S>,
+    /// The crashed objects, apart from the states so that a flag does not
+    /// pad every state; empty (no allocation) without crashes.
+    crashed: Box<[ObjectId]>,
     clients: Vec<ClientRt<L>>,
     /// In-flight RMWs in trigger order. Ids are issued in increasing
     /// order and entries only ever leave, so the table stays sorted by id:
@@ -136,8 +144,6 @@ pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
     /// still legally return — kept so compacted histories remain
     /// checkable (see [`Simulation::compact_history`]).
     retained: Vec<OpRecord>,
-    /// Records dropped by compaction so far.
-    dropped_records: u64,
     time: u64,
     next_rmw: u64,
     /// Running Definition-2 cost, maintained *incrementally*: each event
@@ -148,8 +154,8 @@ pub struct Simulation<S: ObjectState, L: ClientLogic<State = S>> {
     cost: StorageCost,
     peak_total_bits: u64,
     peak_cost: StorageCost,
-    sample_storage: bool,
-    storage_series: Vec<(u64, u64)>,
+    /// The `(time, total_bits)` series, once sampling is enabled.
+    storage_series: Option<Vec<(u64, u64)>>,
 }
 
 /// The buffer a drain works in — the in-flight RMW table, into which
@@ -175,127 +181,33 @@ impl<S: ObjectState> Default for Scratch<S> {
     }
 }
 
-/// The portable state of a *quiescent* simulation: cloned base-object
-/// states plus the compacted operation history and the logical-time /
-/// id-allocation cursors. A snapshotted register can be dropped and later
-/// rebuilt with [`Simulation::restore`] — new operations continue the same
-/// history (later timestamps, later op ids), so consistency checkers keep
-/// accepting the recorded trace across an evict/rematerialize cycle.
-#[derive(Debug, Clone)]
-pub struct SimSnapshot<S: ObjectState> {
-    objects: Vec<S>,
-    /// Indices of the crashed objects, apart from the states so that a
-    /// flag does not pad every state; empty (no allocation) without
-    /// crashes.
-    crashed: Vec<usize>,
-    records: Vec<OpRecord>,
-    next_op: u64,
-    time: u64,
-    next_rmw: u64,
-    peak_total_bits: u64,
-    peak_cost: StorageCost,
-    /// Object bits, measured once at snapshot time: a snapshot is
-    /// immutable, so its storage cost never needs re-scanning — metrics
-    /// sweeps over many evicted keys stay O(keys), not O(keys × objects).
-    object_bits: u64,
-}
-
-impl<S: ObjectState> SimSnapshot<S> {
-    /// Total bits held by the snapshotted base objects (cached at
-    /// snapshot time; O(1)).
-    pub fn storage_bits(&self) -> u64 {
-        self.object_bits
-    }
-
-    /// The operation records preserved by the snapshot.
-    pub fn records(&self) -> &[OpRecord] {
-        &self.records
-    }
-
-    /// How many operation records the snapshot preserves.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Peak total storage the register had observed before eviction —
-    /// carried so aggregate peak metrics survive an evict/rematerialize
-    /// cycle instead of silently dropping the key's contribution.
-    pub fn peak_bits(&self) -> u64 {
-        self.peak_total_bits
-    }
-}
-
 impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// Creates a simulation with `n` base objects, each initialized by
     /// `init` (typically holding blocks of the initial value `v₀`).
     pub fn new(n: usize, mut init: impl FnMut(ObjectId) -> S) -> Self {
-        let objects = (0..n).map(|i| ObjectRt::new(init(ObjectId(i)))).collect();
         let mut sim = Simulation {
-            objects,
+            objects: (0..n).map(|i| init(ObjectId(i))).collect(),
+            crashed: Box::default(),
             clients: Vec::new(),
             rmws: VecDeque::new(),
             records: Vec::new(),
             records_base: 0,
             retained: Vec::new(),
-            dropped_records: 0,
             time: 0,
             next_rmw: 0,
             cost: StorageCost::default(),
             peak_total_bits: 0,
             peak_cost: StorageCost::default(),
-            sample_storage: false,
-            storage_series: Vec::new(),
+            storage_series: None,
         };
         sim.cost = sim.compute_storage_cost();
         sim.note_storage();
         sim
     }
 
-    /// Rebuilds a simulation from a snapshot taken at quiescence: the base
-    /// objects resume their exact states (crash flags included), the
-    /// snapshot's records become the retained history, and time / op / RMW
-    /// ids continue where they left off. Clients are *not* restored — add
-    /// fresh ones; because every protocol here lets any client read or
-    /// write, client churn is semantically invisible.
-    pub fn restore(snapshot: SimSnapshot<S>) -> Self {
-        let SimSnapshot {
-            objects,
-            crashed,
-            records,
-            next_op,
-            time,
-            next_rmw,
-            peak_total_bits,
-            peak_cost,
-            object_bits: _,
-        } = snapshot;
-        let mut sim = Simulation {
-            objects: objects
-                .into_iter()
-                .enumerate()
-                .map(|(i, state)| ObjectRt::restore(state, crashed.contains(&i)))
-                .collect(),
-            clients: Vec::new(),
-            rmws: VecDeque::new(),
-            records: Vec::new(),
-            records_base: next_op,
-            retained: records,
-            dropped_records: 0,
-            time,
-            next_rmw,
-            cost: StorageCost::default(),
-            peak_total_bits,
-            peak_cost,
-            sample_storage: false,
-            storage_series: Vec::new(),
-        };
-        sim.cost = sim.compute_storage_cost();
-        sim
-    }
-
     /// Enables recording of a `(time, total_bits)` series at every event.
     pub fn enable_storage_sampling(&mut self) {
-        self.sample_storage = true;
+        self.storage_series.get_or_insert_with(Vec::new);
     }
 
     /// Adds a client running `logic`, returning its id.
@@ -313,9 +225,11 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
 
     /// Makes room for `records` operation records in the live history
     /// tail, exactly. A host that compacts once the tail passes a bound
-    /// reserves `bound + 1` up front, so the tail's buffer never doubles
-    /// past what compaction lets it hold; pushing beyond the reservation
-    /// still grows it.
+    /// reserves `bound + 1` before each run of operations, so the tail's
+    /// buffer never doubles past what compaction lets it hold; pushing
+    /// beyond the reservation still grows it. Once the buffer is that
+    /// large the call is a comparison; only after a [`Simulation::rest`]
+    /// does it allocate again.
     pub fn reserve_history(&mut self, records: usize) {
         self.records
             .reserve_exact(records.saturating_sub(self.records.len()));
@@ -397,7 +311,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
                 if !matches!(rt.phase, RmwPhase::Triggered(_)) {
                     return Err(SimError::InvalidEvent(format!("{id} already applied")));
                 }
-                if self.objects[rt.object.0].crashed {
+                if self.object_crashed(rt.object) {
                     let obj = rt.object;
                     return Err(SimError::InvalidEvent(format!("{obj} has crashed")));
                 }
@@ -442,7 +356,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         let mut idx = 0;
         while let Some(rt) = self.rmws.get(idx) {
             let applied = matches!(rt.phase, RmwPhase::Applied(_));
-            let live_object = !self.objects[rt.object.0].crashed;
+            let live_object = !self.object_crashed(rt.object);
             if self.clients[rt.client.0].crashed || !(applied || live_object) {
                 // No delivery can follow: it takes effect if its object
                 // lives, and its response stays in the table.
@@ -500,7 +414,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// triggered by `client`, takes effect on the live `object`; its
     /// parameters leave the bill and its response joins it.
     fn apply(&mut self, client: ClientId, object: ObjectId, rmw: &S::Rmw) -> S::Resp {
-        let state = &mut self.objects[object.0].state;
+        let state = &mut self.objects[object.0];
         let object_bits_before = state.block_bits();
         let resp = state.apply(client, rmw);
         self.cost.object_bits = self.cost.object_bits - object_bits_before + state.block_bits();
@@ -559,8 +473,15 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
 
     /// Crashes a base object: pending RMWs on it never take effect and it
     /// accepts no further RMWs. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object does not exist.
     pub fn crash_object(&mut self, obj: ObjectId) {
-        self.objects[obj.0].crashed = true;
+        assert!(obj.0 < self.objects.len(), "no such object: {obj}");
+        if !self.object_crashed(obj) {
+            self.crashed = self.crashed.iter().copied().chain([obj]).collect();
+        }
     }
 
     /// Crashes a client: no responses are delivered to it and it takes no
@@ -571,7 +492,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
 
     /// Whether the object has crashed.
     pub fn object_crashed(&self, obj: ObjectId) -> bool {
-        self.objects[obj.0].crashed
+        self.crashed.contains(&obj)
     }
 
     /// Whether the client has crashed.
@@ -582,7 +503,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// Read access to a base object's protocol state (for assertions and
     /// adversaries; a real client could not do this without an RMW).
     pub fn object_state(&self, obj: ObjectId) -> &S {
-        &self.objects[obj.0].state
+        &self.objects[obj.0]
     }
 
     /// Read access to a client's protocol logic.
@@ -641,11 +562,6 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         self.retained.len() + self.records.len()
     }
 
-    /// Records dropped by compaction so far.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped_records
-    }
-
     /// Whether the register is quiescent: no in-flight RMWs and every
     /// invoked operation has returned.
     pub fn is_quiescent(&self) -> bool {
@@ -667,7 +583,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     /// The event that would advance `rt`, unless its target has crashed.
     fn enabled(&self, rt: &RmwRt<S>) -> Option<SimEvent> {
         match rt.phase {
-            RmwPhase::Triggered(_) if !self.objects[rt.object.0].crashed => {
+            RmwPhase::Triggered(_) if !self.object_crashed(rt.object) => {
                 Some(SimEvent::Apply(rt.id))
             }
             RmwPhase::Applied(_) if !self.clients[rt.client.0].crashed => {
@@ -736,7 +652,6 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
             }
         }
         self.records_base += cut as u64;
-        self.dropped_records += dropped;
         dropped
     }
 
@@ -772,33 +687,35 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         self.rmws.iter().filter_map(|rt| self.enabled(rt)).collect()
     }
 
-    /// Captures a quiescent register's full state for eviction: object
-    /// states, the (compacted) history, and the time / id cursors.
-    /// Returns `None` unless the simulation is quiescent — with RMWs in
-    /// flight the state is not portable.
-    pub fn snapshot(&self) -> Option<SimSnapshot<S>>
+    /// Lets a quiescent register rest in place; returns whether it did
+    /// (`false` unless [`Simulation::is_quiescent`]).
+    ///
+    /// A resting register keeps every object state (crashes included),
+    /// its history, its peaks and its time and id cursors, so the next
+    /// operation continues exactly where the last one ended. It gives back
+    /// the heap that only a running operation needs: the idle client
+    /// automata are dropped (their bits leave the running cost; the next
+    /// invocation adds a fresh client, and any client may read or write),
+    /// the in-flight table and the record buffers shrink to what they hold,
+    /// and each object state is re-fitted by a clone, which sizes its
+    /// containers to their contents.
+    pub fn rest(&mut self) -> bool
     where
         S: Clone,
     {
         if !self.is_quiescent() {
-            return None;
+            return false;
         }
-        // At quiescence there are no in-flight RMWs, so the incremental
-        // cost's object share *is* the snapshot's storage bill.
-        let object_bits = self.objects.iter().map(|o| o.state.block_bits()).sum();
-        Some(SimSnapshot {
-            objects: self.objects.iter().map(|o| o.state.clone()).collect(),
-            crashed: (0..self.objects.len())
-                .filter(|&i| self.objects[i].crashed)
-                .collect(),
-            records: self.full_history(),
-            next_op: self.records_base + self.records.len() as u64,
-            time: self.time,
-            next_rmw: self.next_rmw,
-            peak_total_bits: self.peak_total_bits,
-            peak_cost: self.peak_cost,
-            object_bits,
-        })
+        let client_bits: u64 = self.clients.iter().map(|c| c.logic.stored_bits()).sum();
+        self.cost.client_bits -= client_bits;
+        self.clients = Vec::new();
+        self.rmws = VecDeque::new();
+        self.records.shrink_to_fit();
+        self.retained.shrink_to_fit();
+        for state in &mut self.objects {
+            *state = state.clone();
+        }
+        true
     }
 
     /// The storage cost right now (Definition 2), broken down by site.
@@ -818,7 +735,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     fn compute_storage_cost(&self) -> StorageCost {
         let mut cost = StorageCost::default();
         for o in &self.objects {
-            cost.object_bits += o.state.block_bits();
+            cost.object_bits += o.block_bits();
         }
         for c in &self.clients {
             cost.client_bits += c.logic.stored_bits();
@@ -837,7 +754,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
     pub fn component_blocks(&self) -> Vec<(Component, Vec<BlockInstance>)> {
         let mut out = Vec::new();
         for (i, o) in self.objects.iter().enumerate() {
-            out.push((Component::Object(ObjectId(i)), o.state.blocks()));
+            out.push((Component::Object(ObjectId(i)), o.blocks()));
         }
         for (i, c) in self.clients.iter().enumerate() {
             out.push((Component::Client(ClientId(i)), c.logic.stored_blocks()));
@@ -875,7 +792,7 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
 
     /// The sampled `(time, total_bits)` series, if sampling was enabled.
     pub fn storage_series(&self) -> &[(u64, u64)] {
-        &self.storage_series
+        self.storage_series.as_deref().unwrap_or_default()
     }
 
     /// Folds the running cost into the peak trackers (and the sampled
@@ -890,8 +807,8 @@ impl<S: ObjectState, L: ClientLogic<State = S>> Simulation<S, L> {
         peak.inflight_resp_bits = peak.inflight_resp_bits.max(cost.inflight_resp_bits);
         let total = cost.total();
         self.peak_total_bits = self.peak_total_bits.max(total);
-        if self.sample_storage {
-            self.storage_series.push((self.time, total));
+        if let Some(series) = &mut self.storage_series {
+            series.push((self.time, total));
         }
     }
 }

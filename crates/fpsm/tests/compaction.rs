@@ -1,12 +1,12 @@
-//! History compaction and snapshot/restore semantics of the simulator:
-//! op ids stay stable across compaction, the observable frontier is
-//! retained, and a quiescent register survives an evict/rematerialize
-//! round-trip with its history intact.
+//! History compaction and resting in the simulator: op ids stay stable
+//! across compaction, the observable frontier is retained, and a quiescent
+//! register rests in place with its objects, history, peaks and cursors
+//! intact.
 
 use rsb_coding::Value;
 use rsb_fpsm::{
     run_to_completion, BlockInstance, ClientId, ClientLogic, Effects, ObjectId, ObjectState, OpId,
-    OpRequest, OpResult, Payload, RmwId, Simulation,
+    OpRequest, OpResult, Payload, RmwId, SimEvent, Simulation,
 };
 
 /// A single-object register: `Put` stores a tagged copy, `Get` returns it.
@@ -74,8 +74,12 @@ impl ObjectState for Cell {
     }
 }
 
-#[derive(Debug)]
-struct Client;
+/// A client that keeps the last value it read, so an idle client holds
+/// bits the running cost charges.
+#[derive(Debug, Default)]
+struct Client {
+    last_read: Option<(OpId, Value)>,
+}
 
 impl ClientLogic for Client {
     type State = Cell;
@@ -90,10 +94,21 @@ impl ClientLogic for Client {
     fn on_response(&mut self, _op: OpId, _rmw: RmwId, resp: Resp, eff: &mut Effects<Cell>) {
         match resp {
             Resp::Ack => eff.complete(OpResult::Write),
-            Resp::Data(d) => eff.complete(OpResult::Read(
-                d.map_or_else(|| Value::zeroed(8), |(_, v)| v),
-            )),
+            Resp::Data(d) => {
+                self.last_read.clone_from(&d);
+                eff.complete(OpResult::Read(
+                    d.map_or_else(|| Value::zeroed(8), |(_, v)| v),
+                ));
+            }
         }
+    }
+
+    fn stored_blocks(&self) -> Vec<BlockInstance> {
+        self.last_read
+            .as_ref()
+            .map(|(op, v)| BlockInstance::new(*op, 0, v.size_bits()))
+            .into_iter()
+            .collect()
     }
 }
 
@@ -110,7 +125,7 @@ fn run_op(sim: &mut Simulation<Cell, Client>, client: ClientId, req: OpRequest) 
 #[test]
 fn compaction_drops_settled_prefix_and_keeps_frontier() {
     let mut sim = new_sim();
-    let c = sim.add_client(Client);
+    let c = sim.add_client(Client::default());
     for i in 0..6u64 {
         run_op(&mut sim, c, OpRequest::Write(Value::seeded(i + 1, 8)));
         run_op(&mut sim, c, OpRequest::Read);
@@ -120,7 +135,6 @@ fn compaction_drops_settled_prefix_and_keeps_frontier() {
     // Everything is settled except the frontier: the last write is the
     // only record a future read may still return.
     assert_eq!(dropped, 11);
-    assert_eq!(sim.dropped_records(), 11);
     assert_eq!(sim.live_records(), 1);
     let frontier = sim.retained_history();
     assert_eq!(frontier.len(), 1);
@@ -136,7 +150,7 @@ fn compaction_drops_settled_prefix_and_keeps_frontier() {
 #[test]
 fn op_ids_and_lookups_stay_stable_across_compaction() {
     let mut sim = new_sim();
-    let c = sim.add_client(Client);
+    let c = sim.add_client(Client::default());
     for i in 0..5u64 {
         run_op(&mut sim, c, OpRequest::Write(Value::seeded(i + 1, 8)));
     }
@@ -155,8 +169,8 @@ fn op_ids_and_lookups_stay_stable_across_compaction() {
 #[test]
 fn incomplete_operations_block_the_prefix() {
     let mut sim = new_sim();
-    let c1 = sim.add_client(Client);
-    let c2 = sim.add_client(Client);
+    let c1 = sim.add_client(Client::default());
+    let c2 = sim.add_client(Client::default());
     run_op(&mut sim, c1, OpRequest::Write(Value::seeded(1, 8)));
     // c2's write stays in flight: nothing may be dropped past it.
     sim.invoke(c2, OpRequest::Write(Value::seeded(2, 8)))
@@ -172,61 +186,99 @@ fn incomplete_operations_block_the_prefix() {
 }
 
 #[test]
-fn snapshot_restore_roundtrip_preserves_value_and_history() {
+fn rest_keeps_value_history_peaks_and_cursors() {
     let mut sim = new_sim();
-    let c = sim.add_client(Client);
+    let c = sim.add_client(Client::default());
     run_op(&mut sim, c, OpRequest::Write(Value::seeded(9, 8)));
     run_op(&mut sim, c, OpRequest::Read);
-    sim.compact_history();
-    let time_before = sim.time();
-    let cost_before = sim.storage_cost();
-    let peak_before = sim.peak_storage_bits();
-    let snap = sim.snapshot().expect("quiescent register snapshots");
-    assert_eq!(snap.records().len(), 1);
-    assert_eq!(snap.record_count(), 1);
-    // The cached-at-snapshot-time cost equals the live measurement (the
-    // snapshot is immutable, so the cache can never go stale), and the
-    // register's observed peak rides along for aggregate metrics.
-    assert_eq!(snap.storage_bits(), cost_before.object_bits);
-    assert_eq!(snap.peak_bits(), peak_before);
-    drop(sim);
+    run_op(&mut sim, c, OpRequest::Write(Value::seeded(10, 8)));
+    let before = sim.storage_cost();
+    assert!(before.client_bits > 0, "the idle reader keeps its value");
+    let history = sim.full_history();
+    let time = sim.time();
+    let peak = (sim.peak_storage_bits(), sim.peak_storage_cost());
 
-    let mut sim = Simulation::restore(snap);
-    assert!(sim.is_quiescent());
-    assert_eq!(sim.storage_cost(), cost_before);
-    let c = sim.add_client(Client);
-    let op = run_op(&mut sim, c, OpRequest::Read);
-    // Ids and time continue the original history, so the frontier write
-    // still precedes the new read and the value is the restored one.
-    assert_eq!(op, OpId(2));
+    assert!(sim.rest());
+    assert_eq!(sim.client_count(), 0, "idle clients are dropped");
+    // `storage_cost` checks the running cost against a full recount in
+    // debug builds: the dropped clients' bits left it.
+    let after = sim.storage_cost();
+    assert_eq!(after.client_bits, 0);
+    assert_eq!(after.object_bits, before.object_bits);
+    assert_eq!(sim.full_history(), history, "records survive a rest");
+    assert_eq!(sim.time(), time);
     assert_eq!(
-        sim.op_record(op).result,
-        Some(OpResult::Read(Value::seeded(9, 8)))
+        (sim.peak_storage_bits(), sim.peak_storage_cost()),
+        peak,
+        "peaks survive a rest"
     );
-    let full = sim.full_history();
-    assert_eq!(full.len(), 2);
-    let frontier = &full[0];
-    assert!(frontier.returned_at.unwrap() <= time_before);
-    assert!(full[1].invoked_at > time_before);
+    assert!(sim.rest(), "a resting register may rest again");
+
+    // A fresh client continues the op-id and time lines, and reads the
+    // value the register rested with.
+    let c = sim.add_client(Client::default());
+    assert_eq!(c, ClientId(0));
+    let op = run_op(&mut sim, c, OpRequest::Read);
+    assert_eq!(op, OpId(3));
+    let rec = sim.op_record(op);
+    assert_eq!(rec.result, Some(OpResult::Read(Value::seeded(10, 8))));
+    assert!(rec.invoked_at > time);
 }
 
 #[test]
-fn snapshot_refused_while_work_is_in_flight() {
+fn rest_keeps_only_the_compacted_history() {
     let mut sim = new_sim();
-    let c = sim.add_client(Client);
+    let c = sim.add_client(Client::default());
+    for i in 0..6u64 {
+        run_op(&mut sim, c, OpRequest::Write(Value::seeded(i + 1, 8)));
+        run_op(&mut sim, c, OpRequest::Read);
+    }
+    sim.compact_history();
+    assert!(sim.rest());
+    assert_eq!(sim.history().len(), 0);
+    assert_eq!(sim.retained_history().len(), 1, "the frontier write stays");
+    let c = sim.add_client(Client::default());
+    assert_eq!(run_op(&mut sim, c, OpRequest::Read), OpId(12));
+}
+
+#[test]
+fn rest_refused_while_an_operation_is_open() {
+    let mut sim = new_sim();
+    let c = sim.add_client(Client::default());
+    let op = sim
+        .invoke(c, OpRequest::Write(Value::seeded(1, 8)))
+        .unwrap();
+    // Triggered, not yet applied.
+    assert!(!sim.rest());
+    let rmw = sim.inflight_rmws()[0].rmw;
+    sim.step(SimEvent::Apply(rmw)).unwrap();
+    // Applied, its response not yet delivered: the write is still open.
+    assert!(!sim.rest());
+    assert_eq!(sim.client_count(), 1, "a refused rest changes nothing");
+    sim.step(SimEvent::Deliver(rmw)).unwrap();
+    assert!(sim.op_record(op).is_complete());
+    assert!(sim.rest());
+    assert_eq!(sim.client_count(), 0);
+}
+
+#[test]
+fn rest_refused_while_a_crashed_clients_operation_is_open() {
+    let mut sim = new_sim();
+    let c = sim.add_client(Client::default());
     sim.invoke(c, OpRequest::Write(Value::seeded(1, 8)))
         .unwrap();
-    assert!(sim.snapshot().is_none());
-    assert!(run_to_completion(&mut sim, 100));
-    assert!(sim.snapshot().is_some());
+    sim.crash_client(c);
+    sim.drain();
+    assert!(!sim.rest(), "the response can never be delivered");
 }
 
 #[test]
-fn snapshot_restore_keeps_crash_flags() {
+fn rest_keeps_crashed_objects() {
     let mut sim: Simulation<Cell, Client> = Simulation::new(4, |_| Cell::default());
     sim.crash_object(ObjectId(1));
     sim.crash_object(ObjectId(3));
-    let sim = Simulation::<Cell, Client>::restore(sim.snapshot().unwrap());
+    sim.crash_object(ObjectId(3));
+    assert!(sim.rest());
     let crashed: Vec<bool> = (0..4).map(|i| sim.object_crashed(ObjectId(i))).collect();
     assert_eq!(crashed, [false, true, false, true]);
 }

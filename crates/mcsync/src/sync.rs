@@ -1,9 +1,9 @@
-//! Drop-in sync primitives: `std::sync::atomic`-shaped atomics and
+//! Drop-in sync primitives: a `std::sync::atomic`-shaped `AtomicU64` and
 //! `parking_lot`-shaped `Mutex`/`Condvar` whose every operation is a
 //! scheduling point under [`crate::sched::model`], and a transparent
 //! passthrough outside one.
 //!
-//! The atomics execute with their caller-requested orderings on the real
+//! The atomic executes with its caller-requested orderings on the real
 //! hardware primitive; under the model the point is the *interleaving*,
 //! which the scheduler serializes (sequential consistency). The lock
 //! types keep a model-side `held` flag so the scheduler can tell a
@@ -27,110 +27,43 @@ fn hook() {
     }
 }
 
-macro_rules! model_atomic {
-    ($(#[$doc:meta])* $name:ident, $raw:ty, $prim:ty) => {
-        $(#[$doc])*
-        #[derive(Debug, Default)]
-        pub struct $name {
-            inner: $raw,
-        }
-
-        impl $name {
-            /// Creates a new atomic with the given initial value.
-            #[must_use]
-            pub const fn new(v: $prim) -> Self {
-                Self { inner: <$raw>::new(v) }
-            }
-
-            /// Loads the value (scheduling point under the model).
-            pub fn load(&self, order: Ordering) -> $prim {
-                hook();
-                self.inner.load(order)
-            }
-
-            /// Stores a value (scheduling point under the model).
-            pub fn store(&self, v: $prim, order: Ordering) {
-                hook();
-                self.inner.store(v, order);
-            }
-
-            /// Swaps the value, returning the previous one.
-            pub fn swap(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.swap(v, order)
-            }
-
-            /// Atomic add, returning the previous value.
-            pub fn fetch_add(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.fetch_add(v, order)
-            }
-
-            /// Atomic subtract, returning the previous value.
-            pub fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
-                hook();
-                self.inner.fetch_sub(v, order)
-            }
-
-            /// Consumes the atomic, returning the inner value.
-            #[must_use]
-            pub fn into_inner(self) -> $prim {
-                self.inner.into_inner()
-            }
-
-            /// Exclusive access to the value (no scheduling point: the
-            /// `&mut` proves no concurrent access exists).
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.inner.get_mut()
-            }
-        }
-    };
-}
-
-model_atomic!(
-    /// Model-checkable `AtomicU64`.
-    AtomicU64,
-    std::sync::atomic::AtomicU64,
-    u64
-);
-model_atomic!(
-    /// Model-checkable `AtomicUsize`.
-    AtomicUsize,
-    std::sync::atomic::AtomicUsize,
-    usize
-);
-
-/// Model-checkable `AtomicBool` (subset: the boolean ops).
+/// Model-checkable `AtomicU64`.
 #[derive(Debug, Default)]
-pub struct AtomicBool {
-    inner: RawBool,
+pub struct AtomicU64 {
+    inner: std::sync::atomic::AtomicU64,
 }
 
-impl AtomicBool {
-    /// Creates a new atomic bool.
+impl AtomicU64 {
+    /// Creates a new atomic with the given initial value.
     #[must_use]
-    pub const fn new(v: bool) -> Self {
+    pub const fn new(v: u64) -> Self {
         Self {
-            inner: RawBool::new(v),
+            inner: std::sync::atomic::AtomicU64::new(v),
         }
     }
 
     /// Loads the value (scheduling point under the model).
-    pub fn load(&self, order: Ordering) -> bool {
+    pub fn load(&self, order: Ordering) -> u64 {
         hook();
         self.inner.load(order)
     }
 
     /// Stores a value (scheduling point under the model).
-    pub fn store(&self, v: bool, order: Ordering) {
+    pub fn store(&self, v: u64, order: Ordering) {
         hook();
         self.inner.store(v, order);
     }
 
     /// Swaps the value, returning the previous one.
-    pub fn swap(&self, v: bool, order: Ordering) -> bool {
+    pub fn swap(&self, v: u64, order: Ordering) -> u64 {
         hook();
         self.inner.swap(v, order)
+    }
+
+    /// Atomic add, returning the previous value.
+    pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
+        hook();
+        self.inner.fetch_add(v, order)
     }
 }
 

@@ -3,7 +3,8 @@
 //! bound; the optional TCP listen section; the flight-recorder window.
 //!
 //! There is no eviction setting: the store reclaims memory only when its
-//! owner calls [`Store::evict_quiescent`](crate::Store::evict_quiescent).
+//! owner calls [`Store::evict_quiescent`](crate::Store::evict_quiescent),
+//! which rests quiescent keys in place.
 
 use rsb_registers::RegisterConfig;
 

@@ -11,9 +11,9 @@
 //! key's simulation until the operation returns, so the future it gets
 //! back is already resolved. The store runs no thread of its own.
 //! Per-key history can be bounded with a [`HistoryPolicy`], and quiescent
-//! keys can be evicted to snapshots ([`Store::evict_quiescent`] — one
-//! call, made by the owner on its own schedule) and transparently
-//! rematerialized.
+//! keys can rest in place ([`Store::evict_quiescent`] — one call, made by
+//! the owner on its own schedule), giving back their idle clients and
+//! slack buffers while keeping every bit the paper charges.
 //!
 //! # Client surface
 //!

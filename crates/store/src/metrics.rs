@@ -9,8 +9,8 @@ use rsb_fpsm::{OpResult, StorageCost};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Latency histogram buckets: 64 power-of-two octaves × 4 sub-buckets
-/// (log-linear, ~±12.5% resolution) — enough to separate a cache-hit
-/// read from one that pays a rematerialization, at tail quantiles.
+/// (log-linear, ~±12.5% resolution) — enough to separate a warm read
+/// from a cold one at tail quantiles.
 const HIST_SUBS: usize = 4;
 pub(crate) const HIST_BUCKETS: usize = 64 * HIST_SUBS;
 
@@ -104,9 +104,9 @@ impl AtomicHistogram {
 /// A snapshot of a latency histogram, with quantile queries.
 ///
 /// Buckets are log-linear (power-of-two octaves with 4 sub-buckets), so
-/// quantiles carry ~±12.5% resolution — plenty to tell a hit read from
-/// one that paid a rematerialization, while recording stays a single
-/// relaxed atomic increment on the hot path.
+/// quantiles carry ~±12.5% resolution — plenty to tell a warm read from
+/// a cold one, while recording stays a single relaxed atomic increment on
+/// the hot path.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
@@ -207,7 +207,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Lock-free counters one shard's submitters and evictions bump.
+/// Lock-free counters one shard's submitters and sweeps bump.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicCounters {
     reads_submitted: AtomicU64,
@@ -218,10 +218,8 @@ pub(crate) struct AtomicCounters {
     bytes_written: AtomicU64,
     rejected: AtomicU64,
     truncated_records: AtomicU64,
-    rematerialized: AtomicU64,
     evictions: AtomicU64,
-    read_hit_ns: AtomicHistogram,
-    read_remat_ns: AtomicHistogram,
+    read_ns: AtomicHistogram,
     write_ns: AtomicHistogram,
     queue_wait_ns: AtomicHistogram,
     execute_ns: AtomicHistogram,
@@ -260,22 +258,13 @@ impl AtomicCounters {
         }
     }
 
-    pub(crate) fn note_rematerialized(&self) {
-        bump(&self.rematerialized, 1);
-    }
-
     pub(crate) fn note_eviction(&self) {
         bump(&self.evictions, 1);
     }
 
-    /// Records a completed read's end-to-end latency, bucketed by whether
-    /// its submission had to rematerialize an evicted key.
-    pub(crate) fn note_read_latency(&self, ns: u64, rematerialized: bool) {
-        if rematerialized {
-            self.read_remat_ns.record(ns);
-        } else {
-            self.read_hit_ns.record(ns);
-        }
+    /// Records a completed read's end-to-end latency.
+    pub(crate) fn note_read_latency(&self, ns: u64) {
+        self.read_ns.record(ns);
     }
 
     /// Records a completed write's end-to-end latency.
@@ -299,12 +288,8 @@ impl AtomicCounters {
         self.wire_ns.record(ns);
     }
 
-    pub(crate) fn read_hit_histogram(&self) -> LatencyHistogram {
-        self.read_hit_ns.snapshot()
-    }
-
-    pub(crate) fn read_remat_histogram(&self) -> LatencyHistogram {
-        self.read_remat_ns.snapshot()
+    pub(crate) fn read_histogram(&self) -> LatencyHistogram {
+        self.read_ns.snapshot()
     }
 
     pub(crate) fn write_histogram(&self) -> LatencyHistogram {
@@ -333,7 +318,6 @@ impl AtomicCounters {
             bytes_written: peek(&self.bytes_written),
             rejected: peek(&self.rejected),
             truncated_records: peek(&self.truncated_records),
-            rematerialized: peek(&self.rematerialized),
             evictions: peek(&self.evictions),
         }
     }
@@ -358,9 +342,7 @@ pub struct OpCounters {
     pub rejected: u64,
     /// Operation records dropped by history compaction.
     pub truncated_records: u64,
-    /// Evicted keys brought back by a later operation.
-    pub rematerialized: u64,
-    /// Keys snapshotted by
+    /// Quiescent keys rested in place by
     /// [`Store::evict_quiescent`](crate::Store::evict_quiescent).
     pub evictions: u64,
 }
@@ -386,7 +368,6 @@ impl OpCounters {
         self.bytes_written += other.bytes_written;
         self.rejected += other.rejected;
         self.truncated_records += other.truncated_records;
-        self.rematerialized += other.rematerialized;
         self.evictions += other.evictions;
     }
 }
@@ -402,11 +383,11 @@ pub struct ShardMetrics {
     pub shard: usize,
     /// The register emulation the shard runs.
     pub protocol: String,
-    /// Keys (registers) materialized on the shard so far.
+    /// Keys (registers) created on the shard so far.
     pub keys: usize,
     /// Operation counters.
     pub ops: OpCounters,
-    /// Live storage occupancy across the shard's registers
+    /// Storage occupancy across the shard's registers, resting or not
     /// (the paper's Definition-2 cost, summed over keys).
     pub occupancy: StorageCost,
     /// Sum of each register's peak total storage in bits — an upper
@@ -417,22 +398,13 @@ pub struct ShardMetrics {
     ///
     /// [`HistoryPolicy`]: crate::HistoryPolicy
     pub live_records: u64,
-    /// Keys currently evicted to snapshots (counted in `keys` too).
-    pub evicted_keys: usize,
-    /// Bits held by evicted keys' snapshots (not part of `occupancy`,
-    /// which covers live simulations only).
-    pub snapshot_bits: u64,
-    /// Live keys whose simulation still has an enabled event, counted
+    /// Keys whose simulation still has an enabled event, counted
     /// under each key's lock. A submission drains its key before it
     /// releases that lock, so this reads 0 — a non-zero value means a
     /// key was left mid-run.
     pub ready_keys: usize,
-    /// End-to-end latency of completed reads whose key was live at
-    /// submission.
-    pub read_hit_latency: LatencyHistogram,
-    /// End-to-end latency of completed reads whose submission had to
-    /// rematerialize an evicted key first.
-    pub read_remat_latency: LatencyHistogram,
+    /// End-to-end latency of completed reads.
+    pub read_latency: LatencyHistogram,
     /// End-to-end latency of completed writes.
     pub write_latency: LatencyHistogram,
     /// Per-op time from submit to execute-start: placement, the wait
@@ -472,7 +444,7 @@ impl StoreMetrics {
         total
     }
 
-    /// Aggregate live storage occupancy in bits.
+    /// Aggregate storage occupancy in bits, resting keys included.
     pub fn occupancy_bits(&self) -> u64 {
         self.shards.iter().map(|s| s.occupancy.total()).sum()
     }
@@ -482,7 +454,7 @@ impl StoreMetrics {
         self.shards.iter().map(|s| s.peak_register_bits).sum()
     }
 
-    /// Total keys materialized across shards.
+    /// Total keys created across shards.
     pub fn keys(&self) -> usize {
         self.shards.iter().map(|s| s.keys).sum()
     }
@@ -493,30 +465,11 @@ impl StoreMetrics {
         self.shards.iter().map(|s| s.live_records).sum()
     }
 
-    /// Keys currently evicted to snapshots, across shards.
-    pub fn evicted_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.evicted_keys).sum()
-    }
-
-    /// Bits held by evicted keys' snapshots, across shards.
-    pub fn snapshot_bits(&self) -> u64 {
-        self.shards.iter().map(|s| s.snapshot_bits).sum()
-    }
-
-    /// Merged hit-read latency histogram across shards.
-    pub fn read_hit_latency(&self) -> LatencyHistogram {
+    /// Merged read end-to-end latency histogram across shards.
+    pub fn read_latency(&self) -> LatencyHistogram {
         let mut out = LatencyHistogram::default();
         for s in &self.shards {
-            out.merge(&s.read_hit_latency);
-        }
-        out
-    }
-
-    /// Merged rematerialize-read latency histogram across shards.
-    pub fn read_remat_latency(&self) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for s in &self.shards {
-            out.merge(&s.read_remat_latency);
+            out.merge(&s.read_latency);
         }
         out
     }
@@ -557,12 +510,11 @@ impl StoreMetrics {
         out
     }
 
-    /// Merged end-to-end latency over every completed op (reads of both
-    /// kinds plus writes) — the histogram the phase pair
-    /// ([`Self::queue_wait`], [`Self::execute`]) decomposes.
+    /// Merged end-to-end latency over every completed op, reads and
+    /// writes — the histogram the phase pair ([`Self::queue_wait`],
+    /// [`Self::execute`]) decomposes.
     pub fn end_to_end_latency(&self) -> LatencyHistogram {
-        let mut out = self.read_hit_latency();
-        out.merge(&self.read_remat_latency());
+        let mut out = self.read_latency();
         out.merge(&self.write_latency());
         out
     }
@@ -574,7 +526,7 @@ impl StoreMetrics {
         use std::fmt::Write as _;
         let mut out = String::new();
         let t = self.totals();
-        let counters: [(&str, &str, u64); 10] = [
+        let counters: [(&str, &str, u64); 9] = [
             (
                 "reads_submitted",
                 "Reads accepted by the submit path",
@@ -615,22 +567,17 @@ impl StoreMetrics {
                 "Records dropped by history compaction",
                 t.truncated_records,
             ),
-            (
-                "rematerialized",
-                "Evicted keys brought back by an op",
-                t.rematerialized,
-            ),
-            ("evictions", "Keys evicted to snapshots", t.evictions),
+            ("evictions", "Quiescent keys rested in place", t.evictions),
         ];
         for (name, help, value) in counters {
             let _ = writeln!(out, "# HELP rsb_store_{name}_total {help}");
             let _ = writeln!(out, "# TYPE rsb_store_{name}_total counter");
             let _ = writeln!(out, "rsb_store_{name}_total {value}");
         }
-        let gauges: [(&str, &str, u64); 6] = [
+        let gauges: [(&str, &str, u64); 4] = [
             (
                 "occupancy_bits",
-                "Live storage occupancy (paper Definition-2 bits)",
+                "Storage occupancy (paper Definition-2 bits)",
                 self.occupancy_bits(),
             ),
             (
@@ -638,21 +585,7 @@ impl StoreMetrics {
                 "Sum of per-register peak storage bits",
                 self.peak_register_bits(),
             ),
-            (
-                "snapshot_bits",
-                "Bits held by evicted keys' snapshots",
-                self.snapshot_bits(),
-            ),
-            (
-                "keys",
-                "Keys materialized across shards",
-                self.keys() as u64,
-            ),
-            (
-                "evicted_keys",
-                "Keys currently evicted to snapshots",
-                self.evicted_keys() as u64,
-            ),
+            ("keys", "Keys created across shards", self.keys() as u64),
             (
                 "live_records",
                 "Operation records currently retained",
@@ -666,7 +599,7 @@ impl StoreMetrics {
         }
         let _ = writeln!(
             out,
-            "# HELP rsb_store_shard_ready_keys Live keys left with an enabled simulator event"
+            "# HELP rsb_store_shard_ready_keys Keys left with an enabled simulator event"
         );
         let _ = writeln!(out, "# TYPE rsb_store_shard_ready_keys gauge");
         for s in &self.shards {
@@ -676,16 +609,11 @@ impl StoreMetrics {
                 s.shard, s.protocol, s.ready_keys
             );
         }
-        let hists: [(&str, &str, LatencyHistogram); 6] = [
+        let hists: [(&str, &str, LatencyHistogram); 5] = [
             (
-                "read_hit_latency_ns",
-                "End-to-end latency of live-key reads",
-                self.read_hit_latency(),
-            ),
-            (
-                "read_remat_latency_ns",
-                "End-to-end latency of rematerializing reads",
-                self.read_remat_latency(),
+                "read_latency_ns",
+                "End-to-end latency of reads",
+                self.read_latency(),
             ),
             (
                 "write_latency_ns",

@@ -31,8 +31,8 @@
 //! the store.
 //!
 //! A `StatsResp` shard body is `shard: u64`, `protocol: str16`,
-//! `keys: u64`, the 10 operation counters as `u64`s, the 4 storage-cost
-//! components, 5 `u64` occupancy gauges, then 6 latency histograms, each
+//! `keys: u64`, the 9 operation counters as `u64`s, the 4 storage-cost
+//! components, 3 `u64` gauges, then 5 latency histograms, each
 //! a `u16` entry count followed by `(lo_ns: u64, hi_ns: u64, count:
 //! u64)` triples — bucket bounds travel explicitly, so a scraper needs
 //! no knowledge of the server's bucketing scheme, and the decoder
@@ -52,7 +52,7 @@ use std::io::{Read, Write};
 /// Wire-protocol version carried in the hello handshake. Bump on any
 /// incompatible frame change; the server rejects mismatches with
 /// [`StoreError::ProtocolVersion`].
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 
 /// Magic prefix of the client hello, so a peer speaking a different
 /// protocol is rejected at the first frame.
@@ -334,7 +334,6 @@ fn put_counters(out: &mut Vec<u8>, t: &OpCounters) {
         t.bytes_written,
         t.rejected,
         t.truncated_records,
-        t.rematerialized,
         t.evictions,
     ] {
         put_u64(out, v);
@@ -352,12 +351,9 @@ fn put_shard_metrics(out: &mut Vec<u8>, s: &ShardMetrics) {
     put_u64(out, s.occupancy.inflight_resp_bits);
     put_u64(out, s.peak_register_bits);
     put_u64(out, s.live_records);
-    put_u64(out, s.evicted_keys as u64);
-    put_u64(out, s.snapshot_bits);
     put_u64(out, s.ready_keys as u64);
     for h in [
-        &s.read_hit_latency,
-        &s.read_remat_latency,
+        &s.read_latency,
         &s.write_latency,
         &s.queue_wait,
         &s.execute,
@@ -467,7 +463,6 @@ impl<'a> Cursor<'a> {
             bytes_written: self.u64()?,
             rejected: self.u64()?,
             truncated_records: self.u64()?,
-            rematerialized: self.u64()?,
             evictions: self.u64()?,
         })
     }
@@ -486,11 +481,8 @@ impl<'a> Cursor<'a> {
             },
             peak_register_bits: self.u64()?,
             live_records: self.u64()?,
-            evicted_keys: self.usize()?,
-            snapshot_bits: self.u64()?,
             ready_keys: self.usize()?,
-            read_hit_latency: self.histogram()?,
-            read_remat_latency: self.histogram()?,
+            read_latency: self.histogram()?,
             write_latency: self.histogram()?,
             queue_wait: self.histogram()?,
             execute: self.histogram()?,

@@ -1,8 +1,7 @@
 //! Flight recorder: a lock-free, fixed-capacity ring of structured
 //! events, cheap enough to leave on in production.
 //!
-//! Every noteworthy store event (submit, evict, rematerialize,
-//! compaction, wire decode error, connection open/close, rejection) is
+//! Every noteworthy store event (submit, evict, compaction, wire decode error, connection open/close, rejection) is
 //! stamped with a monotonically-increasing sequence number and packed
 //! into one atomic word; when the ring wraps, the oldest events are
 //! overwritten. [`FlightRecorder::dump`] snapshots the surviving window
@@ -31,12 +30,10 @@ pub enum FlightEventKind {
     /// A write was accepted by the submit path; detail is the payload
     /// length in bytes.
     SubmitWrite,
-    /// A key was evicted by
+    /// A quiescent key was rested in place by
     /// [`Store::evict_quiescent`](crate::Store::evict_quiescent); detail
-    /// is the snapshot size in bits.
+    /// is its object bits at rest.
     Evict,
-    /// An operation on an evicted key rebuilt its live simulation.
-    Rematerialize,
     /// History compaction dropped records; detail is how many.
     Compaction,
     /// A connection's frame stream failed to decode; the connection was
@@ -57,12 +54,11 @@ impl FlightEventKind {
             0 => FlightEventKind::SubmitRead,
             1 => FlightEventKind::SubmitWrite,
             2 => FlightEventKind::Evict,
-            3 => FlightEventKind::Rematerialize,
-            4 => FlightEventKind::Compaction,
-            5 => FlightEventKind::DecodeError,
-            6 => FlightEventKind::ConnOpen,
-            7 => FlightEventKind::ConnClose,
-            8 => FlightEventKind::Rejected,
+            3 => FlightEventKind::Compaction,
+            4 => FlightEventKind::DecodeError,
+            5 => FlightEventKind::ConnOpen,
+            6 => FlightEventKind::ConnClose,
+            7 => FlightEventKind::Rejected,
             _ => return None,
         })
     }
@@ -72,12 +68,11 @@ impl FlightEventKind {
             FlightEventKind::SubmitRead => 0,
             FlightEventKind::SubmitWrite => 1,
             FlightEventKind::Evict => 2,
-            FlightEventKind::Rematerialize => 3,
-            FlightEventKind::Compaction => 4,
-            FlightEventKind::DecodeError => 5,
-            FlightEventKind::ConnOpen => 6,
-            FlightEventKind::ConnClose => 7,
-            FlightEventKind::Rejected => 8,
+            FlightEventKind::Compaction => 3,
+            FlightEventKind::DecodeError => 4,
+            FlightEventKind::ConnOpen => 5,
+            FlightEventKind::ConnClose => 6,
+            FlightEventKind::Rejected => 7,
         }
     }
 
@@ -87,7 +82,6 @@ impl FlightEventKind {
             FlightEventKind::SubmitRead => "submit-read",
             FlightEventKind::SubmitWrite => "submit-write",
             FlightEventKind::Evict => "evict",
-            FlightEventKind::Rematerialize => "rematerialize",
             FlightEventKind::Compaction => "compaction",
             FlightEventKind::DecodeError => "decode-error",
             FlightEventKind::ConnOpen => "conn-open",
@@ -283,12 +277,12 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for code in 0..=8u8 {
+        for code in 0..=7u8 {
             let kind = FlightEventKind::from_code(code).expect("known code");
             assert_eq!(kind.code(), code);
             assert!(!kind.label().is_empty());
         }
-        assert_eq!(FlightEventKind::from_code(9), None);
+        assert_eq!(FlightEventKind::from_code(8), None);
     }
 
     #[test]

@@ -23,9 +23,12 @@
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
 //! the consistency checkers need), and [`ShardEngine::evict_quiescent`]
-//! replaces every quiescent key's live simulation by a [`SimSnapshot`],
-//! rematerialized on the key's next operation. Eviction is that one call,
-//! made by the store's owner; nothing sweeps on its own.
+//! lets every quiescent key [`rest`](Simulation::rest) in place: the key
+//! keeps its one simulation, objects, history and peaks, and gives back
+//! its idle clients and slack buffers. The next hold re-reserves the
+//! record buffer and adds a client as it needs one; nothing else differs
+//! between a rested key and any other. Eviction is that one call, made
+//! by the store's owner; nothing sweeps on its own.
 
 use crate::config::ShardSpec;
 use crate::config::{HistoryPolicy, ProtocolSpec};
@@ -35,8 +38,8 @@ use crate::recorder::{FlightEventKind, FlightRecorder};
 use crate::store::StoreError;
 use rsb_coding::Value;
 use rsb_fpsm::{
-    ClientId, ClientLogic, ObjectState, OpId, OpRecord, OpRequest, OpResult, Scratch, SimSnapshot,
-    Simulation, StorageCost,
+    ClientId, ClientLogic, ObjectState, OpId, OpRecord, OpRequest, OpResult, Scratch, Simulation,
+    StorageCost,
 };
 use rsb_registers::{Abd, AbdAtomic, Adaptive, Coded, RegisterProtocol, Safe};
 use std::any::Any;
@@ -46,8 +49,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One key's live register: its simulation, whose clients (allocated as
-/// holds need them) are reused across operations when idle.
+/// One key's register: its simulation, whose clients (allocated as holds
+/// need them) are reused across operations when idle.
 type KeySim<P> = Simulation<<P as RegisterProtocol>::Object, <P as RegisterProtocol>::Client>;
 
 thread_local! {
@@ -88,25 +91,9 @@ struct HoldTimes {
     execute_ns: u64,
 }
 
-/// A key is either materialized (live simulation) or evicted to a
-/// quiescent snapshot. `Vacant` is a transient placeholder used to move
-/// a snapshot out during rematerialization — it never outlives the key
-/// lock's critical section in `materialize`, so no other code path
-/// observes it.
-// `Live` dwarfs the other variants, but it is also the variant every hot
-// operation touches — boxing it to please `large_enum_variant` would buy
-// a smaller *evicted* footprint at the price of a pointer chase on every
-// submit/step.
-#[allow(clippy::large_enum_variant)]
-enum KeyState<P: RegisterProtocol + 'static> {
-    Live(KeySim<P>),
-    Evicted(SimSnapshot<P::Object>),
-    Vacant,
-}
-
 /// One key's slot: the per-key lock every simulation access goes
 /// through.
-type KeySlot<P> = crate::mcsync::Mutex<KeyState<P>>;
+type KeySlot<P> = crate::mcsync::Mutex<KeySim<P>>;
 
 /// The object-safe surface the store drives a shard through.
 pub(crate) trait ShardEngine: Send + Sync {
@@ -122,7 +109,7 @@ pub(crate) trait ShardEngine: Send + Sync {
     /// never poison their batchmates.
     fn submit_batch(&self, ops: Vec<(String, OpRequest)>) -> Vec<Result<OpResult, StoreError>>;
 
-    /// Evicts every quiescent key to a snapshot; returns how many.
+    /// Rests every quiescent key in place; returns how many.
     fn evict_quiescent(&self) -> usize;
 
     /// Snapshot of the shard's metrics.
@@ -138,11 +125,10 @@ pub(crate) trait ShardEngine: Send + Sync {
     /// The registers' initial value `v₀`.
     fn initial_value(&self) -> Value;
 
-    /// The operation records of one key's register, if materialized or
-    /// evicted (snapshots preserve history).
+    /// The operation records of one key's register, if it exists.
     fn key_records(&self, key: &str) -> Option<Vec<OpRecord>>;
 
-    /// Keys materialized on this shard.
+    /// Keys created on this shard.
     fn keys(&self) -> Vec<String>;
 
     /// The protocol's stable name.
@@ -202,31 +188,28 @@ where
         }
     }
 
-    /// Tries to evict one key: under its lock, a live, quiescent key is
-    /// compacted (under a truncating history policy) and snapshotted.
-    /// Returns whether the key was evicted.
+    /// Tries to evict one key: under its lock, a quiescent key is
+    /// compacted (under a truncating history policy) and rested in place.
+    /// Returns whether the key rested; one already resting is skipped.
     fn try_evict(&self, slot: &KeySlot<P>) -> bool {
-        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
-        let KeyState::Live(sim) = &mut *state else {
-            return false;
-        };
-        if !sim.is_quiescent() {
+        let mut sim = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
+        // Every operation runs on a client, and a rest drops them all: a
+        // key without one has run nothing since it last rested.
+        if sim.client_count() == 0 || !sim.is_quiescent() {
             return false;
         }
-        // Compact before snapshotting — but only under a truncating
-        // policy: `Unbounded` promises the full history, which the
-        // snapshot then carries whole.
+        // Compact before resting — but only under a truncating policy:
+        // `Unbounded` promises the full history, which the key keeps.
         if self.policy != HistoryPolicy::Unbounded {
-            self.compact(sim);
+            self.compact(&mut sim);
         }
-        let Some(snap) = sim.snapshot() else {
-            return false;
-        };
-        let snap_bits = snap.storage_bits();
-        *state = KeyState::Evicted(snap);
+        sim.rest();
         self.counters.note_eviction();
-        self.recorder
-            .record(FlightEventKind::Evict, Some(self.shard), snap_bits);
+        self.recorder.record(
+            FlightEventKind::Evict,
+            Some(self.shard),
+            sim.storage_cost().object_bits,
+        );
         true
     }
 
@@ -240,7 +223,7 @@ where
     }
 
     /// Resolves a key to its slot with the map lock already held,
-    /// materializing the placement on first touch.
+    /// creating the key's register on first touch.
     fn place_locked(
         &self,
         index: &mut HashMap<String, Arc<KeySlot<P>>>,
@@ -249,41 +232,12 @@ where
         if let Some(slot) = index.get(key) {
             return Arc::clone(slot);
         }
-        let slot = Arc::new(KeySlot::new(self.live(self.proto.new_sim())));
+        let slot = Arc::new(KeySlot::<P>::new(self.proto.new_sim()));
         index.insert(key.to_owned(), Arc::clone(&slot));
         slot
     }
 
-    /// A key's live state around `sim`, its history buffer sized to the
-    /// policy's bound: under `TruncateAfter(n)` the live tail never holds
-    /// more than `n + 1` records between holds, so exactly that many are
-    /// reserved instead of letting doubling leave a buffer twice the size.
-    fn live(&self, mut sim: KeySim<P>) -> KeyState<P> {
-        if let HistoryPolicy::TruncateAfter(n) = self.policy {
-            sim.reserve_history(n.saturating_add(1));
-        }
-        KeyState::Live(sim)
-    }
-
-    /// Rematerializes an evicted key in place (live keys are untouched);
-    /// returns whether a snapshot was restored. Call under the key lock.
-    fn materialize(&self, state: &mut KeyState<P>) -> bool {
-        if !matches!(&*state, KeyState::Evicted(_)) {
-            return false;
-        }
-        // Move the snapshot out (no deep copy): `Vacant` exists only
-        // inside this key-lock critical section.
-        let KeyState::Evicted(snap) = std::mem::replace(state, KeyState::Vacant) else {
-            unreachable!("matched above");
-        };
-        *state = self.live(Simulation::restore(snap));
-        self.counters.note_rematerialized();
-        self.recorder
-            .record(FlightEventKind::Rematerialize, Some(self.shard), 0);
-        true
-    }
-
-    /// Invokes one operation on a live key (client reuse/allocation,
+    /// Invokes one operation on a key (client reuse/allocation,
     /// counters and flight events). Call under the key lock.
     fn invoke(&self, sim: &mut KeySim<P>, req: OpRequest) -> Result<OpId, StoreError> {
         let client = (0..sim.client_count())
@@ -318,8 +272,7 @@ where
 
     /// Reads an invoked operation's result off its record after the
     /// drain, recording the completion counters, its end-to-end latency
-    /// (reads split by whether the hold rematerialized the key) and its
-    /// queue-wait / execute phase split. An operation the drain left
+    /// and its queue-wait / execute phase split. An operation the drain left
     /// without a result (its protocol could not terminate it) is an
     /// error naming the key. Call under the key lock.
     fn collect(
@@ -328,7 +281,6 @@ where
         key: &str,
         op: OpId,
         times: &HoldTimes,
-        rematerialized: bool,
     ) -> Result<OpResult, StoreError> {
         let Some(result) = sim.op_record(op).result.clone() else {
             return Err(StoreError::Rejected(format!(
@@ -339,7 +291,7 @@ where
         self.counters.note_phases(times.queue_ns, times.execute_ns);
         let total_ns = times.queue_ns + times.execute_ns;
         match result {
-            OpResult::Read(_) => self.counters.note_read_latency(total_ns, rematerialized),
+            OpResult::Read(_) => self.counters.note_read_latency(total_ns),
             OpResult::Write => self.counters.note_write_latency(total_ns),
         }
         Ok(result)
@@ -358,22 +310,25 @@ where
         reqs: impl Iterator<Item = (T, OpRequest)>,
         mut deliver: impl FnMut(T, Result<OpResult, StoreError>),
     ) {
-        let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
+        let mut sim = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
         if self.is_stopped() {
             for (tag, _) in reqs {
                 deliver(tag, Err(StoreError::ShutDown));
             }
             return;
         }
-        let rematerialized = self.materialize(&mut state);
-        let KeyState::Live(sim) = &mut *state else {
-            unreachable!("rematerialized above");
-        };
+        let sim = &mut *sim;
+        // Under `TruncateAfter(n)` the live tail never holds more than
+        // `n + 1` records between holds, so exactly that many are
+        // reserved instead of letting doubling leave a buffer twice the
+        // size. Only a key's first hold, or its first since it rested,
+        // allocates here.
+        if let HistoryPolicy::TruncateAfter(n) = self.policy {
+            sim.reserve_history(n.saturating_add(1));
+        }
         swap_thread_scratch(sim);
-        // Only the hold's first operation paid the rematerialization.
-        let mut first = rematerialized;
         let invoked: Vec<_> = reqs
-            .map(|(tag, req)| (tag, self.invoke(sim, req), std::mem::take(&mut first)))
+            .map(|(tag, req)| (tag, self.invoke(sim, req)))
             .collect();
         let exec_start = Instant::now();
         // No new event can appear while the key lock is held, so the
@@ -383,11 +338,8 @@ where
             queue_ns: exec_start.duration_since(started).as_nanos() as u64,
             execute_ns: exec_start.elapsed().as_nanos() as u64,
         };
-        for (tag, op, remat) in invoked {
-            deliver(
-                tag,
-                op.and_then(|op| self.collect(sim, key, op, &times, remat)),
-            );
+        for (tag, op) in invoked {
+            deliver(tag, op.and_then(|op| self.collect(sim, key, op, &times)));
         }
         self.settle(sim);
         swap_thread_scratch(sim);
@@ -400,7 +352,7 @@ where
 {
     fn submit(&self, key: &str, req: OpRequest) -> Result<OpResult, StoreError> {
         let started = Instant::now();
-        // Fast-path reject, before placement can materialize a key on a
+        // Fast-path reject, before placement can create a key on a
         // stopped store; `run_key` re-checks under the key lock.
         if self.is_stopped() {
             return Err(StoreError::ShutDown);
@@ -469,33 +421,17 @@ where
         let mut occupancy = StorageCost::default();
         let mut peak = 0u64;
         let mut live_records = 0u64;
-        let mut evicted_keys = 0usize;
-        let mut snapshot_bits = 0u64;
         let mut ready_keys = 0usize;
         for slot in &slots {
-            let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
-            match &*state {
-                KeyState::Live(sim) => {
-                    let cost = sim.storage_cost();
-                    occupancy.object_bits += cost.object_bits;
-                    occupancy.client_bits += cost.client_bits;
-                    occupancy.inflight_param_bits += cost.inflight_param_bits;
-                    occupancy.inflight_resp_bits += cost.inflight_resp_bits;
-                    peak += sim.peak_storage_bits();
-                    live_records += sim.live_records() as u64;
-                    ready_keys += usize::from(sim.has_enabled_event());
-                }
-                KeyState::Evicted(snap) => {
-                    evicted_keys += 1;
-                    snapshot_bits += snap.storage_bits();
-                    live_records += snap.record_count() as u64;
-                    // Peaks survive eviction: the snapshot carries the
-                    // register's observed peak, so the aggregate doesn't
-                    // silently drop when a key leaves live memory.
-                    peak += snap.peak_bits();
-                }
-                KeyState::Vacant => unreachable!("Vacant never escapes the key lock"),
-            }
+            let sim = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
+            let cost = sim.storage_cost();
+            occupancy.object_bits += cost.object_bits;
+            occupancy.client_bits += cost.client_bits;
+            occupancy.inflight_param_bits += cost.inflight_param_bits;
+            occupancy.inflight_resp_bits += cost.inflight_resp_bits;
+            peak += sim.peak_storage_bits();
+            live_records += sim.live_records() as u64;
+            ready_keys += usize::from(sim.has_enabled_event());
         }
         ShardMetrics {
             shard: self.shard,
@@ -505,11 +441,8 @@ where
             occupancy,
             peak_register_bits: peak,
             live_records,
-            evicted_keys,
-            snapshot_bits,
             ready_keys,
-            read_hit_latency: self.counters.read_hit_histogram(),
-            read_remat_latency: self.counters.read_remat_histogram(),
+            read_latency: self.counters.read_histogram(),
             write_latency: self.counters.write_histogram(),
             queue_wait: self.counters.queue_wait_histogram(),
             execute: self.counters.execute_histogram(),
@@ -532,12 +465,8 @@ where
     fn key_records(&self, key: &str) -> Option<Vec<OpRecord>> {
         let slot =
             Arc::clone(tracked_lock(ranks::SHARD_MAP, "shard_map", || self.map.lock()).get(key)?);
-        let state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock());
-        Some(match &*state {
-            KeyState::Live(sim) => sim.full_history(),
-            KeyState::Evicted(snap) => snap.records().to_vec(),
-            KeyState::Vacant => unreachable!("Vacant never escapes the key lock"),
-        })
+        let history = tracked_lock(ranks::KEY_STATE, "key_state", || slot.lock()).full_history();
+        Some(history)
     }
 
     fn keys(&self) -> Vec<String> {

@@ -4,7 +4,8 @@
 //! one hold of its key's lock (see [`crate::shard`]): a client thread
 //! over [`Loopback`], the connection's thread over TCP. The store itself
 //! runs no thread: memory is reclaimed only when the owner calls
-//! [`Store::evict_quiescent`], on whatever schedule it likes.
+//! [`Store::evict_quiescent`], on whatever schedule it likes, and it
+//! rests quiescent keys in place.
 
 use crate::config::{StoreConfig, StoreConfigError};
 use crate::future::{OpFuture, ReadFuture, WriteFuture};
@@ -283,17 +284,24 @@ impl Store {
         })
     }
 
-    /// All keys materialized so far, across shards.
+    /// All keys created so far, across shards.
     pub fn keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = self.inner.shards.iter().flat_map(|s| s.keys()).collect();
         keys.sort();
         keys
     }
 
-    /// Evicts every quiescent key (no in-flight work) to a compact
-    /// snapshot, freeing its live simulation; the next operation on an
-    /// evicted key transparently rematerializes it. Returns how many keys
-    /// were evicted.
+    /// Rests every quiescent key (no in-flight work) in place: under a
+    /// truncating [`HistoryPolicy`](crate::HistoryPolicy) its history is
+    /// compacted, its idle clients are dropped and its buffers shrink to
+    /// what they hold (see [`Simulation::rest`](rsb_fpsm::Simulation::rest)).
+    /// Its objects, history and peaks stay, so
+    /// [`StoreMetrics::occupancy_bits`](crate::StoreMetrics::occupancy_bits)
+    /// and [`StoreMetrics::peak_register_bits`](crate::StoreMetrics::peak_register_bits)
+    /// read the same before and after: a sweep frees heap, not
+    /// Definition-2 bits. The next operation on a rested key runs like any
+    /// other. Returns how many keys rested; a key that has run no
+    /// operation since it last rested is skipped.
     ///
     /// This is the store's only reclamation: nothing calls it on the
     /// owner's behalf. A service that wants bounded memory calls it on a

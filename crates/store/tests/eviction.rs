@@ -1,6 +1,6 @@
-//! Eviction by `Store::evict_quiescent`: read classification across an
-//! evict → rematerialize cycle, counter consistency across
-//! evict → rematerialize → compact cycles, and eviction racing shutdown.
+//! Eviction by `Store::evict_quiescent`: keys rest in place with their
+//! values and Definition-2 bits, counters stay consistent across
+//! rest → traffic → compact cycles, and eviction racing shutdown.
 
 use rsb_coding::Value;
 use rsb_registers::RegisterConfig;
@@ -16,7 +16,7 @@ fn config(shards: usize, protocol: ProtocolSpec) -> StoreConfig {
 }
 
 #[test]
-fn evicted_keys_rematerialize_on_touch_and_reads_are_classified() {
+fn rested_keys_keep_their_values_and_reads_share_one_histogram() {
     let store = Store::start(config(1, ProtocolSpec::Abd)).unwrap();
     let client = store.client();
     for i in 0..8u64 {
@@ -24,38 +24,40 @@ fn evicted_keys_rematerialize_on_touch_and_reads_are_classified() {
             .write_blocking(&format!("cold-{i}"), Value::seeded(i + 1, VALUE_LEN))
             .unwrap();
     }
+    let before = store.metrics();
     assert_eq!(store.evict_quiescent(), 8);
-    // A key first touched after the sweep is live.
+    // A sweep frees heap, not Definition-2 bits.
+    let after = store.metrics();
+    assert_eq!(after.occupancy_bits(), before.occupancy_bits());
+    assert_eq!(after.peak_register_bits(), before.peak_register_bits());
+    assert_eq!(after.totals().evictions, 8);
+    assert_eq!(store.evict_quiescent(), 0, "resting keys are skipped");
+    // A key first touched after the sweep joins the rested ones.
     client
         .write_blocking("hot", Value::seeded(100, VALUE_LEN))
         .unwrap();
-    let m = store.metrics();
-    assert_eq!(m.evicted_keys(), 8);
-    assert_eq!(m.totals().evictions, 8);
-    // Touching a cold key transparently rematerializes it, value intact.
     for i in 0..8u64 {
         assert_eq!(
             client.read_blocking(&format!("cold-{i}")).unwrap(),
             Value::seeded(i + 1, VALUE_LEN)
         );
     }
-    assert_eq!(store.metrics().totals().rematerialized, 8);
-    // The reads above were classified as rematerializing reads and their
-    // latency recorded in the remat histogram; a read of the live hot
-    // key lands in the hit histogram instead.
-    assert_eq!(store.metrics().read_remat_latency().count(), 8);
-    assert_eq!(store.metrics().read_hit_latency().count(), 0);
     client.read_blocking("hot").unwrap();
-    assert_eq!(store.metrics().read_hit_latency().count(), 1);
-    assert_eq!(store.metrics().read_remat_latency().count(), 8);
+    // Reads of rested and running keys land in the one read histogram.
+    let m = store.metrics();
+    assert_eq!(m.read_latency().count(), 9);
+    assert_eq!(m.end_to_end_latency().count(), 9 + 9);
+    // Every key ran an operation since the sweep, so each rests again.
+    assert_eq!(store.evict_quiescent(), 9);
+    assert_eq!(store.metrics().totals().evictions, 8 + 9);
     store.shutdown();
 }
 
 /// Satellite: `Counters`/aggregate metrics must not drift under
-/// read-modify-write cycles — `snapshot_bits` back down on
-/// rematerialization, `live_records` consistent with per-key histories.
+/// rest → traffic → compact cycles — occupancy and peaks unmoved by a
+/// sweep, `live_records` consistent with per-key histories.
 #[test]
-fn counters_stay_consistent_across_evict_rematerialize_compact_cycles() {
+fn counters_stay_consistent_across_rest_traffic_compact_cycles() {
     let store = Store::start(
         config(2, ProtocolSpec::Adaptive).with_history(HistoryPolicy::TruncateAfter(8)),
     )
@@ -83,35 +85,32 @@ fn counters_stay_consistent_across_evict_rematerialize_compact_cycles() {
         }
         assert_consistent("after traffic");
 
+        let before = store.metrics();
         let evicted = store.evict_quiescent();
         assert_eq!(evicted, keys.len(), "all keys quiescent between cycles");
         let m = store.metrics();
-        assert_eq!(m.evicted_keys(), keys.len());
-        assert!(m.snapshot_bits() > 0, "snapshots hold the evicted state");
-        assert_eq!(m.occupancy_bits(), 0, "no live simulations remain");
-        assert_consistent("after evict");
-
-        // Rematerialize everything; snapshot_bits must come back DOWN to
-        // zero (per-shard, not just in aggregate).
-        for key in &keys {
-            client.read_blocking(key).unwrap();
-        }
-        let m = store.metrics();
-        assert_eq!(m.evicted_keys(), 0, "every key rematerialized");
-        for s in &m.shards {
+        assert!(m.occupancy_bits() > 0, "rested keys keep their objects");
+        for (s, b) in m.shards.iter().zip(&before.shards) {
             assert_eq!(
-                s.snapshot_bits, 0,
-                "shard {}: snapshot_bits must return to zero after rematerialization",
+                s.occupancy, b.occupancy,
+                "shard {}: a sweep moves no Definition-2 bit",
                 s.shard
             );
-            assert_eq!(s.evicted_keys, 0);
+            assert_eq!(s.peak_register_bits, b.peak_register_bits);
         }
-        assert!(m.occupancy_bits() > 0);
-        assert_consistent("after rematerialize");
+        assert_consistent("after evict");
+
+        // Every rested key serves its last write.
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(
+                client.read_blocking(key).unwrap(),
+                Value::seeded(cycle * 100 + i as u64 + 1, VALUE_LEN)
+            );
+        }
+        assert_consistent("after reads");
     }
     let totals = store.metrics().totals();
     assert_eq!(totals.evictions, 3 * keys.len() as u64);
-    assert_eq!(totals.rematerialized, 3 * keys.len() as u64);
     assert!(totals.truncated_records > 0, "compaction ran during cycles");
     store.shutdown();
 }

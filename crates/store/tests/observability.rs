@@ -142,31 +142,25 @@ fn recorder_overwrites_oldest_when_capacity_is_tiny() {
 }
 
 #[test]
-fn eviction_and_rematerialization_leave_recorder_events() {
+fn eviction_leaves_one_recorder_event_per_rested_key() {
     let store = start(1, 16);
     let client = store.client();
     client.write_blocking("cold", Value::seeded(1, 16)).unwrap();
     assert_eq!(store.evict_quiescent(), 1);
-    // Reading the evicted key forces a rematerialization.
+    // Reading the rested key needs no event of its own.
     assert_eq!(client.read_blocking("cold").unwrap(), Value::seeded(1, 16));
     let events = store.flight_recorder().dump();
-    let evicts = events
+    let evicts: Vec<_> = events
         .iter()
         .filter(|e| e.kind == FlightEventKind::Evict)
-        .count();
-    let remats = events
-        .iter()
-        .filter(|e| e.kind == FlightEventKind::Rematerialize)
-        .count();
-    assert_eq!(evicts, 1, "events: {events:?}");
-    assert_eq!(remats, 1, "events: {events:?}");
-    // The eviction event's detail is the snapshot size in bits.
-    let evict = events
-        .iter()
-        .find(|e| e.kind == FlightEventKind::Evict)
-        .unwrap();
-    assert!(evict.detail > 0);
-    assert_eq!(evict.shard, Some(0));
+        .collect();
+    assert_eq!(evicts.len(), 1, "events: {events:?}");
+    // The eviction event's detail is the key's object bits at rest.
+    assert_eq!(
+        evicts[0].detail,
+        store.metrics().shards[0].occupancy.object_bits
+    );
+    assert_eq!(evicts[0].shard, Some(0));
     store.shutdown();
 }
 

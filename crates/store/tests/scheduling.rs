@@ -1,7 +1,7 @@
 //! Run-to-completion execution and history bounds: contended and
 //! hot-spot keys staying strongly regular, every loopback ticket coming
 //! back resolved, truncation policies keeping checkable histories, and
-//! evict/rematerialize of quiescent keys.
+//! quiescent keys resting in place.
 
 use rsb_consistency::{check_strong_regularity, History};
 use rsb_registers::RegisterConfig;
@@ -225,8 +225,8 @@ fn truncate_after_one_keeps_only_the_frontier() {
 
 #[test]
 fn eviction_under_unbounded_policy_preserves_full_history() {
-    // Unbounded promises every OpRecord: evict/rematerialize must carry
-    // the whole history through the snapshot, not a compacted frontier.
+    // Unbounded promises every OpRecord: a rested key keeps the whole
+    // history, not a compacted frontier.
     let store = Store::start(StoreConfig::uniform(1, ProtocolSpec::Abd, reg())).unwrap();
     let client = store.client();
     for i in 0..10u64 {
@@ -249,7 +249,7 @@ fn eviction_under_unbounded_policy_preserves_full_history() {
 }
 
 #[test]
-fn evicted_keys_rematerialize_with_history_intact() {
+fn rested_keys_keep_their_bits_and_history() {
     let store = Store::start(
         StoreConfig::uniform(2, ProtocolSpec::Abd, reg())
             .with_history(HistoryPolicy::TruncateAfter(1)),
@@ -261,39 +261,31 @@ fn evicted_keys_rematerialize_with_history_intact() {
             .write_blocking(&format!("cold-{i}"), rsb_coding::Value::seeded(i + 1, 16))
             .unwrap();
     }
-    let live_occupancy = store.metrics().occupancy_bits();
-    assert!(live_occupancy > 0);
+    let before = store.metrics();
+    assert!(before.occupancy_bits() > 0);
 
     let evicted = store.evict_quiescent();
-    assert_eq!(evicted, 8, "all quiescent keys evict");
+    assert_eq!(evicted, 8, "all quiescent keys rest");
     let m = store.metrics();
-    assert_eq!(m.evicted_keys(), 8);
     assert_eq!(
         m.occupancy_bits(),
-        0,
-        "evicted keys hold no live simulation"
+        before.occupancy_bits(),
+        "rested keys keep the register contents"
     );
-    assert!(
-        m.shards.iter().map(|s| s.snapshot_bits).sum::<u64>() > 0,
-        "snapshots retain the register contents"
-    );
-    // History stays queryable while evicted.
-    let h = store
-        .key_history("cold-3")
-        .expect("evicted key has history");
+    assert_eq!(m.peak_register_bits(), before.peak_register_bits());
+    // History stays queryable while resting.
+    let h = store.key_history("cold-3").expect("rested key has history");
     assert!(!h.records.is_empty());
 
-    // Operations transparently rematerialize, and the restored register
-    // serves the pre-eviction value with a checkable history.
+    // Operations on rested keys serve the value they rested with, with a
+    // checkable history.
     for i in 0..8u64 {
         assert_eq!(
             client.read_blocking(&format!("cold-{i}")).unwrap(),
             rsb_coding::Value::seeded(i + 1, 16)
         );
     }
-    let m = store.metrics();
-    assert_eq!(m.evicted_keys(), 0);
-    assert_eq!(m.totals().rematerialized, 8);
+    assert_eq!(store.metrics().totals().evictions, 8);
     check_key_histories(&store);
     store.shutdown();
 }

@@ -71,7 +71,6 @@ fn random_counters(state: &mut u64) -> OpCounters {
         bytes_written: splitmix(state),
         rejected: splitmix(state),
         truncated_records: splitmix(state),
-        rematerialized: splitmix(state),
         evictions: splitmix(state),
     }
 }
@@ -90,11 +89,8 @@ fn random_shard_metrics(state: &mut u64, shard: usize) -> ShardMetrics {
         },
         peak_register_bits: splitmix(state),
         live_records: splitmix(state),
-        evicted_keys: (splitmix(state) % 100_000) as usize,
-        snapshot_bits: splitmix(state),
         ready_keys: (splitmix(state) % 100_000) as usize,
-        read_hit_latency: random_histogram(state, 40),
-        read_remat_latency: random_histogram(state, 40),
+        read_latency: random_histogram(state, 40),
         write_latency: random_histogram(state, 40),
         queue_wait: random_histogram(state, 40),
         execute: random_histogram(state, 40),
@@ -390,7 +386,7 @@ fn corrupted_stats_frames_never_panic() {
                 // A flip that still decodes must still satisfy the
                 // histogram invariant the decoder enforces.
                 for sh in &metrics.shards {
-                    for h in [&sh.read_hit_latency, &sh.queue_wait, &sh.wire] {
+                    for h in [&sh.read_latency, &sh.queue_wait, &sh.wire] {
                         let mut last_hi = 0;
                         for (lo, hi, count) in h.buckets() {
                             assert!(lo < hi && count > 0 && lo >= last_hi);
