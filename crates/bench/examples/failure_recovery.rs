@@ -3,10 +3,14 @@
 //! its advertised consistency.
 //!
 //! ```sh
-//! cargo run --example failure_recovery
+//! cargo run -p rsb-bench --example failure_recovery
 //! ```
 
-use reliable_storage::prelude::*;
+use rsb_bench::verify::{self, Guarantee};
+use rsb_consistency::LivenessLevel;
+use rsb_fpsm::ObjectId;
+use rsb_registers::{Adaptive, RegisterConfig, Safe};
+use rsb_workloads::{run_scenario, FailurePlan, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = RegisterConfig::paper(2, 3, 512)?; // n = 7, f = 2, k = 3

@@ -18,9 +18,9 @@
 //!     --addr 127.0.0.1:7400 --stats --check
 //! ```
 
-use reliable_storage::prelude::*;
 use rsb_bench::load::{run_load_per_connection, LoadMode, LoadSpec};
 use rsb_bench::print_table;
+use rsb_store::{StoreClient, TcpTransport};
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()

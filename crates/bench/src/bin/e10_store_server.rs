@@ -1,5 +1,6 @@
-//! Standalone store server: binds a [`StoreServer`] on a TCP address and
-//! serves until interrupted (or for `--run-secs N`, for scripted smokes).
+//! Standalone store server: binds a [`rsb_store::StoreServer`] on a TCP
+//! address and serves until interrupted (or for `--run-secs N`, for
+//! scripted smokes).
 //!
 //! `--evict-every MS` runs a timer thread in this binary that calls
 //! `Store::evict_quiescent` every `MS` milliseconds, and `--recorder N`
@@ -12,7 +13,8 @@
 //!     --addr 127.0.0.1:7400 --shards 8 --proto adaptive --value-len 64
 //! ```
 
-use reliable_storage::prelude::*;
+use rsb_registers::RegisterConfig;
+use rsb_store::{ListenSpec, ProtocolSpec, Store, StoreConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 

@@ -18,12 +18,16 @@
 //! #   ^ hermetic: loopback transport only, no sockets
 //! ```
 
-use reliable_storage::prelude::*;
 use rsb_bench::load::{
     run_load, run_load_per_connection, run_load_scraped, LoadMode, LoadReport, LoadSpec,
 };
 use rsb_bench::{banner, print_table};
-use rsb_store::{LatencyHistogram, StoreServer};
+use rsb_consistency::{check_atomicity, check_strong_regularity, History};
+use rsb_registers::RegisterConfig;
+use rsb_store::{
+    LatencyHistogram, ListenSpec, ProtocolSpec, Store, StoreClient, StoreConfig, StoreMetrics,
+    StoreServer, TcpTransport,
+};
 use std::time::Duration;
 
 /// How often the open-loop runs scrape the store's live metrics.

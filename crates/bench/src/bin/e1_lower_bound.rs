@@ -2,8 +2,9 @@
 //! every black-box protocol reaches `|F| > f` or `|C⁺| = c`, certifying
 //! storage `≥ min((f+1)·D/2, c·(D/2+1))` — i.e. `Ω(min(f, c)·D)`.
 
-use reliable_storage::prelude::*;
-use rsb_bench::{banner, print_table};
+use rsb_bench::{banner, experiments, print_table};
+use rsb_lowerbound::AdversaryParams;
+use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol};
 
 fn sweep<P: RegisterProtocol>(proto: &P, cs: &[usize]) -> Vec<Vec<String>> {
     cs.iter()

@@ -3,8 +3,8 @@
 //! `2·n·D` (= Vp + Vf caps; the paper states the looser `(2f+k)²·D`); it
 //! switches from coding to replication as `c` crosses `k`.
 
-use reliable_storage::prelude::*;
-use rsb_bench::{banner, print_table};
+use rsb_bench::{banner, experiments, print_table};
+use rsb_registers::{theorem2_bound_bits, Adaptive, RegisterConfig};
 
 fn main() {
     banner(
@@ -19,7 +19,7 @@ fn main() {
             .iter()
             .map(|&c| {
                 let row = experiments::measure_storage(&proto, c, 2, 7_000 + c as u64);
-                let bound = experiments::theorem2_bound_bits(&cfg, c);
+                let bound = theorem2_bound_bits(&cfg, c);
                 vec![
                     f.to_string(),
                     k.to_string(),

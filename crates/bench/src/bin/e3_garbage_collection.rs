@@ -3,8 +3,8 @@
 //! `(2f+k)·D/k` bits (one piece per base object; up to `f` straggler
 //! objects may even end empty when a write's GC overtakes its update).
 
-use reliable_storage::prelude::*;
-use rsb_bench::{banner, print_table};
+use rsb_bench::{banner, experiments, print_table};
+use rsb_registers::{resting_bound_bits, Adaptive, RegisterConfig};
 
 fn main() {
     banner(
@@ -24,16 +24,17 @@ fn main() {
     for (f, k) in [(1usize, 2usize), (2, 2), (2, 4), (3, 3)] {
         let cfg = RegisterConfig::paper(f, k, 128).unwrap();
         let proto = Adaptive::new(cfg);
+        let bound = resting_bound_bits(&cfg);
         for c in [1usize, 2, 4, 8] {
-            let gc = experiments::gc_experiment(&proto, c, 9_000 + c as u64);
+            let row = experiments::measure_storage(&proto, c, 2, 9_000 + c as u64);
             rows.push(vec![
                 f.to_string(),
                 k.to_string(),
                 c.to_string(),
-                gc.peak_object_bits.to_string(),
-                gc.resting_object_bits.to_string(),
-                gc.bound_bits.to_string(),
-                (gc.resting_object_bits <= gc.bound_bits).to_string(),
+                row.peak_object_bits.to_string(),
+                row.resting_object_bits.to_string(),
+                bound.to_string(),
+                (row.resting_object_bits <= bound).to_string(),
             ]);
         }
     }

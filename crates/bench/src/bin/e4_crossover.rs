@@ -3,8 +3,8 @@
 //! pure coding (`O(cD)`), and the adaptive algorithm (the min of both,
 //! crossing over at `c ≈ k = f`).
 
-use reliable_storage::prelude::*;
-use rsb_bench::{banner, print_table};
+use rsb_bench::{banner, experiments, print_table};
+use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig};
 
 fn main() {
     banner(

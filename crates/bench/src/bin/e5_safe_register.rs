@@ -3,8 +3,9 @@
 //! lower-bound adversary cannot blow it up — the `Ω(min(f,c)·D)` bound is
 //! specific to regular semantics.
 
-use reliable_storage::prelude::*;
-use rsb_bench::{banner, print_table};
+use rsb_bench::{banner, experiments, print_table};
+use rsb_lowerbound::AdversaryParams;
+use rsb_registers::{RegisterConfig, Safe};
 
 fn main() {
     banner(

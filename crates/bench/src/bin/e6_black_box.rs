@@ -3,9 +3,10 @@
 //! storage structure (per-component block sources, indices, and sizes at
 //! every step); only the block contents differ.
 
-use reliable_storage::prelude::*;
 use rsb_bench::{banner, print_table};
+use rsb_coding::Value;
 use rsb_lowerbound::substitution_experiment;
+use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol, Safe};
 
 fn run_for<P: RegisterProtocol>(proto: &P, writers: usize, seeds: &[u64]) -> Vec<Vec<String>> {
     let len = proto.config().value_len;

@@ -3,9 +3,11 @@
 //! and the migration of writes between `C⁻` and `C⁺`, exactly the
 //! scenario the paper's figure illustrates (with `2D/5 < ℓ < D`).
 
-use reliable_storage::prelude::*;
 use rsb_bench::banner;
-use rsb_fpsm::Scheduler;
+use rsb_coding::Value;
+use rsb_fpsm::{OpRequest, Scheduler};
+use rsb_lowerbound::{AdversaryAd, AdversaryParams, Snapshot};
+use rsb_registers::{Coded, RegisterConfig, RegisterProtocol};
 
 fn main() {
     banner(

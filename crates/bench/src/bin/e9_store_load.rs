@@ -12,8 +12,9 @@
 //! cargo run --release -p rsb-bench --bin e9_store_load -- --quick # CI smoke
 //! ```
 
-use reliable_storage::prelude::*;
 use rsb_bench::{banner, print_table};
+use rsb_consistency::{check_strong_regularity, History};
+use rsb_registers::RegisterConfig;
 use rsb_store::{HistoryPolicy, ProtocolSpec, Store, StoreConfig};
 use rsb_workloads::{key_rank, KeyedAction, KeyedScenario};
 

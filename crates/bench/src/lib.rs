@@ -1,10 +1,14 @@
 //! Shared helpers for the experiment binaries that regenerate the paper's
-//! quantitative claims, and the store's load harness ([`load`]) that the
-//! e10 binaries drive.
+//! quantitative claims: the storage and adversary drivers
+//! ([`experiments`]), the glue from a scenario run to the checkers
+//! ([`verify`]), and the store's load harness ([`load`]) that the e10
+//! binaries drive.
 
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod load;
+pub mod verify;
 
 use std::fmt::Display;
 

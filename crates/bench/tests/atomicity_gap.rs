@@ -5,11 +5,15 @@
 //! (`AbdAtomic`) eliminates it. Both facts are machine-checked here on
 //! the classic inversion schedule.
 
-use reliable_storage::prelude::*;
+use rsb_coding::Value;
 use rsb_consistency::{check_atomicity, check_strong_regularity, History};
-use rsb_fpsm::{ClientLogic, ObjectState, OpId};
-use rsb_fpsm::{RmwId, SimEvent, Simulation};
+use rsb_fpsm::{
+    run, run_to_completion, ClientLogic, FairScheduler, ObjectId, ObjectState, OpId, OpRequest,
+    RmwId, SimEvent, Simulation,
+};
 use rsb_registers::abd::AbdObject;
+use rsb_registers::{Abd, RegisterConfig, RegisterProtocol};
+use rsb_workloads::{run_scenario, FailurePlan, Scenario};
 
 /// Applies and delivers every in-flight RMW of `op` targeting `obj`.
 fn land_on<S, L>(sim: &mut Simulation<S, L>, op: OpId, obj: ObjectId)

@@ -2,7 +2,11 @@
 //! grid of protocols and parameters, and the Θ(min(f,c)·D) shape emerges
 //! from measured storage.
 
-use reliable_storage::prelude::*;
+use rsb_bench::experiments;
+use rsb_coding::Value;
+use rsb_fpsm::OpRequest;
+use rsb_lowerbound::{AdversaryAd, AdversaryParams};
+use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol};
 
 #[test]
 fn dichotomy_certifies_across_grid() {
@@ -38,20 +42,25 @@ fn dichotomy_certifies_across_grid() {
     }
 }
 
+/// Peak object bits at `c = 1, 4, 8`, each run seeded `seed ^ c`.
+fn peaks_over_c<P: RegisterProtocol>(proto: &P, seed: u64) -> Vec<u64> {
+    [1usize, 4, 8]
+        .iter()
+        .map(|&c| experiments::measure_storage(proto, c, 2, seed ^ c as u64).peak_object_bits)
+        .collect()
+}
+
 #[test]
 fn coded_storage_grows_with_c_and_abd_does_not() {
     let f = 3;
     let abd = Abd::new(RegisterConfig::new(2 * f + 1, f, 1, 64).unwrap());
     let coded = Coded::new(RegisterConfig::paper(f, f, 64).unwrap());
-    let abd_rows = experiments::storage_sweep(&abd, &[1, 4, 8], 2, 50);
-    let coded_rows = experiments::storage_sweep(&coded, &[1, 4, 8], 2, 60);
+    let abd_peaks = peaks_over_c(&abd, 50);
+    let coded_peaks = peaks_over_c(&coded, 60);
     // ABD flat.
-    assert_eq!(abd_rows[0].peak_object_bits, abd_rows[2].peak_object_bits);
+    assert_eq!(abd_peaks[0], abd_peaks[2]);
     // Coded at c = 8 strictly above c = 1 (the concurrency cost).
-    assert!(
-        coded_rows[2].peak_object_bits > coded_rows[0].peak_object_bits,
-        "{coded_rows:?}"
-    );
+    assert!(coded_peaks[2] > coded_peaks[0], "{coded_peaks:?}");
 }
 
 #[test]

@@ -20,9 +20,13 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 #[test]
 fn every_relaxed_or_seqcst_ordering_has_a_reason() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // This crate's manifest sits in `crates/bench`; scan all of `crates/`.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/ holds this crate");
+    let root = crates.parent().expect("the workspace holds crates/");
     let mut files = Vec::new();
-    rust_files(&root.join("crates"), &mut files);
+    rust_files(crates, &mut files);
     let (mut checked, mut missing) = (0, Vec::new());
     for file in files {
         let src = fs::read_to_string(&file).expect("readable source file");

@@ -1,8 +1,11 @@
 //! Cross-crate integration: every protocol × scenario shape × checker,
 //! over multiple seeds, with and without failure injection.
 
-use reliable_storage::prelude::*;
-use reliable_storage::verify::check_outcome;
+use rsb_bench::verify::{check_outcome, Guarantee};
+use rsb_consistency::LivenessLevel;
+use rsb_fpsm::ObjectId;
+use rsb_registers::{Abd, Adaptive, Coded, RegisterConfig, RegisterProtocol, Safe};
+use rsb_workloads::{run_scenario, FailurePlan, Scenario};
 
 fn verify_protocol<P: RegisterProtocol>(
     proto: &P,

@@ -1,8 +1,12 @@
-//! Facade smoke tests for the sharded store: the whole async + blocking
-//! surface reached through `reliable_storage::prelude`, so the root
-//! package's `cargo test` exercises the service end to end.
+//! Smoke tests for the sharded store from outside its crate: the whole
+//! async + blocking client surface (the "facade" the test names mean),
+//! driven by `rsb-workloads` scenarios and judged by `rsb-consistency`.
 
-use reliable_storage::prelude::*;
+use rsb_coding::Value;
+use rsb_consistency::{check_strong_regularity, History};
+use rsb_registers::RegisterConfig;
+use rsb_store::{block_on, join_all, ProtocolSpec, Store, StoreConfig, StoreError};
+use rsb_workloads::{KeyedAction, KeyedScenario};
 
 #[test]
 fn async_surface_through_the_facade() {

@@ -150,11 +150,6 @@ impl<T> Mutex<T> {
             })
         }
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 /// RAII guard for [`Mutex`]. The inner `Option` lets [`Condvar`] vacate

@@ -3,10 +3,12 @@
 //! nodes, and read it back.
 //!
 //! ```sh
-//! cargo run --example quickstart
+//! cargo run -p rsb-registers --example quickstart
 //! ```
 
-use reliable_storage::prelude::*;
+use rsb_coding::Value;
+use rsb_fpsm::{run, run_to_completion, FairScheduler, ObjectId, OpRequest, OpResult};
+use rsb_registers::{resting_bound_bits, Adaptive, RegisterConfig, RegisterProtocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Tolerate f = 2 storage-node crashes using a k = 2 erasure code over
@@ -39,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "resting storage after GC: {} bits (bound {} bits = n·D/k)",
         sim.storage_cost().object_bits,
-        experiments::resting_bound_bits(&config),
+        resting_bound_bits(&config),
     );
 
     // Crash any f nodes.

@@ -570,6 +570,48 @@ impl RegisterProtocol for Adaptive {
     }
 }
 
+/// The Theorem-2 storage formula for the adaptive algorithm's base-object
+/// storage: `(c+1)·n·D/k` when `c < k − 1` (Lemma 6: each object holds at
+/// most `c+1` pieces and `Vf` stays empty), else `2·n·D` (each object
+/// holds at most `k` pieces in `Vp` plus `k` in `Vf` — the tight form of
+/// Lemma 7's `(2f+k)²·D`). With `k = Θ(f)` both sides are
+/// `O(min(f, c)·D)`.
+pub fn theorem2_bound_bits(cfg: &RegisterConfig, c: usize) -> u64 {
+    let n = cfg.n as u64;
+    let piece_bits = 8 * (cfg.value_len.div_ceil(cfg.k) as u64);
+    if c + 1 < cfg.k {
+        (c as u64 + 1) * n * piece_bits
+    } else {
+        n * 2 * cfg.k as u64 * piece_bits
+    }
+}
+
+/// The Lemma-8 resting storage: `(2f+k)·D/k` (one piece per object).
+///
+/// ```
+/// use rsb_coding::Value;
+/// use rsb_fpsm::{run, run_to_completion, FairScheduler, OpRequest};
+/// use rsb_registers::{resting_bound_bits, Adaptive, RegisterConfig, RegisterProtocol};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cfg = RegisterConfig::paper(2, 2, 1024)?;
+/// let proto = Adaptive::new(cfg);
+/// let mut sim = proto.new_sim();
+/// let writer = proto.add_client(&mut sim);
+/// sim.invoke(writer, OpRequest::Write(Value::seeded(7, 1024)))?;
+/// assert!(run_to_completion(&mut sim, 100_000));
+/// // Once the straggling RMWs land, garbage collection leaves at most
+/// // one D/k piece per base object.
+/// run(&mut sim, &mut FairScheduler::new(), 100_000);
+/// assert!(sim.storage_cost().object_bits <= resting_bound_bits(&cfg));
+/// # Ok(())
+/// # }
+/// ```
+pub fn resting_bound_bits(cfg: &RegisterConfig) -> u64 {
+    let piece_bits = 8 * (cfg.value_len.div_ceil(cfg.k) as u64);
+    cfg.n as u64 * piece_bits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,5 +855,15 @@ mod tests {
             // Vf holds at most one replica's worth of pieces.
             assert!(st.vf().len() <= 2, "Vf exceeded k pieces at bo{i}");
         }
+    }
+
+    #[test]
+    fn bounds_formulae() {
+        let cfg = RegisterConfig::paper(1, 4, 64).unwrap(); // n=6, D=512
+                                                            // piece = 128 bits; coded side (c=1 < k−1): 2·6·128 = 1536.
+        assert_eq!(theorem2_bound_bits(&cfg, 1), 1536);
+        // Saturated side (c ≥ k−1): 2·n·D = 6144.
+        assert_eq!(theorem2_bound_bits(&cfg, 5), 6144);
+        assert_eq!(resting_bound_bits(&cfg), 6 * 128);
     }
 }

@@ -47,7 +47,7 @@ pub mod protocol;
 pub mod safe;
 
 pub use abd::{Abd, AbdAtomic};
-pub use adaptive::Adaptive;
+pub use adaptive::{resting_bound_bits, theorem2_bound_bits, Adaptive};
 pub use coded::Coded;
 pub use common::{
     best_decodable, Chunk, ConfigError, QuorumRound, RegisterConfig, TaggedBlock, Timestamp,

@@ -9,11 +9,10 @@
 //!   adaptive bound at any point in any schedule.
 
 use proptest::prelude::*;
-use reliable_storage::experiments::theorem2_bound_bits;
 use rsb_coding::Value;
 use rsb_fpsm::{OpRequest, RandomScheduler, Scheduler, Simulation};
 use rsb_registers::adaptive::{AdaptiveClient, AdaptiveObject};
-use rsb_registers::{Adaptive, RegisterConfig, RegisterProtocol, Timestamp};
+use rsb_registers::{theorem2_bound_bits, Adaptive, RegisterConfig, RegisterProtocol, Timestamp};
 
 /// All (n−f)-subsets of `0..n` (n small in these tests).
 fn quorums(n: usize, q: usize) -> Vec<Vec<usize>> {

@@ -9,10 +9,12 @@
 //! the store adds no threads of its own.
 //!
 //! ```sh
-//! cargo run --example kv_store
+//! cargo run -p rsb-store --example kv_store
 //! ```
 
-use reliable_storage::prelude::*;
+use rsb_coding::Value;
+use rsb_registers::RegisterConfig;
+use rsb_store::{ProtocolSpec, Store, StoreConfig};
 
 const VALUE_LEN: usize = 64;
 

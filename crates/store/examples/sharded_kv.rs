@@ -8,10 +8,12 @@
 //! / `join_all` — and each future also has a blocking `.wait()`.
 //!
 //! ```sh
-//! cargo run --example sharded_kv
+//! cargo run -p rsb-store --example sharded_kv
 //! ```
 
-use reliable_storage::prelude::*;
+use rsb_coding::Value;
+use rsb_registers::RegisterConfig;
+use rsb_store::{block_on, join_all, HistoryPolicy, ProtocolSpec, Store, StoreConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 8 shards, every one running the paper's adaptive protocol with
